@@ -34,6 +34,18 @@ impl Tier {
     }
 }
 
+/// The steady-state measures of one network, from
+/// [`NetworkModel::measures`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NetworkMeasures {
+    /// Capacity-oriented availability ([`NetworkModel::coa`]).
+    pub coa: f64,
+    /// Classical availability ([`NetworkModel::availability`]).
+    pub availability: f64,
+    /// Expected running servers ([`NetworkModel::expected_up_servers`]).
+    pub expected_up: f64,
+}
+
 /// The composed network model: independent per-tier birth–death processes
 /// (the paper's marking-dependent `λ_eq·#Psvcup` patch transitions), with
 /// reward measures evaluated either in product form or through an explicit
@@ -97,6 +109,14 @@ impl NetworkModel {
             .steady_state()
     }
 
+    /// Every tier's [`tier_down_distribution`](Self::tier_down_distribution),
+    /// in tier order.
+    fn tier_down_distributions(&self) -> Result<Vec<Vec<f64>>, SolveError> {
+        (0..self.tiers.len())
+            .map(|i| self.tier_down_distribution(i))
+            .collect()
+    }
+
     /// Expected steady-state reward of an arbitrary function of the
     /// per-tier *up* counts, evaluated in product form (tiers are
     /// stochastically independent).
@@ -108,40 +128,50 @@ impl NetworkModel {
     where
         F: Fn(&[u32]) -> f64,
     {
-        let dists: Vec<Vec<f64>> = (0..self.tiers.len())
-            .map(|i| self.tier_down_distribution(i))
-            .collect::<Result<_, _>>()?;
+        let dists = self.tier_down_distributions()?;
+        let [total] = self.expected_rewards(&dists, |ups| [reward(ups)]);
+        Ok(total)
+    }
+
+    /// Expected values of `N` rewards in one mixed-radix pass over the
+    /// joint states, given the per-tier down distributions. Each total
+    /// sees exactly the per-state arithmetic a single-reward pass would.
+    fn expected_rewards<const N: usize>(
+        &self,
+        dists: &[Vec<f64>],
+        reward: impl Fn(&[u32]) -> [f64; N],
+    ) -> [f64; N] {
         // Mixed-radix enumeration over (down_0, ..., down_k).
-        let radices: Vec<usize> = self.tiers.iter().map(|t| t.count as usize + 1).collect();
-        let mut idx = vec![0usize; radices.len()];
-        let mut ups = vec![0u32; radices.len()];
-        let mut total = 0.0;
+        let counts: Vec<u32> = self.tiers.iter().map(|t| t.count).collect();
+        let mut idx = vec![0usize; counts.len()];
+        let mut ups = vec![0u32; counts.len()];
+        let mut totals = [0.0; N];
         loop {
             let mut p = 1.0;
-            for (i, &down) in idx.iter().enumerate() {
-                p *= dists[i][down];
-                ups[i] = self.tiers[i].count - down as u32;
+            for (((&down, dist), up), &count) in idx.iter().zip(dists).zip(&mut ups).zip(&counts) {
+                p *= dist[down];
+                *up = count - down as u32;
             }
             if p > 0.0 {
-                total += p * reward(&ups);
-            }
-            // Increment mixed-radix counter.
-            let mut carry = true;
-            for (i, r) in idx.iter_mut().zip(&radices) {
-                if carry {
-                    *i += 1;
-                    if *i == *r {
-                        *i = 0;
-                    } else {
-                        carry = false;
-                    }
+                for (total, r) in totals.iter_mut().zip(reward(&ups)) {
+                    *total += p * r;
                 }
             }
-            if carry {
+            // Increment the counter; the enumeration ends when it wraps.
+            let mut wrapped = true;
+            for (i, &count) in idx.iter_mut().zip(&counts) {
+                if *i < count as usize {
+                    *i += 1;
+                    wrapped = false;
+                    break;
+                }
+                *i = 0;
+            }
+            if wrapped {
                 break;
             }
         }
-        Ok(total)
+        totals
     }
 
     /// Joint states `Π (countᵢ + 1)` the mixed-radix enumeration of
@@ -160,32 +190,38 @@ impl NetworkModel {
     /// keep the enumeration path so pinned numbers stay bit-identical.
     const FACTORED_THRESHOLD: u128 = 1 << 20;
 
+    /// Whether the separable measures take the factored form.
+    fn factored(&self) -> bool {
+        self.joint_states() > Self::FACTORED_THRESHOLD
+    }
+
     /// Per-tier `(P(upᵢ ≥ qᵢ), E[upᵢ · 1{upᵢ ≥ qᵢ}])` for the factored
-    /// forms.
-    fn tier_moments(&self, quorum: &[u32]) -> Result<Vec<(f64, f64)>, SolveError> {
-        (0..self.tiers.len())
-            .map(|i| {
-                let dist = self.tier_down_distribution(i)?;
-                let count = self.tiers[i].count;
+    /// forms, from the tiers' down distributions.
+    fn tier_moments(&self, dists: &[Vec<f64>], quorum: &[u32]) -> Vec<(f64, f64)> {
+        dists
+            .iter()
+            .zip(&self.tiers)
+            .zip(quorum)
+            .map(|((dist, tier), &q)| {
                 let mut p = 0.0;
                 let mut m = 0.0;
                 for (down, &prob) in dist.iter().enumerate() {
-                    let up = count - down as u32;
-                    if up >= quorum[i] {
+                    let up = tier.count - down as u32;
+                    if up >= q {
                         p += prob;
                         m += prob * f64::from(up);
                     }
                 }
-                Ok((p, m))
+                (p, m)
             })
             .collect()
     }
 
-    /// Factored quorum COA. Tiers are independent, so
+    /// Factored quorum COA from the quorum's [`tier_moments`](Self::tier_moments).
+    /// Tiers are independent, so
     /// `E[Σᵢ upᵢ · Πⱼ 1{upⱼ ≥ qⱼ}] = Σᵢ mᵢ · Πⱼ≠ᵢ pⱼ`; prefix/suffix
     /// products keep it `O(n)` without dividing by a possibly-zero `pᵢ`.
-    fn quorum_coa_factored(&self, quorum: &[u32]) -> Result<f64, SolveError> {
-        let moments = self.tier_moments(quorum)?;
+    fn quorum_coa_factored(&self, moments: &[(f64, f64)]) -> f64 {
         let n = moments.len();
         let mut prefix = vec![1.0; n + 1];
         for (i, &(p, _)) in moments.iter().enumerate() {
@@ -199,7 +235,44 @@ impl NetworkModel {
         for (i, &(_, m)) in moments.iter().enumerate() {
             up_sum += prefix[i] * m * suffix[i + 1];
         }
-        Ok(up_sum / f64::from(self.total_servers()))
+        up_sum / f64::from(self.total_servers())
+    }
+
+    /// COA, availability and expected running servers together — what
+    /// every design evaluation needs — from one birth–death solve per
+    /// tier and, below the factoring threshold, one pass over the joint
+    /// states.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver errors.
+    pub fn measures(&self) -> Result<NetworkMeasures, SolveError> {
+        let dists = self.tier_down_distributions()?;
+        let n = self.tiers.len();
+        if self.factored() {
+            let quorum = self.tier_moments(&dists, &vec![1; n]);
+            // No indicator: `E[Σᵢ upᵢ]` is the sum of per-tier means.
+            let all = self.tier_moments(&dists, &vec![0; n]);
+            return Ok(NetworkMeasures {
+                coa: self.quorum_coa_factored(&quorum),
+                availability: quorum.iter().map(|&(p, _)| p).product(),
+                expected_up: all.iter().map(|&(_, m)| m).sum(),
+            });
+        }
+        let total = self.total_servers() as f64;
+        let [coa, availability, expected_up] = self.expected_rewards(&dists, |ups| {
+            let up: f64 = ups.iter().map(|&u| u as f64).sum();
+            if ups.contains(&0) {
+                [0.0, 0.0, up]
+            } else {
+                [up / total, 1.0, up]
+            }
+        });
+        Ok(NetworkMeasures {
+            coa,
+            availability,
+            expected_up,
+        })
     }
 
     /// The paper's capacity-oriented availability (Table VI, generalized):
@@ -210,17 +283,7 @@ impl NetworkModel {
     ///
     /// Propagates solver errors.
     pub fn coa(&self) -> Result<f64, SolveError> {
-        if self.joint_states() > Self::FACTORED_THRESHOLD {
-            return self.quorum_coa_factored(&vec![1; self.tiers.len()]);
-        }
-        let total = self.total_servers() as f64;
-        self.expected_reward(|ups| {
-            if ups.contains(&0) {
-                0.0
-            } else {
-                ups.iter().map(|&u| u as f64).sum::<f64>() / total
-            }
-        })
+        Ok(self.measures()?.coa)
     }
 
     /// Classical availability: probability that every tier has at least
@@ -230,12 +293,7 @@ impl NetworkModel {
     ///
     /// Propagates solver errors.
     pub fn availability(&self) -> Result<f64, SolveError> {
-        if self.joint_states() > Self::FACTORED_THRESHOLD {
-            let quorum = vec![1; self.tiers.len()];
-            let moments = self.tier_moments(&quorum)?;
-            return Ok(moments.iter().map(|&(p, _)| p).product());
-        }
-        self.expected_reward(|ups| if ups.iter().all(|&u| u > 0) { 1.0 } else { 0.0 })
+        Ok(self.measures()?.availability)
     }
 
     /// Quorum COA: like [`coa`](Self::coa) but tier `i` needs at least
@@ -261,8 +319,9 @@ impl NetworkModel {
                 t.count
             );
         }
-        if self.joint_states() > Self::FACTORED_THRESHOLD {
-            return self.quorum_coa_factored(quorum);
+        if self.factored() {
+            let dists = self.tier_down_distributions()?;
+            return Ok(self.quorum_coa_factored(&self.tier_moments(&dists, quorum)));
         }
         let total = self.total_servers() as f64;
         let quorum = quorum.to_vec();
@@ -281,13 +340,7 @@ impl NetworkModel {
     ///
     /// Propagates solver errors.
     pub fn expected_up_servers(&self) -> Result<f64, SolveError> {
-        if self.joint_states() > Self::FACTORED_THRESHOLD {
-            // No indicator: `E[Σᵢ upᵢ]` is the sum of per-tier means.
-            let quorum = vec![0; self.tiers.len()];
-            let moments = self.tier_moments(&quorum)?;
-            return Ok(moments.iter().map(|&(_, m)| m).sum());
-        }
-        self.expected_reward(|ups| ups.iter().map(|&u| u as f64).sum())
+        Ok(self.measures()?.expected_up)
     }
 
     /// Builds the explicit Figure-4 SRN: per tier, a `P<t>up`/`P<t>pd`
@@ -571,29 +624,136 @@ mod tests {
         // The factored fast path must agree with the exact mixed-radix
         // enumeration on networks small enough to run both.
         let net = case_study();
+        let dists = net.tier_down_distributions().unwrap();
+        let moments = |q: &[u32]| net.tier_moments(&dists, q);
         let quorum = [1, 2, 1, 1];
         assert!(
-            (net.quorum_coa_factored(&[1, 1, 1, 1]).unwrap() - net.coa().unwrap()).abs() < 1e-12
+            (net.quorum_coa_factored(&moments(&[1, 1, 1, 1])) - net.coa().unwrap()).abs() < 1e-12
         );
         assert!(
-            (net.quorum_coa_factored(&quorum).unwrap() - net.coa_with_quorum(&quorum).unwrap())
+            (net.quorum_coa_factored(&moments(&quorum)) - net.coa_with_quorum(&quorum).unwrap())
                 .abs()
                 < 1e-12
         );
-        let avail_factored: f64 = net
-            .tier_moments(&[1, 1, 1, 1])
-            .unwrap()
-            .iter()
-            .map(|&(p, _)| p)
-            .product();
+        let avail_factored: f64 = moments(&[1, 1, 1, 1]).iter().map(|&(p, _)| p).product();
         assert!((avail_factored - net.availability().unwrap()).abs() < 1e-12);
-        let up_factored: f64 = net
-            .tier_moments(&[0, 0, 0, 0])
-            .unwrap()
-            .iter()
-            .map(|&(_, m)| m)
-            .sum();
+        let up_factored: f64 = moments(&[0, 0, 0, 0]).iter().map(|&(_, m)| m).sum();
         assert!((up_factored - net.expected_up_servers().unwrap()).abs() < 1e-12);
+    }
+
+    /// The three single-reward computations the fused pass replaced, kept
+    /// as its oracle: one mixed-radix loop per reward below the factoring
+    /// threshold, the factored forms above it.
+    fn separate_measures(net: &NetworkModel) -> [f64; 3] {
+        let dists = net.tier_down_distributions().unwrap();
+        let n = net.tiers().len();
+        if net.factored() {
+            let quorum = net.tier_moments(&dists, &vec![1; n]);
+            let all = net.tier_moments(&dists, &vec![0; n]);
+            return [
+                net.quorum_coa_factored(&quorum),
+                quorum.iter().map(|&(p, _)| p).product(),
+                all.iter().map(|&(_, m)| m).sum(),
+            ];
+        }
+        let enumerate = |reward: &dyn Fn(&[u32]) -> f64| {
+            let radices: Vec<usize> = net.tiers().iter().map(|t| t.count as usize + 1).collect();
+            let mut idx = vec![0usize; n];
+            let mut ups = vec![0u32; n];
+            let mut total = 0.0;
+            loop {
+                let mut p = 1.0;
+                for (i, &down) in idx.iter().enumerate() {
+                    p *= dists[i][down];
+                    ups[i] = net.tiers()[i].count - down as u32;
+                }
+                if p > 0.0 {
+                    total += p * reward(&ups);
+                }
+                let mut carry = true;
+                for (i, r) in idx.iter_mut().zip(&radices) {
+                    if carry {
+                        *i += 1;
+                        if *i == *r {
+                            *i = 0;
+                        } else {
+                            carry = false;
+                        }
+                    }
+                }
+                if carry {
+                    break;
+                }
+            }
+            total
+        };
+        let total = net.total_servers() as f64;
+        [
+            enumerate(&|ups| {
+                if ups.contains(&0) {
+                    0.0
+                } else {
+                    ups.iter().map(|&u| u as f64).sum::<f64>() / total
+                }
+            }),
+            enumerate(&|ups| if ups.iter().all(|&u| u > 0) { 1.0 } else { 0.0 }),
+            enumerate(&|ups| ups.iter().map(|&u| u as f64).sum()),
+        ]
+    }
+
+    /// The fused pass, and the three public measures, against the
+    /// oracle, bit for bit.
+    fn assert_measures_match(net: &NetworkModel) {
+        let m = net.measures().unwrap();
+        let fused = [m.coa, m.availability, m.expected_up];
+        let public = [
+            net.coa().unwrap(),
+            net.availability().unwrap(),
+            net.expected_up_servers().unwrap(),
+        ];
+        for (want, (got, public)) in separate_measures(net).iter().zip(fused.iter().zip(public)) {
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+            assert_eq!(public.to_bits(), want.to_bits(), "{public} vs {want}");
+        }
+    }
+
+    #[test]
+    fn fused_measures_match_separate_measures_at_the_factoring_threshold() {
+        // 4¹⁰ = 2²⁰ joint states is the largest enumerated network; one
+        // more single-server tier doubles it past the threshold into the
+        // factored form. Both sides must match bit for bit.
+        let tier = |i: usize, count| Tier::new(format!("t{i}"), count, rates(0.5 + 0.1 * i as f64));
+        let enumerated = NetworkModel::new((0..10).map(|i| tier(i, 3)).collect());
+        assert_eq!(enumerated.joint_states(), 1 << 20);
+        assert!(!enumerated.factored());
+        assert_measures_match(&enumerated);
+        let mut tiers = enumerated.tiers().to_vec();
+        tiers.push(tier(10, 1));
+        let factored = NetworkModel::new(tiers);
+        assert!(factored.factored());
+        assert_measures_match(&factored);
+        assert_measures_match(&case_study());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random small networks: the fused pass is the three measures.
+        #[test]
+        fn fused_measures_match_separate_measures(
+            tiers in proptest::collection::vec((1u32..6, 1e-4f64..0.1, 0.05f64..5.0), 1..6),
+        ) {
+            let net = NetworkModel::new(
+                tiers
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(count, lambda_eq, mu_eq))| {
+                        Tier::new(format!("t{i}"), count, AggregatedRates { lambda_eq, mu_eq })
+                    })
+                    .collect(),
+            );
+            assert_measures_match(&net);
+        }
     }
 
     #[test]

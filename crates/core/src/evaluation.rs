@@ -1,5 +1,7 @@
 //! Phase 2+3: model construction and combined evaluation of one design.
 
+use std::borrow::Borrow;
+
 use redeval_avail::ServerAnalysis;
 use redeval_harm::{MetricsConfig, SecurityMetrics, Vulnerability};
 
@@ -121,6 +123,48 @@ impl DesignEvaluation {
     }
 }
 
+/// The evaluation kernel behind every front door — the batch executor's
+/// cells, [`Scenario::evaluate`](crate::exec::Scenario::evaluate) and
+/// [`Evaluator::evaluate`]: design `counts` of `base` under each
+/// `(label, policy)` of `points`, with the tier solves already resolved
+/// into `analyses`.
+///
+/// The policy-independent work happens once: the HARM (its replicas
+/// sharing their tier's tree), the before-patch metrics, and the three
+/// availability measures from one pass. Each policy adds one pruned HARM
+/// and its metrics.
+///
+/// # Errors
+///
+/// Count-validation errors, then availability solver errors.
+pub(crate) fn evaluate_design<A>(
+    base: &NetworkSpec,
+    counts: &[u32],
+    analyses: &[A],
+    metrics: &MetricsConfig,
+    points: impl IntoIterator<Item = (String, PatchPolicy)>,
+) -> Result<Vec<DesignEvaluation>, EvalError>
+where
+    A: Borrow<ServerAnalysis>,
+{
+    base.check_counts(counts)?;
+    let harm = base.harm_for(counts);
+    let before = harm.metrics(metrics);
+    let availability = base.network_model_for(counts, analyses).measures()?;
+    Ok(points
+        .into_iter()
+        .map(|(name, patch)| DesignEvaluation {
+            name,
+            counts: counts.to_vec(),
+            before: before.clone(),
+            after: harm.patched(&move |v| patch.patches(v)).metrics(metrics),
+            coa: availability.coa,
+            availability: availability.availability,
+            expected_up: availability.expected_up,
+        })
+        .collect())
+}
+
 /// Evaluates designs against a base specification, caching the expensive
 /// per-tier lower-layer SRN solves (they are count-independent).
 ///
@@ -237,31 +281,14 @@ impl Evaluator {
     ///
     /// Returns count-validation errors and solver errors.
     pub fn evaluate(&self, name: &str, counts: &[u32]) -> Result<DesignEvaluation, EvalError> {
-        let spec = self.base.with_counts(counts)?;
-
-        // Security: HARM before and after patch.
-        let harm = spec.build_harm();
-        let before = harm.metrics(&self.metrics_config);
-        let patch = self.patch;
-        let after = harm
-            .patched(&move |v| patch.patches(v))
-            .metrics(&self.metrics_config);
-
-        // Availability: upper-layer model from cached aggregations.
-        let model = spec.network_model(&self.analyses);
-        let coa = model.coa()?;
-        let availability = model.availability()?;
-        let expected_up = model.expected_up_servers()?;
-
-        Ok(DesignEvaluation {
-            name: name.to_string(),
-            counts: counts.to_vec(),
-            before,
-            after,
-            coa,
-            availability,
-            expected_up,
-        })
+        let mut evals = evaluate_design(
+            &self.base,
+            counts,
+            &self.analyses,
+            &self.metrics_config,
+            [(name.to_string(), self.patch)],
+        )?;
+        Ok(evals.pop().expect("one policy, one evaluation"))
     }
 
     /// Evaluates a list of designs.

@@ -61,7 +61,7 @@ use redeval_avail::{Durations, ServerAnalysis, ServerParams};
 use redeval_harm::MetricsConfig;
 use redeval_srn::SrnError;
 
-use crate::evaluation::{DesignEvaluation, PatchPolicy};
+use crate::evaluation::{evaluate_design, DesignEvaluation, PatchPolicy};
 use crate::spec::{Design, NetworkSpec};
 use crate::telemetry::{Counter, Telemetry};
 use crate::EvalError;
@@ -353,7 +353,13 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            // Raised under the queue lock: a worker checks the flag and
+            // starts waiting under that lock too, so it either sees the
+            // flag or is already waiting when the notification comes.
+            let _queue = self.shared.queue.lock().expect("pool queue lock");
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.ready.notify_all();
         for worker in self.workers.drain(..) {
             // A panic inside a *task* is contained by run_batch; a worker
@@ -653,31 +659,22 @@ impl Scenario {
     }
 
     /// Evaluates this scenario alone, resolving tier solves through
-    /// `cache`. This is the reference (sequential) path: the batch
-    /// executor produces bitwise-identical numbers.
+    /// `cache`. The batch executor runs the same kernel per cell, so the
+    /// numbers are bitwise-identical.
     ///
     /// # Errors
     ///
     /// Returns count-validation and solver errors.
     pub fn evaluate(&self, cache: &AnalysisCache) -> Result<DesignEvaluation, EvalError> {
         let analyses = cache.analyses_for(&self.spec)?;
-        let spec = self.spec.with_counts(&self.design.counts)?;
-        let harm = spec.build_harm();
-        let before = harm.metrics(&self.metrics);
-        let patch = self.patch;
-        let after = harm
-            .patched(&move |v| patch.patches(v))
-            .metrics(&self.metrics);
-        let model = spec.network_model(&analyses);
-        Ok(DesignEvaluation {
-            name: self.label.clone(),
-            counts: self.design.counts.clone(),
-            before,
-            after,
-            coa: model.coa()?,
-            availability: model.availability()?,
-            expected_up: model.expected_up_servers()?,
-        })
+        let mut evals = evaluate_design(
+            &self.spec,
+            &self.design.counts,
+            &analyses,
+            &self.metrics,
+            [(self.label.clone(), self.patch)],
+        )?;
+        Ok(evals.pop().expect("one policy, one evaluation"))
     }
 }
 
@@ -691,37 +688,21 @@ fn evaluate_cell(
 ) -> Result<Vec<DesignEvaluation>, EvalError> {
     let first = &scenarios[members[0]];
     let tel = cache.telemetry();
-    let _span = tel.span(format!("cell {}", first.label));
+    let _span = tel.span_with(|| format!("cell {}", first.label));
     tel.add(Counter::CellsEvaluated, 1);
     tel.add(Counter::DesignsEvaluated, members.len() as u64);
     tel.add(Counter::HarmBuilds, 1);
     let analyses = cache.analyses_for(&first.spec)?;
-    let spec = first.spec.with_counts(&first.design.counts)?;
-    let harm = spec.build_harm();
-    let before = harm.metrics(&first.metrics);
-    let model = spec.network_model(&analyses);
-    let coa = model.coa()?;
-    let availability = model.availability()?;
-    let expected_up = model.expected_up_servers()?;
-    members
-        .iter()
-        .map(|&i| {
+    evaluate_design(
+        &first.spec,
+        &first.design.counts,
+        &analyses,
+        &first.metrics,
+        members.iter().map(|&i| {
             let sc = &scenarios[i];
-            let patch = sc.patch;
-            let after = harm
-                .patched(&move |v| patch.patches(v))
-                .metrics(&sc.metrics);
-            Ok(DesignEvaluation {
-                name: sc.label.clone(),
-                counts: sc.design.counts.clone(),
-                before: before.clone(),
-                after,
-                coa,
-                availability,
-                expected_up,
-            })
-        })
-        .collect()
+            (sc.label.clone(), sc.patch)
+        }),
+    )
 }
 
 /// An executable batch of [`Scenario`]s.
@@ -779,7 +760,7 @@ impl Experiment {
     pub fn run(&self) -> Result<Vec<DesignEvaluation>, EvalError> {
         let cells = self.cells();
         let tel = self.cache.telemetry();
-        let _span = tel.span(format!("experiment ({} cells)", cells.len()));
+        let _span = tel.span_with(|| format!("experiment ({} cells)", cells.len()));
         tel.add(Counter::PoolBatches, 1);
         tel.add(Counter::PoolJobs, cells.len() as u64);
         let cell_results = run_batch(cells.len(), self.threads, |ci| {
@@ -801,7 +782,7 @@ impl Experiment {
         let scenarios = Arc::new(self.scenarios.clone());
         let cache = Arc::clone(&self.cache);
         let tel = self.cache.telemetry();
-        let _span = tel.span(format!("experiment ({} cells)", cells.len()));
+        let _span = tel.span_with(|| format!("experiment ({} cells)", cells.len()));
         tel.add(Counter::PoolBatches, 1);
         tel.add(Counter::PoolJobs, cells.len() as u64);
         let job_cells = Arc::clone(&cells);
@@ -1130,6 +1111,28 @@ mod tests {
         let inner = Arc::clone(&pool);
         let out = pool.run_batch(3, move |i| inner.run_batch(2, move |j| i * 10 + j));
         assert_eq!(out, vec![vec![0, 1], vec![10, 11], vec![20, 21]]);
+    }
+
+    #[test]
+    fn pool_drop_never_loses_the_shutdown_wakeup() {
+        // Dropping a pool right after creating it races the shutdown
+        // notification against workers on their way to their first wait.
+        // A lost wakeup hangs the drop's join forever, so the cycles run
+        // on a helper thread and a watchdog turns a hang into a failure.
+        let (done, finished) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                drop(Pool::new(2));
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .is_ok(),
+            "a dropped pool never joined its workers"
+        );
+        cycles.join().expect("create/drop cycles ran to the end");
     }
 
     #[test]

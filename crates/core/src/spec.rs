@@ -1,5 +1,7 @@
 //! Network specifications: the phase-1 inputs of the paper's approach.
 
+use std::sync::Arc;
+
 use redeval_avail::{NetworkModel, ServerParams, Tier};
 use redeval_harm::{AttackGraph, AttackTree, Harm};
 use redeval_srn::SrnError;
@@ -176,22 +178,34 @@ impl NetworkSpec {
     /// [`EvalError::CountMismatch`]/[`EvalError::ZeroServers`] for invalid
     /// designs.
     pub fn with_counts(&self, counts: &[u32]) -> Result<NetworkSpec, EvalError> {
+        self.check_counts(counts)?;
+        let mut out = self.clone();
+        for (t, &c) in out.tiers.iter_mut().zip(counts) {
+            t.count = c;
+        }
+        Ok(out)
+    }
+
+    /// The validation of [`with_counts`](Self::with_counts), without the
+    /// copy.
+    pub(crate) fn check_counts(&self, counts: &[u32]) -> Result<(), EvalError> {
         if counts.len() != self.tiers.len() {
             return Err(EvalError::CountMismatch {
                 expected: self.tiers.len(),
                 got: counts.len(),
             });
         }
-        let mut out = self.clone();
-        for (t, &c) in out.tiers.iter_mut().zip(counts) {
-            if c == 0 {
-                return Err(EvalError::ZeroServers {
-                    tier: t.name.clone(),
-                });
-            }
-            t.count = c;
+        match self.tiers.iter().zip(counts).find(|(_, &c)| c == 0) {
+            Some((t, _)) => Err(EvalError::ZeroServers {
+                tier: t.name.clone(),
+            }),
+            None => Ok(()),
         }
-        Ok(out)
+    }
+
+    /// The current per-tier counts.
+    fn counts(&self) -> Vec<u32> {
+        self.tiers.iter().map(|t| t.count).collect()
     }
 
     /// Indices of the tiers marked `entry`, in tier order — the
@@ -245,15 +259,23 @@ impl NetworkSpec {
     /// to full bipartite host edges; all servers of target tiers become
     /// attack targets.
     pub fn build_harm(&self) -> Harm {
+        self.harm_for(&self.counts())
+    }
+
+    /// [`build_harm`](Self::build_harm) for the design `counts` (already
+    /// checked) instead of the spec's own counts. The hosts of a tier
+    /// share one attack tree.
+    pub(crate) fn harm_for(&self, counts: &[u32]) -> Harm {
         let mut g = AttackGraph::new();
         let mut hosts: Vec<Vec<redeval_harm::HostId>> = Vec::with_capacity(self.tiers.len());
         let mut trees = Vec::new();
-        for t in &self.tiers {
-            let mut tier_hosts = Vec::with_capacity(t.count as usize);
-            for i in 1..=t.count {
+        for (t, &count) in self.tiers.iter().zip(counts) {
+            let tree = t.tree.clone().map(Arc::new);
+            let mut tier_hosts = Vec::with_capacity(count as usize);
+            for i in 1..=count {
                 let h = g.add_host(format!("{}{}", t.name, i));
                 tier_hosts.push(h);
-                trees.push(t.tree.clone());
+                trees.push(tree.clone());
             }
             hosts.push(tier_hosts);
         }
@@ -277,7 +299,7 @@ impl NetworkSpec {
                 targets.extend_from_slice(&hosts[ti]);
             }
         }
-        Harm::new(g, trees, targets)
+        Harm::from_shared(g, trees, targets)
     }
 
     /// Solves each tier's lower-layer server SRN and aggregates it
@@ -305,12 +327,22 @@ impl NetworkSpec {
     where
         A: std::borrow::Borrow<redeval_avail::ServerAnalysis>,
     {
+        self.network_model_for(&self.counts(), analyses)
+    }
+
+    /// [`network_model`](Self::network_model) for the design `counts`
+    /// (already checked) instead of the spec's own counts.
+    pub(crate) fn network_model_for<A>(&self, counts: &[u32], analyses: &[A]) -> NetworkModel
+    where
+        A: std::borrow::Borrow<redeval_avail::ServerAnalysis>,
+    {
         assert_eq!(analyses.len(), self.tiers.len(), "one analysis per tier");
         NetworkModel::new(
             self.tiers
                 .iter()
+                .zip(counts)
                 .zip(analyses)
-                .map(|(t, a)| Tier::new(t.name.clone(), t.count, a.borrow().rates()))
+                .map(|((t, &count), a)| Tier::new(t.name.clone(), count, a.borrow().rates()))
                 .collect(),
         )
     }

@@ -313,11 +313,18 @@ impl Telemetry {
     /// Opens a wall-clock span; the returned guard records it when
     /// dropped. A no-op unless [`is_profiling`](Telemetry::is_profiling).
     pub fn span(&self, name: impl Into<String>) -> Span {
+        self.span_with(|| name.into())
+    }
+
+    /// [`span`](Telemetry::span) with a lazily built name: `name` runs
+    /// only when profiling, so hot paths that label spans with
+    /// `format!` allocate nothing under the no-op and counters handles.
+    pub fn span_with(&self, name: impl FnOnce() -> String) -> Span {
         let active = self
             .inner
             .as_ref()
             .filter(|i| i.spans.is_some())
-            .map(|i| (Arc::clone(i), name.into(), Instant::now()));
+            .map(|i| (Arc::clone(i), name(), Instant::now()));
         Span { active }
     }
 
@@ -514,6 +521,22 @@ mod tests {
         drop(_span);
         assert_eq!(tel.snapshot(), CounterSnapshot::zero());
         assert!(tel.spans().is_empty());
+    }
+
+    #[test]
+    fn span_names_are_built_only_when_profiling() {
+        let built = std::cell::Cell::new(0);
+        let name = || {
+            built.set(built.get() + 1);
+            "cell x".to_string()
+        };
+        drop(Telemetry::noop().span_with(name));
+        drop(Telemetry::counters().span_with(name));
+        assert_eq!(built.get(), 0);
+        let tel = Telemetry::profiler();
+        drop(tel.span_with(name));
+        assert_eq!(built.get(), 1);
+        assert_eq!(tel.spans()[0].name, "cell x");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Attack graphs — the upper layer of the HARM.
 
-use std::collections::HashSet;
-
 /// Identifier of a host in an [`AttackGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostId(pub(crate) usize);
@@ -173,66 +171,105 @@ impl AttackGraph {
         passable: &dyn Fn(HostId) -> bool,
         max_paths: usize,
     ) -> (Vec<Vec<HostId>>, bool) {
-        let target_set: HashSet<HostId> = targets.iter().copied().collect();
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        let mut on_path = vec![false; self.names.len()];
-        for &e in &self.entries {
-            if !passable(e) {
-                continue;
-            }
-            if !self.dfs(
-                e,
-                &target_set,
-                passable,
-                &mut stack,
-                &mut on_path,
-                &mut out,
-                max_paths,
-            ) {
-                return (out, true);
+        struct Collect(Vec<Vec<HostId>>);
+        impl PathVisitor for Collect {
+            fn target(&mut self, path: &[HostId]) {
+                self.0.push(path.to_vec());
             }
         }
-        (out, false)
+        let mut out = Collect(Vec::new());
+        let truncated = self.walk_paths(&self.target_mask(targets), passable, max_paths, &mut out);
+        (out.0, truncated)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        &self,
-        h: HostId,
-        targets: &HashSet<HostId>,
-        passable: &dyn Fn(HostId) -> bool,
-        stack: &mut Vec<HostId>,
-        on_path: &mut Vec<bool>,
-        out: &mut Vec<Vec<HostId>>,
-        max_paths: usize,
-    ) -> bool {
-        stack.push(h);
-        on_path[h.0] = true;
-        if targets.contains(&h) {
-            if out.len() >= max_paths {
-                stack.pop();
-                on_path[h.0] = false;
-                return false;
+    /// `mask[h]` is whether host `h` is one of `targets` (ids of another
+    /// graph's hosts never match).
+    pub(crate) fn target_mask(&self, targets: &[HostId]) -> Vec<bool> {
+        let mut mask = vec![false; self.names.len()];
+        for t in targets {
+            if let Some(m) = mask.get_mut(t.0) {
+                *m = true;
             }
-            out.push(stack.clone());
-            // A target may also be an intermediate hop towards another
-            // target; continue exploring below.
         }
-        for &next in &self.succ[h.0] {
-            if on_path[next.0] || !passable(next) {
+        mask
+    }
+
+    /// The depth-first walk behind every path enumeration and path
+    /// metric: each simple path from an entry host through `passable`
+    /// hosts is extended host by host, and reported to `visitor` whenever
+    /// it ends at a target (`is_target[h]`). A target may also be an
+    /// intermediate hop towards another target, so the walk continues
+    /// past it.
+    ///
+    /// Order is fixed — entries in [`entries`](Self::entries) order,
+    /// successors in insertion order — and is the order every path fold
+    /// runs in. The walk stops when a path beyond the first `max_paths`
+    /// reaches a target, and then returns `true` (truncated). Nothing is
+    /// allocated per path.
+    pub(crate) fn walk_paths(
+        &self,
+        is_target: &[bool],
+        passable: impl Fn(HostId) -> bool,
+        max_paths: usize,
+        visitor: &mut impl PathVisitor,
+    ) -> bool {
+        let hosts = self.names.len();
+        let mut path: Vec<HostId> = Vec::with_capacity(hosts);
+        // Per path position: the next successor index to try.
+        let mut cursor: Vec<usize> = Vec::with_capacity(hosts);
+        // Hosts the current path may not enter: impassable ones, and the
+        // ones already on it.
+        let mut blocked: Vec<bool> = (0..hosts).map(|h| !passable(HostId(h))).collect();
+        let mut found = 0usize;
+        for &entry in &self.entries {
+            if blocked[entry.0] {
                 continue;
             }
-            if !self.dfs(next, targets, passable, stack, on_path, out, max_paths) {
-                stack.pop();
-                on_path[h.0] = false;
-                return false;
+            let mut next = Some(entry);
+            loop {
+                if let Some(h) = next.take() {
+                    path.push(h);
+                    cursor.push(0);
+                    blocked[h.0] = true;
+                    visitor.enter(h);
+                    if is_target[h.0] {
+                        if found >= max_paths {
+                            return true;
+                        }
+                        found += 1;
+                        visitor.target(&path);
+                    }
+                }
+                let Some(&h) = path.last() else { break };
+                let succ = &self.succ[h.0];
+                let i = cursor.last_mut().expect("one cursor per path host");
+                while let Some(&s) = succ.get(*i) {
+                    *i += 1;
+                    if !blocked[s.0] {
+                        next = Some(s);
+                        break;
+                    }
+                }
+                if next.is_none() {
+                    path.pop();
+                    cursor.pop();
+                    blocked[h.0] = false;
+                    visitor.leave();
+                }
             }
         }
-        stack.pop();
-        on_path[h.0] = false;
-        true
+        false
     }
+}
+
+/// Receives the events of [`AttackGraph::walk_paths`].
+pub(crate) trait PathVisitor {
+    /// `h` was appended to the current path.
+    fn enter(&mut self, _h: HostId) {}
+    /// The last host of the current path was removed.
+    fn leave(&mut self) {}
+    /// The current path (entry first) ends at a target.
+    fn target(&mut self, path: &[HostId]);
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! The two-layer HARM and its metric evaluation.
 
-use crate::graph::{AttackGraph, HostId};
-use crate::metrics::{AspStrategy, MetricsConfig, SecurityMetrics};
+use std::sync::Arc;
+
+use crate::graph::{AttackGraph, HostId, PathVisitor};
+use crate::metrics::{AspStrategy, MetricsConfig, OrCombine, SecurityMetrics};
 use crate::tree::AttackTree;
 use crate::vuln::Vulnerability;
 
@@ -22,12 +24,18 @@ pub struct AttackPath {
 /// Hosts whose tree is `None` (no exploitable vulnerability) are treated as
 /// non-traversable, exactly like the paper's post-patch DNS server.
 ///
+/// The graph, the targets and the trees are shared behind [`Arc`]s:
+/// derived models ([`patched`](Self::patched),
+/// [`with_entry_mask`](Self::with_entry_mask)) reuse what they do not
+/// change, and hosts built from one tree (the replicas of a tier, see
+/// [`from_shared`](Self::from_shared)) hold one copy of it.
+///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone)]
 pub struct Harm {
-    graph: AttackGraph,
-    trees: Vec<Option<AttackTree>>,
-    targets: Vec<HostId>,
+    graph: Arc<AttackGraph>,
+    trees: Vec<Option<Arc<AttackTree>>>,
+    targets: Arc<[HostId]>,
 }
 
 impl Harm {
@@ -43,6 +51,23 @@ impl Harm {
     /// `targets` is empty or contains a foreign id (model-construction
     /// errors).
     pub fn new(graph: AttackGraph, trees: Vec<Option<AttackTree>>, targets: Vec<HostId>) -> Self {
+        let trees = trees.into_iter().map(|t| t.map(Arc::new)).collect();
+        Self::from_shared(graph, trees, targets)
+    }
+
+    /// Assembles a HARM whose hosts may share attack trees: hosts handed
+    /// clones of one [`Arc`] (replicated servers) are evaluated and
+    /// patched once per call instead of once per host. The metrics are
+    /// exactly those of [`new`](Self::new) with each tree cloned per host.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn from_shared(
+        graph: AttackGraph,
+        trees: Vec<Option<Arc<AttackTree>>>,
+        targets: Vec<HostId>,
+    ) -> Self {
         assert_eq!(
             trees.len(),
             graph.host_count(),
@@ -53,9 +78,9 @@ impl Harm {
             assert!(t.index() < graph.host_count(), "unknown target host");
         }
         Harm {
-            graph,
+            graph: Arc::new(graph),
             trees,
-            targets,
+            targets: targets.into(),
         }
     }
 
@@ -70,7 +95,7 @@ impl Harm {
     ///
     /// Panics on a foreign id.
     pub fn tree(&self, h: HostId) -> Option<&AttackTree> {
-        self.trees[h.index()].as_ref()
+        self.trees[h.index()].as_deref()
     }
 
     /// The attack targets.
@@ -104,15 +129,26 @@ impl Harm {
     /// assert!(!after.is_exploitable(h));
     /// ```
     pub fn patched(&self, patched: &dyn Fn(&Vulnerability) -> bool) -> Harm {
+        // Each distinct tree is pruned once; hosts that shared it share
+        // the pruned tree.
+        let mut pruned: Vec<(&Arc<AttackTree>, Option<Arc<AttackTree>>)> = Vec::new();
         let trees = self
             .trees
             .iter()
-            .map(|t| t.as_ref().and_then(|tree| tree.without(patched)))
+            .map(|t| {
+                let tree = t.as_ref()?;
+                if let Some((_, done)) = pruned.iter().find(|(k, _)| Arc::ptr_eq(k, tree)) {
+                    return done.clone();
+                }
+                let done = tree.without(patched).map(Arc::new);
+                pruned.push((tree, done.clone()));
+                done
+            })
             .collect();
         Harm {
-            graph: self.graph.clone(),
+            graph: Arc::clone(&self.graph),
             trees,
-            targets: self.targets.clone(),
+            targets: Arc::clone(&self.targets),
         }
     }
 
@@ -152,9 +188,9 @@ impl Harm {
     /// Panics when `mask.len()` differs from the graph's entry count.
     pub fn with_entry_mask(&self, mask: &[bool]) -> Harm {
         Harm {
-            graph: self.graph.with_entry_mask(mask),
+            graph: Arc::new(self.graph.with_entry_mask(mask)),
             trees: self.trees.clone(),
-            targets: self.targets.clone(),
+            targets: Arc::clone(&self.targets),
         }
     }
 
@@ -173,34 +209,43 @@ impl Harm {
     /// Like [`attack_paths`](Self::attack_paths) but keeps the first
     /// `config.max_paths` paths on overflow, flagged with `truncated`.
     pub fn attack_paths_truncated(&self, config: &MetricsConfig) -> (Vec<AttackPath>, bool) {
-        let passable = |h: HostId| self.trees[h.index()].is_some();
-        let (raw, truncated) =
-            self.graph
-                .simple_paths_truncated(&self.targets, &passable, config.max_paths);
+        let values = self.host_values(config.or_combine);
+        let (raw, truncated) = self.graph.simple_paths_truncated(
+            &self.targets,
+            &|h| values[h.index()].is_some(),
+            config.max_paths,
+        );
+        let value = |h: &HostId| values[h.index()].expect("paths pass exploitable hosts");
         let paths = raw
             .into_iter()
-            .map(|hosts| {
-                let impact = hosts
-                    .iter()
-                    .map(|h| self.trees[h.index()].as_ref().expect("passable").impact())
-                    .sum();
-                let probability = hosts
-                    .iter()
-                    .map(|h| {
-                        self.trees[h.index()]
-                            .as_ref()
-                            .expect("passable")
-                            .probability(config.or_combine)
-                    })
-                    .product();
-                AttackPath {
-                    hosts,
-                    impact,
-                    probability,
-                }
+            .map(|hosts| AttackPath {
+                impact: hosts.iter().map(|h| value(h).0).sum(),
+                probability: hosts.iter().map(|h| value(h).1).product(),
+                hosts,
             })
             .collect();
         (paths, truncated)
+    }
+
+    /// Each host's `(impact, probability)` under `combine`, `None` for a
+    /// host that is not exploitable. A tree shared by consecutive hosts
+    /// (the replicas of a tier) is evaluated once.
+    fn host_values(&self, combine: OrCombine) -> Vec<Option<(f64, f64)>> {
+        let mut last: Option<(&Arc<AttackTree>, (f64, f64))> = None;
+        self.trees
+            .iter()
+            .map(|t| {
+                let tree = t.as_ref()?;
+                match last {
+                    Some((prev, value)) if Arc::ptr_eq(prev, tree) => Some(value),
+                    _ => {
+                        let value = (tree.impact(), tree.probability(combine));
+                        last = Some((tree, value));
+                        Some(value)
+                    }
+                }
+            })
+            .collect()
     }
 
     /// Number of entry points: attacker-reachable hosts that are
@@ -218,7 +263,7 @@ impl Harm {
     pub fn exploitable_vulnerabilities(&self) -> usize {
         self.trees
             .iter()
-            .filter_map(|t| t.as_ref())
+            .filter_map(|t| t.as_deref())
             .map(AttackTree::leaf_count)
             .sum()
     }
@@ -228,46 +273,48 @@ impl Harm {
     /// When path enumeration overflows `config.max_paths`, path-based
     /// metrics saturate: `attack_paths` reports the cap and AIM/ASP/risk
     /// are computed over the enumerated prefix (a lower bound).
+    ///
+    /// One walk computes every metric without storing a path: each
+    /// path's impact sum and probability product grow host by host along
+    /// the walk, and the network metrics fold over the paths in walk
+    /// order with the same start values — bit for bit what folding the
+    /// enumerated [`attack_paths`](Self::attack_paths) gives.
     pub fn metrics(&self, config: &MetricsConfig) -> SecurityMetrics {
-        let (paths, _truncated) = self.attack_paths_truncated(config);
-        let noap = paths.len();
-        let aim = paths.iter().map(|p| p.impact).fold(0.0, f64::max);
-        let asp = self.network_asp(&paths, config);
-        let risk = paths
-            .iter()
-            .map(|p| p.impact * p.probability)
-            .fold(0.0, f64::max);
-        let shortest = paths.iter().map(|p| p.hosts.len()).min();
-        let mean_len = if paths.is_empty() {
+        let values = self.host_values(config.or_combine);
+        let mut fold = MetricsFold::new(&values, config.asp == AspStrategy::Reliability);
+        self.graph.walk_paths(
+            &self.graph.target_mask(&self.targets),
+            |h| values[h.index()].is_some(),
+            config.max_paths,
+            &mut fold,
+        );
+        let noisy_or = 1.0 - fold.miss;
+        let asp = if fold.paths == 0 {
             0.0
         } else {
-            paths.iter().map(|p| p.hosts.len()).sum::<usize>() as f64 / paths.len() as f64
+            match config.asp {
+                AspStrategy::MaxPath => fold.max_probability,
+                AspStrategy::NoisyOrPaths => noisy_or,
+                AspStrategy::Reliability => fold
+                    .reliability
+                    .and_then(|r| r.asp(&values))
+                    .unwrap_or(noisy_or),
+            }
+        };
+        let mean_len = if fold.paths == 0 {
+            0.0
+        } else {
+            fold.total_len as f64 / fold.paths as f64
         };
         SecurityMetrics {
-            attack_impact: aim,
+            attack_impact: fold.aim,
             attack_success_probability: asp,
             exploitable_vulnerabilities: self.exploitable_vulnerabilities(),
-            attack_paths: noap,
+            attack_paths: fold.paths,
             entry_points: self.entry_points(),
-            shortest_path_length: shortest,
+            shortest_path_length: fold.shortest,
             mean_path_length: mean_len,
-            risk,
-        }
-    }
-
-    /// Network-level ASP under the configured aggregation strategy.
-    fn network_asp(&self, paths: &[AttackPath], config: &MetricsConfig) -> f64 {
-        if paths.is_empty() {
-            return 0.0;
-        }
-        match config.asp {
-            AspStrategy::MaxPath => paths.iter().map(|p| p.probability).fold(0.0, f64::max),
-            AspStrategy::NoisyOrPaths => {
-                1.0 - paths.iter().map(|p| 1.0 - p.probability).product::<f64>()
-            }
-            AspStrategy::Reliability => self.reliability_asp(paths, config).unwrap_or_else(|| {
-                1.0 - paths.iter().map(|p| 1.0 - p.probability).product::<f64>()
-            }),
+            risk: fold.risk,
         }
     }
 
@@ -372,42 +419,137 @@ impl Harm {
         }
         out
     }
+}
+
+/// Every path metric of [`Harm::metrics`], folded over the paths in
+/// walk order.
+struct MetricsFold<'a> {
+    values: &'a [Option<(f64, f64)>],
+    /// Entry `d`: the impact sum and probability product of the current
+    /// path's first `d + 1` hosts, started and extended exactly as
+    /// `Iterator::sum` and `Iterator::product` over the path would be.
+    prefix: Vec<(f64, f64)>,
+    paths: usize,
+    /// `max` of path impacts, from `0.0`.
+    aim: f64,
+    /// `max` of path probabilities, from `0.0`.
+    max_probability: f64,
+    /// `Π (1 − p)` over paths, from `1.0`.
+    miss: f64,
+    /// `max` of `impact · probability`, from `0.0`.
+    risk: f64,
+    shortest: Option<usize>,
+    total_len: usize,
+    /// Collected only for [`AspStrategy::Reliability`].
+    reliability: Option<ReliabilityMasks>,
+}
+
+impl<'a> MetricsFold<'a> {
+    fn new(values: &'a [Option<(f64, f64)>], reliability: bool) -> Self {
+        MetricsFold {
+            values,
+            prefix: Vec::with_capacity(values.len()),
+            paths: 0,
+            aim: 0.0,
+            max_probability: 0.0,
+            miss: 1.0,
+            risk: 0.0,
+            shortest: None,
+            total_len: 0,
+            reliability: reliability.then(|| ReliabilityMasks::new(values.len())),
+        }
+    }
+}
+
+impl PathVisitor for MetricsFold<'_> {
+    fn enter(&mut self, h: HostId) {
+        let (impact, probability) = self.values[h.index()].expect("walks pass exploitable hosts");
+        let sum_start: f64 = std::iter::empty::<f64>().sum();
+        let (sum, product) = self.prefix.last().copied().unwrap_or((sum_start, 1.0));
+        self.prefix.push((sum + impact, product * probability));
+    }
+
+    fn leave(&mut self) {
+        self.prefix.pop();
+    }
+
+    fn target(&mut self, path: &[HostId]) {
+        let (impact, probability) = *self.prefix.last().expect("a path is being walked");
+        self.paths += 1;
+        self.aim = self.aim.max(impact);
+        self.max_probability = self.max_probability.max(probability);
+        self.miss *= 1.0 - probability;
+        self.risk = self.risk.max(impact * probability);
+        self.shortest = Some(self.shortest.map_or(path.len(), |s| s.min(path.len())));
+        self.total_len += path.len();
+        if let Some(r) = &mut self.reliability {
+            r.add(path);
+        }
+    }
+}
+
+/// The inputs of the exact reliability ASP: the hosts on attack paths in
+/// first-seen order, and one bitmask of those hosts per path.
+struct ReliabilityMasks {
+    /// Each host's bit, once seen.
+    bit: Vec<Option<u32>>,
+    hosts: Vec<HostId>,
+    masks: Vec<u32>,
+    /// More than [`Harm::RELIABILITY_HOST_LIMIT`] hosts are on paths.
+    over_limit: bool,
+}
+
+impl ReliabilityMasks {
+    fn new(host_count: usize) -> Self {
+        ReliabilityMasks {
+            bit: vec![None; host_count],
+            hosts: Vec::new(),
+            masks: Vec::new(),
+            over_limit: false,
+        }
+    }
+
+    fn add(&mut self, path: &[HostId]) {
+        if self.over_limit {
+            return;
+        }
+        let mut mask = 0u32;
+        for &h in path {
+            let bit = match self.bit[h.index()] {
+                Some(bit) => bit,
+                None if self.hosts.len() == Harm::RELIABILITY_HOST_LIMIT => {
+                    self.over_limit = true;
+                    return;
+                }
+                None => {
+                    let bit = self.hosts.len() as u32;
+                    self.bit[h.index()] = Some(bit);
+                    self.hosts.push(h);
+                    bit
+                }
+            };
+            mask |= 1 << bit;
+        }
+        self.masks.push(mask);
+    }
 
     /// Exact probability that at least one path is fully compromised,
     /// treating host compromises as independent Bernoulli trials.
     ///
     /// Returns `None` when more than
-    /// [`RELIABILITY_HOST_LIMIT`](Self::RELIABILITY_HOST_LIMIT) hosts are
+    /// [`RELIABILITY_HOST_LIMIT`](Harm::RELIABILITY_HOST_LIMIT) hosts are
     /// involved.
-    fn reliability_asp(&self, paths: &[AttackPath], config: &MetricsConfig) -> Option<f64> {
-        let mut hosts: Vec<HostId> = Vec::new();
-        for p in paths {
-            for &h in &p.hosts {
-                if !hosts.contains(&h) {
-                    hosts.push(h);
-                }
-            }
-        }
-        let k = hosts.len();
-        if k > Self::RELIABILITY_HOST_LIMIT {
+    fn asp(&self, values: &[Option<(f64, f64)>]) -> Option<f64> {
+        if self.over_limit {
             return None;
         }
-        let idx_of = |h: HostId| hosts.iter().position(|&x| x == h).expect("collected");
-        let path_masks: Vec<u32> = paths
+        let probs: Vec<f64> = self
+            .hosts
             .iter()
-            .map(|p| p.hosts.iter().fold(0u32, |m, &h| m | (1u32 << idx_of(h))))
-            .collect();
-        let probs: Vec<f64> = hosts
-            .iter()
-            .map(|h| {
-                self.trees[h.index()]
-                    .as_ref()
-                    .expect("exploitable")
-                    .probability(config.or_combine)
-            })
+            .map(|h| values[h.index()].expect("exploitable").1)
             .collect();
         let mut total = 0.0;
-        for subset in 0u32..(1u32 << k) {
+        for subset in 0u32..(1u32 << probs.len()) {
             // P(subset of compromised hosts).
             let mut p = 1.0;
             for (i, &q) in probs.iter().enumerate() {
@@ -423,7 +565,7 @@ impl Harm {
             if p == 0.0 {
                 continue;
             }
-            if path_masks.iter().any(|&m| m & !subset == 0) {
+            if self.masks.iter().any(|&m| m & !subset == 0) {
                 total += p;
             }
         }
