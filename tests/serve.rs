@@ -26,9 +26,13 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
-use redeval::scenario::ScenarioDoc;
+use redeval::output::Report;
+use redeval::scenario::{builtin, ScenarioDoc};
 use redeval_bench::{reports, serve};
-use redeval_server::{EquilibriumRequest, OptimizeRequest, Request, Server, ServerHandle};
+use redeval_server::{
+    DiskCache, Endpoints, EquilibriumRequest, OptimizeRequest, Request, Server, ServerHandle,
+    Service, ServiceConfig, MAX_GRID_AXIS,
+};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -473,13 +477,350 @@ fn cache_contract_transcript_matches_its_golden() {
     assert_matches_golden(transcript.as_bytes(), "cache_contract.txt");
 }
 
+/// A service over stub report producers: request decoding, rejection
+/// bodies and cache keys are the service's own, whatever the endpoints
+/// compute, so the POST contract needs no solver.
+fn stub_service() -> Service {
+    let endpoints = Endpoints {
+        eval: Box::new(|doc| Ok(Report::new(format!("eval_{}", doc.name), "stub"))),
+        sweep: Box::new(|req| Ok(Report::new(format!("sweep_{}", req.doc.name), "stub"))),
+        optimize: Box::new(|req| Ok(Report::new(format!("optimize_{}", req.doc.name), "stub"))),
+        equilibrium: Box::new(|req| {
+            Ok(Report::new(format!("equilibrium_{}", req.doc.name), "stub"))
+        }),
+        scenarios: Box::new(|| Report::new("scenario_list", "stub")),
+        reports: Box::new(|| Report::new("list", "stub")),
+    };
+    Service::new(endpoints, ServiceConfig::default())
+}
+
+/// One malformed body per rejection branch of every POST decoder, as
+/// `(path, label, body)`.
+fn malformed_post_bodies() -> Vec<(&'static str, &'static str, Vec<u8>)> {
+    let doc = builtin::paper_case_study().to_json();
+    let doc = doc.trim_end();
+    let wrap = |knobs: &str| format!("{{\"scenario\": {doc}{knobs}}}").into_bytes();
+    let bad_doc = doc.replacen("\"count\": 2", "\"count\": 0", 1);
+    let many = |item: &str| vec![item; MAX_GRID_AXIS + 1].join(", ");
+    let mut cases: Vec<(&'static str, &'static str, Vec<u8>)> = vec![
+        ("/v1/eval", "non-UTF-8 body", vec![0xff, 0xfe, 0x00]),
+        ("/v1/eval", "JSON syntax error", b"{ nope".to_vec()),
+        ("/v1/eval", "not an object", b"[]".to_vec()),
+        (
+            "/v1/eval",
+            "unknown key",
+            doc.replacen('{', "{\"frob\": 1, ", 1).into_bytes(),
+        ),
+        ("/v1/eval", "invalid scenario", bad_doc.clone().into_bytes()),
+    ];
+    for path in ["/v1/sweep", "/v1/optimize", "/v1/equilibrium"] {
+        cases.extend([
+            (path, "non-UTF-8 body", vec![0xff, 0xfe, 0x00]),
+            (path, "JSON syntax error", b"{\"scenario\": ".to_vec()),
+            (path, "not an object", b"\"scenario\"".to_vec()),
+            (path, "unknown key", wrap(", \"frob\": 1")),
+            (path, "missing scenario", b"{}".to_vec()),
+            (
+                path,
+                "scenario not an object",
+                b"{\"scenario\": 3}".to_vec(),
+            ),
+            (
+                path,
+                "invalid scenario",
+                format!("{{\"scenario\": {bad_doc}}}").into_bytes(),
+            ),
+            (
+                path,
+                "policies not an array",
+                wrap(", \"policies\": \"all\""),
+            ),
+            (path, "policies empty", wrap(", \"policies\": []")),
+            (
+                path,
+                "policies over the axis cap",
+                wrap(&format!(", \"policies\": [{}]", many("\"all\""))),
+            ),
+            (
+                path,
+                "policy not a string",
+                wrap(", \"policies\": [\"all\", 1]"),
+            ),
+            (
+                path,
+                "policy unparsable",
+                wrap(", \"policies\": [\"bogus\"]"),
+            ),
+            (path, "max_redundancy zero", wrap(", \"max_redundancy\": 0")),
+            (
+                path,
+                "max_redundancy above 8",
+                wrap(", \"max_redundancy\": 9"),
+            ),
+            (
+                path,
+                "max_redundancy fractional",
+                wrap(", \"max_redundancy\": 2.5"),
+            ),
+            (
+                path,
+                "max_redundancy a string",
+                wrap(", \"max_redundancy\": \"3\""),
+            ),
+        ]);
+    }
+    cases.extend([
+        (
+            "/v1/sweep",
+            "patch_windows_days not an array",
+            wrap(", \"patch_windows_days\": 7"),
+        ),
+        (
+            "/v1/sweep",
+            "patch_windows_days empty",
+            wrap(", \"patch_windows_days\": []"),
+        ),
+        (
+            "/v1/sweep",
+            "patch_windows_days over the axis cap",
+            wrap(&format!(", \"patch_windows_days\": [{}]", many("7"))),
+        ),
+        (
+            "/v1/sweep",
+            "patch window negative",
+            wrap(", \"patch_windows_days\": [7, -1]"),
+        ),
+        (
+            "/v1/sweep",
+            "patch window zero",
+            wrap(", \"patch_windows_days\": [0]"),
+        ),
+        (
+            "/v1/sweep",
+            "patch window a string",
+            wrap(", \"patch_windows_days\": [\"7\"]"),
+        ),
+        (
+            "/v1/sweep",
+            "bounds not a sweep knob",
+            wrap(", \"bounds\": {}"),
+        ),
+        (
+            "/v1/optimize",
+            "max_iters not an optimize knob",
+            wrap(", \"max_iters\": 4"),
+        ),
+        (
+            "/v1/optimize",
+            "bounds not an object",
+            wrap(", \"bounds\": [0.2, 0.9]"),
+        ),
+        (
+            "/v1/optimize",
+            "bounds unknown key",
+            wrap(", \"bounds\": {\"max_asp\": 0.2, \"min_coa\": 0.9, \"phi\": 1}"),
+        ),
+        (
+            "/v1/optimize",
+            "bounds.max_asp missing",
+            wrap(", \"bounds\": {\"min_coa\": 0.9}"),
+        ),
+        (
+            "/v1/optimize",
+            "bounds.min_coa not a number",
+            wrap(", \"bounds\": {\"max_asp\": 0.2, \"min_coa\": \"x\"}"),
+        ),
+        (
+            "/v1/optimize",
+            "bounds.max_asp overflows",
+            wrap(", \"bounds\": {\"max_asp\": 1e999, \"min_coa\": 0.9}"),
+        ),
+        (
+            "/v1/equilibrium",
+            "bounds not an equilibrium knob",
+            wrap(", \"bounds\": {}"),
+        ),
+        (
+            "/v1/equilibrium",
+            "max_iters zero",
+            wrap(", \"max_iters\": 0"),
+        ),
+        (
+            "/v1/equilibrium",
+            "max_iters above 64",
+            wrap(", \"max_iters\": 65"),
+        ),
+        (
+            "/v1/equilibrium",
+            "max_iters fractional",
+            wrap(", \"max_iters\": 2.5"),
+        ),
+        (
+            "/v1/equilibrium",
+            "max_iters null",
+            wrap(", \"max_iters\": null"),
+        ),
+        ("/v1/generate", "non-UTF-8 body", vec![0xff, 0xfe, 0x00]),
+        (
+            "/v1/generate",
+            "JSON syntax error",
+            b"{\"family\": \"iot_swarm\",}".to_vec(),
+        ),
+        ("/v1/generate", "not an object", b"7".to_vec()),
+        (
+            "/v1/generate",
+            "unknown key",
+            b"{\"family\": \"iot_swarm\", \"speed\": 1}".to_vec(),
+        ),
+        ("/v1/generate", "missing family", b"{\"seed\": 1}".to_vec()),
+        (
+            "/v1/generate",
+            "family not a string",
+            b"{\"family\": 3}".to_vec(),
+        ),
+        (
+            "/v1/generate",
+            "family unknown",
+            b"{\"family\": \"cloud\"}".to_vec(),
+        ),
+        (
+            "/v1/generate",
+            "seed fractional",
+            b"{\"family\": \"iot_swarm\", \"seed\": 1.5}".to_vec(),
+        ),
+        (
+            "/v1/generate",
+            "seed negative",
+            b"{\"family\": \"iot_swarm\", \"seed\": -1}".to_vec(),
+        ),
+        (
+            "/v1/generate",
+            "seed above 2^53",
+            b"{\"family\": \"iot_swarm\", \"seed\": 18446744073709551615}".to_vec(),
+        ),
+        (
+            "/v1/generate",
+            "seed a string",
+            b"{\"family\": \"iot_swarm\", \"seed\": \"7\"}".to_vec(),
+        ),
+    ]);
+    for (label, knobs) in [
+        ("tiers negative", "\"tiers\": -2"),
+        ("tiers above u32", "\"tiers\": 4294967296"),
+        ("redundancy negative", "\"redundancy\": -2"),
+        ("redundancy above u32", "\"redundancy\": 4294967296"),
+        ("designs fractional", "\"designs\": 0.5"),
+        ("designs above u32", "\"designs\": 4294967296"),
+        ("policies negative", "\"policies\": -1"),
+        ("policies a bool", "\"policies\": true"),
+    ] {
+        let body = format!("{{\"family\": \"iot_swarm\", {knobs}}}");
+        cases.push(("/v1/generate", label, body.into_bytes()));
+    }
+    cases
+}
+
+/// Accepted bodies of every POST endpoint — each optional knob absent,
+/// then each present — as `(path, label, body)`.
+fn accepted_post_bodies() -> Vec<(&'static str, &'static str, String)> {
+    let doc = builtin::paper_case_study().to_json();
+    let doc = doc.trim_end();
+    let wrap = |knobs: &str| format!("{{\"scenario\": {doc}{knobs}}}");
+    vec![
+        ("/v1/eval", "the document", doc.to_string()),
+        ("/v1/sweep", "every knob absent", wrap("")),
+        (
+            "/v1/sweep",
+            "every knob present",
+            wrap(
+                ", \"patch_windows_days\": [7, 30.5], \
+                 \"policies\": [\"none\", \"patch all\", \"critical>7.5\"], \
+                 \"max_redundancy\": 3",
+            ),
+        ),
+        ("/v1/optimize", "every knob absent", wrap("")),
+        (
+            "/v1/optimize",
+            "every knob present",
+            wrap(
+                ", \"policies\": [\"all\"], \"max_redundancy\": 3, \
+                 \"bounds\": {\"min_coa\": 0.9962, \"max_asp\": 0.2}",
+            ),
+        ),
+        ("/v1/equilibrium", "every knob absent", wrap("")),
+        (
+            "/v1/equilibrium",
+            "every knob present",
+            wrap(", \"policies\": [\"none\", \"all\"], \"max_redundancy\": 2, \"max_iters\": 8"),
+        ),
+        (
+            "/v1/generate",
+            "every knob absent",
+            "{\"family\": \"iot_swarm\"}".to_string(),
+        ),
+        (
+            "/v1/generate",
+            "every knob present",
+            "{\"family\": \"iot-swarm\", \"seed\": 9007199254740992, \"tiers\": 7, \
+             \"redundancy\": 99, \"designs\": 1, \"policies\": 3}"
+                .to_string(),
+        ),
+    ]
+}
+
+/// The POST contract, pinned byte for byte: the status and body of one
+/// malformed request per rejection branch of every POST decoder, and the
+/// disk-tier entry name (the SHA-256 cache key) of accepted bodies — the
+/// names a restarted server looks up under `--cache-dir`.
+#[test]
+fn post_contract_transcript_matches_its_golden() {
+    let service = stub_service();
+    let mut transcript = String::new();
+    for (path, label, body) in malformed_post_bodies() {
+        let resp = service.handle(&Request::synthetic("POST", path, &body));
+        assert!(
+            (400..500).contains(&resp.status),
+            "{path} {label}: accepted"
+        );
+        let text = String::from_utf8(resp.body).expect("rejections are UTF-8");
+        transcript.push_str(&format!(
+            "== POST {path} · {label} -> {}\n{text}",
+            resp.status
+        ));
+    }
+    let dir = std::env::temp_dir().join(format!("redeval-post-contract-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let service = stub_service().with_disk(DiskCache::open(&dir, 1 << 24).expect("disk tier"));
+    let entries = || -> std::collections::BTreeSet<String> {
+        fs::read_dir(&dir)
+            .expect("cache dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .into_string()
+                    .expect("ASCII name")
+            })
+            .collect()
+    };
+    for (path, label, body) in accepted_post_bodies() {
+        let before = entries();
+        let resp = service.handle(&Request::synthetic("POST", path, body.as_bytes()));
+        assert_eq!(resp.status, 200, "{path} {label}");
+        let added: Vec<String> = entries().difference(&before).cloned().collect();
+        assert_eq!(added.len(), 1, "{path} {label}: one new disk entry");
+        transcript.push_str(&format!("== key POST {path} · {label}\n{}\n", added[0]));
+    }
+    let _ = fs::remove_dir_all(&dir);
+    assert_matches_golden(transcript.as_bytes(), "post_contract.txt");
+}
+
 /// Every file under `tests/golden/serve/` must be one this suite pins —
 /// a renamed golden must fail here, not linger as a dead byte pile
 /// (`tests/golden.rs` excludes the directory from its own orphan check
 /// and delegates to this one).
 #[test]
 fn no_orphan_serve_goldens() {
-    const PINNED: [&str; 7] = [
+    const PINNED: [&str; 8] = [
         "eval_paper_case_study.json",
         "optimize_paper_case_study.json",
         "equilibrium_paper_case_study.json",
@@ -487,6 +828,7 @@ fn no_orphan_serve_goldens() {
         "bad_json.http",
         "not_found.http",
         "cache_contract.txt",
+        "post_contract.txt",
     ];
     for entry in fs::read_dir(golden_dir().join("serve")).expect("serve golden dir exists") {
         let path = entry.expect("dir entry").path();
