@@ -16,8 +16,11 @@
 //!
 //! Subcommands are registry names (`table2`, `sweep`, `design_space`, …;
 //! dashes and underscores are interchangeable), plus the `table N` /
-//! `fig N` spellings, `report --all`, `list`, the `scenario` family and
-//! `eval --scenario FILE`. Report-producing commands take
+//! `fig N` spellings, `report --all`, `list`, the `scenario` family, the
+//! scenario analyses (`eval`, `optimize`, `equilibrium`; one run path),
+//! `gen` and `serve`. Command-specific flags are checked against
+//! `FLAG_OWNERS`, and the numeric limits are the HTTP decoders' own
+//! constants (`redeval_server::MAX_*`). Report-producing commands take
 //! `--format text|json|csv` and `--out DIR`; with `--out`, each report
 //! is written to `DIR/<name>.<ext>` instead of stdout.
 //!
@@ -25,7 +28,10 @@
 //! failed (e.g. a region deviates from the paper) or a scenario failed
 //! validation, `2` usage error.
 
+use std::fmt::Display;
+use std::ops::RangeInclusive;
 use std::path::Path;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use redeval::decision::ScatterBounds;
@@ -33,10 +39,12 @@ use redeval::exec::{AnalysisCache, Pool};
 use redeval::output::{Report, Table, Value};
 use redeval::scenario::generate::{self, Family, GenParams};
 use redeval::scenario::{builtin, ScenarioDoc};
-use redeval::PatchPolicy;
-use redeval::Telemetry;
-use redeval_server::{EquilibriumRequest, OptimizeRequest};
+use redeval::{EvalError, PatchPolicy, Telemetry};
+use redeval_server::{
+    EquilibriumRequest, OptimizeRequest, MAX_ITERS_RANGE, MAX_REDUNDANCY_RANGE, MAX_SEED,
+};
 
+use crate::reports::scenario::ExecOn;
 use crate::reports::{self, REGISTRY};
 
 /// Where blessed goldens live. Anchored at compile time to this crate's
@@ -62,10 +70,10 @@ COMMANDS:
     report --all --bless regenerate the golden corpus (tests/golden/*.json)
     list                 reports and bundled scenarios (honors --format json)
 
-    eval --scenario FILE [--policy P] [--profile[=FILE]]
-                         evaluate a scenario file end-to-end (designs ×
-                         policies); --policy overrides the file's policy
-                         list (none | all | critical>T)
+    eval --scenario FILE|NAME [--policy P] [--profile[=FILE]]
+                         evaluate a scenario file (or bundled scenario)
+                         end-to-end (designs × policies); --policy
+                         overrides its policy list (none | all | critical>T)
     optimize [--scenario FILE|NAME] [--max-redundancy N] [--policy P]
              [--bounds ASP,COA] [--profile[=FILE]]
                          pruned branch-and-bound search of the per-tier
@@ -96,9 +104,9 @@ COMMANDS:
     serve [--addr A] [--threads N] [--cache-cap BYTES] [--cache-dir DIR]
                          run the HTTP evaluation server (DESIGN.md §9):
                          POST /v1/eval, POST /v1/sweep, POST /v1/optimize,
-                         POST /v1/equilibrium, GET /v1/scenarios,
-                         GET /v1/reports, GET /v1/stats, GET /metrics,
-                         GET /healthz
+                         POST /v1/equilibrium, POST /v1/generate,
+                         GET /v1/scenarios, GET /v1/reports, GET /v1/stats,
+                         GET /metrics, GET /healthz
 
 OPTIONS:
     --format <FMT>       text (default), json, or csv
@@ -120,7 +128,7 @@ OPTIONS:
                          to FILE (default redeval.trace.json) and a
                          span/counter summary to stderr — the report on
                          stdout stays byte-identical (DESIGN.md §14)
-    --seed <N>           gen: generator seed (default 0)
+    --seed <N>           gen: generator seed 0..=2^53 (default 0)
     --tiers <K>          gen: total tiers (family-specific range; default 12)
     --redundancy <R>     gen: host-count bound 1..=8 (default 3)
     --designs <D>        gen: extra designs beyond base, 0..=6 (default 2)
@@ -129,6 +137,31 @@ OPTIONS:
 
 EXIT CODES: 0 ok; 1 a consistency/validation check failed; 2 usage error.
 ";
+
+/// The commands that analyze one scenario.
+const ANALYSES: &[&str] = &["eval", "optimize", "equilibrium"];
+
+/// Every command-specific flag and the commands that accept it; the
+/// remaining flags (`--format`, `--out`, `--help`) apply to any command.
+const FLAG_OWNERS: &[(&str, &[&str])] = &[
+    ("--all", &["report"]),
+    ("--bless", &["report"]),
+    ("--scenario", ANALYSES),
+    ("--policy", ANALYSES),
+    ("--profile", ANALYSES),
+    ("--max-redundancy", &["optimize", "equilibrium"]),
+    ("--bounds", &["optimize"]),
+    ("--max-iters", &["equilibrium"]),
+    ("--addr", &["serve"]),
+    ("--threads", &["serve"]),
+    ("--cache-cap", &["serve"]),
+    ("--cache-dir", &["serve"]),
+    ("--seed", &["gen"]),
+    ("--tiers", &["gen"]),
+    ("--redundancy", &["gen"]),
+    ("--designs", &["gen"]),
+    ("--policies", &["gen"]),
+];
 
 /// Output format of a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,40 +217,15 @@ enum Cmd {
     ScenarioExport(String),
     /// Parse + validate scenario files.
     ScenarioValidate(Vec<String>),
-    /// Evaluate one scenario file end-to-end.
-    Eval {
-        /// Path of the scenario JSON file.
-        file: String,
-        /// Overrides the file's policy list when present.
-        policy: Option<PatchPolicy>,
-        /// Chrome-trace output path of `--profile`.
-        profile: Option<String>,
-    },
-    /// Pruned branch-and-bound search of the redundancy design space.
-    Optimize {
-        /// Scenario file path or builtin name; `None` searches the
-        /// default request (paper case study + Equation (3) bounds).
+    /// `eval`, `optimize` or `equilibrium` on one scenario.
+    Analyze {
+        /// The analysis and its own knobs.
+        analysis: Analysis,
+        /// `--scenario`: a bundled scenario name or a file path; `None`
+        /// analyzes the command's default request.
         scenario: Option<String>,
-        /// Per-tier count bound of the searched space.
-        max_redundancy: Option<u32>,
         /// Overrides the scenario's policy list when present.
         policy: Option<PatchPolicy>,
-        /// Decision bounds (φ, ψ) selecting the satisfying region.
-        bounds: Option<ScatterBounds>,
-        /// Chrome-trace output path of `--profile`.
-        profile: Option<String>,
-    },
-    /// Attacker–defender best-response equilibrium analysis.
-    Equilibrium {
-        /// Scenario file path or builtin name; `None` analyzes the
-        /// paper case study.
-        scenario: Option<String>,
-        /// Per-tier count bound of the defender's design space.
-        max_redundancy: Option<u32>,
-        /// Overrides the scenario's policy list when present.
-        policy: Option<PatchPolicy>,
-        /// Gauss-Seidel round cap.
-        max_iters: Option<u32>,
         /// Chrome-trace output path of `--profile`.
         profile: Option<String>,
     },
@@ -243,6 +251,102 @@ enum Cmd {
     },
 }
 
+/// The scenario analyses and their command-specific knobs.
+#[derive(Debug, PartialEq)]
+enum Analysis {
+    /// `eval`: every design × policy of the scenario.
+    Eval,
+    /// `optimize`: pruned branch-and-bound search of the redundancy
+    /// design space.
+    Optimize {
+        /// Per-tier count bound of the searched space.
+        max_redundancy: Option<u32>,
+        /// Decision bounds (φ, ψ) selecting the satisfying region.
+        bounds: Option<ScatterBounds>,
+    },
+    /// `equilibrium`: attacker–defender best-response iteration.
+    Equilibrium {
+        /// Per-tier count bound of the defender's design space.
+        max_redundancy: Option<u32>,
+        /// Gauss-Seidel round cap.
+        max_iters: Option<u32>,
+    },
+}
+
+impl Analysis {
+    /// Builds the analysis report, on `exec`'s shared pool and cache
+    /// when given (`--profile`). Without a scenario, `optimize` and
+    /// `equilibrium` analyze the paper case study (`optimize` under its
+    /// Equation (3) bounds unless `--bounds` replaces them), and with no
+    /// knob at all their report *is* the registry report, named after
+    /// its registry key.
+    fn report(
+        &self,
+        doc: Option<ScenarioDoc>,
+        policies: Option<Vec<PatchPolicy>>,
+        exec: ExecOn<'_>,
+    ) -> Result<Report, EvalError> {
+        let bare = doc.is_none() && policies.is_none();
+        match *self {
+            Analysis::Eval => {
+                let mut doc = doc.expect("parse requires `eval --scenario`");
+                if let Some(policies) = policies {
+                    doc.policies = policies;
+                }
+                match exec {
+                    None => reports::scenario::eval_report(&doc),
+                    Some((pool, cache)) => reports::scenario::eval_report_on(&doc, pool, cache),
+                }
+            }
+            Analysis::Optimize {
+                max_redundancy,
+                bounds,
+            } => {
+                let default = reports::optimize::default_request();
+                let (doc, default_bounds) = match doc {
+                    Some(doc) => (doc, None),
+                    None => (default.doc, default.bounds),
+                };
+                let req = OptimizeRequest {
+                    doc,
+                    policies,
+                    max_redundancy,
+                    bounds: bounds.or(default_bounds),
+                };
+                let mut report = match exec {
+                    None => reports::optimize::optimize_report(&req),
+                    Some((pool, cache)) => reports::optimize::optimize_report_on(&req, pool, cache),
+                }?;
+                if bare && max_redundancy.is_none() && bounds.is_none() {
+                    report.name = "optimize".into();
+                }
+                Ok(report)
+            }
+            Analysis::Equilibrium {
+                max_redundancy,
+                max_iters,
+            } => {
+                let req = EquilibriumRequest {
+                    doc: doc.unwrap_or_else(|| reports::equilibrium::default_request().doc),
+                    policies,
+                    max_redundancy,
+                    max_iters,
+                };
+                let mut report = match exec {
+                    None => reports::equilibrium::equilibrium_report(&req),
+                    Some((pool, cache)) => {
+                        reports::equilibrium::equilibrium_report_on(&req, pool, cache)
+                    }
+                }?;
+                if bare && max_redundancy.is_none() && max_iters.is_none() {
+                    report.name = "equilibrium".into();
+                }
+                Ok(report)
+            }
+        }
+    }
+}
+
 /// A parsed command line.
 #[derive(Debug, PartialEq)]
 struct Invocation {
@@ -251,315 +355,171 @@ struct Invocation {
     out: Option<String>,
 }
 
+/// Parses a flag's numeric value.
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: `{value}` is not a number"))
+}
+
+/// Parses a flag's numeric value and checks it against its limit (the
+/// same constant the HTTP decoders apply).
+fn in_range<T: FromStr + PartialOrd + Display>(
+    flag: &str,
+    value: &str,
+    range: RangeInclusive<T>,
+) -> Result<T, String> {
+    let n = number(flag, value)?;
+    if !range.contains(&n) {
+        return Err(format!(
+            "{flag}: `{n}` is not in {}..={}",
+            range.start(),
+            range.end()
+        ));
+    }
+    Ok(n)
+}
+
+/// Parses `--bounds ASP,COA`.
+fn parse_bounds(value: &str) -> Result<ScatterBounds, String> {
+    let (asp, coa) = value
+        .split_once(',')
+        .ok_or_else(|| format!("--bounds: `{value}` is not `ASP,COA`"))?;
+    let finite = |s: &str, what: &str| {
+        s.trim()
+            .parse::<f64>()
+            .ok()
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| format!("--bounds: `{s}` is not a finite {what}"))
+    };
+    Ok(ScatterBounds {
+        max_asp: finite(asp, "ASP bound")?,
+        min_coa: finite(coa, "COA bound")?,
+    })
+}
+
+/// The commands accepting a flag, as prose: "`a`, `b` and `c`".
+fn command_list(commands: &[&str]) -> String {
+    let quoted: Vec<String> = commands.iter().map(|c| format!("`{c}`")).collect();
+    match quoted.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} and {last}", rest.join(", ")),
+        _ => quoted.concat(),
+    }
+}
+
 fn parse(args: &[String]) -> Result<Invocation, String> {
     let mut positional: Vec<&str> = Vec::new();
+    // The command-specific flags given, with the commands owning each.
+    let mut given: Vec<(&str, &[&str])> = Vec::new();
     let mut format = Format::Text;
     let mut explicit_format = false;
     let mut out: Option<String> = None;
-    let mut all = false;
-    let mut bless = false;
-    let mut help = false;
-    let mut scenario_file: Option<String> = None;
+    let (mut bless, mut help) = (false, false);
+    let mut scenario: Option<String> = None;
     let mut policy: Option<PatchPolicy> = None;
+    let mut profile: Option<String> = None;
+    let mut max_redundancy: Option<u32> = None;
+    let mut bounds: Option<ScatterBounds> = None;
+    let mut max_iters: Option<u32> = None;
     let mut addr: Option<String> = None;
     let mut threads: Option<usize> = None;
     let mut cache_cap: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
-    let mut max_redundancy: Option<u32> = None;
-    let mut bounds: Option<ScatterBounds> = None;
-    let mut max_iters: Option<u32> = None;
-    let mut profile: Option<String> = None;
     let mut seed: Option<u64> = None;
-    let mut tiers: Option<u32> = None;
-    let mut redundancy: Option<u32> = None;
-    let mut designs: Option<u32> = None;
-    let mut policies: Option<u32> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = Some(args.get(i).ok_or("--addr needs an address")?.clone());
-                i += 1;
-                continue;
-            }
-            "--threads" => {
-                i += 1;
-                let v = args.get(i).ok_or("--threads needs a count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--threads: `{v}` is not a number"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                threads = Some(n);
-                i += 1;
-                continue;
-            }
-            "--cache-cap" => {
-                i += 1;
-                let v = args.get(i).ok_or("--cache-cap needs a byte count")?;
-                cache_cap = Some(
-                    v.parse()
-                        .map_err(|_| format!("--cache-cap: `{v}` is not a byte count"))?,
-                );
-                i += 1;
-                continue;
-            }
-            "--cache-dir" => {
-                i += 1;
-                cache_dir = Some(args.get(i).ok_or("--cache-dir needs a directory")?.clone());
-                i += 1;
-                continue;
-            }
-            "--max-redundancy" => {
-                i += 1;
-                let v = args.get(i).ok_or("--max-redundancy needs a number")?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|_| format!("--max-redundancy: `{v}` is not a number"))?;
-                if !(1..=8).contains(&n) {
-                    return Err(format!("--max-redundancy: `{n}` is not in 1..=8"));
-                }
-                max_redundancy = Some(n);
-                i += 1;
-                continue;
-            }
-            "--max-iters" => {
-                i += 1;
-                let v = args.get(i).ok_or("--max-iters needs a number")?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|_| format!("--max-iters: `{v}` is not a number"))?;
-                if !(1..=64).contains(&n) {
-                    return Err(format!("--max-iters: `{n}` is not in 1..=64"));
-                }
-                max_iters = Some(n);
-                i += 1;
-                continue;
-            }
-            "--bounds" => {
-                i += 1;
-                let v = args.get(i).ok_or("--bounds needs `ASP,COA`")?;
-                let (asp, coa) = v
-                    .split_once(',')
-                    .ok_or_else(|| format!("--bounds: `{v}` is not `ASP,COA`"))?;
-                let parse_finite = |s: &str, what: &str| -> Result<f64, String> {
-                    s.trim()
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|x| x.is_finite())
-                        .ok_or_else(|| format!("--bounds: `{s}` is not a finite {what}"))
-                };
-                bounds = Some(ScatterBounds {
-                    max_asp: parse_finite(asp, "ASP bound")?,
-                    min_coa: parse_finite(coa, "COA bound")?,
-                });
-                i += 1;
-                continue;
-            }
-            "--seed" => {
-                i += 1;
-                let v = args.get(i).ok_or("--seed needs a number")?;
-                seed = Some(
-                    v.parse()
-                        .map_err(|_| format!("--seed: `{v}` is not a number"))?,
-                );
-                i += 1;
-                continue;
-            }
-            // `--profile` takes an *optional* value, so it must use the
-            // `=` spelling — a separate positional would be ambiguous.
-            "--profile" => {
-                profile = Some(DEFAULT_TRACE_FILE.to_string());
-                i += 1;
-                continue;
-            }
-            flag if flag.starts_with("--profile=") => {
-                let path = &flag["--profile=".len()..];
-                if path.is_empty() {
-                    return Err("--profile= needs a file path".to_string());
-                }
-                profile = Some(path.to_string());
-                i += 1;
-                continue;
-            }
-            flag @ ("--tiers" | "--redundancy" | "--designs" | "--policies") => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| format!("{flag} needs a number"))?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|_| format!("{flag}: `{v}` is not a number"))?;
-                match flag {
-                    "--tiers" => tiers = Some(n),
-                    "--redundancy" => redundancy = Some(n),
-                    "--designs" => designs = Some(n),
-                    _ => policies = Some(n),
-                }
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        match args[i].as_str() {
+    let mut gen_params = GenParams::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        // `--profile` takes an *optional* value, so only the `=` spelling
+        // carries one — a separate positional would be ambiguous.
+        let (flag, inline) = match arg.split_once('=') {
+            Some(("--profile", path)) => ("--profile", Some(path)),
+            _ => (arg.as_str(), None),
+        };
+        let mut value = || {
+            rest.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
             "--format" => {
-                i += 1;
-                let v = args.get(i).ok_or("--format needs a value")?;
+                let v = value()?;
                 format = Format::parse(v).ok_or_else(|| format!("unknown format `{v}`"))?;
                 explicit_format = true;
             }
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).ok_or("--out needs a value")?.clone());
-            }
-            "--scenario" => {
-                i += 1;
-                scenario_file = Some(args.get(i).ok_or("--scenario needs a file path")?.clone());
-            }
-            "--policy" => {
-                i += 1;
-                let v = args.get(i).ok_or("--policy needs a value")?;
-                policy = Some(v.parse().map_err(|e| format!("{e}"))?);
-            }
-            "--all" => all = true,
+            "--out" => out = Some(value()?.to_string()),
+            // `report` runs everything; `--all` is its documented spelling.
+            "--all" => {}
             "--bless" => bless = true,
             "-h" | "--help" => help = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            p => positional.push(p),
+            "--scenario" => scenario = Some(value()?.to_string()),
+            "--policy" => policy = Some(value()?.parse().map_err(|e| format!("{e}"))?),
+            "--profile" => match inline {
+                Some("") => return Err("--profile= needs a file path".to_string()),
+                path => profile = Some(path.unwrap_or(DEFAULT_TRACE_FILE).to_string()),
+            },
+            "--max-redundancy" => {
+                max_redundancy = Some(in_range(flag, value()?, MAX_REDUNDANCY_RANGE)?);
+            }
+            "--max-iters" => max_iters = Some(in_range(flag, value()?, MAX_ITERS_RANGE)?),
+            "--bounds" => bounds = Some(parse_bounds(value()?)?),
+            "--addr" => addr = Some(value()?.to_string()),
+            "--threads" => match number(flag, value()?)? {
+                0 => return Err("--threads must be at least 1".to_string()),
+                n => threads = Some(n),
+            },
+            "--cache-cap" => cache_cap = Some(number(flag, value()?)?),
+            "--cache-dir" => cache_dir = Some(value()?.to_string()),
+            "--seed" => seed = Some(in_range(flag, value()?, 0..=MAX_SEED)?),
+            "--tiers" => gen_params.tiers = number(flag, value()?)?,
+            "--redundancy" => gen_params.redundancy = number(flag, value()?)?,
+            "--designs" => gen_params.designs = number(flag, value()?)?,
+            "--policies" => gen_params.policies = number(flag, value()?)?,
+            _ if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            _ => positional.push(flag),
         }
-        i += 1;
+        if let Some(&owned) = FLAG_OWNERS.iter().find(|(name, _)| *name == flag) {
+            given.push(owned);
+        }
     }
 
-    if positional.is_empty() && !help {
-        // A flag without a command is a mistyped invocation; exiting 0
-        // with the usage text would let scripts treat the no-op as
-        // success.
-        if all || bless {
-            return Err("`--all` and `--bless` belong to the `report` command \
-                        (e.g. `redeval report --all`)"
-                .to_string());
-        }
-        if scenario_file.is_some() || policy.is_some() {
-            return Err(
-                "`--scenario`/`--policy` belong to the `eval`, `optimize` and \
-                 `equilibrium` commands (e.g. `redeval eval --scenario mine.json`)"
-                    .to_string(),
-            );
-        }
-        if max_redundancy.is_some() || bounds.is_some() {
-            return Err("`--max-redundancy`/`--bounds` belong to the `optimize` \
-                 command (e.g. `redeval optimize --max-redundancy 6`)"
-                .to_string());
-        }
-        if max_iters.is_some() {
-            return Err("`--max-iters` belongs to the `equilibrium` command \
-                 (e.g. `redeval equilibrium --max-iters 8`)"
-                .to_string());
-        }
-        if profile.is_some() {
-            return Err("`--profile` belongs to the `eval`, `optimize` and \
-                 `equilibrium` commands (e.g. `redeval optimize --profile`)"
-                .to_string());
-        }
-        if addr.is_some() || threads.is_some() || cache_cap.is_some() || cache_dir.is_some() {
-            return Err(
-                "`--addr`/`--threads`/`--cache-cap`/`--cache-dir` belong to the \
-                 `serve` command (e.g. `redeval serve --addr 127.0.0.1:7878`)"
-                    .to_string(),
-            );
-        }
-        if seed.is_some()
-            || tiers.is_some()
-            || redundancy.is_some()
-            || designs.is_some()
-            || policies.is_some()
-        {
-            return Err(
-                "`--seed`/`--tiers`/`--redundancy`/`--designs`/`--policies` \
-                 belong to the `gen` command (e.g. `redeval gen iot_swarm --seed 7`)"
-                    .to_string(),
-            );
-        }
-        if explicit_format || out.is_some() {
-            return Err("`--format`/`--out` need a command to render".to_string());
-        }
-    }
-    if help || positional.is_empty() {
+    if help {
         return Ok(Invocation {
             cmd: Cmd::Help,
             format,
             out,
         });
     }
-    if positional[0] != "report" && (all || bless) {
-        return Err(format!(
-            "`--all`/`--bless` only apply to `report`, not `{}`",
-            positional[0]
-        ));
-    }
-    if !matches!(positional[0], "eval" | "optimize" | "equilibrium") {
-        if scenario_file.is_some() {
-            return Err(
-                "`--scenario` belongs to `eval`, `optimize` and `equilibrium` \
-                 (e.g. `redeval eval --scenario f.json`)"
-                    .to_string(),
-            );
+    let Some(&command) = positional.first() else {
+        // A flag without a command is a mistyped invocation; exiting 0
+        // with the usage text would let scripts treat the no-op as
+        // success.
+        if let Some((flag, owners)) = given.first() {
+            return Err(format!(
+                "`{flag}` needs a command: it belongs to {}",
+                command_list(owners)
+            ));
         }
-        if policy.is_some() {
-            return Err("`--policy` belongs to `eval`, `optimize` and `equilibrium`".to_string());
+        if explicit_format || out.is_some() {
+            return Err("`--format`/`--out` need a command to render".to_string());
         }
-        if profile.is_some() {
-            return Err("`--profile` belongs to `eval`, `optimize` and `equilibrium`".to_string());
-        }
-    }
-    if !matches!(positional[0], "optimize" | "equilibrium") && max_redundancy.is_some() {
+        return Ok(Invocation {
+            cmd: Cmd::Help,
+            format,
+            out,
+        });
+    };
+    if let Some((flag, owners)) = given.iter().find(|(_, owners)| !owners.contains(&command)) {
         return Err(format!(
-            "`--max-redundancy` only applies to `optimize` and `equilibrium`, not `{}`",
-            positional[0]
-        ));
-    }
-    if positional[0] != "optimize" && bounds.is_some() {
-        return Err(format!(
-            "`--bounds` only applies to `optimize`, not `{}`",
-            positional[0]
-        ));
-    }
-    if positional[0] != "equilibrium" && max_iters.is_some() {
-        return Err(format!(
-            "`--max-iters` only applies to `equilibrium`, not `{}`",
-            positional[0]
-        ));
-    }
-    if positional[0] != "serve"
-        && (addr.is_some() || threads.is_some() || cache_cap.is_some() || cache_dir.is_some())
-    {
-        return Err(format!(
-            "`--addr`/`--threads`/`--cache-cap`/`--cache-dir` only apply to `serve`, not `{}`",
-            positional[0]
-        ));
-    }
-    if positional[0] != "gen"
-        && (seed.is_some()
-            || tiers.is_some()
-            || redundancy.is_some()
-            || designs.is_some()
-            || policies.is_some())
-    {
-        return Err(format!(
-            "`--seed`/`--tiers`/`--redundancy`/`--designs`/`--policies` only apply \
-             to `gen`, not `{}`",
-            positional[0]
+            "`{flag}` only applies to {}, not `{command}`",
+            command_list(owners)
         ));
     }
 
     // Positionals the command consumes; anything beyond is an error.
     let mut consumed = 1;
-    let cmd = match positional[0] {
+    let cmd = match command {
         "list" => Cmd::List,
         "report" => {
-            // `report` runs everything; `--all` is the documented form.
             if bless {
                 // Blessing fixes both the format and the destination;
                 // an explicit --format/--out would be silently ignored,
@@ -574,30 +534,28 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
             }
             Cmd::Reports(REGISTRY.iter().map(|s| s.name).collect())
         }
-        "eval" => {
-            let file = scenario_file
-                .take()
-                .ok_or("`eval` needs `--scenario <FILE>`")?;
-            Cmd::Eval {
-                file,
+        "eval" | "optimize" | "equilibrium" => {
+            let analysis = match command {
+                "eval" if scenario.is_none() => {
+                    return Err("`eval` needs `--scenario <FILE|NAME>`".to_string())
+                }
+                "eval" => Analysis::Eval,
+                "optimize" => Analysis::Optimize {
+                    max_redundancy,
+                    bounds,
+                },
+                _ => Analysis::Equilibrium {
+                    max_redundancy,
+                    max_iters,
+                },
+            };
+            Cmd::Analyze {
+                analysis,
+                scenario,
                 policy,
-                profile: profile.take(),
+                profile,
             }
         }
-        "optimize" => Cmd::Optimize {
-            scenario: scenario_file.take(),
-            max_redundancy,
-            policy,
-            bounds,
-            profile: profile.take(),
-        },
-        "equilibrium" => Cmd::Equilibrium {
-            scenario: scenario_file.take(),
-            max_redundancy,
-            policy,
-            max_iters,
-            profile: profile.take(),
-        },
         "gen" => {
             let key = positional
                 .get(1)
@@ -617,15 +575,9 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
                         .to_string(),
                 );
             }
-            let defaults = GenParams::default();
             Cmd::Gen {
                 family,
-                params: GenParams {
-                    tiers: tiers.unwrap_or(defaults.tiers),
-                    redundancy: redundancy.unwrap_or(defaults.redundancy),
-                    designs: designs.unwrap_or(defaults.designs),
-                    policies: policies.unwrap_or(defaults.policies),
-                },
+                params: gen_params,
                 seed: seed.unwrap_or(0),
             }
         }
@@ -634,12 +586,10 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
                 return Err("`serve` speaks HTTP; it takes no --format/--out".to_string());
             }
             Cmd::Serve {
-                addr: addr
-                    .take()
-                    .unwrap_or_else(|| crate::serve::DEFAULT_ADDR.to_string()),
+                addr: addr.unwrap_or_else(|| crate::serve::DEFAULT_ADDR.to_string()),
                 threads: threads.unwrap_or_else(redeval::exec::default_threads),
                 cache_cap: cache_cap.unwrap_or(crate::serve::DEFAULT_CACHE_CAP),
-                cache_dir: cache_dir.take(),
+                cache_dir,
             }
         }
         "scenario" => {
@@ -687,12 +637,11 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
             }
         }
         "table" | "fig" => {
-            let kind = positional[0];
-            let n = positional
-                .get(1)
-                .ok_or_else(|| format!("`{kind}` needs a number (e.g. `redeval {kind} 2`)"))?;
+            let n = positional.get(1).ok_or_else(|| {
+                format!("`{command}` needs a number (e.g. `redeval {command} 2`)")
+            })?;
             consumed = 2;
-            let name = format!("{kind}{n}");
+            let name = format!("{command}{n}");
             let spec = reports::find(&name)
                 .ok_or_else(|| format!("no report `{name}`; see `redeval list`"))?;
             Cmd::Reports(vec![spec.name])
@@ -727,15 +676,10 @@ fn emit_text(content: &str, stem: &str, ext: &str, out: Option<&str>) -> Result<
     Ok(())
 }
 
-/// Renders one report in the chosen format to stdout or `--out`.
-fn emit(report: &Report, format: Format, out: Option<&str>) -> Result<bool, String> {
-    emit_text(
-        &format.render(report),
-        &report.name,
-        format.extension(),
-        out,
-    )?;
-    Ok(report.ok)
+/// Prints `error: {msg}` to stderr and returns the exit `code`.
+fn fail(code: i32, msg: impl Display) -> i32 {
+    eprintln!("error: {msg}");
+    code
 }
 
 /// The combined listing as a [`Report`]: one table of registry reports,
@@ -790,6 +734,14 @@ fn load_scenario(file: &str) -> Result<ScenarioDoc, String> {
     ScenarioDoc::from_json(&text).map_err(|e| format!("{file}: {e}"))
 }
 
+/// Resolves `--scenario`: a bundled scenario name, else a file path.
+fn resolve_scenario(name_or_file: &str) -> Result<ScenarioDoc, String> {
+    match builtin::find(name_or_file) {
+        Some(spec) => Ok((spec.build)()),
+        None => load_scenario(name_or_file),
+    }
+}
+
 /// The `--profile` execution context: a profiler-mode [`Telemetry`]
 /// handle feeding a shared pool + analysis cache, so the instrumented
 /// `_on` report builders record spans and counters. The report bytes on
@@ -830,41 +782,39 @@ pub fn run(args: &[String]) -> i32 {
     let invocation = match parse(args) {
         Ok(inv) => inv,
         Err(msg) => {
-            eprintln!("error: {msg}");
-            eprint!("{USAGE}");
+            eprint!("error: {msg}\n{USAGE}");
             return 2;
         }
     };
     let format = invocation.format;
     let out = invocation.out.as_deref();
-    let emit_or_exit = |report: &Report| -> Result<bool, i32> {
-        emit(report, format, out).map_err(|msg| {
-            eprintln!("error: {msg}");
-            2
-        })
+    let emit = |report: &Report| -> Result<bool, i32> {
+        emit_text(
+            &format.render(report),
+            &report.name,
+            format.extension(),
+            out,
+        )
+        .map(|()| report.ok)
+        .map_err(|msg| fail(2, msg))
+    };
+    let emit_report = |report: &Report| match emit(report) {
+        Ok(ok) => i32::from(!ok),
+        Err(code) => code,
     };
     match &invocation.cmd {
         Cmd::Help => {
             print!("{USAGE}");
             0
         }
-        Cmd::List => match emit_or_exit(&list_report()) {
-            Ok(_) => 0,
-            Err(code) => code,
-        },
-        Cmd::ScenarioList => match emit_or_exit(&scenario_list_report()) {
-            Ok(_) => 0,
-            Err(code) => code,
-        },
+        Cmd::List => emit_report(&list_report()),
+        Cmd::ScenarioList => emit_report(&scenario_list_report()),
         Cmd::ScenarioExport(name) => {
             let spec = builtin::find(name).expect("parse resolved the name");
             let json = ((spec.build)()).to_json();
             match emit_text(&json, name, "json", out) {
                 Ok(()) => 0,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    2
-                }
+                Err(msg) => fail(2, msg),
             }
         }
         Cmd::ScenarioValidate(files) => {
@@ -890,193 +840,32 @@ pub fn run(args: &[String]) -> i32 {
             }
             i32::from(!all_ok)
         }
-        Cmd::Eval {
-            file,
+        // The run path `eval`, `optimize` and `equilibrium` share:
+        // resolve the scenario, build the report (through an instrumented
+        // pool and cache under `--profile`), write the trace, emit.
+        Cmd::Analyze {
+            analysis,
+            scenario,
             policy,
             profile,
         } => {
-            let mut doc = match load_scenario(file) {
+            let doc = match scenario.as_deref().map(resolve_scenario).transpose() {
                 Ok(doc) => doc,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return 1;
-                }
-            };
-            if let Some(p) = policy {
-                doc.policies = vec![*p];
-            }
-            let profiling = profile.as_deref().map(ProfileCtx::new);
-            let result = match &profiling {
-                None => reports::scenario::eval_report(&doc),
-                Some(ctx) => reports::scenario::eval_report_on(&doc, &ctx.pool, &ctx.cache),
-            };
-            let report = match result {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {file}: {e}");
-                    return 1;
-                }
-            };
-            if let Some(ctx) = &profiling {
-                if let Err(msg) = ctx.finish() {
-                    eprintln!("error: {msg}");
-                    return 2;
-                }
-            }
-            match emit_or_exit(&report) {
-                Ok(ok) => i32::from(!ok),
-                Err(code) => code,
-            }
-        }
-        Cmd::Optimize {
-            scenario,
-            max_redundancy,
-            policy,
-            bounds,
-            profile,
-        } => {
-            // A bare `redeval optimize` *is* the registry report, byte
-            // for byte — same contract as `redeval report` golden runs.
-            // `--profile` alone keeps that contract: it changes how the
-            // search executes (instrumented pool + cache), never what it
-            // reports.
-            let bare = scenario.is_none()
-                && max_redundancy.is_none()
-                && policy.is_none()
-                && bounds.is_none();
-            if bare && profile.is_none() {
-                return match emit_or_exit(&reports::optimize::builtin_optimize()) {
-                    Ok(ok) => i32::from(!ok),
-                    Err(code) => code,
-                };
-            }
-            let req = match scenario {
-                None => {
-                    let mut req = reports::optimize::default_request();
-                    // Explicit bounds replace the default ones; the other
-                    // overrides keep them (same document, same region).
-                    if let Some(b) = bounds {
-                        req.bounds = Some(*b);
-                    }
-                    req
-                }
-                Some(s) => {
-                    let doc = match builtin::find(s) {
-                        Some(spec) => (spec.build)(),
-                        None => match load_scenario(s) {
-                            Ok(doc) => doc,
-                            Err(msg) => {
-                                eprintln!("error: {msg}");
-                                return 1;
-                            }
-                        },
-                    };
-                    OptimizeRequest {
-                        doc,
-                        policies: None,
-                        max_redundancy: None,
-                        bounds: *bounds,
-                    }
-                }
-            };
-            let req = OptimizeRequest {
-                policies: policy.as_ref().map(|p| vec![*p]),
-                max_redundancy: *max_redundancy,
-                ..req
+                Err(msg) => return fail(1, msg),
             };
             let profiling = profile.as_deref().map(ProfileCtx::new);
-            let result = match &profiling {
-                None => reports::optimize::optimize_report(&req),
-                Some(ctx) => reports::optimize::optimize_report_on(&req, &ctx.pool, &ctx.cache),
-            };
-            let mut report = match result {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 1;
-                }
-            };
-            if bare {
-                // Same rename `builtin_optimize` performs: the bare
-                // invocation is the registry report.
-                report.name = "optimize".into();
-            }
-            if let Some(ctx) = &profiling {
-                if let Err(msg) = ctx.finish() {
-                    eprintln!("error: {msg}");
-                    return 2;
-                }
-            }
-            match emit_or_exit(&report) {
-                Ok(ok) => i32::from(!ok),
-                Err(code) => code,
-            }
-        }
-        Cmd::Equilibrium {
-            scenario,
-            max_redundancy,
-            policy,
-            max_iters,
-            profile,
-        } => {
-            // A bare `redeval equilibrium` *is* the registry report,
-            // byte for byte — same contract as `redeval optimize`.
-            let bare = scenario.is_none()
-                && max_redundancy.is_none()
-                && policy.is_none()
-                && max_iters.is_none();
-            if bare && profile.is_none() {
-                return match emit_or_exit(&reports::equilibrium::builtin_equilibrium()) {
-                    Ok(ok) => i32::from(!ok),
-                    Err(code) => code,
-                };
-            }
-            let doc = match scenario {
-                None => reports::equilibrium::default_request().doc,
-                Some(s) => match builtin::find(s) {
-                    Some(spec) => (spec.build)(),
-                    None => match load_scenario(s) {
-                        Ok(doc) => doc,
-                        Err(msg) => {
-                            eprintln!("error: {msg}");
-                            return 1;
-                        }
-                    },
+            let exec = profiling.as_ref().map(|ctx| (&ctx.pool, &ctx.cache));
+            let report = match analysis.report(doc, policy.map(|p| vec![p]), exec) {
+                Ok(report) => report,
+                Err(e) => match scenario {
+                    Some(s) => return fail(1, format!("{s}: {e}")),
+                    None => return fail(1, e),
                 },
             };
-            let req = EquilibriumRequest {
-                doc,
-                policies: policy.as_ref().map(|p| vec![*p]),
-                max_redundancy: *max_redundancy,
-                max_iters: *max_iters,
-            };
-            let profiling = profile.as_deref().map(ProfileCtx::new);
-            let result = match &profiling {
-                None => reports::equilibrium::equilibrium_report(&req),
-                Some(ctx) => {
-                    reports::equilibrium::equilibrium_report_on(&req, &ctx.pool, &ctx.cache)
-                }
-            };
-            let mut report = match result {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 1;
-                }
-            };
-            if bare {
-                report.name = "equilibrium".into();
+            if let Some(Err(msg)) = profiling.as_ref().map(ProfileCtx::finish) {
+                return fail(2, msg);
             }
-            if let Some(ctx) = &profiling {
-                if let Err(msg) = ctx.finish() {
-                    eprintln!("error: {msg}");
-                    return 2;
-                }
-            }
-            match emit_or_exit(&report) {
-                Ok(ok) => i32::from(!ok),
-                Err(code) => code,
-            }
+            emit_report(&report)
         }
         Cmd::Gen {
             family,
@@ -1087,15 +876,11 @@ pub fn run(args: &[String]) -> i32 {
             // Generators guarantee validity by construction; check it
             // anyway so a regression can never emit a broken document.
             if let Err(e) = doc.validate() {
-                eprintln!("error: generated scenario failed validation: {e}");
-                return 1;
+                return fail(1, format!("generated scenario failed validation: {e}"));
             }
             match emit_text(&doc.to_json(), &doc.name, "json", out) {
                 Ok(()) => 0,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    2
-                }
+                Err(msg) => fail(2, msg),
             }
         }
         Cmd::Serve {
@@ -1105,28 +890,20 @@ pub fn run(args: &[String]) -> i32 {
             cache_dir,
         } => {
             let service = match cache_dir {
-                Some(dir) => {
-                    match crate::serve::service_with_disk(
-                        *threads,
-                        *cache_cap,
-                        std::path::Path::new(dir),
-                        crate::serve::DEFAULT_DISK_CAP,
-                    ) {
-                        Ok(service) => service,
-                        Err(e) => {
-                            eprintln!("error: cannot open cache dir {dir}: {e}");
-                            return 2;
-                        }
-                    }
-                }
+                Some(dir) => match crate::serve::service_with_disk(
+                    *threads,
+                    *cache_cap,
+                    Path::new(dir),
+                    crate::serve::DEFAULT_DISK_CAP,
+                ) {
+                    Ok(service) => service,
+                    Err(e) => return fail(2, format!("cannot open cache dir {dir}: {e}")),
+                },
                 None => crate::serve::service(*threads, *cache_cap),
             };
             let server = match redeval_server::Server::bind(addr.as_str(), service, *threads) {
                 Ok(server) => server,
-                Err(e) => {
-                    eprintln!("error: cannot bind {addr}: {e}");
-                    return 2;
-                }
+                Err(e) => return fail(2, format!("cannot bind {addr}: {e}")),
             };
             if let Ok(local) = server.local_addr() {
                 let persistence = match cache_dir {
@@ -1143,17 +920,14 @@ pub fn run(args: &[String]) -> i32 {
                     handle.wait();
                     0
                 }
-                Err(e) => {
-                    eprintln!("error: cannot start acceptors: {e}");
-                    2
-                }
+                Err(e) => fail(2, format!("cannot start acceptors: {e}")),
             }
         }
         Cmd::Reports(names) => {
             let mut all_ok = true;
             for name in names {
                 let spec = reports::find(name).expect("registry name resolves");
-                match emit_or_exit(&(spec.build)()) {
+                match emit(&(spec.build)()) {
                     Ok(ok) => all_ok &= ok,
                     Err(code) => return code,
                 }
@@ -1161,23 +935,14 @@ pub fn run(args: &[String]) -> i32 {
             if all_ok {
                 0
             } else {
-                eprintln!("error: a consistency check failed — see the report output");
-                1
+                fail(1, "a consistency check failed — see the report output")
             }
         }
     }
 }
 
-/// Entry point of the thin per-artifact shim binaries: renders the named
-/// report as text on stdout and exits non-zero when a consistency check
-/// fails.
-pub fn shim(name: &str) -> ! {
-    let spec = reports::find(name).expect("shim names a registered report");
-    std::process::exit(print_report(&(spec.build)()))
-}
-
 /// Prints a report as text and returns the exit code its `ok` flag
-/// implies (shared by [`shim`] and the parameterized binaries).
+/// implies (the parameterized `design_space` binary's output path).
 pub fn print_report(report: &Report) -> i32 {
     print!("{}", report.to_text());
     i32::from(!report.ok)
@@ -1328,8 +1093,9 @@ mod tests {
         let inv = parse(&args(&["eval", "--scenario", "mine.json"])).unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Eval {
-                file: "mine.json".into(),
+            Cmd::Analyze {
+                analysis: Analysis::Eval,
+                scenario: Some("mine.json".into()),
                 policy: None,
                 profile: None,
             }
@@ -1346,8 +1112,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Eval {
-                file: "mine.json".into(),
+            Cmd::Analyze {
+                analysis: Analysis::Eval,
+                scenario: Some("mine.json".into()),
                 policy: Some(PatchPolicy::CriticalOnly(7.5)),
                 profile: None,
             }
@@ -1373,11 +1140,13 @@ mod tests {
         let inv = parse(&args(&["optimize"])).unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Optimize {
+            Cmd::Analyze {
+                analysis: Analysis::Optimize {
+                    max_redundancy: None,
+                    bounds: None,
+                },
                 scenario: None,
-                max_redundancy: None,
                 policy: None,
-                bounds: None,
                 profile: None,
             }
         );
@@ -1397,14 +1166,16 @@ mod tests {
         .unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Optimize {
+            Cmd::Analyze {
+                analysis: Analysis::Optimize {
+                    max_redundancy: Some(6),
+                    bounds: Some(ScatterBounds {
+                        max_asp: 0.2,
+                        min_coa: 0.9962,
+                    }),
+                },
                 scenario: Some("ecommerce".into()),
-                max_redundancy: Some(6),
                 policy: Some(PatchPolicy::All),
-                bounds: Some(ScatterBounds {
-                    max_asp: 0.2,
-                    min_coa: 0.9962,
-                }),
                 profile: None,
             }
         );
@@ -1427,11 +1198,13 @@ mod tests {
         let inv = parse(&args(&["equilibrium"])).unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Equilibrium {
+            Cmd::Analyze {
+                analysis: Analysis::Equilibrium {
+                    max_redundancy: None,
+                    max_iters: None,
+                },
                 scenario: None,
-                max_redundancy: None,
                 policy: None,
-                max_iters: None,
                 profile: None,
             }
         );
@@ -1451,11 +1224,13 @@ mod tests {
         .unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Equilibrium {
+            Cmd::Analyze {
+                analysis: Analysis::Equilibrium {
+                    max_redundancy: Some(2),
+                    max_iters: Some(8),
+                },
                 scenario: Some("iot_fleet".into()),
-                max_redundancy: Some(2),
                 policy: Some(PatchPolicy::All),
-                max_iters: Some(8),
                 profile: None,
             }
         );
@@ -1477,11 +1252,13 @@ mod tests {
         let inv = parse(&args(&["optimize", "--profile"])).unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Optimize {
+            Cmd::Analyze {
+                analysis: Analysis::Optimize {
+                    max_redundancy: None,
+                    bounds: None,
+                },
                 scenario: None,
-                max_redundancy: None,
                 policy: None,
-                bounds: None,
                 profile: Some(DEFAULT_TRACE_FILE.into()),
             }
         );
@@ -1494,8 +1271,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Eval {
-                file: "mine.json".into(),
+            Cmd::Analyze {
+                analysis: Analysis::Eval,
+                scenario: Some("mine.json".into()),
                 policy: None,
                 profile: Some("trace.json".into()),
             }
@@ -1509,11 +1287,13 @@ mod tests {
         .unwrap();
         assert_eq!(
             inv.cmd,
-            Cmd::Equilibrium {
+            Cmd::Analyze {
+                analysis: Analysis::Equilibrium {
+                    max_redundancy: None,
+                    max_iters: Some(4),
+                },
                 scenario: None,
-                max_redundancy: None,
                 policy: None,
-                max_iters: Some(4),
                 profile: Some("eq.json".into()),
             }
         );
@@ -1580,6 +1360,98 @@ mod tests {
         assert!(parse(&args(&["table", "2", "--seed", "1"])).is_err());
         assert!(parse(&args(&["--seed", "1"])).is_err());
         assert!(parse(&args(&["gen", "iot", "extra"])).is_err());
+    }
+
+    #[test]
+    fn gen_seed_stops_at_the_json_exact_limit() {
+        // `POST /v1/generate` rejects seeds above 2^53 (JSON numbers
+        // cannot carry them exactly); the CLI must reject them too, or
+        // the generator front doors stop agreeing on their inputs.
+        let inv = parse(&args(&["gen", "iot", "--seed", "9007199254740992"])).unwrap();
+        assert!(matches!(inv.cmd, Cmd::Gen { seed, .. } if seed == 1 << 53));
+        for bad in ["9007199254740993", "18446744073709551615"] {
+            assert!(
+                parse(&args(&["gen", "iot", "--seed", bad])).is_err(),
+                "accepted --seed {bad}"
+            );
+        }
+        assert_eq!(
+            run(&args(&[
+                "gen",
+                "iot_swarm",
+                "--seed",
+                "18446744073709551615"
+            ])),
+            2
+        );
+    }
+
+    #[test]
+    fn usage_states_the_shared_limits() {
+        // The usage text spells out the limits the flags enforce; keep it
+        // in step with the constants the HTTP decoders share.
+        for range in [MAX_REDUNDANCY_RANGE, MAX_ITERS_RANGE] {
+            let stated = format!("{}..={}", range.start(), range.end());
+            assert!(USAGE.contains(&stated), "usage misses {stated}");
+        }
+        assert_eq!(MAX_SEED, 1 << 53, "usage states 0..=2^53");
+    }
+
+    #[test]
+    fn misplaced_flags_name_every_command_that_accepts_them() {
+        for cmdline in [
+            &["--max-redundancy", "3"][..],
+            &["table", "2", "--max-redundancy", "3"],
+        ] {
+            let err = parse(&args(cmdline)).unwrap_err();
+            assert!(
+                err.contains("`optimize`") && err.contains("`equilibrium`"),
+                "{cmdline:?}: {err}"
+            );
+        }
+        for &(flag, owners) in FLAG_OWNERS {
+            let mut cmdline = vec![flag];
+            match flag {
+                "--all" | "--bless" | "--profile" => {}
+                "--bounds" => cmdline.push("0.2,0.9"),
+                "--policy" => cmdline.push("all"),
+                _ => cmdline.push("1"),
+            }
+            let without_command = parse(&args(&cmdline)).unwrap_err();
+            cmdline.insert(0, "list");
+            let wrong_command = parse(&args(&cmdline)).unwrap_err();
+            for owner in owners {
+                let owner = format!("`{owner}`");
+                assert!(without_command.contains(&owner), "{without_command}");
+                assert!(wrong_command.contains(&owner), "{wrong_command}");
+            }
+        }
+    }
+
+    #[test]
+    fn eval_resolves_bundled_scenario_names_like_optimize() {
+        // The analyses share one `--scenario` resolution: a bundled name
+        // first, else a file path.
+        let dir = std::env::temp_dir().join(format!("redeval-cli-eval-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.to_str().unwrap();
+        let code = run(&args(&[
+            "eval",
+            "--scenario",
+            "paper_case_study",
+            "--format",
+            "json",
+            "--out",
+            out,
+        ]));
+        assert_eq!(code, 0);
+        let written = std::fs::read_to_string(dir.join("eval_paper_case_study.json")).unwrap();
+        let doc = builtin::paper_case_study();
+        let expected = reports::scenario::eval_report(&doc).unwrap().to_json();
+        assert_eq!(written, expected);
+        // An unknown name that is no file either is a validation failure.
+        assert_eq!(run(&args(&["eval", "--scenario", "no_such_scenario"])), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

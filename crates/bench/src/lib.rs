@@ -5,8 +5,9 @@
 //! function in [`reports`] returning a structured
 //! [`Report`](redeval::output::Report). The unified `redeval` binary
 //! ([`cli`]) dispatches over the report registry with `--format
-//! text|json|csv`; the per-artifact binaries under `src/bin/` are thin
-//! shims over the same functions. See `DESIGN.md` §6–§7 and the README's
+//! text|json|csv` (`redeval <name>` for any artifact); the `design_space`
+//! and `full_report` binaries render the same functions with a bound
+//! argument and as markdown. See `DESIGN.md` §6–§7 and the README's
 //! reproduction index.
 
 #![forbid(unsafe_code)]

@@ -2,9 +2,8 @@
 //! returning a structured [`Report`] (see `redeval::output`).
 //!
 //! These functions are the single source of every paper table, figure and
-//! extension study. The `redeval` CLI dispatches over [`REGISTRY`], the
-//! legacy per-artifact binaries are thin shims over the same functions,
-//! and the golden corpus under `tests/golden/` byte-pins each builder's
+//! extension study. The `redeval` CLI dispatches over [`REGISTRY`]
+//! (`redeval <name>` for each artifact), and the golden corpus under `tests/golden/` byte-pins each builder's
 //! canonical JSON. Every builder is **deterministic**: fixed simulation
 //! seeds, order-stable data structures, and results independent of thread
 //! count (DESIGN.md §5–§6) — a builder that records wall-clock times or

@@ -17,6 +17,13 @@
 //! are hand-rolled and individually pinned by tests (FIPS 180-4 vectors,
 //! bounded wire parsing, capacity-accounting suites).
 //!
+//! Every `POST` body goes through one request model (`request.rs`): one
+//! envelope decoder, one decoder per shared knob, each request type's
+//! canonical cache-key form, and the knob limits the `redeval` CLI flags
+//! share ([`MAX_REDUNDANCY_RANGE`], [`MAX_ITERS_RANGE`],
+//! [`MAX_GRID_AXIS`], [`MAX_SEED`]) — and one cached path in
+//! [`Service`].
+//!
 //! The crate deliberately does **not** know how reports are built:
 //! [`Endpoints`] injects the report producers, which
 //! `redeval-bench` wires to its report registry and the shared
@@ -55,6 +62,7 @@ pub mod disk;
 pub mod http;
 pub mod metrics;
 pub mod prometheus;
+mod request;
 pub mod server;
 pub mod service;
 pub mod sha256;
@@ -64,10 +72,14 @@ pub use disk::{DiskCache, DiskStats};
 pub use http::{read_request, HttpError, Limits, Request, Response};
 pub use metrics::{EndpointSnapshot, Histogram, ServiceMetrics};
 pub use prometheus::validate_exposition;
+pub use request::{
+    EquilibriumRequest, OptimizeRequest, SweepRequest, MAX_GRID_AXIS, MAX_ITERS_RANGE,
+    MAX_REDUNDANCY_RANGE, MAX_SEED,
+};
 pub use server::{Server, ServerHandle};
 pub use service::{
     error_response, eval_error_response, http_error_response, Endpoints, EquilibriumEndpoint,
-    EquilibriumRequest, EvalEndpoint, ListingEndpoint, OptimizeEndpoint, OptimizeRequest, Service,
-    ServiceConfig, SweepEndpoint, SweepRequest, CACHE_HEADER, MAX_GRID_AXIS, SERVE_SCHEMA,
+    EvalEndpoint, ListingEndpoint, OptimizeEndpoint, Service, ServiceConfig, SweepEndpoint,
+    CACHE_HEADER, SERVE_SCHEMA,
 };
 pub use sha256::{hex, sha256, Digest};

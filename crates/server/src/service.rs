@@ -1,46 +1,46 @@
-//! The evaluation service: routing, request decoding, the result cache
-//! and structured error bodies — everything between a parsed
-//! [`Request`] and a [`Response`], independent of any socket.
+//! The evaluation service: routing, the result cache and structured
+//! error bodies — everything between a parsed [`Request`] and a
+//! [`Response`], independent of any socket.
 //!
 //! The service does not know how reports are built: the report
 //! producers are **injected** as [`Endpoints`] closures (the `redeval`
 //! CLI wires them to its report registry and batch engine). What the
 //! service owns is the serving contract:
 //!
-//! * bodies are validated through [`ScenarioDoc::from_json`] /
-//!   [`ScenarioDoc::from_value`] — the same dotted-path validation the
-//!   CLI uses — and every rejection is a structured `Report` body with
-//!   `ok: false`, never an echo of raw request bytes;
-//! * successful `POST /v1/eval`, `POST /v1/sweep`, `POST /v1/optimize`
-//!   and `POST /v1/equilibrium` responses are memoized in a
-//!   content-addressed
-//!   [`ResultCache`]: the key is the
-//!   SHA-256 of [`cache_key_bytes`] over the request kind, the
-//!   canonicalized grid parameters and the **canonical** serialization
-//!   of the scenario document, so two textually different bodies naming
-//!   the same scenario share one entry, and a hit is byte-identical to a
-//!   recompute by construction;
+//! * bodies are decoded by the request model (`request.rs`) — the
+//!   same dotted-path validation the CLI uses — and every rejection is a
+//!   structured `Report` body with `ok: false`, never an echo of raw
+//!   request bytes;
+//! * every `POST` endpoint (`/v1/eval`, `/v1/sweep`, `/v1/optimize`,
+//!   `/v1/equilibrium`, `/v1/generate`) takes one cached path: decode,
+//!   SHA-256 key, memory then disk lookup, compute, remember. The key
+//!   hashes [`cache_key_bytes`](redeval::output::cache_key_bytes) over
+//!   the request kind, the canonicalized parameters and the
+//!   **canonical** serialization of the scenario document, so two
+//!   textually different bodies naming the same request share one
+//!   entry, and a hit is byte-identical to a recompute by construction;
 //! * `POST /v1/generate` runs the seeded scenario generators in-process
 //!   (no injection needed — generation is pure core code) and returns
-//!   the canonical document bytes, memoized under the clamped
-//!   parameters;
+//!   the canonical document bytes;
 //! * `GET /v1/stats` exposes the cache and request counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use redeval::decision::ScatterBounds;
-use redeval::output::{cache_key_bytes, Json, Report, Value};
-use redeval::scenario::generate::{self, Family, GenParams};
+use redeval::output::{Report, Value};
+use redeval::scenario::generate;
 use redeval::scenario::ScenarioDoc;
-use redeval::{EvalError, PatchPolicy, ScenarioError};
+use redeval::{EvalError, ScenarioError};
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::disk::{DiskCache, DiskStats};
 use crate::http::{HttpError, Limits, Request, Response};
 use crate::metrics::ServiceMetrics;
 use crate::prometheus;
-use crate::sha256::{sha256, Digest};
+use crate::request::{
+    EquilibriumRequest, GenerateRequest, OptimizeRequest, PostRequest, SweepRequest,
+};
+use crate::sha256::sha256;
 
 /// Identifies the serving schema (bumped on breaking endpoint changes).
 pub const SERVE_SCHEMA: &str = "redeval-serve/1";
@@ -50,61 +50,11 @@ pub const SERVE_SCHEMA: &str = "redeval-serve/1";
 /// (recomputed).
 pub const CACHE_HEADER: &str = "X-Redeval-Cache";
 
-/// Most entries accepted in a sweep request's grid-parameter arrays.
-pub const MAX_GRID_AXIS: usize = 32;
-
-/// A decoded `POST /v1/sweep` body: the embedded scenario document plus
-/// the optional grid axes layered over it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRequest {
-    /// The scenario document (fully validated).
-    pub doc: ScenarioDoc,
-    /// Patch-interval variants in days, applied to every tier.
-    pub patch_windows_days: Option<Vec<f64>>,
-    /// Patch policies overriding the document's list.
-    pub policies: Option<Vec<PatchPolicy>>,
-    /// Replaces the document's designs with the full design space
-    /// `1..=max_redundancy` per tier.
-    pub max_redundancy: Option<u32>,
-}
-
-/// A decoded `POST /v1/optimize` body: the embedded scenario document
-/// plus the pruned-search knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimizeRequest {
-    /// The scenario document (fully validated).
-    pub doc: ScenarioDoc,
-    /// Patch policies overriding the document's list.
-    pub policies: Option<Vec<PatchPolicy>>,
-    /// Per-tier count bound of the searched space (default
-    /// [`redeval::optimize::DEFAULT_MAX_REDUNDANCY`]).
-    pub max_redundancy: Option<u32>,
-    /// Administrator bounds (φ, ψ) selecting the satisfying region.
-    pub bounds: Option<ScatterBounds>,
-}
-
 /// A boxed `POST /v1/eval` report producer.
 pub type EvalEndpoint = Box<dyn Fn(&ScenarioDoc) -> Result<Report, EvalError> + Send + Sync>;
 
 /// A boxed `POST /v1/sweep` report producer.
 pub type SweepEndpoint = Box<dyn Fn(&SweepRequest) -> Result<Report, EvalError> + Send + Sync>;
-
-/// A decoded `POST /v1/equilibrium` body: the embedded scenario
-/// document plus the Gauss-Seidel iteration knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EquilibriumRequest {
-    /// The scenario document (fully validated).
-    pub doc: ScenarioDoc,
-    /// Patch policies overriding the document's list (the defender's
-    /// policy axis).
-    pub policies: Option<Vec<PatchPolicy>>,
-    /// Per-tier count bound of the defender's design space (default
-    /// [`redeval::optimize::DEFAULT_MAX_REDUNDANCY`]).
-    pub max_redundancy: Option<u32>,
-    /// Gauss-Seidel round cap (default
-    /// [`redeval::equilibrium::DEFAULT_MAX_ITERS`]).
-    pub max_iters: Option<u32>,
-}
 
 /// A boxed `POST /v1/optimize` report producer.
 pub type OptimizeEndpoint =
@@ -265,11 +215,36 @@ impl Service {
             ),
             ("GET", "/v1/stats") => ("stats", Response::json(200, self.stats_report().to_json())),
             ("GET", "/metrics") => ("metrics", self.metrics_response()),
-            ("POST", "/v1/eval") => ("eval", self.eval(req)),
-            ("POST", "/v1/sweep") => ("sweep", self.sweep(req)),
-            ("POST", "/v1/optimize") => ("optimize", self.optimize(req)),
-            ("POST", "/v1/equilibrium") => ("equilibrium", self.equilibrium(req)),
-            ("POST", "/v1/generate") => ("generate", self.generate(req)),
+            ("POST", "/v1/eval") => (
+                "eval",
+                self.post(&req.body, |doc: &ScenarioDoc| {
+                    (self.endpoints.eval)(doc).map(|r| r.to_json())
+                }),
+            ),
+            ("POST", "/v1/sweep") => (
+                "sweep",
+                self.post(&req.body, |r: &SweepRequest| {
+                    (self.endpoints.sweep)(r).map(|r| r.to_json())
+                }),
+            ),
+            ("POST", "/v1/optimize") => (
+                "optimize",
+                self.post(&req.body, |r: &OptimizeRequest| {
+                    (self.endpoints.optimize)(r).map(|r| r.to_json())
+                }),
+            ),
+            ("POST", "/v1/equilibrium") => (
+                "equilibrium",
+                self.post(&req.body, |r: &EquilibriumRequest| {
+                    (self.endpoints.equilibrium)(r).map(|r| r.to_json())
+                }),
+            ),
+            ("POST", "/v1/generate") => (
+                "generate",
+                self.post(&req.body, |r: &GenerateRequest| {
+                    Ok(generate::generate(r.family, &r.params, r.seed).to_json())
+                }),
+            ),
             (_, "/v1/eval") => ("eval", method_not_allowed("POST")),
             (_, "/v1/sweep") => ("sweep", method_not_allowed("POST")),
             (_, "/v1/optimize") => ("optimize", method_not_allowed("POST")),
@@ -298,29 +273,36 @@ impl Service {
         }
     }
 
-    /// Two-tier cache lookup: memory first, then disk. A disk hit is
-    /// promoted into the memory tier and reported as `disk` in the
-    /// [`CACHE_HEADER`]; either way the bytes are the exact stored
-    /// response.
-    fn cached(&self, key: &Digest) -> Option<(Vec<u8>, &'static str)> {
-        if let Some(bytes) = self.cache.get(key) {
-            return Some((bytes.to_vec(), "hit"));
+    /// The one cached `POST` path: decode → SHA-256 key → memory, then
+    /// disk lookup (a disk hit is promoted into memory) → compute →
+    /// remember in every tier. [`CACHE_HEADER`] reports which step
+    /// answered; rejections and failed computations are never cached.
+    fn post<R: PostRequest>(
+        &self,
+        body: &[u8],
+        compute: impl FnOnce(&R) -> Result<String, EvalError>,
+    ) -> Response {
+        let req = match R::decode(body) {
+            Ok(req) => req,
+            Err(rejection) => return *rejection,
+        };
+        let key = sha256(&req.cache_key());
+        if let Some(bytes) = self.cache.get(&key) {
+            return Response::json(200, bytes.to_vec()).with_header(CACHE_HEADER, "hit");
         }
+        if let Some(bytes) = self.disk.as_ref().and_then(|disk| disk.load(&key)) {
+            self.cache.insert(key, &bytes);
+            return Response::json(200, bytes).with_header(CACHE_HEADER, "disk");
+        }
+        let body = match compute(&req) {
+            Ok(json) => json.into_bytes(),
+            Err(e) => return eval_error_response(&e),
+        };
+        self.cache.insert(key, &body);
         if let Some(disk) = &self.disk {
-            if let Some(bytes) = disk.load(key) {
-                self.cache.insert(*key, &bytes);
-                return Some((bytes, "disk"));
-            }
+            disk.store(&key, &body);
         }
-        None
-    }
-
-    /// Stores a computed response in every cache tier.
-    fn remember(&self, key: Digest, body: &[u8]) {
-        self.cache.insert(key, body);
-        if let Some(disk) = &self.disk {
-            disk.store(&key, body);
-        }
+        Response::json(200, body).with_header(CACHE_HEADER, "miss")
     }
 
     /// The `GET /metrics` response: Prometheus text exposition over the
@@ -415,717 +397,12 @@ impl Service {
         r.table(table);
         r
     }
-
-    /// `POST /v1/eval`: body is a scenario document.
-    fn eval(&self, req: &Request) -> Response {
-        let doc = match decode_body_doc(&req.body) {
-            Ok(doc) => doc,
-            Err(resp) => return *resp,
-        };
-        let canonical = doc.to_json();
-        let key = sha256(&cache_key_bytes("eval", &Json::Null, &canonical));
-        if let Some((bytes, tier)) = self.cached(&key) {
-            return Response::json(200, bytes).with_header(CACHE_HEADER, tier);
-        }
-        match (self.endpoints.eval)(&doc) {
-            Ok(report) => self.respond_and_cache(key, report),
-            Err(e) => eval_error_response(&e),
-        }
-    }
-
-    /// `POST /v1/sweep`: body embeds the document plus grid parameters.
-    fn sweep(&self, req: &Request) -> Response {
-        let sweep_req = match decode_sweep_body(&req.body) {
-            Ok(r) => r,
-            Err(resp) => return *resp,
-        };
-        let canonical = sweep_req.doc.to_json();
-        let key = sha256(&cache_key_bytes(
-            "sweep",
-            &sweep_params_json(&sweep_req),
-            &canonical,
-        ));
-        if let Some((bytes, tier)) = self.cached(&key) {
-            return Response::json(200, bytes).with_header(CACHE_HEADER, tier);
-        }
-        match (self.endpoints.sweep)(&sweep_req) {
-            Ok(report) => self.respond_and_cache(key, report),
-            Err(e) => eval_error_response(&e),
-        }
-    }
-
-    /// `POST /v1/optimize`: body embeds the document plus the search
-    /// knobs; same clamp/reject discipline and content-addressed
-    /// caching as `/v1/sweep`.
-    fn optimize(&self, req: &Request) -> Response {
-        let opt_req = match decode_optimize_body(&req.body) {
-            Ok(r) => r,
-            Err(resp) => return *resp,
-        };
-        let canonical = opt_req.doc.to_json();
-        let key = sha256(&cache_key_bytes(
-            "optimize",
-            &optimize_params_json(&opt_req),
-            &canonical,
-        ));
-        if let Some((bytes, tier)) = self.cached(&key) {
-            return Response::json(200, bytes).with_header(CACHE_HEADER, tier);
-        }
-        match (self.endpoints.optimize)(&opt_req) {
-            Ok(report) => self.respond_and_cache(key, report),
-            Err(e) => eval_error_response(&e),
-        }
-    }
-
-    /// `POST /v1/equilibrium`: body embeds the document plus the
-    /// iteration knobs; same clamp/reject discipline and
-    /// content-addressed caching as `/v1/optimize`.
-    fn equilibrium(&self, req: &Request) -> Response {
-        let eq_req = match decode_equilibrium_body(&req.body) {
-            Ok(r) => r,
-            Err(resp) => return *resp,
-        };
-        let canonical = eq_req.doc.to_json();
-        let key = sha256(&cache_key_bytes(
-            "equilibrium",
-            &equilibrium_params_json(&eq_req),
-            &canonical,
-        ));
-        if let Some((bytes, tier)) = self.cached(&key) {
-            return Response::json(200, bytes).with_header(CACHE_HEADER, tier);
-        }
-        match (self.endpoints.equilibrium)(&eq_req) {
-            Ok(report) => self.respond_and_cache(key, report),
-            Err(e) => eval_error_response(&e),
-        }
-    }
-
-    /// `POST /v1/generate`: body names a generator family plus optional
-    /// knobs; the response is the canonical scenario document — the
-    /// same bytes `redeval gen` writes and the in-process generator
-    /// returns. Cached under the *clamped* parameters, so two requests
-    /// that resolve to the same document share one entry.
-    fn generate(&self, req: &Request) -> Response {
-        let (family, params, seed) = match decode_generate_body(&req.body) {
-            Ok(t) => t,
-            Err(resp) => return *resp,
-        };
-        let clamped = params.clamped(family);
-        let params_json = Json::Obj(vec![
-            ("family".to_string(), Json::Str(family.key().to_string())),
-            ("seed".to_string(), Json::Num(seed as f64)),
-            ("tiers".to_string(), Json::Num(f64::from(clamped.tiers))),
-            (
-                "redundancy".to_string(),
-                Json::Num(f64::from(clamped.redundancy)),
-            ),
-            ("designs".to_string(), Json::Num(f64::from(clamped.designs))),
-            (
-                "policies".to_string(),
-                Json::Num(f64::from(clamped.policies)),
-            ),
-        ]);
-        let key = sha256(&cache_key_bytes("generate", &params_json, ""));
-        if let Some((bytes, tier)) = self.cached(&key) {
-            return Response::json(200, bytes).with_header(CACHE_HEADER, tier);
-        }
-        let doc = generate::generate(family, &params, seed);
-        let body = doc.to_json().into_bytes();
-        self.remember(key, &body);
-        Response::json(200, body).with_header(CACHE_HEADER, "miss")
-    }
-
-    fn respond_and_cache(&self, key: Digest, report: Report) -> Response {
-        let body = report.to_json().into_bytes();
-        self.remember(key, &body);
-        Response::json(200, body).with_header(CACHE_HEADER, "miss")
-    }
 }
 
 /// `u64` counters as report integers (saturating far beyond any
 /// realistic uptime).
 fn int(x: u64) -> Value {
     Value::from(i64::try_from(x).unwrap_or(i64::MAX))
-}
-
-/// The canonical grid-parameter value hashed into a sweep cache key:
-/// every axis present (absent ⇒ `null`), floats canonical, policies in
-/// their `Display` form — so `"all"` and `"patch all"` share an entry.
-fn sweep_params_json(req: &SweepRequest) -> Json {
-    let days = match &req.patch_windows_days {
-        None => Json::Null,
-        Some(days) => Json::Arr(days.iter().map(|&d| Json::Num(d)).collect()),
-    };
-    let policies = match &req.policies {
-        None => Json::Null,
-        Some(ps) => Json::Arr(ps.iter().map(|p| Json::Str(p.to_string())).collect()),
-    };
-    let maxr = match req.max_redundancy {
-        None => Json::Null,
-        Some(m) => Json::Num(f64::from(m)),
-    };
-    Json::Obj(vec![
-        ("patch_windows_days".to_string(), days),
-        ("policies".to_string(), policies),
-        ("max_redundancy".to_string(), maxr),
-    ])
-}
-
-/// The canonical search-parameter value hashed into an optimize cache
-/// key: every knob present (absent ⇒ `null`), policies in `Display`
-/// form, bounds as a two-key object.
-fn optimize_params_json(req: &OptimizeRequest) -> Json {
-    let policies = match &req.policies {
-        None => Json::Null,
-        Some(ps) => Json::Arr(ps.iter().map(|p| Json::Str(p.to_string())).collect()),
-    };
-    let maxr = match req.max_redundancy {
-        None => Json::Null,
-        Some(m) => Json::Num(f64::from(m)),
-    };
-    let bounds = match &req.bounds {
-        None => Json::Null,
-        Some(b) => Json::Obj(vec![
-            ("max_asp".to_string(), Json::Num(b.max_asp)),
-            ("min_coa".to_string(), Json::Num(b.min_coa)),
-        ]),
-    };
-    Json::Obj(vec![
-        ("policies".to_string(), policies),
-        ("max_redundancy".to_string(), maxr),
-        ("bounds".to_string(), bounds),
-    ])
-}
-
-/// The canonical iteration-parameter value hashed into an equilibrium
-/// cache key: every knob present (absent ⇒ `null`), policies in
-/// `Display` form.
-fn equilibrium_params_json(req: &EquilibriumRequest) -> Json {
-    let policies = match &req.policies {
-        None => Json::Null,
-        Some(ps) => Json::Arr(ps.iter().map(|p| Json::Str(p.to_string())).collect()),
-    };
-    let maxr = match req.max_redundancy {
-        None => Json::Null,
-        Some(m) => Json::Num(f64::from(m)),
-    };
-    let iters = match req.max_iters {
-        None => Json::Null,
-        Some(m) => Json::Num(f64::from(m)),
-    };
-    Json::Obj(vec![
-        ("policies".to_string(), policies),
-        ("max_redundancy".to_string(), maxr),
-        ("max_iters".to_string(), iters),
-    ])
-}
-
-/// Decodes a `POST /v1/equilibrium` body:
-/// `{"scenario": <doc>, "policies"?, "max_redundancy"?, "max_iters"?}`.
-/// Unknown keys are rejected like everywhere else in the scenario
-/// schema.
-fn decode_equilibrium_body(body: &[u8]) -> Result<EquilibriumRequest, Box<Response>> {
-    let bad = |at: &str, message: String| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Invalid {
-                at: at.to_string(),
-                message,
-            },
-        )))
-    };
-    let text = std::str::from_utf8(body).map_err(|_| {
-        Box::new(error_response(
-            400,
-            "encoding",
-            vec![(
-                "message".into(),
-                Value::from("request body is not valid UTF-8"),
-            )],
-        ))
-    })?;
-    let root = redeval::output::parse_json(text).map_err(|e| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Json {
-                line: e.line,
-                col: e.col,
-                message: e.message,
-            },
-        )))
-    })?;
-    let entries = root
-        .as_obj()
-        .ok_or_else(|| bad("request", "expected an object".to_string()))?;
-    for (k, _) in entries {
-        if !matches!(
-            k.as_str(),
-            "scenario" | "policies" | "max_redundancy" | "max_iters"
-        ) {
-            return Err(bad(
-                "request",
-                format!("unknown key `{}`", redeval::output::snippet(k)),
-            ));
-        }
-    }
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let doc_value = field("scenario").ok_or_else(|| {
-        bad(
-            "request",
-            "missing key `scenario` (the embedded scenario document)".to_string(),
-        )
-    })?;
-    let doc = ScenarioDoc::from_value(doc_value).map_err(|e| Box::new(eval_error_response(&e)))?;
-
-    let policies = match field("policies") {
-        None => None,
-        Some(v) => {
-            let items = v
-                .as_arr()
-                .ok_or_else(|| bad("policies", "expected an array".to_string()))?;
-            if items.is_empty() || items.len() > MAX_GRID_AXIS {
-                return Err(bad(
-                    "policies",
-                    format!("expected 1..={MAX_GRID_AXIS} entries"),
-                ));
-            }
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let at = format!("policies[{i}]");
-                let s = item
-                    .as_str()
-                    .ok_or_else(|| bad(&at, "expected a policy string".to_string()))?;
-                let p: PatchPolicy = s.parse().map_err(|e| bad(&at, format!("{e}")))?;
-                out.push(p);
-            }
-            Some(out)
-        }
-    };
-    let max_redundancy = match field("max_redundancy") {
-        None => None,
-        Some(v) => {
-            let m = v
-                .as_f64()
-                .filter(|m| m.fract() == 0.0 && (1.0..=8.0).contains(m));
-            match m {
-                Some(m) => Some(m as u32),
-                None => {
-                    return Err(bad(
-                        "max_redundancy",
-                        "expected an integer in 1..=8".to_string(),
-                    ));
-                }
-            }
-        }
-    };
-    let max_iters = match field("max_iters") {
-        None => None,
-        Some(v) => {
-            let m = v
-                .as_f64()
-                .filter(|m| m.fract() == 0.0 && (1.0..=64.0).contains(m));
-            match m {
-                Some(m) => Some(m as u32),
-                None => {
-                    return Err(bad(
-                        "max_iters",
-                        "expected an integer in 1..=64".to_string(),
-                    ));
-                }
-            }
-        }
-    };
-    Ok(EquilibriumRequest {
-        doc,
-        policies,
-        max_redundancy,
-        max_iters,
-    })
-}
-
-/// Decodes a `POST /v1/optimize` body:
-/// `{"scenario": <doc>, "policies"?, "max_redundancy"?, "bounds"?}`
-/// with `bounds = {"max_asp": φ, "min_coa": ψ}`. Unknown keys are
-/// rejected like everywhere else in the scenario schema.
-fn decode_optimize_body(body: &[u8]) -> Result<OptimizeRequest, Box<Response>> {
-    let bad = |at: &str, message: String| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Invalid {
-                at: at.to_string(),
-                message,
-            },
-        )))
-    };
-    let text = std::str::from_utf8(body).map_err(|_| {
-        Box::new(error_response(
-            400,
-            "encoding",
-            vec![(
-                "message".into(),
-                Value::from("request body is not valid UTF-8"),
-            )],
-        ))
-    })?;
-    let root = redeval::output::parse_json(text).map_err(|e| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Json {
-                line: e.line,
-                col: e.col,
-                message: e.message,
-            },
-        )))
-    })?;
-    let entries = root
-        .as_obj()
-        .ok_or_else(|| bad("request", "expected an object".to_string()))?;
-    for (k, _) in entries {
-        if !matches!(
-            k.as_str(),
-            "scenario" | "policies" | "max_redundancy" | "bounds"
-        ) {
-            return Err(bad(
-                "request",
-                format!("unknown key `{}`", redeval::output::snippet(k)),
-            ));
-        }
-    }
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let doc_value = field("scenario").ok_or_else(|| {
-        bad(
-            "request",
-            "missing key `scenario` (the embedded scenario document)".to_string(),
-        )
-    })?;
-    let doc = ScenarioDoc::from_value(doc_value).map_err(|e| Box::new(eval_error_response(&e)))?;
-
-    let policies = match field("policies") {
-        None => None,
-        Some(v) => {
-            let items = v
-                .as_arr()
-                .ok_or_else(|| bad("policies", "expected an array".to_string()))?;
-            if items.is_empty() || items.len() > MAX_GRID_AXIS {
-                return Err(bad(
-                    "policies",
-                    format!("expected 1..={MAX_GRID_AXIS} entries"),
-                ));
-            }
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let at = format!("policies[{i}]");
-                let s = item
-                    .as_str()
-                    .ok_or_else(|| bad(&at, "expected a policy string".to_string()))?;
-                let p: PatchPolicy = s.parse().map_err(|e| bad(&at, format!("{e}")))?;
-                out.push(p);
-            }
-            Some(out)
-        }
-    };
-    let max_redundancy = match field("max_redundancy") {
-        None => None,
-        Some(v) => {
-            let m = v
-                .as_f64()
-                .filter(|m| m.fract() == 0.0 && (1.0..=8.0).contains(m));
-            match m {
-                Some(m) => Some(m as u32),
-                None => {
-                    return Err(bad(
-                        "max_redundancy",
-                        "expected an integer in 1..=8".to_string(),
-                    ));
-                }
-            }
-        }
-    };
-    let bounds = match field("bounds") {
-        None => None,
-        Some(v) => {
-            let obj = v.as_obj().ok_or_else(|| {
-                bad(
-                    "bounds",
-                    "expected an object {\"max_asp\": φ, \"min_coa\": ψ}".to_string(),
-                )
-            })?;
-            for (k, _) in obj {
-                if !matches!(k.as_str(), "max_asp" | "min_coa") {
-                    return Err(bad(
-                        "bounds",
-                        format!("unknown key `{}`", redeval::output::snippet(k)),
-                    ));
-                }
-            }
-            let num = |name: &'static str| -> Result<f64, Box<Response>> {
-                obj.iter()
-                    .find(|(k, _)| k == name)
-                    .and_then(|(_, v)| v.as_f64())
-                    .filter(|n| n.is_finite())
-                    .ok_or_else(|| {
-                        bad(
-                            &format!("bounds.{name}"),
-                            "expected a finite number".to_string(),
-                        )
-                    })
-            };
-            Some(ScatterBounds {
-                max_asp: num("max_asp")?,
-                min_coa: num("min_coa")?,
-            })
-        }
-    };
-    Ok(OptimizeRequest {
-        doc,
-        policies,
-        max_redundancy,
-        bounds,
-    })
-}
-
-/// Decodes a request body that *is* a scenario document.
-fn decode_body_doc(body: &[u8]) -> Result<ScenarioDoc, Box<Response>> {
-    let text = std::str::from_utf8(body).map_err(|_| {
-        Box::new(error_response(
-            400,
-            "encoding",
-            vec![(
-                "message".into(),
-                Value::from("request body is not valid UTF-8"),
-            )],
-        ))
-    })?;
-    ScenarioDoc::from_json(text).map_err(|e| Box::new(eval_error_response(&e)))
-}
-
-/// Decodes a `POST /v1/sweep` body:
-/// `{"scenario": <doc>, "patch_windows_days"?, "policies"?,
-/// "max_redundancy"?}`. Unknown keys are rejected like everywhere else
-/// in the scenario schema.
-fn decode_sweep_body(body: &[u8]) -> Result<SweepRequest, Box<Response>> {
-    let bad = |at: &str, message: String| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Invalid {
-                at: at.to_string(),
-                message,
-            },
-        )))
-    };
-    let text = std::str::from_utf8(body).map_err(|_| {
-        Box::new(error_response(
-            400,
-            "encoding",
-            vec![(
-                "message".into(),
-                Value::from("request body is not valid UTF-8"),
-            )],
-        ))
-    })?;
-    let root = redeval::output::parse_json(text).map_err(|e| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Json {
-                line: e.line,
-                col: e.col,
-                message: e.message,
-            },
-        )))
-    })?;
-    let entries = root
-        .as_obj()
-        .ok_or_else(|| bad("request", "expected an object".to_string()))?;
-    for (k, _) in entries {
-        if !matches!(
-            k.as_str(),
-            "scenario" | "patch_windows_days" | "policies" | "max_redundancy"
-        ) {
-            return Err(bad(
-                "request",
-                format!("unknown key `{}`", redeval::output::snippet(k)),
-            ));
-        }
-    }
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let doc_value = field("scenario").ok_or_else(|| {
-        bad(
-            "request",
-            "missing key `scenario` (the embedded scenario document)".to_string(),
-        )
-    })?;
-    let doc = ScenarioDoc::from_value(doc_value).map_err(|e| Box::new(eval_error_response(&e)))?;
-
-    let patch_windows_days = match field("patch_windows_days") {
-        None => None,
-        Some(v) => {
-            let items = v
-                .as_arr()
-                .ok_or_else(|| bad("patch_windows_days", "expected an array".to_string()))?;
-            if items.is_empty() || items.len() > MAX_GRID_AXIS {
-                return Err(bad(
-                    "patch_windows_days",
-                    format!("expected 1..={MAX_GRID_AXIS} entries"),
-                ));
-            }
-            let mut days = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let d = item.as_f64().filter(|d| d.is_finite() && *d > 0.0);
-                match d {
-                    Some(d) => days.push(d),
-                    None => {
-                        return Err(bad(
-                            &format!("patch_windows_days[{i}]"),
-                            "expected a positive number of days".to_string(),
-                        ));
-                    }
-                }
-            }
-            Some(days)
-        }
-    };
-    let policies = match field("policies") {
-        None => None,
-        Some(v) => {
-            let items = v
-                .as_arr()
-                .ok_or_else(|| bad("policies", "expected an array".to_string()))?;
-            if items.is_empty() || items.len() > MAX_GRID_AXIS {
-                return Err(bad(
-                    "policies",
-                    format!("expected 1..={MAX_GRID_AXIS} entries"),
-                ));
-            }
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let at = format!("policies[{i}]");
-                let s = item
-                    .as_str()
-                    .ok_or_else(|| bad(&at, "expected a policy string".to_string()))?;
-                let p: PatchPolicy = s.parse().map_err(|e| bad(&at, format!("{e}")))?;
-                out.push(p);
-            }
-            Some(out)
-        }
-    };
-    let max_redundancy = match field("max_redundancy") {
-        None => None,
-        Some(v) => {
-            let m = v
-                .as_f64()
-                .filter(|m| m.fract() == 0.0 && (1.0..=8.0).contains(m));
-            match m {
-                Some(m) => Some(m as u32),
-                None => {
-                    return Err(bad(
-                        "max_redundancy",
-                        "expected an integer in 1..=8".to_string(),
-                    ));
-                }
-            }
-        }
-    };
-    Ok(SweepRequest {
-        doc,
-        patch_windows_days,
-        policies,
-        max_redundancy,
-    })
-}
-
-/// Decodes a `POST /v1/generate` body:
-/// `{"family": <str>, "seed"?, "tiers"?, "redundancy"?, "designs"?,
-/// "policies"?}`. Knob values must be non-negative integers; they are
-/// clamped to the family's documented ranges downstream rather than
-/// rejected, matching the CLI and the in-process API.
-fn decode_generate_body(body: &[u8]) -> Result<(Family, GenParams, u64), Box<Response>> {
-    let bad = |at: &str, message: String| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Invalid {
-                at: at.to_string(),
-                message,
-            },
-        )))
-    };
-    let text = std::str::from_utf8(body).map_err(|_| {
-        Box::new(error_response(
-            400,
-            "encoding",
-            vec![(
-                "message".into(),
-                Value::from("request body is not valid UTF-8"),
-            )],
-        ))
-    })?;
-    let root = redeval::output::parse_json(text).map_err(|e| {
-        Box::new(eval_error_response(&EvalError::Scenario(
-            ScenarioError::Json {
-                line: e.line,
-                col: e.col,
-                message: e.message,
-            },
-        )))
-    })?;
-    let entries = root
-        .as_obj()
-        .ok_or_else(|| bad("request", "expected an object".to_string()))?;
-    for (k, _) in entries {
-        if !matches!(
-            k.as_str(),
-            "family" | "seed" | "tiers" | "redundancy" | "designs" | "policies"
-        ) {
-            return Err(bad(
-                "request",
-                format!("unknown key `{}`", redeval::output::snippet(k)),
-            ));
-        }
-    }
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let family_value = field("family").ok_or_else(|| {
-        bad(
-            "family",
-            "missing key `family` (one of ecommerce_fleet, iot_swarm, microservice_mesh)"
-                .to_string(),
-        )
-    })?;
-    let family_str = family_value
-        .as_str()
-        .ok_or_else(|| bad("family", "expected a family name string".to_string()))?;
-    let family = Family::parse(family_str).ok_or_else(|| {
-        bad(
-            "family",
-            format!(
-                "unknown family `{}` (one of ecommerce_fleet, iot_swarm, microservice_mesh)",
-                redeval::output::snippet(family_str)
-            ),
-        )
-    })?;
-    // Largest f64-exact integer: seeds round-trip through JSON losslessly.
-    const MAX_SEED: f64 = 9_007_199_254_740_992.0; // 2^53
-    let uint = |name: &'static str, max: f64| -> Result<Option<u64>, Box<Response>> {
-        match field(name) {
-            None => Ok(None),
-            Some(v) => match v
-                .as_f64()
-                .filter(|n| n.fract() == 0.0 && (0.0..=max).contains(n))
-            {
-                Some(n) => Ok(Some(n as u64)),
-                None => Err(bad(
-                    name,
-                    format!("expected a non-negative integer (at most {max:.0})"),
-                )),
-            },
-        }
-    };
-    let seed = uint("seed", MAX_SEED)?.unwrap_or(0);
-    let defaults = GenParams::default();
-    let knob = |value: Option<u64>, default: u32| {
-        value.map_or(default, |n| u32::try_from(n).unwrap_or(u32::MAX))
-    };
-    let params = GenParams {
-        tiers: knob(uint("tiers", f64::from(u32::MAX))?, defaults.tiers),
-        redundancy: knob(
-            uint("redundancy", f64::from(u32::MAX))?,
-            defaults.redundancy,
-        ),
-        designs: knob(uint("designs", f64::from(u32::MAX))?, defaults.designs),
-        policies: knob(uint("policies", f64::from(u32::MAX))?, defaults.policies),
-    };
-    Ok((family, params, seed))
 }
 
 /// A structured error body: a `Report` named `error` with `ok: false`
@@ -1213,6 +490,7 @@ pub fn http_error_response(e: &HttpError) -> Option<Response> {
 mod tests {
     use super::*;
     use redeval::scenario::builtin;
+    use redeval::scenario::generate::{Family, GenParams};
 
     /// Cheap deterministic endpoints: no SRN solves, but real documents
     /// and real cache behaviour.

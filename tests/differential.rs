@@ -179,7 +179,9 @@ fn generator_front_doors_emit_identical_bytes() {
     let svc = serve::service(1, 1 << 20);
     let dir = scratch_dir("gen");
     for family in generate::FAMILIES {
-        for seed in [0u64, 7, 41] {
+        // 2^53 is the largest seed both the CLI and `POST /v1/generate`
+        // accept (`redeval_server::MAX_SEED`).
+        for seed in [0u64, 7, 41, 1 << 53] {
             let params = corpus_params(family, seed);
             let doc = generate::generate(family, &params, seed);
             let api_bytes = doc.to_json();
