@@ -2,14 +2,24 @@
 //! the paper's decision functions. Thin shim over
 //! `redeval_bench::reports::studies::design_space`, parameterized by the
 //! per-tier redundancy bound (equivalently: `redeval design-space` for
-//! the default bound of 3).
+//! the default bound of 3). The bound takes the range of the `redeval`
+//! `--max-redundancy` flag; a malformed or out-of-range bound exits 2.
 //!
 //! Usage: `design_space [max_redundancy]`
 
+use redeval_bench::cli;
 use redeval_bench::reports::studies;
-use redeval_bench::{arg_or, cli};
+use redeval_server::MAX_REDUNDANCY_RANGE;
 
 fn main() {
-    let max_redundancy: u32 = arg_or(1, 3);
-    std::process::exit(cli::print_report(&studies::design_space(max_redundancy)));
+    let bound = std::env::args().nth(1).map_or(Ok(3), |arg| {
+        cli::in_range("max_redundancy", &arg, MAX_REDUNDANCY_RANGE)
+    });
+    std::process::exit(match bound {
+        Ok(max_redundancy) => cli::print_report(&studies::design_space(max_redundancy)),
+        Err(msg) => {
+            eprintln!("error: {msg}\nusage: design_space [max_redundancy]");
+            2
+        }
+    });
 }

@@ -364,7 +364,12 @@ fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
 
 /// Parses a flag's numeric value and checks it against its limit (the
 /// same constant the HTTP decoders apply).
-fn in_range<T: FromStr + PartialOrd + Display>(
+///
+/// # Errors
+///
+/// A usage message naming `flag` when `value` is not a number or lies
+/// outside `range`.
+pub fn in_range<T: FromStr + PartialOrd + Display>(
     flag: &str,
     value: &str,
     range: RangeInclusive<T>,

@@ -13,8 +13,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use redeval::{DesignEvaluation, PatchPolicy};
-
 pub mod cli;
 pub mod reports;
 pub mod serve;
@@ -30,78 +28,3 @@ pub const PATCH_WINDOWS_DAYS: [f64; 8] = [3.5, 7.0, 14.0, 30.0, 60.0, 90.0, 180.
 /// Per-tier counts of the paper's case-study network (Figure 2):
 /// 1 DNS + 2 WEB + 2 APP + 1 DB.
 pub const CASE_STUDY_COUNTS: [u32; 4] = [1, 2, 2, 1];
-
-/// The standard policy axis of the big sweeps: unpatched, the full
-/// CVSS-threshold grid of [`CVSS_THRESHOLDS`], and patch-everything.
-pub fn threshold_policies() -> Vec<PatchPolicy> {
-    let mut out = vec![PatchPolicy::None];
-    out.extend(
-        CVSS_THRESHOLDS
-            .iter()
-            .map(|&t| PatchPolicy::CriticalOnly(t)),
-    );
-    out.push(PatchPolicy::All);
-    out
-}
-
-/// Parses positional CLI argument `n` (1-based), falling back to
-/// `default` when absent or unparsable.
-pub fn arg_or<T: std::str::FromStr>(n: usize, default: T) -> T {
-    std::env::args()
-        .nth(n)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Prints a section header (used by the perf harnesses).
-pub fn header(title: &str) {
-    println!();
-    println!("==== {title} ====");
-    println!();
-}
-
-/// Prints a paper-vs-measured comparison line (perf-harness path; the
-/// structured reports use `reports::compare_row` instead).
-pub fn compare(label: &str, paper: f64, ours: f64) {
-    let rel = if paper != 0.0 {
-        format!("{:+.3}%", (ours - paper) / paper * 100.0)
-    } else {
-        String::from("n/a")
-    };
-    println!("{label:<44} paper {paper:>10.5}   ours {ours:>10.5}   Δ {rel}");
-}
-
-/// Formats a design-evaluation row used by the perf harnesses.
-pub fn design_row(e: &DesignEvaluation) -> String {
-    format!(
-        "{:<32} ASP {:>7.4}  AIM {:>5.1}  NoEV {:>2}  NoAP {:>2}  NoEP {:>2}  COA {:>8.5}",
-        e.name,
-        e.after.attack_success_probability,
-        e.after.attack_impact,
-        e.after.exploitable_vulnerabilities,
-        e.after.attack_paths,
-        e.after.entry_points,
-        e.coa
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use redeval::PatchPolicy;
-
-    #[test]
-    fn smoke() {
-        super::header("x");
-        super::compare("y", 1.0, 1.001);
-        super::compare("z", 0.0, 0.5);
-    }
-
-    #[test]
-    fn policy_axis_brackets_the_threshold_grid() {
-        let p = super::threshold_policies();
-        assert_eq!(p.len(), super::CVSS_THRESHOLDS.len() + 2);
-        assert_eq!(p[0], PatchPolicy::None);
-        assert_eq!(p[p.len() - 1], PatchPolicy::All);
-        assert_eq!(p[3], PatchPolicy::CriticalOnly(8.0));
-    }
-}

@@ -647,26 +647,29 @@ mod tests {
     #[test]
     fn converges_on_the_case_study_to_a_mutual_best_response() {
         let doc = builtin::paper_case_study();
-        let analyzer = EquilibriumAnalyzer::from_scenario(&doc)
-            .unwrap()
-            .max_redundancy(2);
-        let outcome = analyzer.run().unwrap();
-        assert!(outcome.converged);
-        assert!(!outcome.cycle_detected);
-        assert!(outcome.iterations >= 1);
+        for r in [2u32, 4] {
+            let analyzer = EquilibriumAnalyzer::from_scenario(&doc)
+                .unwrap()
+                .max_redundancy(r);
+            let outcome = analyzer.run().unwrap();
+            assert!(outcome.converged, "r = {r}");
+            assert!(!outcome.cycle_detected, "r = {r}");
+            assert!(outcome.iterations >= 1);
 
-        // Brute force: the defender cannot improve against the final mask…
-        let (best_eval, best_policy) =
-            exhaustive_defender_response(&analyzer, &outcome.attacker_mask).unwrap();
-        assert_eq!(best_eval, outcome.defender);
-        assert_eq!(best_policy, outcome.policy_idx);
-        // …and no attacker mask beats the final one (exhaustively).
-        let a = analyzer
-            .attacker_response_exhaustive(&outcome.defender.counts, outcome.policy_idx)
-            .unwrap();
-        assert_eq!(a.mask, outcome.attacker_mask);
-        assert_eq!(a.asp.to_bits(), outcome.attacker_asp.to_bits());
-        assert_eq!(a.aim.to_bits(), outcome.attacker_aim.to_bits());
+            // Brute force: the defender cannot improve against the final
+            // mask…
+            let (best_eval, best_policy) =
+                exhaustive_defender_response(&analyzer, &outcome.attacker_mask).unwrap();
+            assert_eq!(best_eval, outcome.defender, "r = {r}");
+            assert_eq!(best_policy, outcome.policy_idx, "r = {r}");
+            // …and no attacker mask beats the final one (exhaustively).
+            let a = analyzer
+                .attacker_response_exhaustive(&outcome.defender.counts, outcome.policy_idx)
+                .unwrap();
+            assert_eq!(a.mask, outcome.attacker_mask, "r = {r}");
+            assert_eq!(a.asp.to_bits(), outcome.attacker_asp.to_bits());
+            assert_eq!(a.aim.to_bits(), outcome.attacker_aim.to_bits());
+        }
     }
 
     #[test]
@@ -728,6 +731,43 @@ mod tests {
                 assert_eq!(pruned.evaluated + pruned.pruned, full.evaluated);
             }
         }
+    }
+
+    #[test]
+    fn pruned_attacker_response_equals_exhaustive_on_a_wide_entry_fleet() {
+        use crate::scenario::generate::{generate, Family, GenParams};
+        let params = GenParams {
+            tiers: 8,
+            redundancy: 3,
+            designs: 1,
+            policies: 1,
+        };
+        let doc = generate(Family::IotSwarm, &params, 0);
+        let analyzer = EquilibriumAnalyzer::from_scenario(&doc).unwrap();
+        // Five entry tiers: a space where the union-bound prune has real
+        // work to skip.
+        assert_eq!(analyzer.attacker_space_masks(), 31);
+        let tiers = analyzer.spec.tiers().len();
+        let mixed: Vec<u32> = (0..tiers).map(|i| [1, 2, 3][i % 3]).collect();
+        let mut pruned_any = false;
+        for counts in [vec![1; tiers], vec![3; tiers], mixed] {
+            for policy_idx in 0..analyzer.policies.len() {
+                let pruned = analyzer.attacker_response(&counts, policy_idx).unwrap();
+                let full = analyzer
+                    .attacker_response_exhaustive(&counts, policy_idx)
+                    .unwrap();
+                let context = format!("counts {counts:?}, policy {policy_idx}");
+                assert_eq!(pruned.mask, full.mask, "{context}");
+                assert_eq!(pruned.asp.to_bits(), full.asp.to_bits(), "{context}");
+                assert_eq!(pruned.aim.to_bits(), full.aim.to_bits(), "{context}");
+                assert_eq!(pruned.evaluated + pruned.pruned, full.evaluated);
+                pruned_any |= pruned.pruned > 0;
+            }
+        }
+        assert!(
+            pruned_any,
+            "the prune never fired; the comparison is vacuous"
+        );
     }
 
     #[test]

@@ -577,22 +577,25 @@ mod tests {
 
     #[test]
     fn matches_exhaustive_frontier_on_the_case_study() {
+        // r = 8 is the top of the front doors' `max_redundancy` range.
         let doc = builtin::paper_case_study();
-        let opt = Optimizer::from_scenario(&doc).unwrap().max_redundancy(3);
-        let outcome = opt.run().unwrap();
-        let exhaustive = exhaustive_frontier(&opt).unwrap();
-        assert_eq!(outcome.frontier.len(), exhaustive.len());
-        for (a, b) in outcome.frontier.iter().zip(&exhaustive) {
-            assert_eq!(a, b);
-            assert_eq!(a.coa.to_bits(), b.coa.to_bits());
-            assert_eq!(
-                a.after.attack_success_probability.to_bits(),
-                b.after.attack_success_probability.to_bits()
-            );
+        for r in [3u32, 8] {
+            let opt = Optimizer::from_scenario(&doc).unwrap().max_redundancy(r);
+            let outcome = opt.run().unwrap();
+            let exhaustive = exhaustive_frontier(&opt).unwrap();
+            assert_eq!(outcome.frontier.len(), exhaustive.len(), "r = {r}");
+            for (a, b) in outcome.frontier.iter().zip(&exhaustive) {
+                assert_eq!(a, b, "r = {r}");
+                assert_eq!(a.coa.to_bits(), b.coa.to_bits());
+                assert_eq!(
+                    a.after.attack_success_probability.to_bits(),
+                    b.after.attack_success_probability.to_bits()
+                );
+            }
+            // The search never pays for the whole grid.
+            assert!(outcome.evaluated_designs as f64 <= outcome.space_designs);
+            assert_eq!(outcome.space_designs, f64::from(r).powi(4)); // r^4 designs
         }
-        // The search never pays for the whole grid.
-        assert!(outcome.evaluated_designs as f64 <= outcome.space_designs);
-        assert_eq!(outcome.space_designs, 81.0); // 3^4 designs
     }
 
     #[test]

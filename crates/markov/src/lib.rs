@@ -5,7 +5,7 @@
 //! being reproduced. It provides:
 //!
 //! * [`Ctmc`] — a sparse continuous-time Markov chain with
-//!   steady-state solvers (GTH elimination, Gauss–Seidel, power iteration),
+//!   steady-state solvers (GTH elimination, Gauss–Seidel),
 //!   transient analysis by uniformization, reward evaluation and
 //!   mean-time-to-absorption;
 //! * [`Dtmc`] — discrete-time chains (steady state, absorption);

@@ -3,13 +3,11 @@
 //! The entry point is [`steady_state`], which takes the *off-diagonal* rate
 //! matrix. It first isolates the single closed communicating class (the
 //! recurrent states); unreachable/transient states receive probability zero.
-//! The restricted system is then solved by one of three methods:
+//! The restricted system is then solved by one of two methods:
 //!
 //! * **GTH** (Grassmann–Taksar–Heyman) — direct elimination without
 //!   subtractions; numerically the most robust, `O(m³)`.
 //! * **Gauss–Seidel** — sparse iterative sweeps, good for large chains.
-//! * **Power** — power iteration on the uniformized DTMC; slow but simple,
-//!   kept mostly as an independent cross-check.
 
 use crate::matrix::{Csr, Dense};
 use crate::SolveError;
@@ -23,8 +21,6 @@ pub enum SteadyStateMethod {
     Gth,
     /// Gauss–Seidel iteration.
     GaussSeidel,
-    /// Power iteration on the uniformized chain.
-    Power,
 }
 
 /// Options controlling the steady-state solve.
@@ -32,9 +28,9 @@ pub enum SteadyStateMethod {
 pub struct SteadyStateOptions {
     /// Algorithm selection.
     pub method: SteadyStateMethod,
-    /// Convergence tolerance for the iterative methods (max-norm of `πQ`).
+    /// Convergence tolerance for Gauss–Seidel (max-norm of `πQ`).
     pub tolerance: f64,
-    /// Iteration budget for the iterative methods.
+    /// Iteration budget for Gauss–Seidel.
     pub max_iterations: usize,
     /// Chain size above which `Auto` switches from GTH to Gauss–Seidel.
     pub dense_threshold: usize,
@@ -81,8 +77,7 @@ pub struct SolveStats {
 /// * [`SolveError::Empty`] for a 0-state matrix;
 /// * [`SolveError::Reducible`] when more than one closed communicating
 ///   class exists;
-/// * [`SolveError::NoConvergence`] when an iterative method exhausts its
-///   budget.
+/// * [`SolveError::NoConvergence`] when Gauss–Seidel exhausts its budget.
 pub fn steady_state(rates: &Csr, options: &SteadyStateOptions) -> Result<Vec<f64>, SolveError> {
     steady_state_with_stats(rates, options).map(|(pi, _)| pi)
 }
@@ -148,7 +143,6 @@ pub fn steady_state_with_stats(
     let (sol, iterations, resid) = match method {
         SteadyStateMethod::Gth => gth(&sub),
         SteadyStateMethod::GaussSeidel => gauss_seidel(&sub, options),
-        SteadyStateMethod::Power => power(&sub, options),
         SteadyStateMethod::Auto => unreachable!("resolved above"),
     }?;
     for (k, &s) in class.iter().enumerate() {
@@ -350,53 +344,6 @@ fn gauss_seidel(
     unreachable!("loop always returns")
 }
 
-/// Power iteration on the uniformized DTMC `P = I + Q/Λ`, returning
-/// `(pi, steps, residual)`.
-fn power(rates: &Csr, options: &SteadyStateOptions) -> Result<(Vec<f64>, usize, f64), SolveError> {
-    let n = rates.rows();
-    let exit: Vec<f64> = (0..n)
-        .map(|i| rates.row(i).iter().map(|e| e.value).sum())
-        .collect();
-    let lambda = exit.iter().cloned().fold(0.0, f64::max) * 1.05;
-    if lambda <= 0.0 {
-        return Err(SolveError::Singular);
-    }
-    let mut pi = vec![1.0 / n as f64; n];
-    for it in 0..options.max_iterations {
-        let mut next = vec![0.0; n];
-        for i in 0..n {
-            let stay = 1.0 - exit[i] / lambda;
-            next[i] += pi[i] * stay;
-            for e in rates.row(i) {
-                if e.index != i {
-                    next[e.index] += pi[i] * e.value / lambda;
-                }
-            }
-        }
-        normalize(&mut next);
-        let diff = pi
-            .iter()
-            .zip(next.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        pi = next;
-        // The per-step displacement scales as residual/Λ; compare in rate units.
-        if diff * lambda < options.tolerance * lambda.max(1.0) {
-            let resid = residual(rates, &exit, &pi);
-            if resid < (options.tolerance * lambda.max(1.0)).max(1e-10) {
-                return Ok((pi, it + 1, resid));
-            }
-        }
-        if it == options.max_iterations - 1 {
-            return Err(SolveError::NoConvergence {
-                iterations: options.max_iterations,
-                residual: residual(rates, &exit, &pi),
-            });
-        }
-    }
-    unreachable!("loop always returns")
-}
-
 fn residual(rates: &Csr, exit: &[f64], pi: &[f64]) -> f64 {
     let n = rates.rows();
     let mut worst = 0.0f64;
@@ -463,17 +410,10 @@ mod tests {
             method: SteadyStateMethod::GaussSeidel,
             ..Default::default()
         };
-        let opts_pow = SteadyStateOptions {
-            method: SteadyStateMethod::Power,
-            tolerance: 1e-12,
-            ..Default::default()
-        };
         let a = steady_state(&r, &opts_gth).unwrap();
         let b = steady_state(&r, &opts_gs).unwrap();
-        let c = steady_state(&r, &opts_pow).unwrap();
         for i in 0..6 {
             assert!((a[i] - b[i]).abs() < 1e-9, "gth vs gs at {i}");
-            assert!((a[i] - c[i]).abs() < 1e-8, "gth vs power at {i}");
         }
     }
 

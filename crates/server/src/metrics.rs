@@ -9,9 +9,9 @@
 //! two of the true order statistic. That is deliberate: the histogram
 //! is a fixed-size array of relaxed atomics — recording is a handful of
 //! `fetch_add`s with no lock and no allocation, cheap enough to sit on
-//! the hot path of every request. The *exact* percentiles published in
-//! BENCH_serve.json come from the benchmark client, which keeps every
-//! sample; the histogram serves live observability.
+//! the hot path of every request. The *exact* percentiles come from the
+//! repository benchmark's client (`perfbench`, `serve_mixed`), which
+//! keeps every sample; the histogram serves live observability.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -1,10 +1,25 @@
-//! Deterministic byte-level fuzzing of the `POST` request decoders —
-//! the `fuzz_scenario.rs` discipline (splitmix64, fixed seeds, no
-//! wall-clock) applied to request bodies.
+//! Deterministic byte-level fuzzing of the request path — the
+//! `fuzz_scenario.rs` discipline (splitmix64, fixed seeds, no
+//! wall-clock) applied to the HTTP wire parser and the `POST` body
+//! decoders.
 //!
-//! Valid bodies of all five `POST` endpoints, with every optional knob
-//! present, are byte-mutated and sent through [`Service::handle`] over
-//! stub endpoints. The contract under test:
+//! **Wire parser.** Valid raw requests — a `GET`, a `Content-Length`
+//! `POST`, a chunked `POST` with trailers and an HTTP/1.0 request — are
+//! byte-mutated, alone and pipelined in one buffer, and read by
+//! [`read_request`] under the default and a tight [`Limits`]. The
+//! contract under test:
+//!
+//! * nothing panics;
+//! * an accepted request holds at most `max_body` body bytes and
+//!   `max_headers` headers;
+//! * every error maps to 400, 411, 413 or 431, except a mid-message
+//!   disconnect (`Truncated`), which has no status;
+//! * a pipelined buffer is exhausted within one call per byte plus one;
+//! * over the run, every [`HttpError`] variant but `Io` occurs.
+//!
+//! **Body decoders.** Valid bodies of all five `POST` endpoints, with
+//! every optional knob present, are byte-mutated and sent through
+//! [`Service::handle`] over stub endpoints. The contract under test:
 //!
 //! * nothing panics;
 //! * every response is a `200` or a 4xx `Report` with `ok: false` and a
@@ -13,13 +28,16 @@
 //!   more than [`SNIPPET_MAX`] consecutive marker bytes — rejections
 //!   quote request bytes only through `output::snippet`.
 //!
-//! A failure reproduces from the (endpoint, round) pair in its message.
+//! A failure reproduces from the (seed, round) or (endpoint, round) pair
+//! in its message.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use redeval::output::{parse_json, Json, Report, SNIPPET_MAX};
 use redeval::scenario::generate::{self, Family, GenParams};
-use redeval_server::{Endpoints, Request, Response, Service, ServiceConfig};
+use redeval_server::{
+    read_request, Endpoints, HttpError, Limits, Request, Response, Service, ServiceConfig,
+};
 
 /// splitmix64 — same recurrence the generators use.
 struct Rng(u64);
@@ -77,6 +95,140 @@ fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
             let chunk: Vec<u8> = bytes[src..src + len].to_vec();
             bytes[dst..dst + len].copy_from_slice(&chunk);
         }
+    }
+}
+
+/// Valid raw requests, one per framing: a `GET` with a query string, a
+/// `Content-Length` `POST`, a chunked `POST` with a chunk extension and
+/// trailers, and an HTTP/1.0 request with a long header line. Under
+/// [`tight_limits`] the first has one header too many, the two `POST`s
+/// carry too many body bytes (one per framing) and the last has one line
+/// too long.
+fn wire_templates() -> [Vec<u8>; 4] {
+    let body = "{\"name\": \"fuzzed\"}";
+    [
+        b"GET /v1/stats?verbose=1 HTTP/1.1\r\nHost: fuzz:7878\r\nAccept: */*\r\n\
+          User-Agent: fuzz\r\nX-Request: 1\r\n\r\n"
+            .to_vec(),
+        format!(
+            "POST /v1/eval HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {}\r\n\
+             Connection: keep-alive\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes(),
+        b"POST /v1/sweep HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+          7;ext=1\r\n{\"a\": 1\r\n9\r\n, \"b\": 2}\r\n0\r\nX-Trailer: t\r\n\r\n"
+            .to_vec(),
+        b"GET /healthz HTTP/1.0\r\nConnection: close\r\n\
+          X-Padding: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n\r\n"
+            .to_vec(),
+    ]
+}
+
+/// Limits the templates brush against (see [`wire_templates`]).
+fn tight_limits() -> Limits {
+    Limits {
+        max_head_line: 48,
+        max_headers: 3,
+        max_body: 12,
+    }
+}
+
+/// Reads requests off `wire` until the stream ends or a read fails,
+/// checking every outcome against the contract and recording each error.
+fn read_all(wire: &[u8], limits: &Limits, context: &str, seen: &mut Vec<HttpError>) {
+    let mut reader = wire;
+    for _ in 0..=wire.len() {
+        let outcome = catch_unwind(AssertUnwindSafe(|| read_request(&mut reader, limits)))
+            .unwrap_or_else(|_| panic!("{context}: read_request panicked"));
+        match outcome {
+            Ok(None) => return,
+            Ok(Some(r)) => {
+                assert!(
+                    r.body.len() <= limits.max_body,
+                    "{context}: body over limit"
+                );
+                assert!(
+                    r.headers.len() <= limits.max_headers,
+                    "{context}: headers over limit"
+                );
+            }
+            Err(e) => {
+                let status = e.status();
+                let mapped = match status {
+                    None => e == HttpError::Truncated,
+                    Some(code) => [400, 411, 413, 431].contains(&code),
+                };
+                assert!(mapped, "{context}: {e:?} maps to status {status:?}");
+                if !seen.contains(&e) {
+                    seen.push(e);
+                }
+                return;
+            }
+        }
+    }
+    panic!(
+        "{context}: {} reads did not exhaust {} bytes",
+        wire.len() + 1,
+        wire.len()
+    );
+}
+
+#[test]
+fn mutated_wire_requests_never_panic_and_fail_with_a_mapped_status() {
+    const SEED: u64 = 0x5EED_2000;
+    const ROUNDS: u64 = 500;
+    let templates = wire_templates();
+    for template in &templates {
+        let request = read_request(&mut template.as_slice(), &Limits::default());
+        assert!(
+            matches!(request, Ok(Some(_))),
+            "template rejected: {request:?}"
+        );
+    }
+    let limits = [Limits::default(), tight_limits()];
+    let mut seen: Vec<HttpError> = Vec::new();
+    for round in 0..ROUNDS {
+        let mut rng = Rng(SEED + round);
+        let context = format!("seed {SEED:#x}, round {round}");
+        let mut pipeline: Vec<u8> = Vec::new();
+        for template in &templates {
+            let mut bytes = template.clone();
+            for _ in 0..=rng.below(4) {
+                mutate(&mut bytes, &mut rng);
+            }
+            for limits in &limits {
+                read_all(&bytes, limits, &context, &mut seen);
+            }
+            pipeline.extend_from_slice(template);
+        }
+        for _ in 0..=rng.below(4) {
+            mutate(&mut pipeline, &mut rng);
+        }
+        for limits in &limits {
+            read_all(
+                &pipeline,
+                limits,
+                &format!("{context} (pipelined)"),
+                &mut seen,
+            );
+        }
+    }
+    // The mutator reaches every rejection the parser has.
+    for variant in [
+        HttpError::Truncated,
+        HttpError::HeadTooLarge,
+        HttpError::TooManyHeaders,
+        HttpError::BadRequestLine,
+        HttpError::BadVersion,
+        HttpError::BadHeader,
+        HttpError::BadContentLength,
+        HttpError::AmbiguousFraming,
+        HttpError::LengthRequired,
+        HttpError::BadChunk,
+        HttpError::BodyTooLarge,
+    ] {
+        assert!(seen.contains(&variant), "{variant:?} never occurred");
     }
 }
 

@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use redeval::case_study;
 use redeval::decision::{pareto_frontier, pareto_frontier_batch};
+use redeval_bench::CVSS_THRESHOLDS;
 use redeval_suite::prelude::*;
 
 /// A randomized design grid over the case-study network (counts 1..=4).
@@ -115,25 +116,37 @@ fn shared_cache_dedupes_per_tier_solves_across_the_batch() {
 #[test]
 fn sweep_grid_agrees_with_legacy_evaluator_numbers() {
     // The engine's numbers must match what a per-policy Evaluator loop
-    // (the pre-engine code shape) produces, label excepted.
+    // (the pre-engine code shape) produces, label excepted, over the
+    // standard policy axis: unpatched, every CVSS threshold, patch-all.
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let designs = random_designs(&mut rng, 12);
-    let policy = PatchPolicy::CriticalOnly(8.0);
-    let legacy = Evaluator::with_options(case_study::network(), MetricsConfig::default(), policy)
-        .expect("evaluator builds")
-        .evaluate_all(&designs)
-        .expect("designs evaluate");
+    let policies: Vec<PatchPolicy> = std::iter::once(PatchPolicy::None)
+        .chain(CVSS_THRESHOLDS.map(PatchPolicy::CriticalOnly))
+        .chain([PatchPolicy::All])
+        .collect();
     let engine = Sweep::new(case_study::network())
-        .designs(designs)
-        .policies(vec![policy])
+        .designs(designs.clone())
+        .policies(policies.clone())
         .threads(4)
         .run()
         .expect("grid evaluates");
-    for (e, l) in engine.iter().zip(&legacy) {
-        assert_eq!(e.counts, l.counts);
-        assert_eq!(e.before, l.before);
-        assert_eq!(e.after, l.after);
-        assert_eq!(e.coa.to_bits(), l.coa.to_bits());
+    assert_eq!(engine.len(), designs.len() * policies.len());
+    for (pi, &policy) in policies.iter().enumerate() {
+        let legacy =
+            Evaluator::with_options(case_study::network(), MetricsConfig::default(), policy)
+                .expect("evaluator builds")
+                .evaluate_all(&designs)
+                .expect("designs evaluate");
+        // The engine's grid is design-major.
+        for (di, l) in legacy.iter().enumerate() {
+            let e = &engine[di * policies.len() + pi];
+            assert_eq!(e.counts, l.counts, "design {di}, {policy:?}");
+            assert_eq!(e.before, l.before, "design {di}, {policy:?}");
+            assert_eq!(e.after, l.after, "design {di}, {policy:?}");
+            assert_eq!(e.coa.to_bits(), l.coa.to_bits());
+            assert_eq!(e.availability.to_bits(), l.availability.to_bits());
+            assert_eq!(e.expected_up.to_bits(), l.expected_up.to_bits());
+        }
     }
 }
 

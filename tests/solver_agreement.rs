@@ -1,26 +1,30 @@
-//! Solver cross-validation over the generated corpus: on every tier
-//! CTMC of a generated scenario (real server SRNs with seed-jittered,
-//! stiff rate constants — hardware MTBFs in years against patch
-//! reboots in minutes), the three steady-state methods must agree:
+//! Solver cross-validation: the two steady-state methods must agree
+//! with each other and with two independent references.
 //!
-//! * **GTH** is the reference (direct, subtraction-free);
+//! * **GTH** is the reference on the generated tier chains (direct,
+//!   subtraction-free);
 //! * **Gauss–Seidel** — the method `Auto` uses above the dense
 //!   threshold — must match GTH tightly at its default tolerance;
-//! * **Power** iteration is the independent cross-check: slower on
-//!   stiff chains (its step size is bounded by the fastest rate), so it
-//!   runs with a raised iteration budget and is held to a looser but
-//!   still decisive tolerance.
+//! * **power iteration** on the uniformized chain ([`power_iteration`],
+//!   kept here as a test-only oracle) is the independent cross-check:
+//!   slower on stiff chains (its step size is bounded by the fastest
+//!   rate), so it runs with a raised iteration budget and is held to a
+//!   looser but still decisive tolerance;
+//! * on birth–death machine-repair chains, the **closed form** of the
+//!   product formula is the exact answer every method must reach.
 //!
-//! Agreement is checked on the full distribution (max-norm) and on the
-//! probability-weighted quantity the evaluator actually consumes
-//! (service availability).
+//! On every tier CTMC of a generated scenario (real server SRNs with
+//! seed-jittered, stiff rate constants — hardware MTBFs in years
+//! against patch reboots in minutes), agreement is checked on the full
+//! distribution (max-norm) and on the probability-weighted quantity the
+//! evaluator actually consumes (service availability).
 
 use redeval::scenario::generate::{self, GenParams};
 use redeval_avail::ServerModel;
-use redeval_markov::{SteadyStateMethod, SteadyStateOptions};
+use redeval_markov::{BirthDeath, Ctmc, SteadyStateMethod, SteadyStateOptions};
 
 fn solve(
-    ctmc: &redeval_markov::Ctmc,
+    ctmc: &Ctmc,
     method: SteadyStateMethod,
     tolerance: f64,
     max_iterations: usize,
@@ -32,6 +36,42 @@ fn solve(
         ..Default::default()
     })
     .unwrap_or_else(|e| panic!("{method:?} fails: {e:?}"))
+}
+
+/// Power iteration on the uniformized DTMC `P = I + Q/Λ`, with `Λ` 5 %
+/// above the largest exit rate. A step moves `π` by `πQ/Λ`, so it stops
+/// once the residual `‖πQ‖∞ ≈ Λ·‖step‖∞` is under `tolerance` (scaled by
+/// `Λ` on fast chains).
+fn power_iteration(ctmc: &Ctmc, tolerance: f64, max_steps: usize) -> Vec<f64> {
+    let exit = ctmc.exit_rates().expect("valid rates");
+    let lambda = exit.iter().copied().fold(0.0, f64::max) * 1.05;
+    assert!(lambda > 0.0, "a chain without transitions has no dynamics");
+    let mut pi = vec![1.0 / exit.len() as f64; exit.len()];
+    for _ in 0..max_steps {
+        let mut next: Vec<f64> = pi
+            .iter()
+            .zip(&exit)
+            .map(|(p, e)| p * (1.0 - e / lambda))
+            .collect();
+        for t in ctmc.transitions().iter().filter(|t| t.from != t.to) {
+            next[t.to] += pi[t.from] * t.rate / lambda;
+        }
+        let total: f64 = next.iter().sum();
+        next.iter_mut().for_each(|p| *p /= total);
+        let step = max_abs_diff(&pi, &next);
+        pi = next;
+        if step * lambda < tolerance * lambda.max(1.0) {
+            return pi;
+        }
+    }
+    panic!("power iteration did not converge in {max_steps} steps");
+}
+
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f64::max)
 }
 
 #[test]
@@ -52,20 +92,12 @@ fn steady_state_methods_agree_on_generated_tier_ctmcs() {
                 let ctmc = ss.ctmc();
                 let gth = solve(ctmc, SteadyStateMethod::Gth, 1e-13, 200_000);
                 let gs = solve(ctmc, SteadyStateMethod::GaussSeidel, 1e-13, 200_000);
-                let power = solve(ctmc, SteadyStateMethod::Power, 1e-9, 5_000_000);
+                let power = power_iteration(ctmc, 1e-9, 5_000_000);
 
                 let sum: f64 = gth.iter().sum();
                 assert!((sum - 1.0).abs() < 1e-12, "{}/{}", doc.name, tier.name);
-                let max_gs = gth
-                    .iter()
-                    .zip(&gs)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max);
-                let max_power = gth
-                    .iter()
-                    .zip(&power)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max);
+                let max_gs = max_abs_diff(&gth, &gs);
+                let max_power = max_abs_diff(&gth, &power);
                 assert!(
                     max_gs < 1e-9,
                     "{}/{}: GTH vs Gauss–Seidel diverge by {max_gs:e}",
@@ -74,7 +106,7 @@ fn steady_state_methods_agree_on_generated_tier_ctmcs() {
                 );
                 assert!(
                     max_power < 1e-6,
-                    "{}/{}: GTH vs Power diverge by {max_power:e}",
+                    "{}/{}: GTH vs power iteration diverge by {max_power:e}",
                     doc.name,
                     tier.name
                 );
@@ -94,7 +126,7 @@ fn steady_state_methods_agree_on_generated_tier_ctmcs() {
                 let a_power = up(&power);
                 assert!(
                     (a_gth - a_gs).abs() < 1e-10 && (a_gth - a_power).abs() < 1e-7,
-                    "{}/{}: availability {a_gth} vs GS {a_gs} vs Power {a_power}",
+                    "{}/{}: availability {a_gth} vs GS {a_gs} vs power {a_power}",
                     doc.name,
                     tier.name
                 );
@@ -104,6 +136,31 @@ fn steady_state_methods_agree_on_generated_tier_ctmcs() {
     }
     // Six tiers per document, two seeds, three families.
     assert_eq!(chains, 36, "the corpus shrank; the property lost coverage");
+}
+
+/// Every method against the birth–death closed form on machine-repair
+/// chains (λ = 0.01, µ = 1) of 17, 65 and 257 states.
+#[test]
+fn steady_state_methods_match_the_birth_death_closed_form() {
+    for n in [16, 64, 256] {
+        let bd = BirthDeath::machine_repair(n, 0.01, 1.0);
+        let exact = bd.steady_state().expect("closed form solves");
+        let ctmc = bd.to_ctmc();
+        for (label, pi) in [
+            ("GTH", solve(&ctmc, SteadyStateMethod::Gth, 1e-10, 200_000)),
+            (
+                "Gauss–Seidel",
+                solve(&ctmc, SteadyStateMethod::GaussSeidel, 1e-10, 200_000),
+            ),
+            ("power", power_iteration(&ctmc, 1e-10, 200_000)),
+        ] {
+            let err = max_abs_diff(&pi, &exact);
+            assert!(
+                err < 1e-6,
+                "{label} deviates from the closed form by {err:e} at n = {n}"
+            );
+        }
+    }
 }
 
 /// Convergence budgets on the success path (ISSUE 10): the
