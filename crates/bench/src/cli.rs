@@ -44,7 +44,6 @@ use redeval_server::{
     EquilibriumRequest, OptimizeRequest, MAX_ITERS_RANGE, MAX_REDUNDANCY_RANGE, MAX_SEED,
 };
 
-use crate::reports::scenario::ExecOn;
 use crate::reports::{self, REGISTRY};
 
 /// Where blessed goldens live. Anchored at compile time to this crate's
@@ -274,17 +273,17 @@ enum Analysis {
 }
 
 impl Analysis {
-    /// Builds the analysis report, on `exec`'s shared pool and cache
-    /// when given (`--profile`). Without a scenario, `optimize` and
-    /// `equilibrium` analyze the paper case study (`optimize` under its
-    /// Equation (3) bounds unless `--bounds` replaces them), and with no
-    /// knob at all their report *is* the registry report, named after
-    /// its registry key.
+    /// Builds the analysis report on `pool` and `cache`. Without a
+    /// scenario, `optimize` and `equilibrium` analyze the paper case
+    /// study (`optimize` under its Equation (3) bounds unless `--bounds`
+    /// replaces them), and with no knob at all their report *is* the
+    /// registry report, named after its registry key.
     fn report(
         &self,
         doc: Option<ScenarioDoc>,
         policies: Option<Vec<PatchPolicy>>,
-        exec: ExecOn<'_>,
+        pool: &Pool,
+        cache: &Arc<AnalysisCache>,
     ) -> Result<Report, EvalError> {
         let bare = doc.is_none() && policies.is_none();
         match *self {
@@ -293,10 +292,7 @@ impl Analysis {
                 if let Some(policies) = policies {
                     doc.policies = policies;
                 }
-                match exec {
-                    None => reports::scenario::eval_report(&doc),
-                    Some((pool, cache)) => reports::scenario::eval_report_on(&doc, pool, cache),
-                }
+                reports::scenario::eval_report_on(&doc, pool, cache)
             }
             Analysis::Optimize {
                 max_redundancy,
@@ -313,10 +309,7 @@ impl Analysis {
                     max_redundancy,
                     bounds: bounds.or(default_bounds),
                 };
-                let mut report = match exec {
-                    None => reports::optimize::optimize_report(&req),
-                    Some((pool, cache)) => reports::optimize::optimize_report_on(&req, pool, cache),
-                }?;
+                let mut report = reports::optimize::optimize_report_on(&req, pool, cache)?;
                 if bare && max_redundancy.is_none() && bounds.is_none() {
                     report.name = "optimize".into();
                 }
@@ -332,12 +325,7 @@ impl Analysis {
                     max_redundancy,
                     max_iters,
                 };
-                let mut report = match exec {
-                    None => reports::equilibrium::equilibrium_report(&req),
-                    Some((pool, cache)) => {
-                        reports::equilibrium::equilibrium_report_on(&req, pool, cache)
-                    }
-                }?;
+                let mut report = reports::equilibrium::equilibrium_report_on(&req, pool, cache)?;
                 if bare && max_redundancy.is_none() && max_iters.is_none() {
                     report.name = "equilibrium".into();
                 }
@@ -747,38 +735,14 @@ fn resolve_scenario(name_or_file: &str) -> Result<ScenarioDoc, String> {
     }
 }
 
-/// The `--profile` execution context: a profiler-mode [`Telemetry`]
-/// handle feeding a shared pool + analysis cache, so the instrumented
-/// `_on` report builders record spans and counters. The report bytes on
-/// stdout are unaffected — the engine contract makes the pooled path
-/// byte-identical to the scoped one.
-struct ProfileCtx {
-    telemetry: Telemetry,
-    pool: Pool,
-    cache: Arc<AnalysisCache>,
-    path: String,
-}
-
-impl ProfileCtx {
-    fn new(path: &str) -> Self {
-        let telemetry = Telemetry::profiler();
-        ProfileCtx {
-            pool: Pool::new(redeval::exec::default_threads()),
-            cache: Arc::new(AnalysisCache::with_telemetry(telemetry.clone())),
-            telemetry,
-            path: path.to_string(),
-        }
-    }
-
-    /// Writes the Chrome-trace file and prints the span/counter summary
-    /// to stderr (stdout belongs to the report).
-    fn finish(&self) -> Result<(), String> {
-        std::fs::write(&self.path, self.telemetry.chrome_trace_json())
-            .map_err(|e| format!("cannot write profile trace {}: {e}", self.path))?;
-        eprintln!("wrote profile trace {}", self.path);
-        eprint!("{}", self.telemetry.text_summary());
-        Ok(())
-    }
+/// Writes the `--profile` Chrome-trace file and prints the span/counter
+/// summary to stderr (stdout belongs to the report).
+fn write_profile(path: &str, telemetry: &Telemetry) -> Result<(), String> {
+    std::fs::write(path, telemetry.chrome_trace_json())
+        .map_err(|e| format!("cannot write profile trace {path}: {e}"))?;
+    eprintln!("wrote profile trace {path}");
+    eprint!("{}", telemetry.text_summary());
+    Ok(())
 }
 
 /// Runs the CLI on `args` (without the program name); returns the
@@ -846,8 +810,9 @@ pub fn run(args: &[String]) -> i32 {
             i32::from(!all_ok)
         }
         // The run path `eval`, `optimize` and `equilibrium` share:
-        // resolve the scenario, build the report (through an instrumented
-        // pool and cache under `--profile`), write the trace, emit.
+        // resolve the scenario, build the report on one pool and cache,
+        // write the trace under `--profile`, emit. `--profile` only swaps
+        // in profiler telemetry; the report bytes are the same.
         Cmd::Analyze {
             analysis,
             scenario,
@@ -858,16 +823,20 @@ pub fn run(args: &[String]) -> i32 {
                 Ok(doc) => doc,
                 Err(msg) => return fail(1, msg),
             };
-            let profiling = profile.as_deref().map(ProfileCtx::new);
-            let exec = profiling.as_ref().map(|ctx| (&ctx.pool, &ctx.cache));
-            let report = match analysis.report(doc, policy.map(|p| vec![p]), exec) {
+            let telemetry = match profile {
+                Some(_) => Telemetry::profiler(),
+                None => Telemetry::noop(),
+            };
+            let pool = Pool::new(redeval::exec::default_threads());
+            let cache = Arc::new(AnalysisCache::with_telemetry(telemetry.clone()));
+            let report = match analysis.report(doc, policy.map(|p| vec![p]), &pool, &cache) {
                 Ok(report) => report,
                 Err(e) => match scenario {
                     Some(s) => return fail(1, format!("{s}: {e}")),
                     None => return fail(1, e),
                 },
             };
-            if let Some(Err(msg)) = profiling.as_ref().map(ProfileCtx::finish) {
+            if let Some(Err(msg)) = profile.as_deref().map(|p| write_profile(p, &telemetry)) {
                 return fail(2, msg);
             }
             emit_report(&report)

@@ -1,69 +1,51 @@
 //! Report builder for the attacker–defender equilibrium analysis.
 //!
-//! [`equilibrium_report`] is the engine behind `redeval equilibrium` and
-//! `POST /v1/equilibrium`: it runs the Gauss-Seidel best-response
+//! [`equilibrium_report_on`] is the engine behind `redeval equilibrium`
+//! and `POST /v1/equilibrium`: it runs the Gauss-Seidel best-response
 //! iteration of [`redeval::equilibrium`] over a scenario document and
 //! reports the final strategy profile, the per-round trace, and the
 //! search counters of both best-response oracles. The iteration is
-//! deterministic and thread-count invariant, so the report joins the
+//! deterministic and invariant in the pool size, so the report joins the
 //! golden corpus like every other registry builder: **no wall-clock, no
 //! machine parallelism** in the output.
 
 use std::sync::Arc;
 
 use redeval::equilibrium::{EquilibriumAnalyzer, EquilibriumOutcome, DEFAULT_MAX_ITERS};
-use redeval::exec::{AnalysisCache, Pool};
+use redeval::exec::{default_threads, AnalysisCache, Pool};
 use redeval::optimize::DEFAULT_MAX_REDUNDANCY;
 use redeval::output::{Report, Table, Value};
 use redeval::scenario::builtin;
 use redeval::EvalError;
 use redeval_server::EquilibriumRequest;
 
-use super::scenario::{eval_table_from, ExecOn};
+use super::scenario::eval_table_from;
 
 /// Evaluates an equilibrium request — a scenario document plus optional
-/// policy list, per-tier bound and round cap — into a report named
-/// `equilibrium_<scenario>`.
+/// policy list, per-tier bound and round cap — on `pool` and `cache` into
+/// a report named `equilibrium_<scenario>`: the engine of
+/// `redeval equilibrium` and `POST /v1/equilibrium`.
 ///
 /// # Errors
 ///
 /// Scenario validation errors, the entry-tier enumeration cap
 /// ([`redeval::equilibrium::MAX_ENTRY_TIERS`]) and solver errors.
-pub fn equilibrium_report(req: &EquilibriumRequest) -> Result<Report, EvalError> {
-    equilibrium_report_impl(req, None)
-}
-
-/// [`equilibrium_report`] on a shared pool and solve cache — the
-/// `POST /v1/equilibrium` engine.
-///
-/// # Errors
-///
-/// As [`equilibrium_report`].
 pub fn equilibrium_report_on(
     req: &EquilibriumRequest,
     pool: &Pool,
     cache: &Arc<AnalysisCache>,
-) -> Result<Report, EvalError> {
-    equilibrium_report_impl(req, Some((pool, cache)))
-}
-
-fn equilibrium_report_impl(
-    req: &EquilibriumRequest,
-    exec: ExecOn<'_>,
 ) -> Result<Report, EvalError> {
     let doc = &req.doc;
     let max_redundancy = req.max_redundancy.unwrap_or(DEFAULT_MAX_REDUNDANCY);
     let max_iters = req.max_iters.unwrap_or(DEFAULT_MAX_ITERS);
     let mut analyzer = EquilibriumAnalyzer::from_scenario(doc)?
         .max_redundancy(max_redundancy)
-        .max_iters(max_iters);
+        .max_iters(max_iters)
+        .share_cache(cache);
     if let Some(policies) = &req.policies {
         analyzer = analyzer.policies(policies.clone());
     }
-    let outcome = match exec {
-        None => analyzer.run()?,
-        Some((pool, cache)) => analyzer.share_cache(cache).run_on(pool)?,
-    };
+    let outcome = analyzer.run(pool)?;
 
     let policies: Vec<String> = match &req.policies {
         Some(p) => p.iter().map(ToString::to_string).collect(),
@@ -217,10 +199,12 @@ pub fn default_request() -> EquilibriumRequest {
     }
 }
 
-/// The registry entry: [`default_request`] evaluated and pinned under
-/// the registry key `equilibrium`.
+/// The registry entry: [`default_request`] evaluated on a fresh pool and
+/// cache and pinned under the registry key `equilibrium`.
 pub fn builtin_equilibrium() -> Report {
-    let mut r = equilibrium_report(&default_request()).expect("builtin equilibrium report");
+    let pool = Pool::new(default_threads());
+    let mut r = equilibrium_report_on(&default_request(), &pool, &Arc::new(AnalysisCache::new()))
+        .expect("builtin equilibrium report");
     r.name = "equilibrium".into();
     r
 }
@@ -248,7 +232,8 @@ mod tests {
             max_redundancy: Some(2),
             max_iters: Some(4),
         };
-        let r = equilibrium_report(&req).unwrap();
+        let pool = Pool::new(default_threads());
+        let r = equilibrium_report_on(&req, &pool, &Arc::new(AnalysisCache::new())).unwrap();
         let json = r.to_json();
         assert!(json.contains("\"max_redundancy\": 2"));
         assert!(json.contains("\"max_iters\": 4"));
@@ -256,17 +241,18 @@ mod tests {
     }
 
     #[test]
-    fn pooled_report_is_byte_identical_to_scoped() {
+    fn pooled_report_is_byte_identical_across_pool_sizes() {
         let req = EquilibriumRequest {
             doc: builtin::iot_fleet(),
             policies: None,
             max_redundancy: Some(2),
             max_iters: None,
         };
-        let scoped = equilibrium_report(&req).unwrap();
+        let single =
+            equilibrium_report_on(&req, &Pool::new(1), &Arc::new(AnalysisCache::new())).unwrap();
         let pool = Pool::new(2);
         let cache = Arc::new(AnalysisCache::new());
         let pooled = equilibrium_report_on(&req, &pool, &cache).unwrap();
-        assert_eq!(scoped.to_json(), pooled.to_json());
+        assert_eq!(single.to_json(), pooled.to_json());
     }
 }

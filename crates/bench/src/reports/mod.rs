@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 
 use redeval::case_study;
 use redeval::decision::{MultiBounds, ScatterBounds};
-use redeval::exec::Sweep;
+use redeval::exec::{default_threads, Pool, Sweep};
 use redeval::output::{Report, Table, Value};
 use redeval::report::{markdown_report, ReportOptions};
 use redeval::DesignEvaluation;
@@ -257,7 +257,7 @@ pub fn five_design_evals() -> Vec<DesignEvaluation> {
         .get_or_init(|| {
             Sweep::new(case_study::network())
                 .designs(case_study::five_designs())
-                .run()
+                .run(&Pool::new(default_threads()))
                 .expect("five designs evaluate")
         })
         .clone()

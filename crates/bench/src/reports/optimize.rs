@@ -1,12 +1,12 @@
 //! Report builder for the pruned design-space search.
 //!
-//! [`optimize_report`] is the engine behind `redeval optimize` and
+//! [`optimize_report_on`] is the engine behind `redeval optimize` and
 //! `POST /v1/optimize`: it runs the branch-and-bound search of
 //! [`redeval::optimize`] over the per-tier redundancy space of a
 //! scenario document and reports the Pareto frontier on (after-patch
 //! ASP ↓, COA ↑) together with the search counters. The frontier is
 //! byte-identical to what exhaustively enumerating the grid and
-//! filtering with `pareto_frontier_batch` would produce — that
+//! filtering with `pareto_frontier` would produce — that
 //! equivalence is pinned by `tests/optimize_differential.rs` — but the
 //! search visits only a fraction of the space, so it accepts documents
 //! the sweep path's [`MAX_SWEEP_GRID`](super::scenario::MAX_SWEEP_GRID)
@@ -19,52 +19,38 @@
 use std::sync::Arc;
 
 use redeval::decision::ScatterBounds;
-use redeval::exec::{AnalysisCache, Pool};
+use redeval::exec::{default_threads, AnalysisCache, Pool};
 use redeval::optimize::DEFAULT_MAX_REDUNDANCY;
 use redeval::output::{Report, Value};
 use redeval::scenario::builtin;
 use redeval::{EvalError, OptimizeOutcome, Optimizer};
 use redeval_server::OptimizeRequest;
 
-use super::scenario::{eval_table_from, ExecOn};
+use super::scenario::eval_table_from;
 
 /// Evaluates an optimize request — a scenario document plus optional
-/// policy list, per-tier bound and (φ, ψ) decision bounds — into a
-/// report named `optimize_<scenario>`.
+/// policy list, per-tier bound and (φ, ψ) decision bounds — on `pool`
+/// and `cache` into a report named `optimize_<scenario>`: the engine of
+/// `redeval optimize` and `POST /v1/optimize`.
 ///
 /// # Errors
 ///
 /// Scenario validation and solver errors. Unlike the sweep path there
 /// is no grid cap: the search never materializes the design space.
-pub fn optimize_report(req: &OptimizeRequest) -> Result<Report, EvalError> {
-    optimize_report_impl(req, None)
-}
-
-/// [`optimize_report`] on a shared pool and solve cache — the
-/// `POST /v1/optimize` engine.
-///
-/// # Errors
-///
-/// As [`optimize_report`].
 pub fn optimize_report_on(
     req: &OptimizeRequest,
     pool: &Pool,
     cache: &Arc<AnalysisCache>,
 ) -> Result<Report, EvalError> {
-    optimize_report_impl(req, Some((pool, cache)))
-}
-
-fn optimize_report_impl(req: &OptimizeRequest, exec: ExecOn<'_>) -> Result<Report, EvalError> {
     let doc = &req.doc;
     let max_redundancy = req.max_redundancy.unwrap_or(DEFAULT_MAX_REDUNDANCY);
-    let mut optimizer = Optimizer::from_scenario(doc)?.max_redundancy(max_redundancy);
+    let mut optimizer = Optimizer::from_scenario(doc)?
+        .max_redundancy(max_redundancy)
+        .share_cache(cache);
     if let Some(policies) = &req.policies {
         optimizer = optimizer.policies(policies.clone());
     }
-    let outcome = match exec {
-        None => optimizer.run()?,
-        Some((pool, cache)) => optimizer.share_cache(cache).run_on(pool)?,
-    };
+    let outcome = optimizer.run(pool)?;
 
     let mut r = Report::new(
         format!("optimize_{}", doc.name),
@@ -158,12 +144,14 @@ pub fn default_request() -> OptimizeRequest {
     }
 }
 
-/// The registry entry: [`default_request`] evaluated and pinned under
-/// the registry key `optimize` (the golden-corpus contract names every
-/// registry report after its key; the serving/CLI paths keep the
-/// `optimize_<scenario>` convention).
+/// The registry entry: [`default_request`] evaluated on a fresh pool and
+/// cache and pinned under the registry key `optimize` (the golden-corpus
+/// contract names every registry report after its key; the serving/CLI
+/// paths keep the `optimize_<scenario>` convention).
 pub fn builtin_optimize() -> Report {
-    let mut r = optimize_report(&default_request()).expect("builtin optimize report");
+    let pool = Pool::new(default_threads());
+    let mut r = optimize_report_on(&default_request(), &pool, &Arc::new(AnalysisCache::new()))
+        .expect("builtin optimize report");
     r.name = "optimize".into();
     r
 }
@@ -172,6 +160,11 @@ pub fn builtin_optimize() -> Report {
 mod tests {
     use super::*;
     use redeval::optimize::exhaustive_frontier;
+
+    /// [`optimize_report_on`] on `pool` with a fresh cache.
+    fn optimize_report(req: &OptimizeRequest, pool: &Pool) -> Result<Report, EvalError> {
+        optimize_report_on(req, pool, &Arc::new(AnalysisCache::new()))
+    }
 
     #[test]
     fn builtin_report_is_deterministic_and_passes_checks() {
@@ -190,10 +183,13 @@ mod tests {
             max_redundancy: Some(3),
             bounds: None,
         };
-        let r = optimize_report(&req).unwrap();
-        let exhaustive =
-            exhaustive_frontier(&Optimizer::from_scenario(&doc).unwrap().max_redundancy(3))
-                .unwrap();
+        let pool = Pool::new(default_threads());
+        let r = optimize_report(&req, &pool).unwrap();
+        let exhaustive = exhaustive_frontier(
+            &Optimizer::from_scenario(&doc).unwrap().max_redundancy(3),
+            &pool,
+        )
+        .unwrap();
         let table = r.to_json();
         for e in &exhaustive {
             assert!(
@@ -216,7 +212,7 @@ mod tests {
                 min_coa: 0.9962,
             }),
         };
-        let r = optimize_report(&req).unwrap();
+        let r = optimize_report(&req, &Pool::new(default_threads())).unwrap();
         let json = r.to_json();
         assert!(json.contains("\"max_redundancy\": 2"));
         assert!(json.contains("no patch; patch all"));

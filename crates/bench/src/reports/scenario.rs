@@ -3,19 +3,18 @@
 //!
 //! [`scenario_suite`] is the registry entry: every bundled scenario
 //! evaluated end-to-end (designs × policies on the batch engine), pinned
-//! in the golden corpus like any other report. [`eval_report`] is the
+//! in the golden corpus like any other report. [`eval_report_on`] is the
 //! same evaluation for a *single* document — the engine behind
-//! `redeval eval --scenario FILE` — and [`sweep_report`] layers grid
-//! axes (patch windows, policy lists, full design spaces) over a
-//! document for `POST /v1/sweep`. The `_on` variants run the identical
-//! computation on a shared [`Pool`] + [`AnalysisCache`] instead of
-//! per-call scoped threads: that is what `redeval serve` wires in, and
-//! the engine's bitwise-determinism guarantee (DESIGN.md §5) is what
-//! makes the served bytes equal the CLI's.
+//! `redeval eval --scenario FILE` and `POST /v1/eval` — and
+//! [`sweep_report_on`] layers grid axes (patch windows, policy lists,
+//! full design spaces) over a document for `POST /v1/sweep`. Both run on
+//! the caller's [`Pool`] + [`AnalysisCache`]; the engine's
+//! bitwise-determinism guarantee (DESIGN.md §5) is what makes the
+//! served bytes equal the CLI's whatever the pool size.
 
 use std::sync::Arc;
 
-use redeval::exec::{AnalysisCache, Pool, Sweep};
+use redeval::exec::{default_threads, AnalysisCache, Pool, Sweep};
 use redeval::output::{Report, Table, Value};
 use redeval::scenario::{builtin, generate, ScenarioDoc};
 use redeval::{DesignEvaluation, EvalError, ScenarioError};
@@ -25,19 +24,6 @@ use redeval_server::SweepRequest;
 /// ask for; beyond it the request is rejected as a schema violation
 /// rather than monopolizing the server.
 pub const MAX_SWEEP_GRID: usize = 10_000;
-
-/// How the grid is executed: per-call scoped threads (the CLI default)
-/// or a shared, reusable pool + solve cache (the serving path).
-pub(crate) type ExecOn<'a> = Option<(&'a Pool, &'a Arc<AnalysisCache>)>;
-
-/// Runs a sweep grid on the chosen execution substrate. Both paths are
-/// bitwise-identical by the engine contract.
-fn run_grid(sweep: &Sweep, exec: ExecOn<'_>) -> Result<Vec<DesignEvaluation>, EvalError> {
-    match exec {
-        None => sweep.run(),
-        Some((pool, cache)) => sweep.clone().share_cache(cache).build().run_on(pool),
-    }
-}
 
 /// The standard design × policy evaluation table over computed results.
 pub(crate) fn eval_table_from(name: &str, evals: &[DesignEvaluation]) -> Table {
@@ -72,8 +58,13 @@ pub(crate) fn eval_table_from(name: &str, evals: &[DesignEvaluation]) -> Table {
 }
 
 /// The design × policy evaluation table of one scenario document.
-fn evaluation_table(name: &str, doc: &ScenarioDoc, exec: ExecOn<'_>) -> Result<Table, EvalError> {
-    let evals = run_grid(&Sweep::from_scenario(doc)?, exec)?;
+fn evaluation_table(
+    name: &str,
+    doc: &ScenarioDoc,
+    pool: &Pool,
+    cache: &Arc<AnalysisCache>,
+) -> Result<Table, EvalError> {
+    let evals = Sweep::from_scenario(doc)?.share_cache(cache).run(pool)?;
     Ok(eval_table_from(name, &evals))
 }
 
@@ -102,19 +93,24 @@ fn topology_table(name: &str, doc: &ScenarioDoc) -> Table {
     t
 }
 
-/// Evaluates one scenario document end-to-end into a report named
-/// `eval_<scenario>`: summary facts, the tier topology and the full
-/// design × policy evaluation table.
+/// [`eval_report_on`] on a fresh pool (one worker per core) and a fresh
+/// solve cache.
 ///
 /// # Errors
 ///
 /// Propagates scenario validation and solver errors.
 pub fn eval_report(doc: &ScenarioDoc) -> Result<Report, EvalError> {
-    eval_report_impl(doc, None)
+    eval_report_on(
+        doc,
+        &Pool::new(default_threads()),
+        &Arc::new(AnalysisCache::new()),
+    )
 }
 
-/// [`eval_report`] on a shared pool and solve cache — the
-/// `POST /v1/eval` engine. Byte-identical output to [`eval_report`].
+/// Evaluates one scenario document end-to-end on `pool` and `cache` into
+/// a report named `eval_<scenario>`: summary facts, the tier topology
+/// and the full design × policy evaluation table — the engine of
+/// `redeval eval` and `POST /v1/eval`.
 ///
 /// # Errors
 ///
@@ -124,10 +120,6 @@ pub fn eval_report_on(
     pool: &Pool,
     cache: &Arc<AnalysisCache>,
 ) -> Result<Report, EvalError> {
-    eval_report_impl(doc, Some((pool, cache)))
-}
-
-fn eval_report_impl(doc: &ScenarioDoc, exec: ExecOn<'_>) -> Result<Report, EvalError> {
     // The same grid cap the sweep path enforces: an eval grid is
     // designs × policies, and a pathological document must come back as
     // a structured schema error, never a grid that monopolizes the
@@ -163,39 +155,26 @@ fn eval_report_impl(doc: &ScenarioDoc, exec: ExecOn<'_>) -> Result<Report, EvalE
         ("policies", Value::from(policies.join("; "))),
     ]);
     r.table(topology_table("topology", doc));
-    r.table(evaluation_table("evaluations", doc, exec)?);
+    r.table(evaluation_table("evaluations", doc, pool, cache)?);
     Ok(r)
 }
 
 /// Evaluates a sweep request — a scenario document plus optional grid
-/// axes — into a report named `sweep_<scenario>`. Axis semantics:
-/// `max_redundancy` replaces the document's designs with the full
-/// per-tier design space, `policies` overrides its policy list, and
-/// `patch_windows_days` adds patch-interval variants of every tier.
+/// axes — on `pool` and `cache` into a report named `sweep_<scenario>`:
+/// the `POST /v1/sweep` engine. Axis semantics: `max_redundancy`
+/// replaces the document's designs with the full per-tier design space,
+/// `policies` overrides its policy list, and `patch_windows_days` adds
+/// patch-interval variants of every tier.
 ///
 /// # Errors
 ///
 /// Scenario validation and solver errors, plus a schema violation when
 /// the grid would exceed [`MAX_SWEEP_GRID`] points.
-pub fn sweep_report(req: &SweepRequest) -> Result<Report, EvalError> {
-    sweep_report_impl(req, None)
-}
-
-/// [`sweep_report`] on a shared pool and solve cache — the
-/// `POST /v1/sweep` engine.
-///
-/// # Errors
-///
-/// As [`sweep_report`].
 pub fn sweep_report_on(
     req: &SweepRequest,
     pool: &Pool,
     cache: &Arc<AnalysisCache>,
 ) -> Result<Report, EvalError> {
-    sweep_report_impl(req, Some((pool, cache)))
-}
-
-fn sweep_report_impl(req: &SweepRequest, exec: ExecOn<'_>) -> Result<Report, EvalError> {
     let doc = &req.doc;
     let too_large = |grid: u128| {
         EvalError::Scenario(ScenarioError::Invalid {
@@ -245,7 +224,7 @@ fn sweep_report_impl(req: &SweepRequest, exec: ExecOn<'_>) -> Result<Report, Eva
     if grid > MAX_SWEEP_GRID {
         return Err(too_large(grid as u128));
     }
-    let evals = run_grid(&sweep, exec)?;
+    let evals = sweep.share_cache(cache).run(pool)?;
     let mut r = Report::new(
         format!("sweep_{}", doc.name),
         format!("Scenario sweep — {}", doc.title),
@@ -277,6 +256,7 @@ fn sweep_report_impl(req: &SweepRequest, exec: ExecOn<'_>) -> Result<Report, Eva
 /// [`builtin::BUILTINS`] evaluated end-to-end through the scenario API;
 /// the golden corpus pins the whole gallery's numbers.
 pub fn scenario_suite() -> Report {
+    let (pool, cache) = (Pool::new(default_threads()), Arc::new(AnalysisCache::new()));
     let mut r = Report::new(
         "scenario_suite",
         "Bundled scenario gallery, evaluated through the declarative API",
@@ -302,7 +282,7 @@ pub fn scenario_suite() -> Report {
         // pins is the *file* semantics, not the in-memory constructors.
         let doc = ScenarioDoc::from_json(&doc.to_json()).expect("builtin round-trips");
         r.check(doc.validate().is_ok());
-        r.table(evaluation_table(s.name, &doc, None).expect("builtin evaluates"));
+        r.table(evaluation_table(s.name, &doc, &pool, &cache).expect("builtin evaluates"));
     }
     r.note(
         "every table is produced by Sweep::from_scenario over the canonical \
@@ -318,6 +298,7 @@ pub fn scenario_suite() -> Report {
 /// evaluated end-to-end; the golden pins both the corpus shape and its
 /// numbers, so any drift in the generators is a test failure.
 pub fn gen_suite() -> Report {
+    let (pool, cache) = (Pool::new(default_threads()), Arc::new(AnalysisCache::new()));
     let mut r = Report::new(
         "gen_suite",
         "Seeded generator corpus, evaluated through the declarative API",
@@ -366,7 +347,7 @@ pub fn gen_suite() -> Report {
         // `redeval eval --scenario <generated file>` computes.
         let doc = ScenarioDoc::from_json(&doc.to_json()).expect("generated doc round-trips");
         let name = doc.name.clone();
-        r.table(evaluation_table(&name, &doc, None).expect("generated doc evaluates"));
+        r.table(evaluation_table(&name, &doc, &pool, &cache).expect("generated doc evaluates"));
     }
     r.note(
         "the corpus is redeval::scenario::generate::PINNED — the same \
@@ -380,6 +361,11 @@ pub fn gen_suite() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`sweep_report_on`] on `pool` with a fresh cache.
+    fn sweep_report(req: &SweepRequest, pool: &Pool) -> Result<Report, EvalError> {
+        sweep_report_on(req, pool, &Arc::new(AnalysisCache::new()))
+    }
 
     #[test]
     fn suite_covers_every_builtin_and_passes_checks() {
@@ -434,9 +420,12 @@ mod tests {
         let pool = Pool::new(2);
         let cache = Arc::new(AnalysisCache::new());
         let doc = builtin::paper_case_study();
-        let scoped = eval_report(&doc).unwrap().to_json();
+        let single = eval_report_on(&doc, &Pool::new(1), &Arc::new(AnalysisCache::new()))
+            .unwrap()
+            .to_json();
         let pooled = eval_report_on(&doc, &pool, &cache).unwrap().to_json();
-        assert_eq!(scoped, pooled);
+        assert_eq!(single, pooled);
+        assert_eq!(eval_report(&doc).unwrap().to_json(), pooled);
         // The shared solve cache actually served the tier solves.
         assert!(cache.solves() > 0);
         // A second pooled run re-solves nothing.
@@ -453,18 +442,13 @@ mod tests {
             policies: Some(vec![redeval::PatchPolicy::None, redeval::PatchPolicy::All]),
             max_redundancy: None,
         };
-        let r = sweep_report(&req).unwrap();
+        let r = sweep_report(&req, &Pool::new(1)).unwrap();
         assert_eq!(r.name, "sweep_paper_case_study");
         let json = r.to_json();
         // 2 windows × 5 designs × 2 policies.
         assert!(json.contains("\"grid\": 20"), "{json}");
-        // Pooled execution, identical bytes.
-        let pool = Pool::new(3);
-        let cache = Arc::new(AnalysisCache::new());
-        assert_eq!(
-            sweep_report_on(&req, &pool, &cache).unwrap().to_json(),
-            json
-        );
+        // A larger pool, identical bytes.
+        assert_eq!(sweep_report(&req, &Pool::new(3)).unwrap().to_json(), json);
     }
 
     #[test]
@@ -479,7 +463,7 @@ mod tests {
             ),
             max_redundancy: Some(6), // 31 × 6^4 × 31 ≫ the limit
         };
-        let e = sweep_report(&req).unwrap_err();
+        let e = sweep_report(&req, &Pool::new(1)).unwrap_err();
         assert!(e.to_string().contains("exceeds the limit"), "{e}");
     }
 
@@ -521,7 +505,7 @@ mod tests {
             policies: None,
             max_redundancy: Some(8),
         };
-        let e = sweep_report(&req).unwrap_err();
+        let e = sweep_report(&req, &Pool::new(1)).unwrap_err();
         assert!(e.to_string().contains("exceeds the limit"), "{e}");
     }
 }

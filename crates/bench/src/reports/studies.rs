@@ -3,9 +3,9 @@
 use redeval::case_study;
 use redeval::cost::CostModel;
 use redeval::decision::ScatterBounds;
-use redeval::exec::{default_threads, run_batch, Experiment, Scenario, Sweep};
+use redeval::exec::{default_threads, Experiment, Pool, Scenario, Sweep};
 use redeval::output::{Report, Series, Table, Value};
-use redeval::sensitivity::coa_sensitivities_batch;
+use redeval::sensitivity::coa_sensitivities;
 use redeval::{
     AttackTree, Design, Durations, MetricsConfig, NetworkSpec, PatchPolicy, ServerParams, TierSpec,
     Vulnerability,
@@ -28,15 +28,14 @@ pub fn regions() -> Report {
     r
 }
 
-/// Patch-interval and criticality-threshold sweeps with the default
-/// thread count.
+/// Patch-interval and criticality-threshold sweeps on a fresh pool.
 pub fn sweep() -> Report {
-    sweep_with_threads(default_threads())
+    sweep_on(&Pool::new(default_threads()))
 }
 
-/// [`sweep`] with an explicit worker-thread count (the golden tests use
-/// this to prove thread-count invariance of the serialized report).
-pub fn sweep_with_threads(threads: usize) -> Report {
+/// [`sweep`] on the caller's pool (the golden tests use this to prove
+/// the serialized report invariant in the pool size).
+pub fn sweep_on(pool: &Pool) -> Report {
     let mut r = Report::new(
         "sweep",
         "Patch-schedule sweeps (case-study network, 1+2+2+1)",
@@ -46,8 +45,7 @@ pub fn sweep_with_threads(threads: usize) -> Report {
     let evals = Sweep::new(case_study::network())
         .patch_intervals_days(&PATCH_WINDOWS_DAYS)
         .designs(vec![case_design.clone()])
-        .threads(threads)
-        .run()
+        .run(pool)
         .expect("interval grid evaluates");
     let mut intervals = Table::new(
         "patch-interval-sweep",
@@ -82,8 +80,7 @@ pub fn sweep_with_threads(threads: usize) -> Report {
                 .map(|&t| PatchPolicy::CriticalOnly(t))
                 .collect(),
         )
-        .threads(threads)
-        .run()
+        .run(pool)
         .expect("threshold grid evaluates");
     let mut thresholds = Table::new(
         "criticality-threshold-sweep",
@@ -106,21 +103,21 @@ pub fn sweep_with_threads(threads: usize) -> Report {
     r
 }
 
-/// COA sensitivities with the default thread count.
+/// COA sensitivities on a fresh pool.
 pub fn sensitivity_default() -> Report {
-    sensitivity_with_threads(default_threads())
+    sensitivity_on(&Pool::new(default_threads()))
 }
 
 /// COA-loss sensitivity analysis — which Table-IV parameter most moves
-/// the availability conclusion, per tier, as elasticities of `1 − COA`.
-pub fn sensitivity_with_threads(threads: usize) -> Report {
+/// the availability conclusion, per tier, as elasticities of `1 − COA` —
+/// on the caller's pool.
+pub fn sensitivity_on(pool: &Pool) -> Report {
     let mut r = Report::new(
         "sensitivity",
         "COA-loss sensitivities, case-study network (1+2+2+1)",
     );
     let spec = case_study::network();
-    let sens =
-        coa_sensitivities_batch(&spec, &CASE_STUDY_COUNTS, 0.05, threads).expect("pipeline solves");
+    let sens = coa_sensitivities(&spec, &CASE_STUDY_COUNTS, 0.05, pool).expect("pipeline solves");
     let mut t = Table::new(
         "sensitivities",
         [
@@ -163,19 +160,17 @@ pub fn scenarios() -> Report {
         PatchScenario::ServiceOnly,
     ];
 
-    // One lower-layer solve per (tier, scenario), on the worker pool.
+    // One lower-layer solve per (tier, scenario), on a worker pool.
     let tiers = spec.tiers();
-    let analyses: Vec<ServerAnalysis> = run_batch(
-        tiers.len() * scenario_list.len(),
-        default_threads(),
-        |job| {
-            let (tier, scenario) = (
-                &tiers[job / scenario_list.len()],
+    let params: Vec<ServerParams> = tiers.iter().map(|t| t.params.clone()).collect();
+    let analyses: Vec<ServerAnalysis> =
+        Pool::new(default_threads()).run_batch(tiers.len() * scenario_list.len(), move |job| {
+            let (params, scenario) = (
+                &params[job / scenario_list.len()],
                 scenario_list[job % scenario_list.len()],
             );
-            ServerAnalysis::of_scenario(&tier.params, scenario).expect("model solves")
-        },
-    );
+            ServerAnalysis::of_scenario(params, scenario).expect("model solves")
+        });
     let analysis = |ti: usize, si: usize| &analyses[ti * scenario_list.len() + si];
 
     let mut mttr = Table::new(
@@ -282,7 +277,9 @@ pub fn design_space(max_redundancy: u32) -> Report {
         ("max_redundancy", Value::from(max_redundancy)),
         ("designs", Value::from(sweep.len())),
     ]);
-    let evals = sweep.run().expect("designs evaluate");
+    let evals = sweep
+        .run(&Pool::new(default_threads()))
+        .expect("designs evaluate");
 
     let mut by_coa: Vec<&redeval::DesignEvaluation> = evals.iter().collect();
     by_coa.sort_by(|a, b| b.coa.partial_cmp(&a.coa).expect("finite"));
@@ -405,7 +402,7 @@ pub fn heterogeneous() -> Report {
     ];
     let mut t = Table::new("designs", ["design", "asp", "noev", "noap", "coa"]);
     for e in Experiment::new(scenarios)
-        .run()
+        .run(&Pool::new(default_threads()))
         .expect("scenarios evaluate")
     {
         t.add_row(vec![

@@ -202,29 +202,19 @@ impl<T> ParetoFront<T> {
 
 /// The Pareto frontier of a batch of evaluations on (after-patch ASP ↓,
 /// COA ↑): every design not [`dominates`]-dominated by another, sorted by
-/// ascending ASP (ties in input order).
+/// ascending ASP (ties in input order), in one O(n log n) pass through
+/// the incremental [`ParetoFront`].
 ///
 /// This is the batch decision function behind the design-space reports —
 /// the paper's Figure 6 scatter picks from exactly this frontier.
 pub fn pareto_frontier(evals: &[DesignEvaluation]) -> Vec<&DesignEvaluation> {
-    pareto_frontier_batch(evals, 1)
-}
-
-/// [`pareto_frontier`], historically an O(n²) all-pairs dominance scan
-/// spread over `threads` workers; now a single O(n log n) pass through
-/// the incremental [`ParetoFront`] — same frontier, same order, for any
-/// thread count (`threads` is kept for API compatibility and ignored).
-pub fn pareto_frontier_batch(
-    evals: &[DesignEvaluation],
-    _threads: usize,
-) -> Vec<&DesignEvaluation> {
     let mut front = ParetoFront::new();
     for (i, e) in evals.iter().enumerate() {
         front.insert(e.after.attack_success_probability, e.coa, i);
     }
     // Inserting in input order makes the front's tie order the input
-    // order, so the sorted entries already match the former stable
-    // sort-by-ASP of the surviving subsequence.
+    // order, so the sorted entries are the surviving subsequence stably
+    // sorted by ASP.
     front
         .into_entries()
         .into_iter()
@@ -312,9 +302,6 @@ mod tests {
         // Sorted by ascending ASP.
         assert!((frontier[0].after.attack_success_probability - 0.1).abs() < 1e-12);
         assert!((frontier[2].coa - 0.9970).abs() < 1e-12);
-        // The parallel scan returns the identical frontier.
-        let par = pareto_frontier_batch(&evals, 4);
-        assert_eq!(frontier, par);
     }
 
     #[test]

@@ -25,12 +25,13 @@
 //!
 //! # Determinism
 //!
-//! Everything is deterministic and thread-count invariant:
+//! Everything is deterministic and invariant in the size of the
+//! caller's [`Pool`]:
 //!
 //! * the defender's best response is the first member of the optimizer's
 //!   frontier, which is byte-identical to the exhaustive grid's
 //!   lexicographic argmin under (ASP ↑, COA ↓, counts reversed-lex ↑,
-//!   policy index ↑) at any thread count;
+//!   policy index ↑) on any pool;
 //! * the attacker's best response enumerates masks in ascending bit
 //!   order sequentially and replaces the incumbent only on a strictly
 //!   better `(ASP, AIM)` pair, so ties resolve to the first-enumerated
@@ -49,13 +50,14 @@
 //!
 //! ```
 //! use redeval::equilibrium::EquilibriumAnalyzer;
+//! use redeval::exec::Pool;
 //! use redeval::scenario::builtin;
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
 //! let doc = builtin::paper_case_study();
 //! let outcome = EquilibriumAnalyzer::from_scenario(&doc)?
 //!     .max_redundancy(2)
-//!     .run()?;
+//!     .run(&Pool::new(2))?;
 //! assert!(outcome.converged);
 //! assert!(outcome.attacker_mask.iter().any(|&b| b));
 //! # Ok(())
@@ -68,7 +70,7 @@ use redeval_harm::{AspStrategy, MetricsConfig};
 
 use crate::error::{EvalError, SpecIssue};
 use crate::evaluation::{DesignEvaluation, PatchPolicy};
-use crate::exec::{default_threads, AnalysisCache, Pool};
+use crate::exec::{AnalysisCache, Pool};
 use crate::optimize::{Optimizer, DEFAULT_MAX_REDUNDANCY};
 use crate::spec::NetworkSpec;
 
@@ -219,11 +221,10 @@ impl EquilibriumOutcome {
 /// [module docs](self)).
 ///
 /// Mirrors the [`Optimizer`] builder: policies and metrics default from
-/// the scenario document, execution runs on per-call scoped threads
-/// ([`run`](EquilibriumAnalyzer::run)) or a reusable [`Pool`]
-/// ([`run_on`](EquilibriumAnalyzer::run_on)) with a shared
-/// [`AnalysisCache`] — entry masking never touches tier parameters, so
-/// every round and every mask reuse the same per-tier solves.
+/// the scenario document, and [`run`](EquilibriumAnalyzer::run)
+/// evaluates on the caller's [`Pool`] with a shared [`AnalysisCache`] —
+/// entry masking never touches tier parameters, so every round and every
+/// mask reuse the same per-tier solves.
 #[derive(Debug, Clone)]
 pub struct EquilibriumAnalyzer {
     spec: Arc<NetworkSpec>,
@@ -231,14 +232,13 @@ pub struct EquilibriumAnalyzer {
     metrics: MetricsConfig,
     max_redundancy: u32,
     max_iters: u32,
-    threads: usize,
     cache: Arc<AnalysisCache>,
 }
 
 impl EquilibriumAnalyzer {
     /// An analyzer over `spec` with the paper's critical-only policy,
     /// default metrics, [`DEFAULT_MAX_REDUNDANCY`], [`DEFAULT_MAX_ITERS`]
-    /// and [`default_threads`].
+    /// and a fresh cache.
     pub fn new(spec: NetworkSpec) -> Self {
         EquilibriumAnalyzer {
             spec: Arc::new(spec),
@@ -246,7 +246,6 @@ impl EquilibriumAnalyzer {
             metrics: MetricsConfig::default(),
             max_redundancy: DEFAULT_MAX_REDUNDANCY,
             max_iters: DEFAULT_MAX_ITERS,
-            threads: default_threads(),
             cache: Arc::new(AnalysisCache::new()),
         }
     }
@@ -295,12 +294,6 @@ impl EquilibriumAnalyzer {
         self
     }
 
-    /// Sets the worker-thread count (clamped to at least 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Shares an existing analysis cache (e.g. the serving path's).
     pub fn share_cache(mut self, cache: &Arc<AnalysisCache>) -> Self {
         self.cache = Arc::clone(cache);
@@ -313,57 +306,28 @@ impl EquilibriumAnalyzer {
         (1u64 << self.spec.entry_tiers().len().min(63)) - 1
     }
 
-    /// Runs the iteration on per-call scoped threads.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecIssue::TooManyEntryTiers`] past [`MAX_ENTRY_TIERS`];
-    /// otherwise count-validation and solver errors from the evaluation
-    /// pipeline.
-    pub fn run(&self) -> Result<EquilibriumOutcome, EvalError> {
-        self.run_impl(None)
-    }
-
-    /// [`run`](EquilibriumAnalyzer::run) on a reusable [`Pool`] — the
-    /// serving path. Bitwise-identical outcome for any pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](EquilibriumAnalyzer::run).
-    pub fn run_on(&self, pool: &Pool) -> Result<EquilibriumOutcome, EvalError> {
-        self.run_impl(Some(pool))
-    }
-
     /// The defender's best response to an entry-tier mask: the
     /// lexicographic optimum under (after-patch ASP ↑, COA ↓, counts
     /// reversed-lex ↑, policy index ↑) over the full design × policy
     /// space, computed as the first frontier member of the pruned
-    /// branch-and-bound over the masked specification.
+    /// branch-and-bound over the masked specification, on `pool`.
     ///
     /// # Errors
     ///
     /// Mask-validation ([`SpecIssue::NoEntryTier`] on all-false) and
     /// evaluation errors.
-    pub fn defender_response(&self, mask: &[bool]) -> Result<DefenderResponse, EvalError> {
-        self.defender_response_impl(mask, None)
-    }
-
-    fn defender_response_impl(
+    pub fn defender_response(
         &self,
         mask: &[bool],
-        pool: Option<&Pool>,
+        pool: &Pool,
     ) -> Result<DefenderResponse, EvalError> {
         let masked = self.spec.with_entry_tiers(mask)?;
-        let optimizer = Optimizer::new(masked)
+        let outcome = Optimizer::new(masked)
             .policies(self.policies.clone())
             .metrics(self.metrics)
             .max_redundancy(self.max_redundancy)
-            .threads(self.threads)
-            .share_cache(&self.cache);
-        let outcome = match pool {
-            Some(pool) => optimizer.run_on(pool)?,
-            None => optimizer.run()?,
-        };
+            .share_cache(&self.cache)
+            .run(pool)?;
         // The frontier is sorted (ASP ↑, counts reversed-lex ↑, policy ↑)
         // and equal-ASP members share their COA (an ASP tie with a COA
         // gap is a domination), so the head is the lexicographic optimum.
@@ -505,7 +469,15 @@ impl EquilibriumAnalyzer {
         })
     }
 
-    fn run_impl(&self, pool: Option<&Pool>) -> Result<EquilibriumOutcome, EvalError> {
+    /// Runs the iteration, each defender best response searching on
+    /// `pool`. The outcome is bitwise-identical for any pool size.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecIssue::TooManyEntryTiers`] past [`MAX_ENTRY_TIERS`];
+    /// otherwise count-validation and solver errors from the evaluation
+    /// pipeline.
+    pub fn run(&self, pool: &Pool) -> Result<EquilibriumOutcome, EvalError> {
         let tel = self.cache.telemetry().clone();
         let _span = tel.span(format!("equilibrium (max_iters {})", self.max_iters));
         let entry_tiers = self.spec.entry_tiers();
@@ -541,7 +513,7 @@ impl EquilibriumAnalyzer {
         for iteration in 1..=self.max_iters {
             let _round_span = tel.span(format!("round {iteration}"));
             tel.add(crate::telemetry::Counter::EquilibriumRounds, 1);
-            let d = self.defender_response_impl(&attacker, pool)?;
+            let d = self.defender_response(&attacker, pool)?;
             defender_evaluated_cells += d.evaluated_cells;
             let a = self.attacker_response(&d.eval.counts, d.policy_idx)?;
             masks_evaluated += a.evaluated;
@@ -597,8 +569,8 @@ impl EquilibriumAnalyzer {
 }
 
 /// Reference defender best response for small spaces: materialize the
-/// full design × policy grid over the masked specification and take the
-/// lexicographic argmin under (after-patch ASP ↑, COA ↓, counts
+/// full design × policy grid over the masked specification on `pool` and
+/// take the lexicographic argmin under (after-patch ASP ↑, COA ↓, counts
 /// reversed-lex ↑, policy index ↑) — what
 /// [`EquilibriumAnalyzer::defender_response`] must agree with
 /// byte-for-byte.
@@ -609,14 +581,14 @@ impl EquilibriumAnalyzer {
 pub fn exhaustive_defender_response(
     analyzer: &EquilibriumAnalyzer,
     mask: &[bool],
+    pool: &Pool,
 ) -> Result<(DesignEvaluation, usize), EvalError> {
     let masked = analyzer.spec.with_entry_tiers(mask)?;
-    let sweep = crate::exec::Sweep::new(masked)
+    let evals = crate::exec::Sweep::new(masked)
         .full_design_space(analyzer.max_redundancy)
         .policies(analyzer.policies.clone())
         .metrics(analyzer.metrics)
-        .threads(analyzer.threads);
-    let evals = sweep.run()?;
+        .run(pool)?;
     // Grid order is already (counts reversed-lex ↑, policy ↑), so a
     // strict-improvement scan realizes the full tie-break.
     let mut best: Option<(usize, &DesignEvaluation)> = None;
@@ -642,16 +614,18 @@ pub fn exhaustive_defender_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::default_threads;
     use crate::scenario::builtin;
 
     #[test]
     fn converges_on_the_case_study_to_a_mutual_best_response() {
         let doc = builtin::paper_case_study();
+        let pool = Pool::new(default_threads());
         for r in [2u32, 4] {
             let analyzer = EquilibriumAnalyzer::from_scenario(&doc)
                 .unwrap()
                 .max_redundancy(r);
-            let outcome = analyzer.run().unwrap();
+            let outcome = analyzer.run(&pool).unwrap();
             assert!(outcome.converged, "r = {r}");
             assert!(!outcome.cycle_detected, "r = {r}");
             assert!(outcome.iterations >= 1);
@@ -659,7 +633,7 @@ mod tests {
             // Brute force: the defender cannot improve against the final
             // mask…
             let (best_eval, best_policy) =
-                exhaustive_defender_response(&analyzer, &outcome.attacker_mask).unwrap();
+                exhaustive_defender_response(&analyzer, &outcome.attacker_mask, &pool).unwrap();
             assert_eq!(best_eval, outcome.defender, "r = {r}");
             assert_eq!(best_policy, outcome.policy_idx, "r = {r}");
             // …and no attacker mask beats the final one (exhaustively).
@@ -678,15 +652,13 @@ mod tests {
         let reference = EquilibriumAnalyzer::from_scenario(&doc)
             .unwrap()
             .max_redundancy(2)
-            .threads(1)
-            .run()
+            .run(&Pool::new(1))
             .unwrap();
         for threads in [1, 2, 4] {
             let outcome = EquilibriumAnalyzer::from_scenario(&doc)
                 .unwrap()
                 .max_redundancy(2)
-                .threads(threads)
-                .run()
+                .run(&Pool::new(threads))
                 .unwrap();
             assert_eq!(outcome, reference);
             assert_eq!(
@@ -709,9 +681,9 @@ mod tests {
             .unwrap()
             .max_redundancy(2)
             .share_cache(&cache);
-        let pooled = analyzer.run_on(&pool).unwrap();
-        let scoped = analyzer.run().unwrap();
-        assert_eq!(pooled, scoped);
+        let pooled = analyzer.run(&pool).unwrap();
+        let single = analyzer.run(&Pool::new(1)).unwrap();
+        assert_eq!(pooled, single);
         assert!(cache.solves() > 0);
     }
 
@@ -777,10 +749,11 @@ mod tests {
             .unwrap()
             .max_redundancy(2);
         let k = analyzer.spec.entry_tiers().len();
+        let pool = Pool::new(default_threads());
         for bits in 1u64..(1u64 << k) {
             let mask: Vec<bool> = (0..k).map(|j| bits & (1 << j) != 0).collect();
-            let pruned = analyzer.defender_response(&mask).unwrap();
-            let (eval, policy_idx) = exhaustive_defender_response(&analyzer, &mask).unwrap();
+            let pruned = analyzer.defender_response(&mask, &pool).unwrap();
+            let (eval, policy_idx) = exhaustive_defender_response(&analyzer, &mask, &pool).unwrap();
             assert_eq!(pruned.eval, eval, "mask {mask:?}");
             assert_eq!(pruned.policy_idx, policy_idx);
             assert_eq!(pruned.eval.coa.to_bits(), eval.coa.to_bits());
@@ -814,7 +787,9 @@ mod tests {
             .map(|i| (i, MAX_ENTRY_TIERS + 1))
             .collect();
         let spec = NetworkSpec::new(tiers, edges);
-        let err = EquilibriumAnalyzer::new(spec).run().unwrap_err();
+        let err = EquilibriumAnalyzer::new(spec)
+            .run(&Pool::new(1))
+            .unwrap_err();
         assert!(matches!(
             err,
             EvalError::InvalidSpec(SpecIssue::TooManyEntryTiers { .. })
@@ -829,7 +804,7 @@ mod tests {
             .unwrap()
             .max_redundancy(2)
             .max_iters(1)
-            .run()
+            .run(&Pool::new(default_threads()))
             .unwrap();
         assert_eq!(outcome.iterations, 1);
         assert_eq!(outcome.trace.len(), 1);

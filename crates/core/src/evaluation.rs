@@ -305,27 +305,6 @@ impl Evaluator {
             .map(|d| self.evaluate(&d.name, &d.counts))
             .collect()
     }
-
-    /// Evaluates a list of designs on up to `threads` worker threads.
-    ///
-    /// Results come back in design order and are bitwise-identical to
-    /// [`Evaluator::evaluate_all`] — see
-    /// [`exec::run_batch`](crate::exec::run_batch) for the threading
-    /// model.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the earliest invalid design.
-    pub fn evaluate_batch(
-        &self,
-        designs: &[crate::spec::Design],
-        threads: usize,
-    ) -> Result<Vec<DesignEvaluation>, EvalError> {
-        let results = crate::exec::run_batch(designs.len(), threads, |i| {
-            self.evaluate(&designs[i].name, &designs[i].counts)
-        });
-        results.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -503,30 +482,6 @@ mod tests {
         );
         let e = second.evaluate("x", &[2, 1]).unwrap();
         assert_eq!(e.before, e.after);
-    }
-
-    #[test]
-    fn evaluate_batch_matches_evaluate_all() {
-        let ev = Evaluator::new(spec()).unwrap();
-        let designs = vec![
-            crate::spec::Design::new("a", vec![1, 1]),
-            crate::spec::Design::new("b", vec![2, 1]),
-            crate::spec::Design::new("c", vec![3, 2]),
-        ];
-        let all = ev.evaluate_all(&designs).unwrap();
-        for threads in [1, 2, 8] {
-            assert_eq!(ev.evaluate_batch(&designs, threads).unwrap(), all);
-        }
-        // Errors surface in design order.
-        let bad = vec![
-            crate::spec::Design::new("ok", vec![1, 1]),
-            crate::spec::Design::new("zero", vec![0, 1]),
-            crate::spec::Design::new("mismatch", vec![1]),
-        ];
-        assert!(matches!(
-            ev.evaluate_batch(&bad, 4),
-            Err(EvalError::ZeroServers { .. })
-        ));
     }
 
     #[test]

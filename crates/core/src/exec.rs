@@ -1,4 +1,5 @@
-//! Batch execution layer: scenario grids evaluated on a scoped worker pool.
+//! Batch execution layer: scenario grids evaluated on a reusable worker
+//! pool.
 //!
 //! The paper's headline results are *sweeps* — designs × patch policies ×
 //! schedule parameters — and every such sweep reduces to the same shape:
@@ -6,8 +7,11 @@
 //! module provides that shape once, so the design space can grow to
 //! thousands of scenarios without per-call-site `for` loops:
 //!
-//! * [`run_batch`] — the primitive: a deterministic parallel map over job
-//!   indices on scoped [`std::thread`] workers (no external dependencies);
+//! * [`Pool`] — the one parallel primitive: persistent workers, owned by
+//!   the caller, that run deterministic parallel maps over job indices
+//!   ([`Pool::run_batch`]; no external dependencies). Every batch below
+//!   runs on a pool passed in by the caller, so the thread count is set
+//!   in exactly one place, [`Pool::new`];
 //! * [`AnalysisCache`] — a thread-safe, session-scoped cache of the
 //!   per-tier lower-layer SRN solves, keyed by parameter content
 //!   (count- and name-independent, so one solve serves every design —
@@ -23,7 +27,7 @@
 //!
 //! # Determinism
 //!
-//! Results come back in grid order regardless of thread count, and every
+//! Results come back in grid order regardless of pool size, and every
 //! scenario's numbers are bitwise-identical to a sequential
 //! [`Scenario::evaluate`] call: workers only partition *which* scenarios
 //! they compute, never how a scenario is computed, and the shared caches
@@ -31,15 +35,16 @@
 //!
 //! # Examples
 //!
-//! Evaluate the paper's five designs under three patch policies on every
-//! available core:
+//! Evaluate the paper's five designs under three patch policies on a
+//! two-worker pool:
 //!
 //! ```
 //! use redeval::case_study;
-//! use redeval::exec::Sweep;
+//! use redeval::exec::{Pool, Sweep};
 //! use redeval::PatchPolicy;
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
+//! let pool = Pool::new(2);
 //! let evals = Sweep::new(case_study::network())
 //!     .designs(case_study::five_designs())
 //!     .policies(vec![
@@ -47,7 +52,7 @@
 //!         PatchPolicy::CriticalOnly(8.0),
 //!         PatchPolicy::All,
 //!     ])
-//!     .run()?;
+//!     .run(&pool)?;
 //! assert_eq!(evals.len(), 15); // 5 designs × 3 policies, in grid order
 //! # Ok(())
 //! # }
@@ -74,17 +79,18 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `jobs` independent jobs on up to `threads` scoped worker threads
-/// and returns the results **in job order**.
+/// Runs `jobs` independent jobs on up to `threads` scoped threads (the
+/// caller among them) and returns the results **in job order**.
 ///
-/// Workers pull job indices from a shared atomic counter, so long and
-/// short jobs balance automatically. With `threads <= 1` (or a single
-/// job) everything runs inline on the caller's thread — the parallel and
-/// sequential paths execute the exact same per-job code.
+/// A one-off variant of [`Pool::run_batch`] for jobs that borrow from the
+/// caller's stack: the helpers are spawned for this call and joined
+/// before it returns, and they run the pool's own claim loop, so the
+/// ordering and panic contract is the pool's. With `threads <= 1` (or a
+/// single job) every job runs on the caller's thread.
 ///
 /// # Panics
 ///
-/// Propagates panics from `job`.
+/// Resumes the first panic raised by `job`, with its original payload.
 ///
 /// # Examples
 ///
@@ -97,42 +103,15 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.clamp(1, jobs.max(1));
-    if threads == 1 {
-        return (0..jobs).map(job).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut buckets: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break;
-                        }
-                        done.push((i, job(i)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-    for bucket in &mut buckets {
-        for (i, value) in bucket.drain(..) {
-            slots[i] = Some(value);
+    let state = BatchState::new(jobs);
+    let helpers = threads.clamp(1, jobs.max(1)) - 1;
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(|| state.work(&job));
         }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job index assigned exactly once"))
-        .collect()
+        state.work(&job);
+    });
+    state.finish()
 }
 
 /// A queued unit of [`Pool`] work.
@@ -146,8 +125,10 @@ struct PoolShared {
     shutdown: AtomicBool,
 }
 
-/// Per-batch bookkeeping for [`Pool::run_batch`]: the job counter, the
-/// result slots and the helper-completion latch.
+/// Per-batch bookkeeping shared by [`Pool::run_batch`] and [`run_batch`]:
+/// the job counter, the result slots, the first panic and the pool's
+/// helper-completion latch. [`work`](BatchState::work) is the only code
+/// that claims job indices.
 struct BatchState<T> {
     next: AtomicUsize,
     jobs: usize,
@@ -180,12 +161,29 @@ impl<T: Send> BatchState<T> {
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i))) {
                 Ok(value) => self.slots.lock().expect("batch slots lock")[i] = Some(value),
                 Err(payload) => {
-                    *self.panic.lock().expect("batch panic lock") = Some(payload);
+                    self.panic
+                        .lock()
+                        .expect("batch panic lock")
+                        .get_or_insert(payload);
                     self.next.store(self.jobs, Ordering::Relaxed);
                     return;
                 }
             }
         }
+    }
+
+    /// The results in job order, or the first job panic resumed on the
+    /// caller's thread. Call once every worker has returned from
+    /// [`work`](BatchState::work).
+    fn finish(&self) -> Vec<T> {
+        if let Some(payload) = self.panic.lock().expect("batch panic lock").take() {
+            std::panic::resume_unwind(payload);
+        }
+        let mut slots = self.slots.lock().expect("batch slots lock");
+        slots
+            .drain(..)
+            .map(|s| s.expect("every job index assigned exactly once"))
+            .collect()
     }
 
     fn helper_finished(&self) {
@@ -226,15 +224,15 @@ impl<T: Send> BatchState<T> {
 }
 
 /// A reusable worker pool: threads spawned once, batches submitted many
-/// times — the execution substrate of long-running processes such as
-/// `redeval serve`, where per-request scoped-thread spawning would pay
-/// thread startup on every evaluation.
+/// times. Every batch of the crate — [`Experiment`], [`Sweep`], the
+/// optimizer, the equilibrium analyzer and the sensitivity analysis —
+/// runs on a pool its caller owns: a CLI run builds one, `redeval serve`
+/// keeps one for its lifetime.
 ///
-/// [`Pool::run_batch`] has the same contract as the free [`run_batch`]:
-/// results in job order, automatic balancing via a shared counter, and
-/// panics propagated to the caller. The differences are lifetime-shaped:
-/// pool jobs must be `'static` (workers outlive the call), and the
-/// calling thread participates in the batch, so a pool is never idle
+/// [`Pool::run_batch`] returns results in job order, balances long and
+/// short jobs through a shared counter, and resumes a job's panic on the
+/// caller. Pool jobs must be `'static` (workers outlive the call), and
+/// the calling thread participates in the batch, so a pool is never idle
 /// while its submitter spins.
 ///
 /// Dropping the pool joins every worker; tasks already queued finish
@@ -299,8 +297,7 @@ impl Pool {
     }
 
     /// Runs `jobs` independent jobs across the pool (the calling thread
-    /// helps) and returns the results **in job order** — the reusable
-    /// counterpart of the free [`run_batch`].
+    /// helps) and returns the results **in job order**.
     ///
     /// Concurrent `run_batch` calls interleave safely: each batch claims
     /// its own job indices, workers drain whatever batch is queued.
@@ -310,7 +307,7 @@ impl Pool {
     ///
     /// # Panics
     ///
-    /// Propagates panics from `job`.
+    /// Resumes the first panic raised by `job`, with its original payload.
     pub fn run_batch<T, F>(&self, jobs: usize, job: F) -> Vec<T>
     where
         T: Send + 'static,
@@ -340,14 +337,7 @@ impl Pool {
         }
         state.work(&*job);
         state.wait_for_helpers(&self.shared, helpers);
-        if let Some(payload) = state.panic.lock().expect("batch panic lock").take() {
-            std::panic::resume_unwind(payload);
-        }
-        let mut slots = state.slots.lock().expect("batch slots lock");
-        slots
-            .drain(..)
-            .map(|s| s.expect("every job index assigned exactly once"))
-            .collect()
+        state.finish()
     }
 }
 
@@ -710,29 +700,20 @@ fn evaluate_cell(
 /// Built directly from an explicit scenario list (heterogeneous batches —
 /// different topologies, different tier stacks) or via [`Sweep`] for
 /// regular grids. Running it returns one [`DesignEvaluation`] per
-/// scenario, **in input order**, whatever the thread count.
+/// scenario, **in input order**, whatever the pool size.
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    scenarios: Vec<Scenario>,
-    threads: usize,
+    scenarios: Arc<[Scenario]>,
     cache: Arc<AnalysisCache>,
 }
 
 impl Experiment {
-    /// An experiment over explicit scenarios, with a fresh cache and the
-    /// machine's [`default_threads`].
+    /// An experiment over explicit scenarios, with a fresh cache.
     pub fn new(scenarios: Vec<Scenario>) -> Self {
         Experiment {
-            scenarios,
-            threads: default_threads(),
+            scenarios: scenarios.into(),
             cache: Arc::new(AnalysisCache::new()),
         }
-    }
-
-    /// Sets the worker-thread count (clamped to at least 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Shares an existing analysis cache (e.g. across experiments).
@@ -746,40 +727,20 @@ impl Experiment {
         &self.scenarios
     }
 
-    /// Evaluates every scenario and returns the results in scenario
-    /// order.
+    /// Evaluates every scenario on `pool` and returns the results in
+    /// scenario order, bitwise-identical for any pool size.
     ///
     /// Scenarios sharing `(spec, counts, metrics)` are grouped so the
     /// policy-independent work (HARM construction, before-patch metrics,
-    /// availability solves) is computed once per group; groups run in
-    /// parallel on the worker pool.
+    /// availability solves) is computed once per group; groups are the
+    /// pool's jobs.
     ///
     /// # Errors
     ///
     /// Returns the error of the earliest failing scenario (grid order).
-    pub fn run(&self) -> Result<Vec<DesignEvaluation>, EvalError> {
-        let cells = self.cells();
-        let tel = self.cache.telemetry();
-        let _span = tel.span_with(|| format!("experiment ({} cells)", cells.len()));
-        tel.add(Counter::PoolBatches, 1);
-        tel.add(Counter::PoolJobs, cells.len() as u64);
-        let cell_results = run_batch(cells.len(), self.threads, |ci| {
-            evaluate_cell(&self.scenarios, &cells[ci], &self.cache)
-        });
-        Self::collect(&cells, cell_results, self.scenarios.len())
-    }
-
-    /// [`run`](Self::run), but dispatched on a reusable [`Pool`] instead
-    /// of per-call scoped threads — the serving path, where one pool
-    /// outlives many requests. Results are bitwise-identical to
-    /// [`run`](Self::run) for any pool size.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the earliest failing scenario (grid order).
-    pub fn run_on(&self, pool: &Pool) -> Result<Vec<DesignEvaluation>, EvalError> {
+    pub fn run(&self, pool: &Pool) -> Result<Vec<DesignEvaluation>, EvalError> {
         let cells = Arc::new(self.cells());
-        let scenarios = Arc::new(self.scenarios.clone());
+        let scenarios = Arc::clone(&self.scenarios);
         let cache = Arc::clone(&self.cache);
         let tel = self.cache.telemetry();
         let _span = tel.span_with(|| format!("experiment ({} cells)", cells.len()));
@@ -866,14 +827,13 @@ pub struct Sweep {
     designs: Vec<Design>,
     policies: Vec<PatchPolicy>,
     metrics: MetricsConfig,
-    threads: usize,
     cache: Arc<AnalysisCache>,
 }
 
 impl Sweep {
     /// A sweep over `base` with its current counts as the single design,
-    /// the paper's critical-only policy, default metrics and
-    /// [`default_threads`].
+    /// the paper's critical-only policy, default metrics and a fresh
+    /// cache.
     pub fn new(base: NetworkSpec) -> Self {
         let counts: Vec<u32> = base.tiers().iter().map(|t| t.count).collect();
         let names: Vec<&str> = base.tiers().iter().map(|t| t.name.as_str()).collect();
@@ -884,14 +844,13 @@ impl Sweep {
             designs: vec![design],
             policies: vec![PatchPolicy::CriticalOnly(8.0)],
             metrics: MetricsConfig::default(),
-            threads: default_threads(),
             cache: Arc::new(AnalysisCache::new()),
         }
     }
 
     /// A sweep over everything a scenario document declares: its network,
     /// its designs, its patch policies and its metric configuration, with
-    /// [`default_threads`] and a fresh cache.
+    /// a fresh cache.
     ///
     /// # Errors
     ///
@@ -901,12 +860,12 @@ impl Sweep {
     /// # Examples
     ///
     /// ```
-    /// use redeval::exec::Sweep;
+    /// use redeval::exec::{Pool, Sweep};
     /// use redeval::scenario::builtin;
     ///
     /// # fn main() -> Result<(), redeval::EvalError> {
     /// let doc = builtin::paper_case_study();
-    /// let evals = Sweep::from_scenario(&doc)?.run()?;
+    /// let evals = Sweep::from_scenario(&doc)?.run(&Pool::new(2))?;
     /// assert_eq!(evals.len(), 5); // five designs × one policy
     /// # Ok(())
     /// # }
@@ -988,12 +947,6 @@ impl Sweep {
         self
     }
 
-    /// Sets the worker-thread count (clamped to at least 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Shares an existing analysis cache (e.g. across sweeps, or to
     /// inspect hit/solve counters after the run).
     pub fn share_cache(mut self, cache: &Arc<AnalysisCache>) -> Self {
@@ -1054,19 +1007,19 @@ impl Sweep {
     /// Builds the executable [`Experiment`] for this grid.
     pub fn build(&self) -> Experiment {
         Experiment {
-            scenarios: self.scenarios(),
-            threads: self.threads,
+            scenarios: self.scenarios().into(),
             cache: Arc::clone(&self.cache),
         }
     }
 
-    /// Materializes and runs the grid; results follow grid order.
+    /// Materializes the grid and runs it on `pool`; results follow grid
+    /// order.
     ///
     /// # Errors
     ///
     /// Returns the error of the earliest failing scenario.
-    pub fn run(&self) -> Result<Vec<DesignEvaluation>, EvalError> {
-        self.build().run()
+    pub fn run(&self, pool: &Pool) -> Result<Vec<DesignEvaluation>, EvalError> {
+        self.build().run(pool)
     }
 }
 
@@ -1082,6 +1035,24 @@ mod tests {
             assert_eq!(out, (0..17).map(|i| 3 * i).collect::<Vec<_>>());
         }
         assert!(run_batch(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn run_batch_propagates_the_job_panic_payload() {
+        for threads in [1, 2, 4] {
+            let result = std::panic::catch_unwind(|| {
+                run_batch(8, threads, |i| {
+                    assert!(i != 5, "job five exploded");
+                    i
+                })
+            });
+            let payload = result.expect_err("the job panic reaches the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            assert_eq!(message, Some("job five exploded"), "{threads} threads");
+        }
     }
 
     #[test]
@@ -1150,16 +1121,16 @@ mod tests {
     }
 
     #[test]
-    fn experiment_run_on_pool_is_bitwise_identical_to_run() {
+    fn experiment_run_is_bitwise_identical_across_pool_sizes() {
         let pool = Pool::new(4);
         let sweep = Sweep::new(case_study::network())
             .designs(case_study::five_designs())
             .policies(vec![PatchPolicy::CriticalOnly(8.0), PatchPolicy::All]);
         let exp = sweep.build();
-        let scoped = exp.run().unwrap();
-        let pooled = exp.run_on(&pool).unwrap();
-        assert_eq!(scoped, pooled);
-        for (a, b) in scoped.iter().zip(&pooled) {
+        let single = exp.run(&Pool::new(1)).unwrap();
+        let pooled = exp.run(&pool).unwrap();
+        assert_eq!(single, pooled);
+        for (a, b) in single.iter().zip(&pooled) {
             assert_eq!(a.coa.to_bits(), b.coa.to_bits());
             assert_eq!(a.availability.to_bits(), b.availability.to_bits());
         }
@@ -1172,7 +1143,7 @@ mod tests {
             PatchPolicy::All,
         )]);
         assert!(matches!(
-            bad.run_on(&pool),
+            bad.run(&pool),
             Err(EvalError::CountMismatch { .. })
         ));
     }
@@ -1259,9 +1230,8 @@ mod tests {
     fn sweep_matches_sequential_reference_bitwise() {
         let sweep = Sweep::new(case_study::network())
             .designs(case_study::five_designs())
-            .policies(vec![PatchPolicy::CriticalOnly(8.0), PatchPolicy::All])
-            .threads(4);
-        let parallel = sweep.run().unwrap();
+            .policies(vec![PatchPolicy::CriticalOnly(8.0), PatchPolicy::All]);
+        let parallel = sweep.run(&Pool::new(4)).unwrap();
         let cache = AnalysisCache::new();
         let reference: Vec<DesignEvaluation> = sweep
             .scenarios()
@@ -1295,7 +1265,7 @@ mod tests {
                 PatchPolicy::CriticalOnly(8.0),
                 PatchPolicy::All,
             ]);
-        let evals = sweep.run().unwrap();
+        let evals = sweep.run(&Pool::new(default_threads())).unwrap();
         assert_eq!(evals.len(), 15);
         // The three policies of one design share before-patch metrics.
         assert_eq!(evals[0].before, evals[1].before);
@@ -1323,22 +1293,26 @@ mod tests {
             Design::new("bad", vec![1, 1]),
             PatchPolicy::All,
         );
-        let exp = Experiment::new(vec![good, bad]).threads(2);
-        assert!(matches!(exp.run(), Err(EvalError::CountMismatch { .. })));
+        let exp = Experiment::new(vec![good, bad]);
+        assert!(matches!(
+            exp.run(&Pool::new(2)),
+            Err(EvalError::CountMismatch { .. })
+        ));
     }
 
     #[test]
     fn shared_cache_spans_batches() {
+        let pool = Pool::new(default_threads());
         let cache = Arc::new(AnalysisCache::new());
         let sweep = Sweep::new(case_study::network()).share_cache(&cache);
-        sweep.run().unwrap();
+        sweep.run(&pool).unwrap();
         let solves_after_first = cache.solves();
         assert_eq!(solves_after_first, 4);
         // A second batch over the same spec re-solves nothing.
         Sweep::new(case_study::network())
             .share_cache(&cache)
             .designs(case_study::five_designs())
-            .run()
+            .run(&pool)
             .unwrap();
         assert_eq!(cache.solves(), solves_after_first);
     }

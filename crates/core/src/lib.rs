@@ -17,11 +17,11 @@
 //!    ([`DesignEvaluation`]), the decision functions of Equations (3),(4)
 //!    ([`decision`]), and chart data for the paper's Figures 6 and 7
 //!    ([`charts`]). Sweeps over designs × patch policies × schedule
-//!    parameters run on the batch execution layer ([`exec`]) — a scoped
-//!    worker pool with a shared cache of the per-tier SRN solves. All
-//!    tabular results flow through the deterministic structured-output
-//!    model ([`output`]), whose canonical JSON is what the golden-corpus
-//!    regression tests pin.
+//!    parameters run on the batch execution layer ([`exec`]) — a worker
+//!    pool the caller owns, with a shared cache of the per-tier SRN
+//!    solves. All tabular results flow through the deterministic
+//!    structured-output model ([`output`]), whose canonical JSON is what
+//!    the golden-corpus regression tests pin.
 //!
 //! The complete case study of the paper lives in [`case_study`].
 //!

@@ -51,16 +51,17 @@
 //!
 //! Traversal is a fixed-order wave loop: boxes split on the widest tier
 //! range (lowest tier index on ties, counts ascending), corner designs
-//! evaluate through [`Experiment`] (bitwise thread-count invariant), and
-//! the front updates sequentially in wave order. The reported frontier
-//! is re-sorted under the exhaustive tie-break (ascending ASP, then
-//! design-enumeration order, then policy order), so the outcome is
-//! byte-identical to [`pareto_frontier_batch`] over the materialized
-//! grid at any thread count.
+//! evaluate through [`Experiment`] on the caller's [`Pool`] (bitwise
+//! invariant in the pool size), and the front updates sequentially in
+//! wave order. The reported frontier is re-sorted under the exhaustive
+//! tie-break (ascending ASP, then design-enumeration order, then policy
+//! order), so the outcome is byte-identical to [`pareto_frontier`] over
+//! the materialized grid on any pool.
 //!
 //! # Examples
 //!
 //! ```
+//! use redeval::exec::Pool;
 //! use redeval::optimize::Optimizer;
 //! use redeval::scenario::builtin;
 //!
@@ -68,8 +69,7 @@
 //! let doc = builtin::paper_case_study();
 //! let outcome = Optimizer::from_scenario(&doc)?
 //!     .max_redundancy(3)
-//!     .threads(2)
-//!     .run()?;
+//!     .run(&Pool::new(2))?;
 //! assert!(!outcome.frontier.is_empty());
 //! assert!((outcome.evaluated_designs as f64) <= outcome.space_designs);
 //! # Ok(())
@@ -82,10 +82,10 @@ use std::sync::Arc;
 use redeval_avail::{NetworkModel, ServerAnalysis, Tier};
 use redeval_harm::MetricsConfig;
 
-use crate::decision::{pareto_frontier_batch, ParetoFront};
+use crate::decision::{pareto_frontier, ParetoFront};
 use crate::error::EvalError;
 use crate::evaluation::{DesignEvaluation, PatchPolicy};
-use crate::exec::{default_threads, AnalysisCache, Experiment, Pool, Scenario};
+use crate::exec::{AnalysisCache, Experiment, Pool, Scenario};
 use crate::spec::{Design, NetworkSpec};
 
 /// Default per-tier count bound when a request does not name one —
@@ -230,7 +230,7 @@ impl CoaBounder {
 #[derive(Debug, Clone)]
 pub struct OptimizeOutcome {
     /// The Pareto frontier on (after-patch ASP ↓, COA ↑) — byte-identical
-    /// to [`pareto_frontier_batch`] over the exhaustively enumerated
+    /// to [`pareto_frontier`] over the exhaustively enumerated
     /// design × policy grid, in the same order.
     pub frontier: Vec<DesignEvaluation>,
     /// Index into the optimizer's policy list of each frontier member,
@@ -276,31 +276,27 @@ impl OptimizeOutcome {
 /// space (see the [module docs](self)).
 ///
 /// Mirrors the [`Sweep`](crate::exec::Sweep) builder: policies and
-/// metrics default from the scenario document, execution runs on scoped
-/// threads ([`run`](Optimizer::run)) or a shared [`Pool`]
-/// ([`run_on`](Optimizer::run_on)) with a shared [`AnalysisCache`] for
-/// per-tier solve dedup.
+/// metrics default from the scenario document, and
+/// [`run`](Optimizer::run) evaluates on the caller's [`Pool`] with a
+/// shared [`AnalysisCache`] for per-tier solve dedup.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     spec: Arc<NetworkSpec>,
     policies: Vec<PatchPolicy>,
     metrics: MetricsConfig,
     max_redundancy: u32,
-    threads: usize,
     cache: Arc<AnalysisCache>,
 }
 
 impl Optimizer {
     /// An optimizer over `spec` with the paper's critical-only policy,
-    /// default metrics, [`DEFAULT_MAX_REDUNDANCY`] and
-    /// [`default_threads`].
+    /// default metrics, [`DEFAULT_MAX_REDUNDANCY`] and a fresh cache.
     pub fn new(spec: NetworkSpec) -> Self {
         Optimizer {
             spec: Arc::new(spec),
             policies: vec![PatchPolicy::CriticalOnly(8.0)],
             metrics: MetricsConfig::default(),
             max_redundancy: DEFAULT_MAX_REDUNDANCY,
-            threads: default_threads(),
             cache: Arc::new(AnalysisCache::new()),
         }
     }
@@ -343,12 +339,6 @@ impl Optimizer {
         self
     }
 
-    /// Sets the worker-thread count (clamped to at least 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Shares an existing analysis cache (e.g. the serving path's).
     pub fn share_cache(mut self, cache: &Arc<AnalysisCache>) -> Self {
         self.cache = Arc::clone(cache);
@@ -358,26 +348,6 @@ impl Optimizer {
     /// Total designs in the search space, `max_redundancy ^ tiers`.
     pub fn space_designs(&self) -> f64 {
         f64::from(self.max_redundancy).powi(self.spec.tiers().len() as i32)
-    }
-
-    /// Runs the search on per-call scoped threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns count-validation and solver errors (earliest in wave
-    /// order, like the batch executor).
-    pub fn run(&self) -> Result<OptimizeOutcome, EvalError> {
-        self.run_impl(None)
-    }
-
-    /// [`run`](Optimizer::run) on a reusable [`Pool`] — the serving
-    /// path. Bitwise-identical outcome for any pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Optimizer::run).
-    pub fn run_on(&self, pool: &Pool) -> Result<OptimizeOutcome, EvalError> {
-        self.run_impl(Some(pool))
     }
 
     /// The scenario label convention shared with
@@ -397,7 +367,7 @@ impl Optimizer {
     /// cell to the front.
     fn evaluate_wave(
         &self,
-        pool: Option<&Pool>,
+        pool: &Pool,
         need: &[Vec<u32>],
         memo: &mut HashMap<Vec<u32>, Vec<DesignEvaluation>>,
         front: &mut ParetoFront<(usize, DesignEvaluation)>,
@@ -419,13 +389,9 @@ impl Optimizer {
                 });
             }
         }
-        let experiment = Experiment::new(scenarios)
-            .threads(self.threads)
-            .share_cache(&self.cache);
-        let evals = match pool {
-            Some(pool) => experiment.run_on(pool)?,
-            None => experiment.run()?,
-        };
+        let evals = Experiment::new(scenarios)
+            .share_cache(&self.cache)
+            .run(pool)?;
         for (counts, cell) in need.iter().zip(evals.chunks(self.policies.len())) {
             for (policy_idx, e) in cell.iter().enumerate() {
                 front.insert(
@@ -439,7 +405,14 @@ impl Optimizer {
         Ok(())
     }
 
-    fn run_impl(&self, pool: Option<&Pool>) -> Result<OptimizeOutcome, EvalError> {
+    /// Runs the search, evaluating each wave's corners on `pool`. The
+    /// outcome is bitwise-identical for any pool size.
+    ///
+    /// # Errors
+    ///
+    /// Returns count-validation and solver errors (earliest in wave
+    /// order, like the batch executor).
+    pub fn run(&self, pool: &Pool) -> Result<OptimizeOutcome, EvalError> {
         let tiers = self.spec.tiers().len();
         let space_designs = self.space_designs();
         let space_cells = space_designs * self.policies.len() as f64;
@@ -551,38 +524,39 @@ impl Optimizer {
 }
 
 /// Reference implementation for small spaces: materialize the full grid
-/// through the batch executor and take [`pareto_frontier_batch`] — what
-/// the optimizer must agree with byte-for-byte.
+/// on `pool` through the batch executor and take [`pareto_frontier`] —
+/// what the optimizer must agree with byte-for-byte.
 ///
 /// # Errors
 ///
 /// Propagates grid evaluation errors.
-pub fn exhaustive_frontier(optimizer: &Optimizer) -> Result<Vec<DesignEvaluation>, EvalError> {
-    let sweep = crate::exec::Sweep::new((*optimizer.spec).clone())
+pub fn exhaustive_frontier(
+    optimizer: &Optimizer,
+    pool: &Pool,
+) -> Result<Vec<DesignEvaluation>, EvalError> {
+    let evals = crate::exec::Sweep::new((*optimizer.spec).clone())
         .full_design_space(optimizer.max_redundancy)
         .policies(optimizer.policies.clone())
         .metrics(optimizer.metrics)
-        .threads(optimizer.threads);
-    let evals = sweep.run()?;
-    Ok(pareto_frontier_batch(&evals, optimizer.threads)
-        .into_iter()
-        .cloned()
-        .collect())
+        .run(pool)?;
+    Ok(pareto_frontier(&evals).into_iter().cloned().collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::default_threads;
     use crate::scenario::builtin;
 
     #[test]
     fn matches_exhaustive_frontier_on_the_case_study() {
         // r = 8 is the top of the front doors' `max_redundancy` range.
         let doc = builtin::paper_case_study();
+        let pool = Pool::new(default_threads());
         for r in [3u32, 8] {
             let opt = Optimizer::from_scenario(&doc).unwrap().max_redundancy(r);
-            let outcome = opt.run().unwrap();
-            let exhaustive = exhaustive_frontier(&opt).unwrap();
+            let outcome = opt.run(&pool).unwrap();
+            let exhaustive = exhaustive_frontier(&opt, &pool).unwrap();
             assert_eq!(outcome.frontier.len(), exhaustive.len(), "r = {r}");
             for (a, b) in outcome.frontier.iter().zip(&exhaustive) {
                 assert_eq!(a, b, "r = {r}");
@@ -604,15 +578,13 @@ mod tests {
         let reference = Optimizer::from_scenario(&doc)
             .unwrap()
             .max_redundancy(3)
-            .threads(1)
-            .run()
+            .run(&Pool::new(1))
             .unwrap();
         for threads in [2, 4] {
             let outcome = Optimizer::from_scenario(&doc)
                 .unwrap()
                 .max_redundancy(3)
-                .threads(threads)
-                .run()
+                .run(&Pool::new(threads))
                 .unwrap();
             assert_eq!(outcome.frontier, reference.frontier);
             assert_eq!(outcome.evaluated_designs, reference.evaluated_designs);
@@ -629,9 +601,9 @@ mod tests {
             .unwrap()
             .max_redundancy(2)
             .share_cache(&cache);
-        let pooled = opt.run_on(&pool).unwrap();
-        let scoped = opt.run().unwrap();
-        assert_eq!(pooled.frontier, scoped.frontier);
+        let pooled = opt.run(&pool).unwrap();
+        let single = opt.run(&Pool::new(1)).unwrap();
+        assert_eq!(pooled.frontier, single.frontier);
         assert!(cache.solves() > 0);
     }
 
@@ -641,7 +613,7 @@ mod tests {
         let outcome = Optimizer::from_scenario(&doc)
             .unwrap()
             .max_redundancy(1)
-            .run()
+            .run(&Pool::new(default_threads()))
             .unwrap();
         assert_eq!(outcome.evaluated_designs, 1);
         assert_eq!(outcome.space_designs, 1.0);
@@ -655,7 +627,7 @@ mod tests {
         let outcome = Optimizer::from_scenario(&doc)
             .unwrap()
             .max_redundancy(4)
-            .run()
+            .run(&Pool::new(default_threads()))
             .unwrap();
         for member in &outcome.frontier {
             for (lo, hi) in &outcome.pruned_boxes {
@@ -675,7 +647,7 @@ mod tests {
         let outcome = Optimizer::from_scenario(&doc)
             .unwrap()
             .max_redundancy(4)
-            .run()
+            .run(&Pool::new(default_threads()))
             .unwrap();
         assert!(outcome.boxes_pruned > 0, "no pruning at all");
         assert!(

@@ -541,7 +541,7 @@ pub fn microservices_mesh() -> ScenarioDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Sweep;
+    use crate::exec::{default_threads, Pool, Sweep};
 
     #[test]
     fn gallery_names_are_unique_and_findable() {
@@ -568,11 +568,12 @@ mod tests {
 
     #[test]
     fn every_builtin_evaluates_end_to_end() {
+        let pool = Pool::new(default_threads());
         for s in BUILTINS {
             let doc = (s.build)();
             let evals = Sweep::from_scenario(&doc)
                 .unwrap_or_else(|e| panic!("{}: {e}", s.name))
-                .run()
+                .run(&pool)
                 .unwrap_or_else(|e| panic!("{}: {e}", s.name));
             assert_eq!(evals.len(), doc.designs.len() * doc.policies.len());
             for e in &evals {

@@ -8,8 +8,11 @@
 //! (`d log COA-loss / d log θ`) make parameters with different units
 //! comparable.
 
+use std::sync::Arc;
+
 use redeval_avail::{Durations, ServerParams};
 
+use crate::exec::Pool;
 use crate::spec::NetworkSpec;
 use crate::EvalError;
 
@@ -88,9 +91,12 @@ pub struct Sensitivity {
 
 /// Computes COA-loss sensitivities of every `(tier, parameter)` pair by
 /// central differences with relative step `rel_step` (e.g. `0.05`),
-/// sequentially.
+/// sorted by descending |elasticity|.
 ///
-/// Equivalent to [`coa_sensitivities_batch`] with one thread.
+/// The perturbation pairs (each costs two full pipeline solves) are the
+/// jobs of one `pool` batch. They are computed independently and merged
+/// in job order before the stable sort, so the ranking is
+/// bitwise-identical for any pool size.
 ///
 /// # Errors
 ///
@@ -103,73 +109,45 @@ pub fn coa_sensitivities(
     spec: &NetworkSpec,
     counts: &[u32],
     rel_step: f64,
-) -> Result<Vec<Sensitivity>, EvalError> {
-    coa_sensitivities_batch(spec, counts, rel_step, 1)
-}
-
-/// Computes the COA-loss sensitivities of [`coa_sensitivities`] with the
-/// `(tier, parameter)` perturbation pairs spread over up to `threads`
-/// worker threads (each pair costs two full pipeline solves).
-///
-/// The ranking is identical to the sequential path for any thread count:
-/// pairs are computed independently and merged in job order before the
-/// stable sort by |elasticity|.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-///
-/// # Panics
-///
-/// Panics when `rel_step` is not within `(0, 0.5)`.
-pub fn coa_sensitivities_batch(
-    spec: &NetworkSpec,
-    counts: &[u32],
-    rel_step: f64,
-    threads: usize,
+    pool: &Pool,
 ) -> Result<Vec<Sensitivity>, EvalError> {
     assert!(
         rel_step > 0.0 && rel_step < 0.5,
         "relative step must be in (0, 0.5)"
     );
-    let coa_of = |spec: &NetworkSpec| -> Result<f64, EvalError> {
-        let design = spec.with_counts(counts)?;
-        let analyses: Vec<redeval_avail::ServerAnalysis> = design.tier_analyses()?;
-        Ok(design.network_model(&analyses).coa()?)
-    };
-    let base_coa = coa_of(spec)?;
-    let base_loss = 1.0 - base_coa;
-
-    let pairs: Vec<(usize, Parameter)> = (0..spec.tiers().len())
-        .flat_map(|ti| Parameter::ALL.into_iter().map(move |p| (ti, p)))
-        .collect();
-    let results = crate::exec::run_batch(pairs.len(), threads, |job| -> Result<_, EvalError> {
-        let (ti, param) = pairs[job];
-        let tier = &spec.tiers()[ti];
-        let theta = param.get(&tier.params);
-        let step = theta * rel_step;
-        let perturbed = |value: f64| -> Result<f64, EvalError> {
-            let mut tiers = spec.tiers().to_vec();
-            param.set(&mut tiers[ti].params, value);
-            let s = NetworkSpec::new(tiers, spec.edges().to_vec());
-            coa_of(&s)
-        };
-        let hi = 1.0 - perturbed(theta + step)?;
-        let lo = 1.0 - perturbed(theta - step)?;
-        let derivative = (hi - lo) / (2.0 * step);
-        let elasticity = if base_loss > 0.0 {
-            derivative * theta / base_loss
-        } else {
-            0.0
-        };
-        Ok(Sensitivity {
-            tier: tier.name.clone(),
-            parameter: param,
-            value_hours: theta,
-            derivative,
-            elasticity,
-        })
-    });
+    let base_loss = 1.0 - coa_of(spec, counts)?;
+    let spec = Arc::new(spec.clone());
+    let counts = counts.to_vec();
+    let per_tier = Parameter::ALL.len();
+    let results = pool.run_batch(
+        spec.tiers().len() * per_tier,
+        move |job| -> Result<_, EvalError> {
+            let (ti, param) = (job / per_tier, Parameter::ALL[job % per_tier]);
+            let tier = &spec.tiers()[ti];
+            let theta = param.get(&tier.params);
+            let step = theta * rel_step;
+            let perturbed = |value: f64| -> Result<f64, EvalError> {
+                let mut tiers = spec.tiers().to_vec();
+                param.set(&mut tiers[ti].params, value);
+                coa_of(&NetworkSpec::new(tiers, spec.edges().to_vec()), &counts)
+            };
+            let hi = 1.0 - perturbed(theta + step)?;
+            let lo = 1.0 - perturbed(theta - step)?;
+            let derivative = (hi - lo) / (2.0 * step);
+            let elasticity = if base_loss > 0.0 {
+                derivative * theta / base_loss
+            } else {
+                0.0
+            };
+            Ok(Sensitivity {
+                tier: tier.name.clone(),
+                parameter: param,
+                value_hours: theta,
+                derivative,
+                elasticity,
+            })
+        },
+    );
     let mut out = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     out.sort_by(|a, b| {
         b.elasticity
@@ -180,6 +158,14 @@ pub fn coa_sensitivities_batch(
     Ok(out)
 }
 
+/// Product-form COA of `spec` at `counts`, through a fresh lower-layer
+/// solve.
+fn coa_of(spec: &NetworkSpec, counts: &[u32]) -> Result<f64, EvalError> {
+    let design = spec.with_counts(counts)?;
+    let analyses = design.tier_analyses()?;
+    Ok(design.network_model(&analyses).coa()?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +174,7 @@ mod tests {
     #[test]
     fn longer_patches_increase_loss() {
         let spec = case_study::network();
-        let sens = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05).unwrap();
+        let sens = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(1)).unwrap();
         // Every patch/reboot duration has a positive derivative (longer
         // downtime → more loss); the patch interval has a negative one
         // (rarer patching → less loss).
@@ -208,7 +194,7 @@ mod tests {
         // for each tier; combined over 4 tiers still ≈ −1 per tier
         // contribution. Check the dns tier's interval elasticity.
         let spec = case_study::network();
-        let sens = coa_sensitivities(&spec, &[1, 1, 1, 1], 0.05).unwrap();
+        let sens = coa_sensitivities(&spec, &[1, 1, 1, 1], 0.05, &Pool::new(1)).unwrap();
         let dns_interval = sens
             .iter()
             .find(|s| s.tier == "dns" && s.parameter == Parameter::PatchInterval)
@@ -225,7 +211,7 @@ mod tests {
         // server's downtime costs 1/6 of capacity while the db/dns tiers
         // zero the reward — so the single-server tiers top the ranking.
         let spec = case_study::network();
-        let sens = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05).unwrap();
+        let sens = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(1)).unwrap();
         let top_tiers: Vec<&str> = sens[..3].iter().map(|s| s.tier.as_str()).collect();
         assert!(
             top_tiers.iter().all(|t| *t == "db" || *t == "dns"),
@@ -234,7 +220,7 @@ mod tests {
         // Duplicating a tier strictly reduces the magnitude of its own
         // patch-duration sensitivity: compare app's OS-patch elasticity
         // between the non-redundant and the case-study design.
-        let flat = coa_sensitivities(&spec, &[1, 1, 1, 1], 0.05).unwrap();
+        let flat = coa_sensitivities(&spec, &[1, 1, 1, 1], 0.05, &Pool::new(1)).unwrap();
         let el = |list: &[Sensitivity]| {
             list.iter()
                 .find(|s| s.tier == "app" && s.parameter == Parameter::OsPatch)
@@ -248,14 +234,14 @@ mod tests {
     #[should_panic(expected = "relative step")]
     fn bad_step_panics() {
         let spec = case_study::network();
-        let _ = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.9);
+        let _ = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.9, &Pool::new(1));
     }
 
     #[test]
-    fn batch_is_bitwise_identical_to_sequential() {
+    fn is_bitwise_identical_across_pool_sizes() {
         let spec = case_study::network();
-        let seq = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05).unwrap();
-        let par = coa_sensitivities_batch(&spec, &[1, 2, 2, 1], 0.05, 4).unwrap();
+        let seq = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(1)).unwrap();
+        let par = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(4)).unwrap();
         assert_eq!(seq, par);
     }
 }

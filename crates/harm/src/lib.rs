@@ -64,7 +64,7 @@ pub use vuln::Vulnerability;
 
 #[cfg(test)]
 mod send_sync_audit {
-    //! The batch execution layer shares HARMs across scoped worker
+    //! The batch execution layer shares HARMs across its pool worker
     //! threads; every public type must stay `Send + Sync`.
     use super::*;
 

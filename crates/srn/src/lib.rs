@@ -62,7 +62,7 @@ pub use solved::SolvedSrn;
 
 #[cfg(test)]
 mod send_sync_audit {
-    //! The batch execution layer shares solver values across scoped
+    //! The batch execution layer shares solver values across its pool
     //! worker threads; every public type must stay `Send + Sync`.
     use super::*;
 

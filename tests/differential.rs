@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 
 use redeval::scenario::generate::{self, Family, GenParams};
 use redeval::scenario::ScenarioDoc;
-use redeval::Sweep;
+use redeval::{Pool, Sweep};
 use redeval_bench::{cli, reports, serve};
 use redeval_server::{Request, Service, CACHE_HEADER};
 
@@ -142,20 +142,17 @@ fn mesh_corpus_agrees_across_all_execution_paths() {
 /// identical bits at 1, 2 and 4 workers.
 #[test]
 fn generated_sweeps_are_thread_count_invariant() {
+    let single = Pool::new(1);
+    let pools = [(2, Pool::new(2)), (4, Pool::new(4))];
     for family in generate::FAMILIES {
         for seed in [0, 13, 49] {
             let doc = generate::generate(family, &corpus_params(family, seed), seed);
             let reference = Sweep::from_scenario(&doc)
                 .unwrap_or_else(|e| panic!("{}: {e}", doc.name))
-                .threads(1)
-                .run()
+                .run(&single)
                 .unwrap_or_else(|e| panic!("{}: {e}", doc.name));
-            for threads in [2, 4] {
-                let parallel = Sweep::from_scenario(&doc)
-                    .unwrap()
-                    .threads(threads)
-                    .run()
-                    .unwrap();
+            for (threads, pool) in &pools {
+                let parallel = Sweep::from_scenario(&doc).unwrap().run(pool).unwrap();
                 assert_eq!(parallel.len(), reference.len());
                 for (p, r) in parallel.iter().zip(&reference) {
                     assert_eq!(p, r, "{}: {threads} threads diverge", doc.name);

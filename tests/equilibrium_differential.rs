@@ -1,6 +1,6 @@
 //! Differential tests for the equilibrium front doors (ISSUE 9
 //! satellite): the in-process report builder
-//! (`reports::equilibrium::equilibrium_report`), the CLI
+//! (`reports::equilibrium::equilibrium_report_on`), the CLI
 //! (`redeval equilibrium`) and the served endpoint
 //! (`POST /v1/equilibrium`) must emit **byte-identical** reports for
 //! the same request, over generated scenarios from every family — and
@@ -10,8 +10,10 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use redeval::equilibrium::EquilibriumAnalyzer;
+use redeval::exec::{default_threads, AnalysisCache, Pool};
 use redeval::scenario::generate::{self, Family, GenParams};
 use redeval::scenario::ScenarioDoc;
 use redeval::PatchPolicy;
@@ -71,24 +73,23 @@ fn corpus() -> Vec<(ScenarioDoc, u32)> {
 /// document and stop reason.
 #[test]
 fn equilibrium_outcome_is_bitwise_invariant_across_threads() {
+    let pools = [1usize, 2, 4].map(|threads| (threads, Pool::new(threads)));
     for (doc, max_redundancy) in corpus() {
         let reference = EquilibriumAnalyzer::from_scenario(&doc)
             .unwrap_or_else(|e| panic!("{}: {e}", doc.name))
             .max_redundancy(max_redundancy)
-            .threads(1)
-            .run()
+            .run(&pools[0].1)
             .unwrap_or_else(|e| panic!("{}: {e}", doc.name));
         assert!(
             reference.converged || reference.cycle_detected,
             "{}: the corpus iteration must stop for a stated reason",
             doc.name
         );
-        for threads in [1usize, 2, 4] {
+        for (threads, pool) in &pools {
             let outcome = EquilibriumAnalyzer::from_scenario(&doc)
                 .unwrap()
                 .max_redundancy(max_redundancy)
-                .threads(threads)
-                .run()
+                .run(pool)
                 .unwrap_or_else(|e| panic!("{} @ {threads} threads: {e}", doc.name));
             assert_eq!(
                 outcome, reference,
@@ -136,9 +137,13 @@ fn equilibrium_front_doors_emit_identical_bytes() {
             max_redundancy: Some(max_redundancy),
             max_iters,
         };
-        let in_process = reports::equilibrium::equilibrium_report(&req)
-            .unwrap_or_else(|e| panic!("{}: {e}", doc.name))
-            .to_json();
+        let in_process = reports::equilibrium::equilibrium_report_on(
+            &req,
+            &Pool::new(default_threads()),
+            &Arc::new(AnalysisCache::new()),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", doc.name))
+        .to_json();
 
         // Door 2: the CLI, end to end through a real file.
         let scenario_file = dir.join(format!("{}.json", doc.name));

@@ -18,6 +18,7 @@
 
 use proptest::prelude::*;
 use redeval::equilibrium::{exhaustive_defender_response, EquilibriumAnalyzer};
+use redeval::exec::Pool;
 use redeval::scenario::generate::{self, GenParams};
 use redeval::scenario::ScenarioDoc;
 
@@ -45,7 +46,6 @@ fn analyzer(doc: &ScenarioDoc, max_redundancy: u32) -> EquilibriumAnalyzer {
     EquilibriumAnalyzer::from_scenario(doc)
         .expect("generated documents convert")
         .max_redundancy(max_redundancy)
-        .threads(2)
 }
 
 /// Defender counts derived from a seed: one count in 1..=max per tier.
@@ -118,9 +118,10 @@ proptest! {
         prop_assert!(k >= 1, "generated scenarios have at least one entry tier");
         let mask = derived_mask(k, mask_seed);
 
-        let pruned = analyzer.defender_response(&mask).expect("pruned defender response");
-        let (exhaustive_eval, exhaustive_policy) =
-            exhaustive_defender_response(&analyzer, &mask).expect("exhaustive defender response");
+        let pool = Pool::new(2);
+        let pruned = analyzer.defender_response(&mask, &pool).expect("pruned defender response");
+        let (exhaustive_eval, exhaustive_policy) = exhaustive_defender_response(&analyzer, &mask, &pool)
+            .expect("exhaustive defender response");
 
         prop_assert_eq!(pruned.policy_idx, exhaustive_policy);
         prop_assert_eq!(&pruned.eval.counts, &exhaustive_eval.counts);

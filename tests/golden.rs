@@ -19,6 +19,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use redeval::exec::Pool;
 use redeval_bench::reports::{self, REGISTRY};
 
 fn golden_dir() -> PathBuf {
@@ -238,19 +239,19 @@ fn json_is_byte_identical_across_runs() {
 fn json_is_byte_identical_across_thread_counts() {
     // The batch engine guarantees bitwise-identical numbers for any
     // worker count (DESIGN.md §5); the serialized reports inherit that.
-    let sweep_1 = reports::studies::sweep_with_threads(1).to_json();
+    let sweep_1 = reports::studies::sweep_on(&Pool::new(1)).to_json();
     for threads in [2, 4, 8] {
         assert_eq!(
             sweep_1,
-            reports::studies::sweep_with_threads(threads).to_json(),
+            reports::studies::sweep_on(&Pool::new(threads)).to_json(),
             "sweep report differs between 1 and {threads} threads"
         );
     }
-    let sens_1 = reports::studies::sensitivity_with_threads(1).to_json();
+    let sens_1 = reports::studies::sensitivity_on(&Pool::new(1)).to_json();
     for threads in [3, 7] {
         assert_eq!(
             sens_1,
-            reports::studies::sensitivity_with_threads(threads).to_json(),
+            reports::studies::sensitivity_on(&Pool::new(threads)).to_json(),
             "sensitivity report differs between 1 and {threads} threads"
         );
     }

@@ -14,12 +14,25 @@
 //! * `POST /v1/eval` enforces the same cap on a document's own
 //!   designs × policies grid.
 
+use std::sync::Arc;
+
+use redeval::exec::{default_threads, AnalysisCache, Pool};
+use redeval::output::Report;
 use redeval::scenario::generate::{self, Family, GenParams};
 use redeval::scenario::ScenarioDoc;
-use redeval::Design;
-use redeval_bench::reports::{self, scenario::MAX_SWEEP_GRID};
+use redeval::{Design, EvalError};
+use redeval_bench::reports::scenario::{eval_report, sweep_report_on, MAX_SWEEP_GRID};
 use redeval_bench::serve;
 use redeval_server::{Request, SweepRequest};
+
+/// The in-process sweep builder on a fresh pool and cache.
+fn sweep_report(req: &SweepRequest) -> Result<Report, EvalError> {
+    sweep_report_on(
+        req,
+        &Pool::new(default_threads()),
+        &Arc::new(AnalysisCache::new()),
+    )
+}
 
 /// A tiny generated document widened to `designs` copies of its base
 /// design — cheap cells, controllable grid width.
@@ -67,7 +80,7 @@ fn sweep_grid_at_exactly_the_cap_is_accepted() {
         policies: Some(vec![redeval::PatchPolicy::All; 25]),
         max_redundancy: None,
     };
-    let report = reports::scenario::sweep_report(&req).expect("at-cap grid evaluates");
+    let report = sweep_report(&req).expect("at-cap grid evaluates");
     assert!(report.ok, "at-cap sweep fails its checks");
     let json = report.to_json();
     assert!(
@@ -92,7 +105,7 @@ fn sweep_grid_one_design_over_the_cap_is_rejected_structurally() {
         policies: Some(vec![redeval::PatchPolicy::All; 25]),
         max_redundancy: None,
     };
-    let e = reports::scenario::sweep_report(&req).expect_err("over-cap grid must be rejected");
+    let e = sweep_report(&req).expect_err("over-cap grid must be rejected");
     let msg = e.to_string();
     assert!(
         msg.contains("10400") && msg.contains(&MAX_SWEEP_GRID.to_string()),
@@ -136,7 +149,7 @@ fn astronomic_design_spaces_are_rejected_arithmetically() {
         max_redundancy: Some(8),
     };
     let start = std::time::Instant::now();
-    let e = reports::scenario::sweep_report(&req).expect_err("8^120 designs must be rejected");
+    let e = sweep_report(&req).expect_err("8^120 designs must be rejected");
     assert!(
         start.elapsed() < std::time::Duration::from_secs(5),
         "rejection took {:?} — the design space was materialized",
@@ -164,7 +177,7 @@ fn eval_enforces_the_same_cap_on_the_document_grid() {
     let mut doc = widened_doc(101);
     doc.policies = vec![redeval::PatchPolicy::All; 100];
     doc.validate().expect("the wide doc itself is schema-valid");
-    let e = reports::scenario::eval_report(&doc).expect_err("over-cap eval grid");
+    let e = eval_report(&doc).expect_err("over-cap eval grid");
     assert!(
         e.to_string().contains("10100") && e.to_string().contains("redeval optimize"),
         "{e}"
@@ -183,6 +196,6 @@ fn eval_enforces_the_same_cap_on_the_document_grid() {
     // At the cap exactly, eval accepts: 100 × 100 = 10 000.
     let mut doc = widened_doc(100);
     doc.policies = vec![redeval::PatchPolicy::All; 100];
-    let report = reports::scenario::eval_report(&doc).expect("at-cap eval grid");
+    let report = eval_report(&doc).expect("at-cap eval grid");
     assert!(report.ok);
 }

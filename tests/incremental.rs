@@ -25,13 +25,8 @@ use redeval_bench::reports::scenario::{eval_report, eval_report_on};
 /// Evaluates `doc` on the shared session cache and pins the bytes
 /// against a cold run.
 ///
-/// Solve *counts* are only bounded, not exact: `Pool::run_batch` has
-/// the caller take a share of the work, so even `Pool::new(1)` runs
-/// cells on two threads (caller + one worker), and concurrent first
-/// requests for one new key may each solve it (the solve runs outside
-/// the cache lock; first insert wins). [`AnalysisCache::len`] — the
-/// number of distinct parameter contents — is the deterministic
-/// measure of what an edit invalidated.
+/// [`AnalysisCache::len`] — the number of distinct parameter contents —
+/// measures what an edit invalidated.
 fn incremental_eval(doc: &ScenarioDoc, pool: &Pool, cache: &Arc<AnalysisCache>) -> String {
     let warm = eval_report_on(doc, pool, cache)
         .expect("incremental eval")

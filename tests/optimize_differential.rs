@@ -12,7 +12,9 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
+use redeval::exec::{default_threads, AnalysisCache, Pool};
 use redeval::optimize::exhaustive_frontier;
 use redeval::scenario::generate::{self, Family, GenParams};
 use redeval::scenario::ScenarioDoc;
@@ -66,20 +68,20 @@ fn assert_bitwise_equal(a: &[DesignEvaluation], b: &[DesignEvaluation], ctx: &st
 /// enumeration, bit for bit, on every corpus grid at every thread count.
 #[test]
 fn pruned_search_matches_exhaustive_enumeration_on_small_grids() {
+    let reference_pool = Pool::new(default_threads());
+    let pools = [1usize, 2, 4].map(|threads| (threads, Pool::new(threads)));
     for family in generate::FAMILIES {
         for seed in [0u64, 1, 2] {
             let (doc, max_redundancy) = grid_doc(family, seed);
             let optimizer = Optimizer::from_scenario(&doc)
                 .unwrap_or_else(|e| panic!("{}: {e}", doc.name))
                 .max_redundancy(max_redundancy);
-            let reference = exhaustive_frontier(&optimizer)
+            let reference = exhaustive_frontier(&optimizer, &reference_pool)
                 .unwrap_or_else(|e| panic!("{}: exhaustive sweep: {e}", doc.name));
             assert!(!reference.is_empty(), "{}: empty frontier", doc.name);
-            for threads in [1usize, 2, 4] {
+            for (threads, pool) in &pools {
                 let outcome = optimizer
-                    .clone()
-                    .threads(threads)
-                    .run()
+                    .run(pool)
                     .unwrap_or_else(|e| panic!("{}: optimize: {e}", doc.name));
                 assert_bitwise_equal(
                     &reference,
@@ -114,9 +116,13 @@ fn optimize_front_doors_emit_identical_bytes() {
             max_redundancy: Some(max_redundancy),
             bounds: None,
         };
-        let in_process = reports::optimize::optimize_report(&req)
-            .unwrap_or_else(|e| panic!("{}: {e}", doc.name))
-            .to_json();
+        let in_process = reports::optimize::optimize_report_on(
+            &req,
+            &Pool::new(default_threads()),
+            &Arc::new(AnalysisCache::new()),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", doc.name))
+        .to_json();
 
         // Door 2: the CLI, end to end through a real file.
         let scenario_file = dir.join(format!("{}.json", doc.name));
@@ -188,10 +194,9 @@ fn pruned_boxes_never_contain_frontier_members() {
         let doc = generate::generate(family, &params, seed);
         let optimizer = Optimizer::from_scenario(&doc)
             .unwrap_or_else(|e| panic!("case {case} ({}): {e}", doc.name))
-            .max_redundancy(max_redundancy)
-            .threads(2);
+            .max_redundancy(max_redundancy);
         let outcome = optimizer
-            .run()
+            .run(&Pool::new(2))
             .unwrap_or_else(|e| panic!("case {case} ({}): {e}", doc.name));
         assert!(!outcome.frontier.is_empty(), "case {case}: empty frontier");
         for member in &outcome.frontier {

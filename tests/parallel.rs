@@ -8,7 +8,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use redeval::case_study;
-use redeval::decision::{pareto_frontier, pareto_frontier_batch};
+use redeval::decision::pareto_frontier;
 use redeval_bench::CVSS_THRESHOLDS;
 use redeval_suite::prelude::*;
 
@@ -45,11 +45,7 @@ fn randomized_grid_parallel_is_bitwise_identical_to_sequential() {
 
     // The engine must reproduce it exactly for any thread count.
     for threads in [1, 2, 4, 16] {
-        let parallel = sweep
-            .clone()
-            .threads(threads)
-            .run()
-            .expect("grid evaluates");
+        let parallel = sweep.run(&Pool::new(threads)).expect("grid evaluates");
         assert_eq!(parallel.len(), reference.len());
         for (p, r) in parallel.iter().zip(&reference) {
             assert_eq!(p, r, "thread count {threads} changed a result");
@@ -66,25 +62,10 @@ fn randomized_grid_parallel_is_bitwise_identical_to_sequential() {
 }
 
 #[test]
-fn randomized_grid_evaluator_batch_matches_evaluate_all() {
-    let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    let designs = random_designs(&mut rng, 31);
-    let evaluator = case_study::evaluator().expect("evaluator builds");
-    let sequential = evaluator.evaluate_all(&designs).expect("designs evaluate");
-    for threads in [2, 8] {
-        let batch = evaluator
-            .evaluate_batch(&designs, threads)
-            .expect("designs evaluate");
-        assert_eq!(batch, sequential);
-    }
-}
-
-#[test]
 fn shared_cache_dedupes_per_tier_solves_across_the_batch() {
+    let pool = Pool::new(4);
     let cache = Arc::new(AnalysisCache::new());
-    // Warm the cache sequentially first: concurrent cold misses on one
-    // key are *allowed* to solve twice (exec.rs documents the race), so
-    // exact solve counts are only deterministic from a warm start.
+    // Warm the cache first, so the batch below starts from four solves.
     cache
         .analyses_for(&case_study::network())
         .expect("tiers solve");
@@ -95,8 +76,7 @@ fn shared_cache_dedupes_per_tier_solves_across_the_batch() {
         .share_cache(&cache)
         .designs(case_study::five_designs())
         .policies(vec![PatchPolicy::CriticalOnly(8.0), PatchPolicy::All])
-        .threads(4)
-        .run()
+        .run(&pool)
         .expect("grid evaluates");
     assert_eq!(evals.len(), 10);
     // Four distinct tiers → the four warm-up solves serve the whole
@@ -108,7 +88,7 @@ fn shared_cache_dedupes_per_tier_solves_across_the_batch() {
     // A second batch over the same parameters re-solves nothing.
     Sweep::new(case_study::network())
         .share_cache(&cache)
-        .run()
+        .run(&pool)
         .expect("grid evaluates");
     assert_eq!(cache.solves(), 4);
 }
@@ -127,8 +107,7 @@ fn sweep_grid_agrees_with_legacy_evaluator_numbers() {
     let engine = Sweep::new(case_study::network())
         .designs(designs.clone())
         .policies(policies.clone())
-        .threads(4)
-        .run()
+        .run(&Pool::new(4))
         .expect("grid evaluates");
     assert_eq!(engine.len(), designs.len() * policies.len());
     for (pi, &policy) in policies.iter().enumerate() {
@@ -158,8 +137,10 @@ fn pareto_frontier_is_thread_count_independent() {
     let evals = evaluator.evaluate_all(&designs).expect("designs evaluate");
     let sequential = pareto_frontier(&evals);
     assert!(!sequential.is_empty());
+    let sweep = Sweep::new(case_study::network()).designs(designs);
     for threads in [2, 8] {
-        assert_eq!(sequential, pareto_frontier_batch(&evals, threads));
+        let pooled = sweep.run(&Pool::new(threads)).expect("grid evaluates");
+        assert_eq!(sequential, pareto_frontier(&pooled));
     }
 }
 
@@ -212,8 +193,8 @@ fn experiment_mixes_topologies_in_one_batch() {
             PatchPolicy::None,
         ),
     ];
-    let experiment = Experiment::new(scenarios.clone()).threads(3);
-    let batch = experiment.run().expect("batch evaluates");
+    let experiment = Experiment::new(scenarios.clone());
+    let batch = experiment.run(&Pool::new(3)).expect("batch evaluates");
     let cache = AnalysisCache::new();
     for (b, sc) in batch.iter().zip(&scenarios) {
         let single = sc.evaluate(&cache).expect("scenario evaluates");

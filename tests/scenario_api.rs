@@ -2,8 +2,9 @@
 //! the contract, so everything here goes through serialized documents
 //! rather than in-memory constructors.
 
+use redeval::exec::default_threads;
 use redeval::scenario::{builtin, ScenarioDoc, ScenarioError};
-use redeval::{case_study, EvalError, Evaluator, PatchPolicy, SpecIssue, Sweep};
+use redeval::{case_study, EvalError, Evaluator, PatchPolicy, Pool, SpecIssue, Sweep};
 
 /// The paper document evaluated through `from_scenario` must be
 /// indistinguishable — bit for bit — from the hand-built case-study
@@ -58,7 +59,7 @@ fn sweep_from_scenario_covers_the_declared_grid() {
     let doc = builtin::iot_fleet();
     let sweep = Sweep::from_scenario(&doc).unwrap();
     assert_eq!(sweep.len(), doc.designs.len() * doc.policies.len());
-    let evals = sweep.run().unwrap();
+    let evals = sweep.run(&Pool::new(default_threads())).unwrap();
     assert_eq!(evals.len(), 6); // 2 designs × 3 policies
     assert!(evals[0].name.ends_with("no patch"));
     assert!(evals[1].name.ends_with("critical>8"));

@@ -25,7 +25,9 @@ use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::Arc;
 
+use redeval::exec::{default_threads, AnalysisCache, Pool};
 use redeval::output::Report;
 use redeval::scenario::{builtin, ScenarioDoc};
 use redeval_bench::{reports, serve};
@@ -253,12 +255,16 @@ fn optimize_endpoint_matches_the_in_process_builder_and_caches() {
     assert_eq!(first.header("X-Redeval-Cache"), Some("miss"));
 
     let doc = ScenarioDoc::from_json(&scenario).expect("pinned scenario parses");
-    let in_process = reports::optimize::optimize_report(&OptimizeRequest {
-        doc,
-        policies: None,
-        max_redundancy: None,
-        bounds: None,
-    })
+    let in_process = reports::optimize::optimize_report_on(
+        &OptimizeRequest {
+            doc,
+            policies: None,
+            max_redundancy: None,
+            bounds: None,
+        },
+        &Pool::new(default_threads()),
+        &Arc::new(AnalysisCache::new()),
+    )
     .expect("paper scenario optimizes")
     .to_json();
     assert_eq!(first.body_text(), in_process);
@@ -287,12 +293,16 @@ fn equilibrium_endpoint_matches_the_in_process_builder_and_caches() {
     assert_eq!(first.header("X-Redeval-Cache"), Some("miss"));
 
     let doc = ScenarioDoc::from_json(&scenario).expect("pinned scenario parses");
-    let in_process = reports::equilibrium::equilibrium_report(&EquilibriumRequest {
-        doc,
-        policies: None,
-        max_redundancy: None,
-        max_iters: None,
-    })
+    let in_process = reports::equilibrium::equilibrium_report_on(
+        &EquilibriumRequest {
+            doc,
+            policies: None,
+            max_redundancy: None,
+            max_iters: None,
+        },
+        &Pool::new(default_threads()),
+        &Arc::new(AnalysisCache::new()),
+    )
     .expect("paper scenario reaches equilibrium")
     .to_json();
     assert_eq!(first.body_text(), in_process);
