@@ -119,7 +119,8 @@ impl NetworkModel {
 
     /// Expected steady-state reward of an arbitrary function of the
     /// per-tier *up* counts, evaluated in product form (tiers are
-    /// stochastically independent).
+    /// stochastically independent): one mixed-radix pass over the joint
+    /// states, tier 0 fastest.
     ///
     /// # Errors
     ///
@@ -129,49 +130,24 @@ impl NetworkModel {
         F: Fn(&[u32]) -> f64,
     {
         let dists = self.tier_down_distributions()?;
-        let [total] = self.expected_rewards(&dists, |ups| [reward(ups)]);
-        Ok(total)
-    }
-
-    /// Expected values of `N` rewards in one mixed-radix pass over the
-    /// joint states, given the per-tier down distributions. Each total
-    /// sees exactly the per-state arithmetic a single-reward pass would.
-    fn expected_rewards<const N: usize>(
-        &self,
-        dists: &[Vec<f64>],
-        reward: impl Fn(&[u32]) -> [f64; N],
-    ) -> [f64; N] {
         // Mixed-radix enumeration over (down_0, ..., down_k).
         let counts: Vec<u32> = self.tiers.iter().map(|t| t.count).collect();
         let mut idx = vec![0usize; counts.len()];
         let mut ups = vec![0u32; counts.len()];
-        let mut totals = [0.0; N];
+        let mut total = 0.0;
         loop {
             let mut p = 1.0;
-            for (((&down, dist), up), &count) in idx.iter().zip(dists).zip(&mut ups).zip(&counts) {
+            for (((&down, dist), up), &count) in idx.iter().zip(&dists).zip(&mut ups).zip(&counts) {
                 p *= dist[down];
                 *up = count - down as u32;
             }
             if p > 0.0 {
-                for (total, r) in totals.iter_mut().zip(reward(&ups)) {
-                    *total += p * r;
-                }
+                total += p * reward(&ups);
             }
-            // Increment the counter; the enumeration ends when it wraps.
-            let mut wrapped = true;
-            for (i, &count) in idx.iter_mut().zip(&counts) {
-                if *i < count as usize {
-                    *i += 1;
-                    wrapped = false;
-                    break;
-                }
-                *i = 0;
-            }
-            if wrapped {
-                break;
+            if !next_state(&mut idx, &counts) {
+                return Ok(total);
             }
         }
-        totals
     }
 
     /// Joint states `Π (countᵢ + 1)` the mixed-radix enumeration of
@@ -259,15 +235,54 @@ impl NetworkModel {
                 expected_up: all.iter().map(|&(_, m)| m).sum(),
             });
         }
+        // One pass over the joint states in `expected_reward`'s order
+        // (tier 0 fastest), with tier 0 as the inner loop. Each state's
+        // probability is still the left-to-right product from tier 0
+        // (`1.0 · x` is exact, so it starts at tier 0's factor); what the
+        // outer tiers contribute — their factors, up servers and whether
+        // one of them is down — is set once per outer state. A state
+        // with some tier down adds `p · 0.0` to COA and availability,
+        // which is exact to skip, and `p · 1.0` is `p`: each total sees
+        // the arithmetic of the single-reward pass.
         let total = self.total_servers() as f64;
-        let [coa, availability, expected_up] = self.expected_rewards(&dists, |ups| {
-            let up: f64 = ups.iter().map(|&u| u as f64).sum();
-            if ups.contains(&0) {
-                [0.0, 0.0, up]
-            } else {
-                [up / total, 1.0, up]
+        let share: Vec<f64> = (0..=self.total_servers())
+            .map(|up| up as f64 / total)
+            .collect();
+        let (first, outer_dists) = dists.split_first().expect("at least one tier");
+        let count0 = self.tiers[0].count;
+        let outer_counts: Vec<u32> = self.tiers[1..].iter().map(|t| t.count).collect();
+        let mut outer = vec![0usize; outer_counts.len()];
+        let mut factors = vec![0.0; outer_counts.len()];
+        let (mut coa, mut availability, mut expected_up) = (0.0, 0.0, 0.0);
+        loop {
+            let mut outer_up = 0;
+            let mut outer_out = false;
+            for (((f, &down), dist), &count) in factors
+                .iter_mut()
+                .zip(&outer)
+                .zip(outer_dists)
+                .zip(&outer_counts)
+            {
+                *f = dist[down];
+                outer_up += count - down as u32;
+                outer_out |= down as u32 == count;
             }
-        });
+            for (down0, &p0) in first.iter().enumerate() {
+                let p = factors.iter().fold(p0, |p, &f| p * f);
+                if p > 0.0 {
+                    let up0 = count0 - down0 as u32;
+                    let up = outer_up + up0;
+                    if !outer_out && up0 > 0 {
+                        coa += p * share[up as usize];
+                        availability += p;
+                    }
+                    expected_up += p * f64::from(up);
+                }
+            }
+            if !next_state(&mut outer, &outer_counts) {
+                break;
+            }
+        }
         Ok(NetworkMeasures {
             coa,
             availability,
@@ -429,6 +444,19 @@ impl NetworkModel {
             }
         }))
     }
+}
+
+/// Advances the mixed-radix counter `idx` (digit `i` over
+/// `0..=counts[i]`, digit 0 fastest); `false` once it wraps to all zeros.
+fn next_state(idx: &mut [usize], counts: &[u32]) -> bool {
+    for (i, &count) in idx.iter_mut().zip(counts) {
+        if *i < count as usize {
+            *i += 1;
+            return true;
+        }
+        *i = 0;
+    }
+    false
 }
 
 #[cfg(test)]
@@ -739,15 +767,23 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// Random small networks: the fused pass is the three measures.
+        /// About a third of the tiers never go down (`λ_eq = 0`), so
+        /// their down distribution is `[1, 0, …]` and every joint state
+        /// with one of them down has probability zero: the fused pass
+        /// must skip exactly the states the per-reward passes skip.
         #[test]
         fn fused_measures_match_separate_measures(
-            tiers in proptest::collection::vec((1u32..6, 1e-4f64..0.1, 0.05f64..5.0), 1..6),
+            tiers in proptest::collection::vec(
+                (1u32..6, 0u32..3, 1e-4f64..0.1, 0.05f64..5.0),
+                1..6,
+            ),
         ) {
             let net = NetworkModel::new(
                 tiers
                     .iter()
                     .enumerate()
-                    .map(|(i, &(count, lambda_eq, mu_eq))| {
+                    .map(|(i, &(count, never_down, lambda_eq, mu_eq))| {
+                        let lambda_eq = if never_down == 0 { 0.0 } else { lambda_eq };
                         Tier::new(format!("t{i}"), count, AggregatedRates { lambda_eq, mu_eq })
                     })
                     .collect(),

@@ -1,11 +1,14 @@
 //! Phase 2+3: model construction and combined evaluation of one design.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 
 use redeval_avail::ServerAnalysis;
-use redeval_harm::{MetricsConfig, SecurityMetrics, Vulnerability};
+use redeval_harm::{
+    AspStrategy, AttackTree, Harm, MetricsConfig, ReplicatedTier, SecurityMetrics, TierDag,
+    Vulnerability,
+};
 
-use crate::spec::NetworkSpec;
+use crate::spec::{NetworkSpec, TierSpec};
 use crate::EvalError;
 
 /// Which vulnerabilities the patch round removes.
@@ -129,10 +132,9 @@ impl DesignEvaluation {
 /// `(label, policy)` of `points`, with the tier solves already resolved
 /// into `analyses`.
 ///
-/// The policy-independent work happens once: the HARM (its replicas
-/// sharing their tier's tree), the before-patch metrics, and the three
-/// availability measures from one pass. Each policy adds one pruned HARM
-/// and its metrics.
+/// The policy-independent work happens once: the security model, the
+/// before-patch metrics, and the three availability measures from one
+/// pass. Each policy adds one pruned model and its metrics.
 ///
 /// # Errors
 ///
@@ -148,8 +150,8 @@ where
     A: Borrow<ServerAnalysis>,
 {
     base.check_counts(counts)?;
-    let harm = base.harm_for(counts);
-    let before = harm.metrics(metrics);
+    let security = SecurityModel::new(base, counts, metrics);
+    let before = security.metrics(None, metrics);
     let availability = base.network_model_for(counts, analyses).measures()?;
     Ok(points
         .into_iter()
@@ -157,12 +159,75 @@ where
             name,
             counts: counts.to_vec(),
             before: before.clone(),
-            after: harm.patched(&move |v| patch.patches(v)).metrics(metrics),
+            after: security.metrics(Some(patch), metrics),
             coa: availability.coa,
             availability: availability.availability,
             expected_up: availability.expected_up,
         })
         .collect())
+}
+
+/// The security model of one design, built once per cell. Either way
+/// the metrics are bit for bit those of `build_harm().metrics(..)`.
+enum SecurityModel<'a> {
+    /// An acyclic tier graph under a path-based ASP: the tier walk, with
+    /// no host graph.
+    Tiers {
+        dag: &'a TierDag,
+        tiers: &'a [TierSpec],
+        counts: &'a [u32],
+    },
+    /// A cyclic tier graph, or [`AspStrategy::Reliability`] (its exact
+    /// ASP needs each path's hosts): the host walk over the expanded
+    /// HARM.
+    Hosts(Harm),
+}
+
+impl<'a> SecurityModel<'a> {
+    fn new(base: &'a NetworkSpec, counts: &'a [u32], metrics: &MetricsConfig) -> Self {
+        match base.tier_dag() {
+            Some(dag) if metrics.asp != AspStrategy::Reliability => SecurityModel::Tiers {
+                dag,
+                tiers: base.tiers(),
+                counts,
+            },
+            _ => SecurityModel::Hosts(base.harm_for(counts)),
+        }
+    }
+
+    /// The metrics before the patch round (`patch` = `None`) or after it.
+    fn metrics(&self, patch: Option<PatchPolicy>, metrics: &MetricsConfig) -> SecurityMetrics {
+        match (self, patch) {
+            (SecurityModel::Hosts(harm), None) => harm.metrics(metrics),
+            (SecurityModel::Hosts(harm), Some(p)) => {
+                harm.patched(&move |v| p.patches(v)).metrics(metrics)
+            }
+            (SecurityModel::Tiers { dag, tiers, counts }, patch) => {
+                let trees: Vec<Option<Cow<'_, AttackTree>>> = tiers
+                    .iter()
+                    .map(|t| {
+                        let tree = t.tree.as_ref()?;
+                        match patch {
+                            None => Some(Cow::Borrowed(tree)),
+                            Some(p) => tree.without(&move |v| p.patches(v)).map(Cow::Owned),
+                        }
+                    })
+                    .collect();
+                let replicated: Vec<ReplicatedTier<'_>> = tiers
+                    .iter()
+                    .zip(*counts)
+                    .zip(&trees)
+                    .map(|((t, &count), tree)| ReplicatedTier {
+                        count,
+                        tree: tree.as_deref(),
+                        entry: t.entry,
+                        target: t.target,
+                    })
+                    .collect();
+                dag.metrics(&replicated, metrics)
+            }
+        }
+    }
 }
 
 /// Evaluates designs against a base specification, caching the expensive

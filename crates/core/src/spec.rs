@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use redeval_avail::{NetworkModel, ServerParams, Tier};
-use redeval_harm::{AttackGraph, AttackTree, Harm};
+use redeval_harm::{AttackGraph, AttackTree, Harm, TierDag};
 use redeval_srn::SrnError;
 
 use crate::error::SpecIssue;
@@ -97,6 +97,8 @@ pub struct NetworkSpec {
     /// Tier-level reachability `(from, to)`; expanded to full bipartite
     /// host edges.
     edges: Vec<(usize, usize)>,
+    /// The tier graph, recorded once; `None` when it has a cycle.
+    tier_dag: Option<TierDag>,
 }
 
 impl NetworkSpec {
@@ -137,7 +139,12 @@ impl NetworkSpec {
         if !tiers.iter().any(|t| t.entry) {
             return Err(SpecIssue::NoEntryTier.into());
         }
-        Ok(NetworkSpec { tiers, edges })
+        let tier_dag = TierDag::new(tiers.len(), &edges);
+        Ok(NetworkSpec {
+            tiers,
+            edges,
+            tier_dag,
+        })
     }
 
     /// Creates a specification.
@@ -164,6 +171,13 @@ impl NetworkSpec {
     /// Tier-level edges.
     pub fn edges(&self) -> &[(usize, usize)] {
         &self.edges
+    }
+
+    /// The tier graph when it is acyclic, `None` when it has a cycle.
+    /// The evaluation kernel walks it instead of the host graph that
+    /// [`build_harm`](Self::build_harm) expands.
+    pub fn tier_dag(&self) -> Option<&TierDag> {
+        self.tier_dag.as_ref()
     }
 
     /// Total servers over all tiers.

@@ -66,7 +66,8 @@ pub enum Counter {
     CellsEvaluated,
     /// Design evaluations produced (one per scenario).
     DesignsEvaluated,
-    /// HARM attack-model constructions.
+    /// Security-model builds: one per evaluation cell, whether the
+    /// kernel walks the tier graph or expands the host HARM.
     HarmBuilds,
     /// Batches submitted to the execution layer.
     PoolBatches,
@@ -429,33 +430,60 @@ impl Drop for Span {
 /// Aggregated node of the rendered span tree.
 #[derive(Default)]
 struct TreeNode {
+    name: String,
     calls: u64,
     total_ns: u64,
-    children: Vec<(String, TreeNode)>,
+    /// Children, in first-seen order (the render order).
+    children: Vec<usize>,
+    /// Children by name.
+    by_name: HashMap<String, usize>,
 }
 
-impl TreeNode {
-    fn child(&mut self, name: &str) -> &mut TreeNode {
-        if let Some(i) = self.children.iter().position(|(n, _)| n == name) {
-            return &mut self.children[i].1;
+/// The merged span tree: nodes in an arena, node 0 the root. Children
+/// are indexed by name, so merging `n` spans costs `n` lookups whatever
+/// the fan-out — the per-cell roots of a large search are many thousands
+/// of uniquely named siblings.
+struct SpanTree {
+    nodes: Vec<TreeNode>,
+}
+
+impl SpanTree {
+    fn new() -> Self {
+        SpanTree {
+            nodes: vec![TreeNode::default()],
         }
-        self.children.push((name.to_string(), TreeNode::default()));
-        let last = self.children.len() - 1;
-        &mut self.children[last].1
     }
 
-    fn render(&self, depth: usize, out: &mut String) {
-        for (name, node) in &self.children {
+    /// The child of `parent` named `name`, added on first sight.
+    fn child(&mut self, parent: usize, name: &str) -> usize {
+        if let Some(&i) = self.nodes[parent].by_name.get(name) {
+            return i;
+        }
+        let i = self.nodes.len();
+        self.nodes.push(TreeNode {
+            name: name.to_string(),
+            ..TreeNode::default()
+        });
+        let parent = &mut self.nodes[parent];
+        parent.children.push(i);
+        parent.by_name.insert(name.to_string(), i);
+        i
+    }
+
+    fn render(&self, node: usize, depth: usize, out: &mut String) {
+        for &i in &self.nodes[node].children {
+            let child = &self.nodes[i];
             let _ = writeln!(
                 out,
-                "  {:indent$}- {name}: {} call{}, {:.3} ms",
+                "  {:indent$}- {}: {} call{}, {:.3} ms",
                 "",
-                node.calls,
-                if node.calls == 1 { "" } else { "s" },
-                node.total_ns as f64 / 1e6,
+                child.name,
+                child.calls,
+                if child.calls == 1 { "" } else { "s" },
+                child.total_ns as f64 / 1e6,
                 indent = depth * 2,
             );
-            node.render(depth + 1, out);
+            self.render(i, depth + 1, out);
         }
     }
 }
@@ -466,29 +494,25 @@ impl TreeNode {
 fn span_tree(spans: &[SpanRecord]) -> String {
     let mut sorted: Vec<&SpanRecord> = spans.iter().collect();
     sorted.sort_by_key(|s| (s.tid, s.start_ns, std::cmp::Reverse(s.end_ns)));
-    let mut root = TreeNode::default();
-    // Stack of (tid, end_ns, path) — path is the name chain to the node.
-    let mut stack: Vec<(u64, u64, Vec<String>)> = Vec::new();
+    let mut tree = SpanTree::new();
+    // Stack of (tid, end_ns, node): the open spans around the next one.
+    let mut stack: Vec<(u64, u64, usize)> = Vec::new();
     for s in sorted {
-        while let Some((tid, end, _)) = stack.last() {
-            if *tid != s.tid || *end < s.end_ns {
+        while let Some(&(tid, end, _)) = stack.last() {
+            if tid != s.tid || end < s.end_ns {
                 stack.pop();
             } else {
                 break;
             }
         }
-        let mut path: Vec<String> = stack.last().map(|(_, _, p)| p.clone()).unwrap_or_default();
-        path.push(s.name.clone());
-        let mut node = &mut root;
-        for name in &path {
-            node = node.child(name);
-        }
-        node.calls += 1;
-        node.total_ns += s.end_ns - s.start_ns;
-        stack.push((s.tid, s.end_ns, path));
+        let parent = stack.last().map_or(0, |&(_, _, node)| node);
+        let node = tree.child(parent, &s.name);
+        tree.nodes[node].calls += 1;
+        tree.nodes[node].total_ns += s.end_ns - s.start_ns;
+        stack.push((s.tid, s.end_ns, node));
     }
     let mut out = String::new();
-    root.render(0, &mut out);
+    tree.render(0, 0, &mut out);
     out
 }
 
@@ -604,6 +628,65 @@ mod tests {
         let outer_at = tree.find("- outer:").expect("outer in tree");
         let inner_at = tree.find("- inner:").expect("inner in tree");
         assert!(outer_at < inner_at, "inner nests under outer");
+    }
+
+    fn record(name: &str, tid: u64, start_ms: u64, end_ms: u64) -> SpanRecord {
+        SpanRecord {
+            name: name.to_string(),
+            tid,
+            start_ns: start_ms * 1_000_000,
+            end_ns: end_ms * 1_000_000,
+        }
+    }
+
+    #[test]
+    fn span_tree_nests_by_containment_and_merges_in_first_seen_order() {
+        // Recorded out of order, on two threads: same-named siblings
+        // merge, children render in first-seen order, and a worker
+        // thread's spans root at the top level.
+        let spans = [
+            record("b", 0, 3, 4),
+            record("outer", 0, 0, 10),
+            record("a", 1, 0, 5),
+            record("a", 0, 1, 2),
+            record("c", 1, 1, 2),
+            record("a", 0, 5, 6),
+            record("outer", 0, 20, 30),
+            record("b", 0, 21, 22),
+        ];
+        assert_eq!(
+            span_tree(&spans),
+            "  - outer: 2 calls, 20.000 ms\n\
+             \x20   - a: 2 calls, 2.000 ms\n\
+             \x20   - b: 2 calls, 2.000 ms\n\
+             \x20 - a: 1 call, 5.000 ms\n\
+             \x20   - c: 1 call, 1.000 ms\n"
+        );
+    }
+
+    #[test]
+    fn span_tree_merges_200k_unique_roots_quickly() {
+        // The per-cell spans of a large profiled search are uniquely
+        // named roots: merging them must stay linear in their number,
+        // not quadratic.
+        let n = 200_000;
+        let spans: Vec<SpanRecord> = (0..n)
+            .map(|i| SpanRecord {
+                name: format!("cell {i}"),
+                tid: i % 2,
+                start_ns: i * 10,
+                end_ns: i * 10 + 5,
+            })
+            .collect();
+        let start = Instant::now();
+        let tree = span_tree(&spans);
+        let elapsed = start.elapsed();
+        assert_eq!(tree.lines().count(), n as usize);
+        assert!(tree.starts_with("  - cell 0: 1 call, 0.000 ms\n  - cell 2: "));
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "merged {n} roots in {elapsed:?}"
+        );
     }
 
     #[test]

@@ -194,18 +194,19 @@ impl AttackGraph {
         mask
     }
 
-    /// The depth-first walk behind every path enumeration and path
-    /// metric: each simple path from an entry host through `passable`
-    /// hosts is extended host by host, and reported to `visitor` whenever
-    /// it ends at a target (`is_target[h]`). A target may also be an
-    /// intermediate hop towards another target, so the walk continues
-    /// past it.
+    /// The depth-first walk behind every path enumeration and every path
+    /// metric of a [`Harm`](crate::Harm): each simple path from an entry
+    /// host through `passable` hosts is extended host by host, and
+    /// reported to `visitor` whenever it ends at a target
+    /// (`is_target[h]`). A target may also be an intermediate hop towards
+    /// another target, so the walk continues past it.
     ///
     /// Order is fixed — entries in [`entries`](Self::entries) order,
     /// successors in insertion order — and is the order every path fold
-    /// runs in. The walk stops when a path beyond the first `max_paths`
-    /// reaches a target, and then returns `true` (truncated). Nothing is
-    /// allocated per path.
+    /// runs in, the tier walk's (`TierDag::metrics`) included. The walk
+    /// stops when a path beyond the first `max_paths` reaches a target,
+    /// and then returns `true` (truncated). Nothing is allocated per
+    /// path.
     pub(crate) fn walk_paths(
         &self,
         is_target: &[bool],

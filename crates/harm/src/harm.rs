@@ -3,7 +3,9 @@
 use std::sync::Arc;
 
 use crate::graph::{AttackGraph, HostId, PathVisitor};
-use crate::metrics::{AspStrategy, MetricsConfig, OrCombine, SecurityMetrics};
+use crate::metrics::{
+    empty_prefix, extend, AspStrategy, MetricsConfig, OrCombine, PathFold, SecurityMetrics,
+};
 use crate::tree::AttackTree;
 use crate::vuln::Vulnerability;
 
@@ -281,41 +283,20 @@ impl Harm {
     /// enumerated [`attack_paths`](Self::attack_paths) gives.
     pub fn metrics(&self, config: &MetricsConfig) -> SecurityMetrics {
         let values = self.host_values(config.or_combine);
-        let mut fold = MetricsFold::new(&values, config.asp == AspStrategy::Reliability);
+        let mut walk = HostWalk::new(&values, config.asp == AspStrategy::Reliability);
         self.graph.walk_paths(
             &self.graph.target_mask(&self.targets),
             |h| values[h.index()].is_some(),
             config.max_paths,
-            &mut fold,
+            &mut walk,
         );
-        let noisy_or = 1.0 - fold.miss;
-        let asp = if fold.paths == 0 {
-            0.0
-        } else {
-            match config.asp {
-                AspStrategy::MaxPath => fold.max_probability,
-                AspStrategy::NoisyOrPaths => noisy_or,
-                AspStrategy::Reliability => fold
-                    .reliability
-                    .and_then(|r| r.asp(&values))
-                    .unwrap_or(noisy_or),
-            }
-        };
-        let mean_len = if fold.paths == 0 {
-            0.0
-        } else {
-            fold.total_len as f64 / fold.paths as f64
-        };
-        SecurityMetrics {
-            attack_impact: fold.aim,
-            attack_success_probability: asp,
-            exploitable_vulnerabilities: self.exploitable_vulnerabilities(),
-            attack_paths: fold.paths,
-            entry_points: self.entry_points(),
-            shortest_path_length: fold.shortest,
-            mean_path_length: mean_len,
-            risk: fold.risk,
-        }
+        let reliability = walk.reliability.and_then(|r| r.asp(&values));
+        walk.fold.finish(
+            config,
+            reliability,
+            self.exploitable_vulnerabilities(),
+            self.entry_points(),
+        )
     }
 
     /// Ranks exploitable hosts by their contribution to the network attack
@@ -421,52 +402,34 @@ impl Harm {
     }
 }
 
-/// Every path metric of [`Harm::metrics`], folded over the paths in
-/// walk order.
-struct MetricsFold<'a> {
+/// The host walk's visitor: each path's prefix values, grown host by
+/// host, feed one [`PathFold`] update per path.
+struct HostWalk<'a> {
     values: &'a [Option<(f64, f64)>],
     /// Entry `d`: the impact sum and probability product of the current
-    /// path's first `d + 1` hosts, started and extended exactly as
-    /// `Iterator::sum` and `Iterator::product` over the path would be.
+    /// path's first `d + 1` hosts.
     prefix: Vec<(f64, f64)>,
-    paths: usize,
-    /// `max` of path impacts, from `0.0`.
-    aim: f64,
-    /// `max` of path probabilities, from `0.0`.
-    max_probability: f64,
-    /// `Π (1 − p)` over paths, from `1.0`.
-    miss: f64,
-    /// `max` of `impact · probability`, from `0.0`.
-    risk: f64,
-    shortest: Option<usize>,
-    total_len: usize,
+    fold: PathFold,
     /// Collected only for [`AspStrategy::Reliability`].
     reliability: Option<ReliabilityMasks>,
 }
 
-impl<'a> MetricsFold<'a> {
+impl<'a> HostWalk<'a> {
     fn new(values: &'a [Option<(f64, f64)>], reliability: bool) -> Self {
-        MetricsFold {
+        HostWalk {
             values,
             prefix: Vec::with_capacity(values.len()),
-            paths: 0,
-            aim: 0.0,
-            max_probability: 0.0,
-            miss: 1.0,
-            risk: 0.0,
-            shortest: None,
-            total_len: 0,
+            fold: PathFold::new(),
             reliability: reliability.then(|| ReliabilityMasks::new(values.len())),
         }
     }
 }
 
-impl PathVisitor for MetricsFold<'_> {
+impl PathVisitor for HostWalk<'_> {
     fn enter(&mut self, h: HostId) {
-        let (impact, probability) = self.values[h.index()].expect("walks pass exploitable hosts");
-        let sum_start: f64 = std::iter::empty::<f64>().sum();
-        let (sum, product) = self.prefix.last().copied().unwrap_or((sum_start, 1.0));
-        self.prefix.push((sum + impact, product * probability));
+        let value = self.values[h.index()].expect("walks pass exploitable hosts");
+        let prefix = self.prefix.last().copied().unwrap_or_else(empty_prefix);
+        self.prefix.push(extend(prefix, value));
     }
 
     fn leave(&mut self) {
@@ -474,14 +437,8 @@ impl PathVisitor for MetricsFold<'_> {
     }
 
     fn target(&mut self, path: &[HostId]) {
-        let (impact, probability) = *self.prefix.last().expect("a path is being walked");
-        self.paths += 1;
-        self.aim = self.aim.max(impact);
-        self.max_probability = self.max_probability.max(probability);
-        self.miss *= 1.0 - probability;
-        self.risk = self.risk.max(impact * probability);
-        self.shortest = Some(self.shortest.map_or(path.len(), |s| s.min(path.len())));
-        self.total_len += path.len();
+        let prefix = *self.prefix.last().expect("a path is being walked");
+        self.fold.add(prefix, path.len(), 1);
         if let Some(r) = &mut self.reliability {
             r.add(path);
         }

@@ -18,6 +18,11 @@
 //! whose tree dies stops being exploitable and disappears from attack
 //! paths, exactly as in the paper's before/after analysis.
 //!
+//! A network of identical replicas per tier has a second, faster route to
+//! the same numbers: [`TierDag::metrics`] folds the host paths per tier
+//! path with replica counts, bit for bit what [`Harm::metrics`] gives on
+//! the expanded host graph, whenever the tier graph is acyclic.
+//!
 //! In the reproduction this crate realizes the paper's Figure 3 HARMs
 //! (trees populated from Table I via `redeval_cvss`) and produces the five
 //! security metrics of Table II that enter the Equation (3),(4) decision
@@ -52,6 +57,7 @@ mod dot;
 mod graph;
 mod harm;
 mod metrics;
+mod tier;
 pub mod topology;
 mod tree;
 mod vuln;
@@ -59,6 +65,7 @@ mod vuln;
 pub use graph::{AttackGraph, HostId};
 pub use harm::{AttackPath, Harm};
 pub use metrics::{AspStrategy, MetricsConfig, OrCombine, SecurityMetrics};
+pub use tier::{ReplicatedTier, TierDag};
 pub use tree::AttackTree;
 pub use vuln::Vulnerability;
 
@@ -78,5 +85,7 @@ mod send_sync_audit {
         ok::<Vulnerability>();
         ok::<MetricsConfig>();
         ok::<SecurityMetrics>();
+        ok::<TierDag>();
+        ok::<ReplicatedTier<'static>>();
     }
 }

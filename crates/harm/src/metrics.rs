@@ -80,6 +80,108 @@ pub struct SecurityMetrics {
     pub risk: f64,
 }
 
+/// A path prefix — its impact sum and probability product — before its
+/// first host: the start values of `Iterator::sum` and
+/// `Iterator::product`.
+pub(crate) fn empty_prefix() -> (f64, f64) {
+    (std::iter::empty::<f64>().sum(), 1.0)
+}
+
+/// `prefix` grown by one host of `(impact, probability)`, as one more
+/// step of `Iterator::sum` and `Iterator::product` over the path grows
+/// it.
+pub(crate) fn extend(prefix: (f64, f64), (impact, probability): (f64, f64)) -> (f64, f64) {
+    (prefix.0 + impact, prefix.1 * probability)
+}
+
+/// Every path metric, folded over the paths in walk order from the start
+/// values the store-then-fold evaluation used. Both walks — the host
+/// walk of [`Harm::metrics`](crate::Harm::metrics) and the tier walk of
+/// [`TierDag::metrics`](crate::TierDag::metrics) — update it through
+/// [`add`](Self::add) alone.
+#[derive(Debug, Clone)]
+pub(crate) struct PathFold {
+    /// Paths folded (`NoAP`).
+    pub(crate) paths: usize,
+    /// `max` of path impacts, from `0.0`.
+    aim: f64,
+    /// `max` of path probabilities, from `0.0`.
+    max_probability: f64,
+    /// `Π (1 − p)` over paths, from `1.0`.
+    miss: f64,
+    /// `max` of `impact · probability`, from `0.0`.
+    risk: f64,
+    shortest: Option<usize>,
+    total_len: usize,
+}
+
+impl PathFold {
+    pub(crate) fn new() -> Self {
+        PathFold {
+            paths: 0,
+            aim: 0.0,
+            max_probability: 0.0,
+            miss: 1.0,
+            risk: 0.0,
+            shortest: None,
+            total_len: 0,
+        }
+    }
+
+    /// Folds `n` consecutive copies of one path of `len` hosts with the
+    /// given impact sum and probability product.
+    ///
+    /// Maxima, minima and integer sums do not depend on order or
+    /// multiplicity, so they take the path once; the noisy-or product
+    /// does, so it multiplies once per copy. With `n = 1` this is the
+    /// per-path update of the host walk.
+    pub(crate) fn add(&mut self, (impact, probability): (f64, f64), len: usize, n: usize) {
+        self.paths += n;
+        self.aim = self.aim.max(impact);
+        self.max_probability = self.max_probability.max(probability);
+        let q = 1.0 - probability;
+        for _ in 0..n {
+            self.miss *= q;
+        }
+        self.risk = self.risk.max(impact * probability);
+        self.shortest = Some(self.shortest.map_or(len, |s| s.min(len)));
+        self.total_len += len * n;
+    }
+
+    /// The metric suite. `reliability` is the exact
+    /// [`AspStrategy::Reliability`] ASP when the walk could compute it;
+    /// without it that strategy falls back to the noisy-or value.
+    pub(crate) fn finish(
+        &self,
+        config: &MetricsConfig,
+        reliability: Option<f64>,
+        exploitable_vulnerabilities: usize,
+        entry_points: usize,
+    ) -> SecurityMetrics {
+        let noisy_or = 1.0 - self.miss;
+        let (asp, mean_len) = if self.paths == 0 {
+            (0.0, 0.0)
+        } else {
+            let asp = match config.asp {
+                AspStrategy::MaxPath => self.max_probability,
+                AspStrategy::NoisyOrPaths => noisy_or,
+                AspStrategy::Reliability => reliability.unwrap_or(noisy_or),
+            };
+            (asp, self.total_len as f64 / self.paths as f64)
+        };
+        SecurityMetrics {
+            attack_impact: self.aim,
+            attack_success_probability: asp,
+            exploitable_vulnerabilities,
+            attack_paths: self.paths,
+            entry_points,
+            shortest_path_length: self.shortest,
+            mean_path_length: mean_len,
+            risk: self.risk,
+        }
+    }
+}
+
 impl fmt::Display for SecurityMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
