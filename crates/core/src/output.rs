@@ -46,19 +46,51 @@ use std::fmt::Write as _;
 /// changes to the JSON/CSV shape).
 pub const SCHEMA: &str = "redeval-report/1";
 
+/// Appends [`fmt_f64`]`(x)` to `out` without an intermediate `String`:
+/// the bare spelling, unquoted even when `x` is not finite.
+pub(crate) fn push_f64(out: &mut String, x: f64) {
+    if x.is_nan() {
+        out.push_str("NaN");
+    } else if x.is_infinite() {
+        out.push_str(if x > 0.0 { "Infinity" } else { "-Infinity" });
+    } else {
+        let _ = write!(out, "{x}");
+    }
+}
+
+/// Appends `x` to `out` as a JSON value: Rust's shortest round-trip
+/// `Display` form when finite, else the JSON *string* `"NaN"`,
+/// `"Infinity"` or `"-Infinity"` (JSON has no literals for them).
+///
+/// # Examples
+///
+/// ```
+/// use redeval::output::push_json_f64;
+/// let mut out = String::from("[");
+/// push_json_f64(&mut out, 0.99707);
+/// out.push_str(", ");
+/// push_json_f64(&mut out, f64::NAN);
+/// out.push(']');
+/// assert_eq!(out, "[0.99707, \"NaN\"]");
+/// ```
+pub fn push_json_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        push_f64(out, x);
+    } else {
+        out.push('"');
+        push_f64(out, x);
+        out.push('"');
+    }
+}
+
 /// Formats a float canonically: shortest round-trip representation for
 /// finite values (Rust `Display`), `NaN` / `Infinity` / `-Infinity`
-/// otherwise. This is the only float-to-string path in the serializers.
+/// otherwise. Every serializer spells floats this way (JSON writers
+/// through [`push_json_f64`]).
 pub fn fmt_f64(x: f64) -> String {
-    if x.is_nan() {
-        "NaN".to_string()
-    } else if x == f64::INFINITY {
-        "Infinity".to_string()
-    } else if x == f64::NEG_INFINITY {
-        "-Infinity".to_string()
-    } else {
-        format!("{x}")
-    }
+    let mut out = String::new();
+    push_f64(&mut out, x);
+    out
 }
 
 /// Human-oriented float formatting for the text renderer: at most six
@@ -77,24 +109,87 @@ fn fmt_f64_text(x: f64) -> String {
     }
 }
 
+/// Appends `s` escaped for a JSON string literal, without the quotes:
+/// `"`, `\` and control characters are escaped (`\n`/`\r`/`\t` short
+/// forms, `\u00XX` otherwise), and every run between them is copied
+/// with one `push_str`. This is the only JSON escaping in the crate.
+fn push_escaped(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(short);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Appends `s` to `out` as a quoted JSON string (see [`json_escape`] for
+/// the escaping rules).
+///
+/// # Examples
+///
+/// ```
+/// use redeval::output::push_json_str;
+/// let mut out = String::new();
+/// push_json_str(&mut out, "a\"b\nc");
+/// assert_eq!(out, r#""a\"b\nc""#);
+/// ```
+pub fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    push_escaped(out, s);
+    out.push('"');
+}
+
 /// Escapes a string for inclusion inside a JSON string literal (without
-/// the surrounding quotes).
+/// the surrounding quotes): `"`, `\` and all control characters
+/// (`\n`/`\r`/`\t` short forms, `\u00XX` otherwise); everything else,
+/// non-ASCII included, passes through.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    push_escaped(&mut out, s);
+    out
+}
+
+/// Appends `value`'s `Display` form to `out` as a quoted JSON string,
+/// escaping as it is written (no intermediate `String`).
+pub(crate) fn push_json_display(out: &mut String, value: &impl std::fmt::Display) {
+    struct Escaping<'a>(&'a mut String);
+    impl std::fmt::Write for Escaping<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            push_escaped(self.0, s);
+            Ok(())
         }
     }
-    out
+    out.push('"');
+    let _ = write!(Escaping(out), "{value}");
+    out.push('"');
+}
+
+/// Appends `items` to `out` separated by `", "`, each through `push`.
+pub(crate) fn push_joined<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut push: impl FnMut(&mut String, T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push(out, item);
+    }
 }
 
 /// Longest run of characters [`snippet`] keeps from an untrusted string.
@@ -147,13 +242,15 @@ pub fn snippet(s: &str) -> String {
 /// );
 /// ```
 pub fn cache_key_bytes(kind: &str, params: &Json, canonical_body: &str) -> Vec<u8> {
-    format!(
-        "{{\"kind\": \"{}\", \"params\": {}, \"body\": {}}}",
-        json_escape(kind),
-        params.to_compact(),
-        canonical_body
-    )
-    .into_bytes()
+    let mut out = String::with_capacity(canonical_body.len() + 64);
+    out.push_str("{\"kind\": ");
+    push_json_str(&mut out, kind);
+    out.push_str(", \"params\": ");
+    params.push_compact(&mut out);
+    out.push_str(", \"body\": ");
+    out.push_str(canonical_body);
+    out.push('}');
+    out.into_bytes()
 }
 
 /// Quotes a CSV field when needed (contains comma, quote, CR or LF),
@@ -182,15 +279,16 @@ pub enum Value {
 }
 
 impl Value {
-    /// JSON fragment for this value (no surrounding whitespace).
-    fn to_json(&self) -> String {
+    /// Appends this value's JSON fragment (no surrounding whitespace).
+    fn push_json(&self, out: &mut String) {
         match self {
-            Value::Null => "null".to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Num(x) if x.is_finite() => fmt_f64(*x),
-            Value::Num(x) => format!("\"{}\"", fmt_f64(*x)),
-            Value::Str(s) => format!("\"{}\"", json_escape(s)),
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Value::Num(x) => push_json_f64(out, *x),
+            Value::Str(s) => push_json_str(out, s),
         }
     }
 
@@ -526,85 +624,63 @@ impl Report {
     /// for deterministic report builders (the golden-corpus contract).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", json_escape(SCHEMA));
-        let _ = writeln!(out, "  \"report\": \"{}\",", json_escape(&self.name));
-        let _ = writeln!(out, "  \"title\": \"{}\",", json_escape(&self.title));
-        let _ = writeln!(out, "  \"ok\": {},", self.ok);
-        out.push_str("  \"items\": [");
+        out.push_str("{\n  \"schema\": ");
+        push_json_str(&mut out, SCHEMA);
+        out.push_str(",\n  \"report\": ");
+        push_json_str(&mut out, &self.name);
+        out.push_str(",\n  \"title\": ");
+        push_json_str(&mut out, &self.title);
+        out.push_str(if self.ok {
+            ",\n  \"ok\": true,\n  \"items\": ["
+        } else {
+            ",\n  \"ok\": false,\n  \"items\": ["
+        });
         for (i, item) in self.items.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
             match item {
                 Item::Note(text) => {
-                    let _ = write!(
-                        out,
-                        "    {{\"kind\": \"note\", \"text\": \"{}\"}}",
-                        json_escape(text)
-                    );
+                    out.push_str("{\"kind\": \"note\", \"text\": ");
+                    push_json_str(&mut out, text);
+                    out.push('}');
                 }
                 Item::Keys(entries) => {
-                    out.push_str("    {\"kind\": \"keys\", \"entries\": {");
-                    for (j, (k, v)) in entries.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        let _ = write!(out, "\"{}\": {}", json_escape(k), v.to_json());
-                    }
+                    out.push_str("{\"kind\": \"keys\", \"entries\": {");
+                    push_joined(&mut out, entries, |out, (k, v)| {
+                        push_json_str(out, k);
+                        out.push_str(": ");
+                        v.push_json(out);
+                    });
                     out.push_str("}}");
                 }
                 Item::Table(t) => {
-                    let _ = write!(
-                        out,
-                        "    {{\"kind\": \"table\", \"name\": \"{}\", \"columns\": [{}], \"rows\": [",
-                        json_escape(&t.name),
-                        t.columns
-                            .iter()
-                            .map(|c| format!("\"{}\"", json_escape(c)))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
+                    out.push_str("{\"kind\": \"table\", \"name\": ");
+                    push_json_str(&mut out, &t.name);
+                    out.push_str(", \"columns\": [");
+                    push_joined(&mut out, &t.columns, |out, c| push_json_str(out, c));
+                    out.push_str("], \"rows\": [");
                     for (j, row) in t.rows.iter().enumerate() {
-                        out.push_str(if j == 0 { "\n" } else { ",\n" });
-                        let _ = write!(
-                            out,
-                            "      [{}]",
-                            row.iter()
-                                .map(Value::to_json)
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
+                        out.push_str(if j == 0 { "\n      [" } else { ",\n      [" });
+                        push_joined(&mut out, row, |out, v| v.push_json(out));
+                        out.push(']');
                     }
-                    if t.rows.is_empty() {
-                        out.push_str("]}");
-                    } else {
-                        out.push_str("\n    ]}");
-                    }
+                    out.push_str(if t.rows.is_empty() { "]}" } else { "\n    ]}" });
                 }
                 Item::Series(s) => {
-                    let _ = write!(
-                        out,
-                        "    {{\"kind\": \"series\", \"name\": \"{}\", \"index\": [{}], \"values\": [{}]}}",
-                        json_escape(&s.name),
-                        s.index
-                            .iter()
-                            .map(|l| format!("\"{}\"", json_escape(l)))
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                        s.values
-                            .iter()
-                            .map(|&v| Value::Num(v).to_json())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
+                    out.push_str("{\"kind\": \"series\", \"name\": ");
+                    push_json_str(&mut out, &s.name);
+                    out.push_str(", \"index\": [");
+                    push_joined(&mut out, &s.index, |out, l| push_json_str(out, l));
+                    out.push_str("], \"values\": [");
+                    push_joined(&mut out, &s.values, |out, &v| push_json_f64(out, v));
+                    out.push_str("]}");
                 }
             }
         }
-        if self.items.is_empty() {
-            out.push_str("]\n");
+        out.push_str(if self.items.is_empty() {
+            "]\n}\n"
         } else {
-            out.push_str("\n  ]\n");
-        }
-        out.push_str("}\n");
+            "\n  ]\n}\n"
+        });
         out
     }
 
@@ -768,26 +844,35 @@ impl Json {
     }
 
     /// Compact (single-line) canonical rendering: keys in stored order,
-    /// floats via [`fmt_f64`], strings via [`json_escape`]. Non-finite
-    /// numbers become the usual policy strings, mirroring the report
-    /// serializer.
+    /// numbers via [`push_json_f64`], strings via [`push_json_str`].
+    /// Non-finite numbers become the usual policy strings, mirroring the
+    /// report serializer.
     pub fn to_compact(&self) -> String {
+        let mut out = String::new();
+        self.push_compact(&mut out);
+        out
+    }
+
+    /// Appends the [`to_compact`](Self::to_compact) rendering to `out`.
+    fn push_compact(&self, out: &mut String) {
         match self {
-            Json::Null => "null".to_string(),
-            Json::Bool(b) => b.to_string(),
-            Json::Num(x) if x.is_finite() => fmt_f64(*x),
-            Json::Num(x) => format!("\"{}\"", fmt_f64(*x)),
-            Json::Str(s) => format!("\"{}\"", json_escape(s)),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) => push_json_f64(out, *x),
+            Json::Str(s) => push_json_str(out, s),
             Json::Arr(items) => {
-                let inner: Vec<String> = items.iter().map(Json::to_compact).collect();
-                format!("[{}]", inner.join(", "))
+                out.push('[');
+                push_joined(out, items, |out, item| item.push_compact(out));
+                out.push(']');
             }
             Json::Obj(entries) => {
-                let inner: Vec<String> = entries
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\": {}", json_escape(k), v.to_compact()))
-                    .collect();
-                format!("{{{}}}", inner.join(", "))
+                out.push('{');
+                push_joined(out, entries, |out, (k, v)| {
+                    push_json_str(out, k);
+                    out.push_str(": ");
+                    v.push_compact(out);
+                });
+                out.push('}');
             }
         }
     }
@@ -837,6 +922,7 @@ pub const JSON_MAX_DEPTH: usize = 128;
 /// Returns a [`JsonError`] with 1-based line/column on malformed input.
 pub fn parse_json(text: &str) -> Result<Json, JsonError> {
     let mut p = JsonParser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -851,6 +937,7 @@ pub fn parse_json(text: &str) -> Result<Json, JsonError> {
 }
 
 struct JsonParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Current container nesting, capped at [`JSON_MAX_DEPTH`].
@@ -1000,6 +1087,16 @@ impl JsonParser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one piece. All three are ASCII, so the run ends on
+            // a char boundary of the (valid UTF-8) input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -1027,20 +1124,8 @@ impl JsonParser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so always valid).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end]).expect("valid UTF-8"),
-                    );
-                    self.pos = end;
+                    return Err(self.err("unescaped control character in string"));
                 }
             }
         }
@@ -1123,7 +1208,7 @@ impl JsonParser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
+        let text = &self.text[start..self.pos];
         // `str::parse::<f64>` saturates overflowing literals (1e999) to
         // infinity instead of failing; reject those explicitly so the
         // value model stays finite-canonical (non-finite numbers only
@@ -1332,6 +1417,63 @@ mod tests {
         let e = parse_json("{\n  \"a\": ?\n}").unwrap_err();
         assert_eq!((e.line, e.col), (2, 8));
         assert!(e.to_string().contains("line 2"));
+    }
+
+    #[test]
+    fn parser_copies_runs_around_escapes_and_multibyte_text() {
+        // Multi-byte UTF-8 directly before and after every kind of stop:
+        // `\"`, `\\`, `\u` (BMP and surrogate pair), short escapes and
+        // the closing quote.
+        for (text, want) in [
+            (r#""é\"ü""#, "é\"ü"),
+            (r#""😀\\∑""#, "😀\\∑"),
+            (r#""∑\u00e9😀""#, "∑é😀"),
+            (r#""é\ud83d\ude00ü""#, "é😀ü"),
+            (r#""\"é\\""#, "\"é\\"),
+            (r#""😀\n∑\/é""#, "😀\n∑/é"),
+            (r#""é""#, "é"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(parse_json(text).unwrap(), Json::Str(want.into()), "{text}");
+        }
+    }
+
+    #[test]
+    fn parser_rejects_every_raw_control_byte_at_its_position() {
+        for b in 0u8..0x20 {
+            let c = char::from(b);
+            let e = parse_json(&format!("{{\"é\": \"ab{c}cd\"}}")).unwrap_err();
+            assert_eq!(
+                (e.line, e.col, e.message.as_str()),
+                (1, 10, "unescaped control character in string"),
+                "byte {b:#04x}"
+            );
+            let e = parse_json(&format!("[\n  \"∑{c}\"]")).unwrap_err();
+            assert_eq!(
+                (e.line, e.col, e.message.as_str()),
+                (2, 5, "unescaped control character in string"),
+                "byte {b:#04x}"
+            );
+        }
+    }
+
+    #[test]
+    fn parser_round_trips_a_megabyte_string_without_escapes() {
+        let unit = "redundancy é∑😀 ";
+        let big = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(big.len() >= 1 << 20);
+        let text = format!("\"{big}\"");
+        assert_eq!(parse_json(&text).unwrap(), Json::Str(big.clone()));
+        assert_eq!(Json::Str(big).to_compact(), text);
+    }
+
+    #[test]
+    fn parser_still_rejects_duplicate_keys_after_the_key() {
+        let e = parse_json("{\"a\": 1, \"a\": 2}").unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.message.as_str()),
+            (1, 13, "duplicate key `a`")
+        );
     }
 
     #[test]

@@ -46,14 +46,16 @@
 //! # }
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use redeval_avail::{Durations, ServerParams};
 use redeval_cvss::v2::BaseVector;
 use redeval_cvss::ParseVectorError;
 use redeval_harm::{AspStrategy, AttackTree, MetricsConfig, OrCombine, Vulnerability};
 
-use crate::output::{fmt_f64, json_escape, parse_json, snippet, Json};
+use crate::output::{
+    parse_json, push_f64, push_joined, push_json_display, push_json_str, snippet, Json,
+};
 use crate::spec::{Design, NetworkSpec, TierSpec};
 use crate::{EvalError, PatchPolicy};
 
@@ -102,12 +104,49 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// Shorthand constructor for schema violations.
-fn invalid(at: impl Into<String>, message: impl Into<String>) -> EvalError {
+/// Shorthand constructor for schema violations; the only place an `at`
+/// path is rendered.
+fn invalid(at: impl fmt::Display, message: impl Into<String>) -> EvalError {
     EvalError::Scenario(ScenarioError::Invalid {
-        at: at.into(),
+        at: at.to_string(),
         message: message.into(),
     })
+}
+
+/// The dotted path of a document field (`tiers[2].params.hw_mtbf_h`),
+/// kept as borrowed steps and rendered only when an error is built, so a
+/// valid document formats no path at all.
+#[derive(Clone, Copy)]
+enum At<'a> {
+    /// A top-level name: `document`, `schema`, `metrics`, …
+    Root(&'a str),
+    /// `parent.key`.
+    Key(&'a At<'a>, &'a str),
+    /// `parent[index]`.
+    Index(&'a At<'a>, usize),
+    /// `parent[name]`, the name capped by [`snippet`].
+    Name(&'a At<'a>, &'a str),
+}
+
+impl<'a> At<'a> {
+    fn key(&'a self, key: &'a str) -> At<'a> {
+        At::Key(self, key)
+    }
+
+    fn index(&'a self, index: usize) -> At<'a> {
+        At::Index(self, index)
+    }
+}
+
+impl fmt::Display for At<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            At::Root(name) => f.write_str(name),
+            At::Key(parent, key) => write!(f, "{parent}.{key}"),
+            At::Index(parent, index) => write!(f, "{parent}[{index}]"),
+            At::Name(parent, name) => write!(f, "{parent}[{}]", snippet(name)),
+        }
+    }
 }
 
 /// Where a vulnerability's impact/probability numbers come from.
@@ -284,14 +323,15 @@ impl ScenarioDoc {
 
         // Resolve the vulnerability catalogue.
         let mut vulns: Vec<(&str, Vulnerability)> = Vec::with_capacity(self.vulnerabilities.len());
+        let vulns_at = At::Root("vulnerabilities");
         for (i, def) in self.vulnerabilities.iter().enumerate() {
-            let at = format!("vulnerabilities[{i}]");
+            let at = vulns_at.index(i);
             if def.id.is_empty() {
-                return Err(invalid(format!("{at}.id"), "id must not be empty"));
+                return Err(invalid(at.key("id"), "id must not be empty"));
             }
             if vulns.iter().any(|(id, _)| *id == def.id) {
                 return Err(invalid(
-                    format!("{at}.id"),
+                    at.key("id"),
                     format!("duplicate vulnerability id `{}`", snippet(&def.id)),
                 ));
             }
@@ -306,7 +346,7 @@ impl ScenarioDoc {
                     // hostile request body never bounces back whole.
                     let vector: BaseVector = s.parse().map_err(|e: ParseVectorError| {
                         invalid(
-                            format!("{at}.vector"),
+                            at.key("vector"),
                             format!("`{}`: {}", snippet(s), snippet(&e.to_string())),
                         )
                     })?;
@@ -319,20 +359,20 @@ impl ScenarioDoc {
                 } => {
                     if !(0.0..=10.0).contains(impact) {
                         return Err(invalid(
-                            format!("{at}.impact"),
+                            at.key("impact"),
                             format!("{impact} outside 0..=10"),
                         ));
                     }
                     if !(0.0..=1.0).contains(probability) {
                         return Err(invalid(
-                            format!("{at}.probability"),
+                            at.key("probability"),
                             format!("{probability} outside 0..=1"),
                         ));
                     }
                     if let Some(b) = base_score {
                         if !(0.0..=10.0).contains(b) {
                             return Err(invalid(
-                                format!("{at}.base_score"),
+                                at.key("base_score"),
                                 format!("{b} outside 0..=10"),
                             ));
                         }
@@ -348,8 +388,9 @@ impl ScenarioDoc {
 
         // Build the named attack trees.
         let mut trees: Vec<(&str, AttackTree)> = Vec::with_capacity(self.trees.len());
+        let trees_at = At::Root("trees");
         for (name, def) in &self.trees {
-            let at = format!("trees[{}]", snippet(name));
+            let at = At::Name(&trees_at, name);
             if name.is_empty() {
                 return Err(invalid("trees", "tree name must not be empty"));
             }
@@ -359,27 +400,25 @@ impl ScenarioDoc {
                     format!("duplicate tree name `{}`", snippet(name)),
                 ));
             }
-            trees.push((name, build_tree(def, &at, &vuln_of)?));
+            trees.push((name, build_tree(def, at, &vuln_of)?));
         }
 
         // Resolve the tiers.
         let mut tier_specs: Vec<TierSpec> = Vec::with_capacity(self.tiers.len());
+        let tiers_at = At::Root("tiers");
         for (i, tier) in self.tiers.iter().enumerate() {
-            let at = format!("tiers[{i}]");
+            let at = tiers_at.index(i);
             if tier.name.is_empty() {
-                return Err(invalid(format!("{at}.name"), "tier name must not be empty"));
+                return Err(invalid(at.key("name"), "tier name must not be empty"));
             }
             if tier_specs.iter().any(|t| t.name == tier.name) {
                 return Err(invalid(
-                    format!("{at}.name"),
+                    at.key("name"),
                     format!("duplicate tier name `{}`", snippet(&tier.name)),
                 ));
             }
             if tier.count == 0 {
-                return Err(invalid(
-                    format!("{at}.count"),
-                    "a tier needs at least one server",
-                ));
+                return Err(invalid(at.key("count"), "a tier needs at least one server"));
             }
             let tree = match &tier.tree {
                 None => None,
@@ -389,10 +428,7 @@ impl ScenarioDoc {
                         .find(|(n, _)| *n == name.as_str())
                         .map(|(_, t)| t.clone())
                         .ok_or_else(|| {
-                            invalid(
-                                format!("{at}.tree"),
-                                format!("unknown tree `{}`", snippet(name)),
-                            )
+                            invalid(at.key("tree"), format!("unknown tree `{}`", snippet(name)))
                         })?,
                 ),
             };
@@ -409,18 +445,20 @@ impl ScenarioDoc {
         // Resolve the edges by tier name.
         let index_of = |name: &str| self.tiers.iter().position(|t| t.name == name);
         let mut edges = Vec::with_capacity(self.edges.len());
+        let edges_at = At::Root("edges");
         for (i, (from, to)) in self.edges.iter().enumerate() {
-            let at = format!("edges[{i}]");
+            let at = edges_at.index(i);
             let a = index_of(from)
-                .ok_or_else(|| invalid(&at, format!("unknown tier `{}`", snippet(from))))?;
+                .ok_or_else(|| invalid(at, format!("unknown tier `{}`", snippet(from))))?;
             let b = index_of(to)
-                .ok_or_else(|| invalid(&at, format!("unknown tier `{}`", snippet(to))))?;
+                .ok_or_else(|| invalid(at, format!("unknown tier `{}`", snippet(to))))?;
             edges.push((a, b));
         }
 
         // The evaluation axes must be usable as-is.
+        let designs_at = At::Root("designs");
         for (i, d) in self.designs.iter().enumerate() {
-            let at = format!("designs[{i}]");
+            let at = designs_at.index(i);
             if d.counts.len() != self.tiers.len() {
                 return Err(invalid(
                     at,
@@ -461,97 +499,109 @@ impl ScenarioDoc {
     /// [`from_json`](Self::from_json) recovers an equal document,
     /// bit-for-bit.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", json_escape(SCHEMA));
-        let _ = writeln!(out, "  \"name\": \"{}\",", json_escape(&self.name));
-        let _ = writeln!(out, "  \"title\": \"{}\",", json_escape(&self.title));
-        let _ = writeln!(
-            out,
-            "  \"description\": \"{}\",",
-            json_escape(&self.description)
-        );
+        out.push_str("{\n  \"schema\": ");
+        push_json_str(&mut out, SCHEMA);
+        out.push_str(",\n  \"name\": ");
+        push_json_str(&mut out, &self.name);
+        out.push_str(",\n  \"title\": ");
+        push_json_str(&mut out, &self.title);
+        out.push_str(",\n  \"description\": ");
+        push_json_str(&mut out, &self.description);
+        out.push_str(",\n");
 
-        write_block(&mut out, "vulnerabilities", &self.vulnerabilities, |v| {
-            let mut line = format!("{{\"id\": \"{}\"", json_escape(&v.id));
-            if let Some(cve) = &v.cve {
-                let _ = write!(line, ", \"cve\": \"{}\"", json_escape(cve));
-            }
-            match &v.source {
-                VulnSource::Vector(s) => {
-                    let _ = write!(line, ", \"vector\": \"{}\"", json_escape(s));
+        write_block(
+            &mut out,
+            "vulnerabilities",
+            &self.vulnerabilities,
+            |out, v| {
+                out.push_str("{\"id\": ");
+                push_json_str(out, &v.id);
+                if let Some(cve) = &v.cve {
+                    out.push_str(", \"cve\": ");
+                    push_json_str(out, cve);
                 }
-                VulnSource::Explicit {
-                    impact,
-                    probability,
-                    base_score,
-                } => {
-                    let _ = write!(
-                        line,
-                        ", \"impact\": {}, \"probability\": {}",
-                        fmt_f64(*impact),
-                        fmt_f64(*probability)
-                    );
-                    if let Some(b) = base_score {
-                        let _ = write!(line, ", \"base_score\": {}", fmt_f64(*b));
+                match &v.source {
+                    VulnSource::Vector(s) => {
+                        out.push_str(", \"vector\": ");
+                        push_json_str(out, s);
+                    }
+                    VulnSource::Explicit {
+                        impact,
+                        probability,
+                        base_score,
+                    } => {
+                        out.push_str(", \"impact\": ");
+                        push_f64(out, *impact);
+                        out.push_str(", \"probability\": ");
+                        push_f64(out, *probability);
+                        if let Some(b) = base_score {
+                            out.push_str(", \"base_score\": ");
+                            push_f64(out, *b);
+                        }
                     }
                 }
+                out.push('}');
+            },
+        );
+
+        write_block(&mut out, "trees", &self.trees, |out, (name, def)| {
+            out.push_str("{\"name\": ");
+            push_json_str(out, name);
+            out.push_str(", \"tree\": ");
+            write_tree(out, def);
+            out.push('}');
+        });
+
+        write_block(&mut out, "tiers", &self.tiers, |out, t| {
+            out.push_str("{\"name\": ");
+            push_json_str(out, &t.name);
+            let _ = write!(out, ", \"count\": {}, \"tree\": ", t.count);
+            match &t.tree {
+                Some(name) => push_json_str(out, name),
+                None => out.push_str("null"),
             }
-            line.push('}');
-            line
+            let _ = write!(
+                out,
+                ", \"entry\": {}, \"target\": {}, \"params\": {{",
+                t.entry, t.target
+            );
+            push_joined(
+                out,
+                PARAM_KEYS.iter().zip(param_durations(&t.params)),
+                |out, (k, d)| {
+                    out.push('"');
+                    out.push_str(k);
+                    out.push_str("\": ");
+                    push_f64(out, d.as_hours());
+                },
+            );
+            out.push_str("}}");
         });
 
-        write_block(&mut out, "trees", &self.trees, |(name, def)| {
-            format!(
-                "{{\"name\": \"{}\", \"tree\": {}}}",
-                json_escape(name),
-                tree_to_json(def)
-            )
+        write_block(&mut out, "edges", &self.edges, |out, (a, b)| {
+            out.push('[');
+            push_json_str(out, a);
+            out.push_str(", ");
+            push_json_str(out, b);
+            out.push(']');
         });
 
-        write_block(&mut out, "tiers", &self.tiers, |t| {
-            let tree = match &t.tree {
-                Some(name) => format!("\"{}\"", json_escape(name)),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"name\": \"{}\", \"count\": {}, \"tree\": {}, \"entry\": {}, \
-                 \"target\": {}, \"params\": {}}}",
-                json_escape(&t.name),
-                t.count,
-                tree,
-                t.entry,
-                t.target,
-                params_to_json(&t.params)
-            )
+        write_block(&mut out, "designs", &self.designs, |out, d| {
+            out.push_str("{\"name\": ");
+            push_json_str(out, &d.name);
+            out.push_str(", \"counts\": [");
+            push_joined(out, &d.counts, |out, c| {
+                let _ = write!(out, "{c}");
+            });
+            out.push_str("]}");
         });
 
-        write_block(&mut out, "edges", &self.edges, |(a, b)| {
-            format!("[\"{}\", \"{}\"]", json_escape(a), json_escape(b))
-        });
-
-        write_block(&mut out, "designs", &self.designs, |d| {
-            format!(
-                "{{\"name\": \"{}\", \"counts\": [{}]}}",
-                json_escape(&d.name),
-                d.counts
-                    .iter()
-                    .map(u32::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        });
-
-        let policies: Vec<String> = self
-            .policies
-            .iter()
-            .map(|p| format!("\"{}\"", json_escape(&p.to_string())))
-            .collect();
-        let _ = writeln!(out, "  \"policies\": [{}],", policies.join(", "));
+        out.push_str("  \"policies\": [");
+        push_joined(&mut out, &self.policies, push_json_display);
         let _ = writeln!(
             out,
-            "  \"metrics\": {{\"or_combine\": \"{}\", \"asp\": \"{}\", \"max_paths\": {}}}",
+            "],\n  \"metrics\": {{\"or_combine\": \"{}\", \"asp\": \"{}\", \"max_paths\": {}}}",
             or_combine_token(self.metrics.or_combine),
             asp_token(self.metrics.asp),
             self.metrics.max_paths
@@ -608,41 +658,40 @@ impl ScenarioDoc {
     }
 }
 
-/// Writes one `"key": [...]` block with one array item per line.
-fn write_block<T>(out: &mut String, key: &str, items: &[T], render: impl Fn(&T) -> String) {
-    use std::fmt::Write as _;
+/// Writes one `"key": [...]` block with one array item per line, each
+/// appended to `out` by `render`.
+fn write_block<T>(out: &mut String, key: &str, items: &[T], render: impl Fn(&mut String, &T)) {
+    out.push_str("  \"");
+    out.push_str(key);
     if items.is_empty() {
-        let _ = writeln!(out, "  \"{key}\": [],");
+        out.push_str("\": [],\n");
         return;
     }
-    let _ = writeln!(out, "  \"{key}\": [");
+    out.push_str("\": [\n");
     for (i, item) in items.iter().enumerate() {
-        let sep = if i + 1 < items.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{sep}", render(item));
+        out.push_str("    ");
+        render(out, item);
+        out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
     }
-    let _ = writeln!(out, "  ],");
+    out.push_str("  ],\n");
 }
 
-fn tree_to_json(def: &TreeDef) -> String {
-    match def {
-        TreeDef::Vuln(id) => format!("{{\"vuln\": \"{}\"}}", json_escape(id)),
-        TreeDef::And(children) => format!(
-            "{{\"and\": [{}]}}",
-            children
-                .iter()
-                .map(tree_to_json)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-        TreeDef::Or(children) => format!(
-            "{{\"or\": [{}]}}",
-            children
-                .iter()
-                .map(tree_to_json)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    }
+/// Appends a tree node as compact JSON (`{"vuln": id}`, `{"and": [...]}`
+/// or `{"or": [...]}`).
+fn write_tree(out: &mut String, def: &TreeDef) {
+    let (gate, children) = match def {
+        TreeDef::Vuln(id) => {
+            out.push_str("{\"vuln\": ");
+            push_json_str(out, id);
+            out.push('}');
+            return;
+        }
+        TreeDef::And(children) => ("{\"and\": [", children),
+        TreeDef::Or(children) => ("{\"or\": [", children),
+    };
+    out.push_str(gate);
+    push_joined(out, children, write_tree);
+    out.push_str("]}");
 }
 
 /// The 13 duration parameters, in [`ServerParams`] declaration order;
@@ -681,18 +730,9 @@ fn param_durations(p: &ServerParams) -> [Durations; 13] {
     ]
 }
 
-fn params_to_json(p: &ServerParams) -> String {
-    let fields: Vec<String> = PARAM_KEYS
-        .iter()
-        .zip(param_durations(p))
-        .map(|(k, d)| format!("\"{k}\": {}", fmt_f64(d.as_hours())))
-        .collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
 fn build_tree(
     def: &TreeDef,
-    at: &str,
+    at: At<'_>,
     vuln_of: &dyn Fn(&str) -> Option<Vulnerability>,
 ) -> Result<AttackTree, EvalError> {
     match def {
@@ -734,7 +774,11 @@ fn asp_token(asp: AspStrategy) -> &'static str {
 // JSON → ScenarioDoc decoding.
 
 /// A required object, with every present key checked against `allowed`.
-fn as_obj<'a>(j: &'a Json, at: &str, allowed: &[&str]) -> Result<&'a [(String, Json)], EvalError> {
+fn as_obj<'a>(
+    j: &'a Json,
+    at: At<'_>,
+    allowed: &[&str],
+) -> Result<&'a [(String, Json)], EvalError> {
     let entries = j
         .as_obj()
         .ok_or_else(|| invalid(at, "expected an object"))?;
@@ -750,25 +794,28 @@ fn get<'a>(entries: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn req<'a>(entries: &'a [(String, Json)], at: &str, key: &str) -> Result<&'a Json, EvalError> {
+fn req<'a>(entries: &'a [(String, Json)], at: At<'_>, key: &str) -> Result<&'a Json, EvalError> {
     get(entries, key).ok_or_else(|| invalid(at, format!("missing key `{key}`")))
 }
 
-fn as_str(j: &Json, at: &str) -> Result<String, EvalError> {
-    j.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| invalid(at, "expected a string"))
+/// The required string at `at.key`, reporting a missing key at `at`.
+fn req_str<'a>(entries: &'a [(String, Json)], at: At<'_>, key: &str) -> Result<&'a str, EvalError> {
+    as_str(req(entries, at, key)?, at.key(key))
 }
 
-fn as_bool(j: &Json, at: &str) -> Result<bool, EvalError> {
+fn as_str<'a>(j: &'a Json, at: At<'_>) -> Result<&'a str, EvalError> {
+    j.as_str().ok_or_else(|| invalid(at, "expected a string"))
+}
+
+fn as_bool(j: &Json, at: At<'_>) -> Result<bool, EvalError> {
     j.as_bool().ok_or_else(|| invalid(at, "expected a boolean"))
 }
 
-fn as_f64(j: &Json, at: &str) -> Result<f64, EvalError> {
+fn as_f64(j: &Json, at: At<'_>) -> Result<f64, EvalError> {
     j.as_f64().ok_or_else(|| invalid(at, "expected a number"))
 }
 
-fn as_count(j: &Json, at: &str, max: f64) -> Result<f64, EvalError> {
+fn as_count(j: &Json, at: At<'_>, max: f64) -> Result<f64, EvalError> {
     let x = as_f64(j, at)?;
     if x.fract() != 0.0 || x < 0.0 || x > max {
         return Err(invalid(at, format!("expected an integer in 0..={max}")));
@@ -776,14 +823,15 @@ fn as_count(j: &Json, at: &str, max: f64) -> Result<f64, EvalError> {
     Ok(x)
 }
 
-fn as_arr<'a>(j: &'a Json, at: &str) -> Result<&'a [Json], EvalError> {
+fn as_arr<'a>(j: &'a Json, at: At<'_>) -> Result<&'a [Json], EvalError> {
     j.as_arr().ok_or_else(|| invalid(at, "expected an array"))
 }
 
 fn decode_doc(root: &Json) -> Result<ScenarioDoc, EvalError> {
+    let document = At::Root("document");
     let entries = as_obj(
         root,
-        "document",
+        document,
         &[
             "schema",
             "name",
@@ -798,68 +846,70 @@ fn decode_doc(root: &Json) -> Result<ScenarioDoc, EvalError> {
             "metrics",
         ],
     )?;
-
-    let schema = as_str(req(entries, "document", "schema")?, "schema")?;
+    // A missing key is reported at `document`; a top-level field itself
+    // is named without that prefix.
+    let schema = as_str(req(entries, document, "schema")?, At::Root("schema"))?;
     if schema != SCHEMA {
         return Err(invalid(
             "schema",
             format!(
                 "`{}` is not supported (expected `{SCHEMA}`)",
-                snippet(&schema)
+                snippet(schema)
             ),
         ));
     }
-    let name = as_str(req(entries, "document", "name")?, "name")?;
-    let title = as_str(req(entries, "document", "title")?, "title")?;
+    let name = as_str(req(entries, document, "name")?, At::Root("name"))?.to_owned();
+    let title = as_str(req(entries, document, "title")?, At::Root("title"))?.to_owned();
     let description = match get(entries, "description") {
-        Some(j) => as_str(j, "description")?,
+        Some(j) => as_str(j, At::Root("description"))?.to_owned(),
         None => String::new(),
     };
 
+    let at = At::Root("vulnerabilities");
     let mut vulnerabilities = Vec::new();
-    for (i, j) in as_arr(
-        req(entries, "document", "vulnerabilities")?,
-        "vulnerabilities",
-    )?
-    .iter()
-    .enumerate()
-    {
-        vulnerabilities.push(decode_vuln(j, &format!("vulnerabilities[{i}]"))?);
-    }
-
-    let mut trees = Vec::new();
-    for (i, j) in as_arr(req(entries, "document", "trees")?, "trees")?
+    for (i, j) in as_arr(req(entries, document, "vulnerabilities")?, at)?
         .iter()
         .enumerate()
     {
-        let at = format!("trees[{i}]");
-        let e = as_obj(j, &at, &["name", "tree"])?;
-        let tree_name = as_str(req(e, &at, "name")?, &format!("{at}.name"))?;
-        let def = decode_tree(req(e, &at, "tree")?, &format!("{at}.tree"))?;
+        vulnerabilities.push(decode_vuln(j, at.index(i))?);
+    }
+
+    let at = At::Root("trees");
+    let mut trees = Vec::new();
+    for (i, j) in as_arr(req(entries, document, "trees")?, at)?
+        .iter()
+        .enumerate()
+    {
+        let at = at.index(i);
+        let e = as_obj(j, at, &["name", "tree"])?;
+        let tree_name = req_str(e, at, "name")?.to_owned();
+        let def = decode_tree(req(e, at, "tree")?, at.key("tree"))?;
         trees.push((tree_name, def));
     }
 
+    let at = At::Root("tiers");
     let mut tiers = Vec::new();
-    for (i, j) in as_arr(req(entries, "document", "tiers")?, "tiers")?
+    for (i, j) in as_arr(req(entries, document, "tiers")?, at)?
         .iter()
         .enumerate()
     {
-        tiers.push(decode_tier(j, &format!("tiers[{i}]"))?);
+        tiers.push(decode_tier(j, at.index(i))?);
     }
 
+    let at = At::Root("edges");
     let mut edges = Vec::new();
-    for (i, j) in as_arr(req(entries, "document", "edges")?, "edges")?
+    for (i, j) in as_arr(req(entries, document, "edges")?, at)?
         .iter()
         .enumerate()
     {
-        let at = format!("edges[{i}]");
-        let pair = as_arr(j, &at)?;
+        let at = at.index(i);
+        let pair = as_arr(j, at)?;
         if pair.len() != 2 {
-            return Err(invalid(&at, "expected a [from, to] pair of tier names"));
+            return Err(invalid(at, "expected a [from, to] pair of tier names"));
         }
         edges.push((
-            as_str(&pair[0], &format!("{at}[0]"))?,
-            as_str(&pair[1], &format!("{at}[1]"))?,
+            as_str(&pair[0], at.index(0))?.to_owned(),
+            as_str(&pair[1], at.index(1))?.to_owned(),
         ));
     }
 
@@ -870,20 +920,16 @@ fn decode_doc(root: &Json) -> Result<ScenarioDoc, EvalError> {
     let designs = match get(entries, "designs") {
         None => Vec::new(),
         Some(j) => {
+            let at = At::Root("designs");
             let mut out = Vec::new();
-            for (i, d) in as_arr(j, "designs")?.iter().enumerate() {
-                let at = format!("designs[{i}]");
-                let e = as_obj(d, &at, &["name", "counts"])?;
-                let dname = as_str(req(e, &at, "name")?, &format!("{at}.name"))?;
-                let counts_at = format!("{at}.counts");
+            for (i, d) in as_arr(j, at)?.iter().enumerate() {
+                let at = at.index(i);
+                let e = as_obj(d, at, &["name", "counts"])?;
+                let dname = req_str(e, at, "name")?.to_owned();
+                let counts_at = at.key("counts");
                 let mut counts = Vec::new();
-                for (k, c) in as_arr(req(e, &at, "counts")?, &counts_at)?
-                    .iter()
-                    .enumerate()
-                {
-                    counts.push(
-                        as_count(c, &format!("{counts_at}[{k}]"), f64::from(u32::MAX))? as u32,
-                    );
+                for (k, c) in as_arr(req(e, at, "counts")?, counts_at)?.iter().enumerate() {
+                    counts.push(as_count(c, counts_at.index(k), f64::from(u32::MAX))? as u32);
                 }
                 out.push(Design::new(dname, counts));
             }
@@ -894,13 +940,14 @@ fn decode_doc(root: &Json) -> Result<ScenarioDoc, EvalError> {
     let policies = match get(entries, "policies") {
         None => vec![PatchPolicy::CriticalOnly(8.0)],
         Some(j) => {
+            let at = At::Root("policies");
             let mut out = Vec::new();
-            for (i, p) in as_arr(j, "policies")?.iter().enumerate() {
-                let at = format!("policies[{i}]");
-                let s = as_str(p, &at)?;
+            for (i, p) in as_arr(j, at)?.iter().enumerate() {
+                let at = at.index(i);
                 out.push(
-                    s.parse::<PatchPolicy>()
-                        .map_err(|e| invalid(&at, e.to_string()))?,
+                    as_str(p, at)?
+                        .parse::<PatchPolicy>()
+                        .map_err(|e| invalid(at, e.to_string()))?,
                 );
             }
             out
@@ -930,15 +977,15 @@ fn decode_doc(root: &Json) -> Result<ScenarioDoc, EvalError> {
     Ok(doc)
 }
 
-fn decode_vuln(j: &Json, at: &str) -> Result<VulnDef, EvalError> {
+fn decode_vuln(j: &Json, at: At<'_>) -> Result<VulnDef, EvalError> {
     let e = as_obj(
         j,
         at,
         &["id", "cve", "vector", "impact", "probability", "base_score"],
     )?;
-    let id = as_str(req(e, at, "id")?, &format!("{at}.id"))?;
+    let id = req_str(e, at, "id")?.to_owned();
     let cve = match get(e, "cve") {
-        Some(c) => Some(as_str(c, &format!("{at}.cve"))?),
+        Some(c) => Some(as_str(c, at.key("cve"))?.to_owned()),
         None => None,
     };
     let source = match (get(e, "vector"), get(e, "impact")) {
@@ -949,13 +996,13 @@ fn decode_vuln(j: &Json, at: &str) -> Result<VulnDef, EvalError> {
                     "give either `vector` or explicit `impact`/`probability`, not both",
                 ));
             }
-            VulnSource::Vector(as_str(v, &format!("{at}.vector"))?)
+            VulnSource::Vector(as_str(v, at.key("vector"))?.to_owned())
         }
         (None, Some(imp)) => VulnSource::Explicit {
-            impact: as_f64(imp, &format!("{at}.impact"))?,
-            probability: as_f64(req(e, at, "probability")?, &format!("{at}.probability"))?,
+            impact: as_f64(imp, at.key("impact"))?,
+            probability: as_f64(req(e, at, "probability")?, at.key("probability"))?,
             base_score: match get(e, "base_score") {
-                Some(b) => Some(as_f64(b, &format!("{at}.base_score"))?),
+                Some(b) => Some(as_f64(b, at.key("base_score"))?),
                 None => None,
             },
         },
@@ -975,12 +1022,12 @@ fn decode_vuln(j: &Json, at: &str) -> Result<VulnDef, EvalError> {
     Ok(VulnDef { id, cve, source })
 }
 
-fn decode_tree(j: &Json, at: &str) -> Result<TreeDef, EvalError> {
+fn decode_tree(j: &Json, at: At<'_>) -> Result<TreeDef, EvalError> {
     let e = as_obj(j, at, &["vuln", "and", "or"])?;
     match (get(e, "vuln"), get(e, "and"), get(e, "or")) {
-        (Some(v), None, None) => Ok(TreeDef::Vuln(as_str(v, &format!("{at}.vuln"))?)),
-        (None, Some(children), None) => Ok(TreeDef::And(decode_children(children, at, "and")?)),
-        (None, None, Some(children)) => Ok(TreeDef::Or(decode_children(children, at, "or")?)),
+        (Some(v), None, None) => Ok(TreeDef::Vuln(as_str(v, at.key("vuln"))?.to_owned())),
+        (None, Some(children), None) => Ok(TreeDef::And(decode_children(children, at.key("and"))?)),
+        (None, None, Some(children)) => Ok(TreeDef::Or(decode_children(children, at.key("or"))?)),
         _ => Err(invalid(
             at,
             "a tree node is exactly one of {\"vuln\": id}, {\"and\": [...]}, {\"or\": [...]}",
@@ -988,42 +1035,39 @@ fn decode_tree(j: &Json, at: &str) -> Result<TreeDef, EvalError> {
     }
 }
 
-fn decode_children(j: &Json, at: &str, gate: &str) -> Result<Vec<TreeDef>, EvalError> {
-    as_arr(j, &format!("{at}.{gate}"))?
+/// The children of a gate at `at` (`….and` or `….or`).
+fn decode_children(j: &Json, at: At<'_>) -> Result<Vec<TreeDef>, EvalError> {
+    as_arr(j, at)?
         .iter()
         .enumerate()
-        .map(|(i, c)| decode_tree(c, &format!("{at}.{gate}[{i}]")))
+        .map(|(i, c)| decode_tree(c, at.index(i)))
         .collect()
 }
 
-fn decode_tier(j: &Json, at: &str) -> Result<TierDef, EvalError> {
+fn decode_tier(j: &Json, at: At<'_>) -> Result<TierDef, EvalError> {
     let e = as_obj(
         j,
         at,
         &["name", "count", "tree", "entry", "target", "params"],
     )?;
-    let name = as_str(req(e, at, "name")?, &format!("{at}.name"))?;
-    let count = as_count(
-        req(e, at, "count")?,
-        &format!("{at}.count"),
-        f64::from(u32::MAX),
-    )? as u32;
+    let name = req_str(e, at, "name")?.to_owned();
+    let count = as_count(req(e, at, "count")?, at.key("count"), f64::from(u32::MAX))? as u32;
     let tree = match get(e, "tree") {
         None => None,
         Some(t) if t.is_null() => None,
-        Some(t) => Some(as_str(t, &format!("{at}.tree"))?),
+        Some(t) => Some(as_str(t, at.key("tree"))?.to_owned()),
     };
     let entry = match get(e, "entry") {
-        Some(b) => as_bool(b, &format!("{at}.entry"))?,
+        Some(b) => as_bool(b, at.key("entry"))?,
         None => false,
     };
     let target = match get(e, "target") {
-        Some(b) => as_bool(b, &format!("{at}.target"))?,
+        Some(b) => as_bool(b, at.key("target"))?,
         None => false,
     };
     let params = match get(e, "params") {
         None => ServerParams::builder(name.clone()).build(),
-        Some(p) => decode_params(p, &format!("{at}.params"), &name)?,
+        Some(p) => decode_params(p, at.key("params"), &name)?,
     };
     Ok(TierDef {
         name,
@@ -1035,12 +1079,12 @@ fn decode_tier(j: &Json, at: &str) -> Result<TierDef, EvalError> {
     })
 }
 
-fn decode_params(j: &Json, at: &str, tier_name: &str) -> Result<ServerParams, EvalError> {
+fn decode_params(j: &Json, at: At<'_>, tier_name: &str) -> Result<ServerParams, EvalError> {
     let e = as_obj(j, at, &PARAM_KEYS)?;
     let mut hours = [0.0f64; 13];
     for (slot, key) in hours.iter_mut().zip(PARAM_KEYS) {
-        let field = format!("{at}.{key}");
-        let x = as_f64(req(e, at, key)?, &field)?;
+        let field = at.key(key);
+        let x = as_f64(req(e, at, key)?, field)?;
         if !x.is_finite() || x <= 0.0 {
             return Err(invalid(field, "a mean duration must be a positive number"));
         }
@@ -1066,28 +1110,31 @@ fn decode_params(j: &Json, at: &str, tier_name: &str) -> Result<ServerParams, Ev
 }
 
 fn decode_metrics(j: &Json) -> Result<MetricsConfig, EvalError> {
-    let e = as_obj(j, "metrics", &["or_combine", "asp", "max_paths"])?;
+    let at = At::Root("metrics");
+    let e = as_obj(j, at, &["or_combine", "asp", "max_paths"])?;
     let mut m = MetricsConfig::default();
     if let Some(oc) = get(e, "or_combine") {
-        m.or_combine = match as_str(oc, "metrics.or_combine")?.as_str() {
+        let at = at.key("or_combine");
+        m.or_combine = match as_str(oc, at)? {
             "max" => OrCombine::Max,
             "noisy-or" => OrCombine::NoisyOr,
             other => {
                 return Err(invalid(
-                    "metrics.or_combine",
+                    at,
                     format!("`{}` is not one of max, noisy-or", snippet(other)),
                 ));
             }
         };
     }
     if let Some(asp) = get(e, "asp") {
-        m.asp = match as_str(asp, "metrics.asp")?.as_str() {
+        let at = at.key("asp");
+        m.asp = match as_str(asp, at)? {
             "max-path" => AspStrategy::MaxPath,
             "noisy-or-paths" => AspStrategy::NoisyOrPaths,
             "reliability" => AspStrategy::Reliability,
             other => {
                 return Err(invalid(
-                    "metrics.asp",
+                    at,
                     format!(
                         "`{}` is not one of max-path, noisy-or-paths, reliability",
                         snippet(other)
@@ -1097,7 +1144,7 @@ fn decode_metrics(j: &Json) -> Result<MetricsConfig, EvalError> {
         };
     }
     if let Some(mp) = get(e, "max_paths") {
-        let x = as_count(mp, "metrics.max_paths", 9.007_199_254_740_992e15)?;
+        let x = as_count(mp, at.key("max_paths"), 9.007_199_254_740_992e15)?;
         m.max_paths = x as usize;
     }
     Ok(m)

@@ -5,8 +5,16 @@
 //! dependency — the same policy under which `redeval::output` hand-rolls
 //! JSON. It is a straight transcription of the FIPS 180-4 algorithm
 //! (§5.1.1 padding, §6.2.2 compression) and is pinned against the
-//! standard's own test vectors below. Throughput is irrelevant here:
-//! cache keys hash a few kilobytes of canonical JSON per request.
+//! standard's own test vectors below.
+//!
+//! Throughput matters: every `POST` hashes its cache key, a few
+//! kilobytes of canonical JSON, before the cache lookup. On the
+//! `serve_mixed` benchmark documents (~6.4 KB, 2-core host) one key
+//! costs ~33 µs. That is about a third of the ~95 µs of parse, decode,
+//! validate, canonical re-serialize and hash ahead of a cache hit's
+//! lookup, and the largest single part of it (DESIGN.md §9.2). It stays
+//! a scalar transcription: the SHA-NI instructions need `unsafe`
+//! intrinsics, and every crate here is `#![forbid(unsafe_code)]`.
 
 /// A SHA-256 digest.
 pub type Digest = [u8; 32];
