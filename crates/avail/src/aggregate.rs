@@ -29,12 +29,6 @@ impl AggregatedRates {
     pub fn mttr(&self) -> f64 {
         1.0 / self.mu_eq
     }
-
-    /// Steady-state probability of being down due to patching in the
-    /// two-state abstraction: `λ/(λ+µ)`.
-    pub fn down_probability(&self) -> f64 {
-        self.lambda_eq / (self.lambda_eq + self.mu_eq)
-    }
 }
 
 /// Exact steady-state quantities of one server's lower-layer SRN.
@@ -404,7 +398,9 @@ mod tests {
         // The aggregation should reproduce the patch-downtime fraction.
         for p in paper_servers() {
             let a = p.analyze().unwrap();
-            let approx = a.rates().down_probability();
+            let r = a.rates();
+            // The two-state abstraction's down probability λ/(λ+µ).
+            let approx = r.lambda_eq / (r.lambda_eq + r.mu_eq);
             let exact = a.p_patch_down();
             let rel = (approx - exact).abs() / exact;
             assert!(rel < 0.02, "{}: {approx} vs {exact}", a.name());

@@ -4,8 +4,8 @@
 //! The reproduced paper notes that redundancy designs should eventually be
 //! judged under client load too and proposes queueing models as future
 //! work; this module provides the standard Erlang-C machinery so the
-//! workspace can report mean response/waiting times per design (see the
-//! `perf` bench binary).
+//! workspace can report mean response/waiting times per design (see
+//! `redeval perf`).
 
 use std::error::Error;
 use std::fmt;
@@ -128,11 +128,6 @@ impl Mmc {
     pub fn mean_response_time(&self) -> f64 {
         self.mean_waiting_time() + 1.0 / self.service_rate
     }
-
-    /// Mean number of jobs in the system (`L = λW`, Little's law).
-    pub fn mean_jobs_in_system(&self) -> f64 {
-        self.arrival_rate * self.mean_response_time()
-    }
 }
 
 /// Mean response time of a tier whose server count fluctuates: weights the
@@ -185,7 +180,6 @@ mod tests {
         let q = Mmc::new(0.5, 1.0, 1).unwrap();
         assert!((q.mean_response_time() - 2.0).abs() < 1e-12);
         assert!((q.probability_of_waiting() - 0.5).abs() < 1e-12);
-        assert!((q.mean_jobs_in_system() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -249,7 +243,8 @@ mod tests {
     #[test]
     fn little_law_consistency() {
         let q = Mmc::new(2.5, 1.2, 4).unwrap();
+        // L = λW (Little's law) = Lq + a.
         let l = q.mean_queue_length() + q.offered_load();
-        assert!((q.mean_jobs_in_system() - l).abs() < 1e-12);
+        assert!((q.arrival_rate * q.mean_response_time() - l).abs() < 1e-12);
     }
 }

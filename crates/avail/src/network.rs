@@ -117,41 +117,8 @@ impl NetworkModel {
             .collect()
     }
 
-    /// Expected steady-state reward of an arbitrary function of the
-    /// per-tier *up* counts, evaluated in product form (tiers are
-    /// stochastically independent): one mixed-radix pass over the joint
-    /// states, tier 0 fastest.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors from the per-tier chains.
-    pub fn expected_reward<F>(&self, reward: F) -> Result<f64, SolveError>
-    where
-        F: Fn(&[u32]) -> f64,
-    {
-        let dists = self.tier_down_distributions()?;
-        // Mixed-radix enumeration over (down_0, ..., down_k).
-        let counts: Vec<u32> = self.tiers.iter().map(|t| t.count).collect();
-        let mut idx = vec![0usize; counts.len()];
-        let mut ups = vec![0u32; counts.len()];
-        let mut total = 0.0;
-        loop {
-            let mut p = 1.0;
-            for (((&down, dist), up), &count) in idx.iter().zip(&dists).zip(&mut ups).zip(&counts) {
-                p *= dist[down];
-                *up = count - down as u32;
-            }
-            if p > 0.0 {
-                total += p * reward(&ups);
-            }
-            if !next_state(&mut idx, &counts) {
-                return Ok(total);
-            }
-        }
-    }
-
     /// Joint states `Π (countᵢ + 1)` the mixed-radix enumeration of
-    /// [`expected_reward`](Self::expected_reward) visits (saturating).
+    /// [`measures`](Self::measures) visits (saturating).
     fn joint_states(&self) -> u128 {
         self.tiers
             .iter()
@@ -159,7 +126,7 @@ impl NetworkModel {
     }
 
     /// Above this joint-state count the separable reward measures (COA,
-    /// availability, quorum COA, expected up servers) switch from exact
+    /// availability, expected up servers) switch from exact
     /// enumeration to the algebraically identical factored form — the
     /// enumeration is exponential in the tier count and a fleet-scale
     /// network (hundreds of tiers) never finishes it. Small networks
@@ -235,8 +202,8 @@ impl NetworkModel {
                 expected_up: all.iter().map(|&(_, m)| m).sum(),
             });
         }
-        // One pass over the joint states in `expected_reward`'s order
-        // (tier 0 fastest), with tier 0 as the inner loop. Each state's
+        // One pass over the joint states in mixed-radix order (tier 0
+        // fastest), with tier 0 as the inner loop. Each state's
         // probability is still the left-to-right product from tier 0
         // (`1.0 · x` is exact, so it starts at tier 0's factor); what the
         // outer tiers contribute — their factors, up servers and whether
@@ -311,44 +278,6 @@ impl NetworkModel {
         Ok(self.measures()?.availability)
     }
 
-    /// Quorum COA: like [`coa`](Self::coa) but tier `i` needs at least
-    /// `quorum[i]` servers up to deliver service (k-out-of-n tiers, e.g.
-    /// consensus clusters or capacity floors).
-    ///
-    /// With `quorum = [1, 1, …]` this equals [`coa`](Self::coa).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `quorum` and tiers differ in length or a quorum exceeds
-    /// the tier size.
-    pub fn coa_with_quorum(&self, quorum: &[u32]) -> Result<f64, SolveError> {
-        assert_eq!(quorum.len(), self.tiers.len(), "one quorum per tier");
-        for (q, t) in quorum.iter().zip(&self.tiers) {
-            assert!(
-                *q >= 1 && *q <= t.count,
-                "quorum {q} invalid for tier of {}",
-                t.count
-            );
-        }
-        if self.factored() {
-            let dists = self.tier_down_distributions()?;
-            return Ok(self.quorum_coa_factored(&self.tier_moments(&dists, quorum)));
-        }
-        let total = self.total_servers() as f64;
-        let quorum = quorum.to_vec();
-        self.expected_reward(move |ups| {
-            if ups.iter().zip(&quorum).any(|(&u, &q)| u < q) {
-                0.0
-            } else {
-                ups.iter().map(|&u| u as f64).sum::<f64>() / total
-            }
-        })
-    }
-
     /// Expected number of running servers.
     ///
     /// # Errors
@@ -382,46 +311,6 @@ impl NetworkModel {
             up_places.push(up);
         }
         (net, up_places)
-    }
-
-    /// Interval (time-averaged) COA over `[0, horizon_hours]`, starting
-    /// from the fully-up state: `(1/t)∫₀ᵗ E[reward(s)] ds` by
-    /// uniformization on the composed SRN.
-    ///
-    /// Unlike the steady-state [`coa`](Self::coa), this answers "how much
-    /// capacity do I get over the *next month*", which is higher than the
-    /// long-run value while the first patch cycles have not yet hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SRN/CTMC errors; `horizon_hours` must be positive.
-    pub fn interval_coa(&self, horizon_hours: f64) -> Result<f64, SrnError> {
-        let (net, ups) = self.to_srn();
-        let space = net.state_space()?;
-        let markings = space.tangible_markings().to_vec();
-        let counts: Vec<u32> = self.tiers.iter().map(|t| t.count).collect();
-        let total: u32 = counts.iter().sum();
-        let reward_of = |idx: usize| -> f64 {
-            let m = &markings[idx];
-            let mut sum = 0u32;
-            for &p in &ups {
-                let u = m.tokens(p);
-                if u == 0 {
-                    return 0.0;
-                }
-                sum += u;
-            }
-            f64::from(sum) / f64::from(total)
-        };
-        let initial = space
-            .initial_distribution()
-            .first()
-            .map(|&(i, _)| i)
-            .expect("nonempty state space");
-        space
-            .ctmc()
-            .interval_reward(initial, horizon_hours, reward_of)
-            .map_err(redeval_srn::SrnError::from)
     }
 
     /// COA computed through the explicit SRN — an independent cross-check
@@ -559,23 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_coa_decreases_to_steady_state() {
-        let net = case_study();
-        let steady = net.coa().unwrap();
-        // The transient relaxes within ~MTTR (≈1 h), far faster than the
-        // 720-h patch interval: very short windows still see extra
-        // capacity, and the interval value decreases towards steady state.
-        let tiny = net.interval_coa(0.05).unwrap();
-        let short = net.interval_coa(1.0).unwrap();
-        let month = net.interval_coa(720.0).unwrap();
-        let long = net.interval_coa(100_000.0).unwrap();
-        assert!(tiny > 0.9999, "{tiny}");
-        assert!(tiny >= short && short >= month && month >= long);
-        assert!(short > steady);
-        assert!((long - steady).abs() < 1e-4, "{long} vs {steady}");
-    }
-
-    #[test]
     fn availability_exceeds_coa() {
         // COA penalizes partial capacity; plain availability does not.
         let net = case_study();
@@ -589,30 +461,6 @@ mod tests {
         let net = case_study();
         let e = net.expected_up_servers().unwrap();
         assert!(e > 5.98 && e < 6.0);
-    }
-
-    #[test]
-    fn quorum_one_equals_plain_coa() {
-        let net = case_study();
-        let coa = net.coa().unwrap();
-        let q1 = net.coa_with_quorum(&[1, 1, 1, 1]).unwrap();
-        assert!((coa - q1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stricter_quorum_lowers_coa() {
-        let net = case_study();
-        let loose = net.coa_with_quorum(&[1, 1, 1, 1]).unwrap();
-        let strict = net.coa_with_quorum(&[1, 2, 2, 1]).unwrap();
-        assert!(strict < loose);
-        // Needing both web servers up makes any web patch an outage.
-        assert!(strict < 0.997);
-    }
-
-    #[test]
-    #[should_panic(expected = "quorum")]
-    fn quorum_larger_than_tier_panics() {
-        let _ = case_study().coa_with_quorum(&[2, 1, 1, 1]);
     }
 
     #[test]
@@ -654,14 +502,8 @@ mod tests {
         let net = case_study();
         let dists = net.tier_down_distributions().unwrap();
         let moments = |q: &[u32]| net.tier_moments(&dists, q);
-        let quorum = [1, 2, 1, 1];
         assert!(
             (net.quorum_coa_factored(&moments(&[1, 1, 1, 1])) - net.coa().unwrap()).abs() < 1e-12
-        );
-        assert!(
-            (net.quorum_coa_factored(&moments(&quorum)) - net.coa_with_quorum(&quorum).unwrap())
-                .abs()
-                < 1e-12
         );
         let avail_factored: f64 = moments(&[1, 1, 1, 1]).iter().map(|&(p, _)| p).product();
         assert!((avail_factored - net.availability().unwrap()).abs() < 1e-12);

@@ -30,8 +30,9 @@ proptest! {
         let mttr = a.rates().mttr();
         let rel = (mttr - cycle).abs() / cycle;
         prop_assert!(rel < 0.02, "cycle {cycle} vs mttr {mttr}");
-        // Two-state abstraction vs exact patch-downtime probability.
-        let approx = a.rates().down_probability();
+        // Two-state abstraction λ/(λ+µ) vs exact patch-downtime probability.
+        let r = a.rates();
+        let approx = r.lambda_eq / (r.lambda_eq + r.mu_eq);
         let exact = a.p_patch_down();
         prop_assert!((approx - exact).abs() / exact < 0.05);
         // λ_eq is always the clock rate.

@@ -3,9 +3,8 @@ use std::fmt;
 
 /// Error returned when a CVSS vector string cannot be parsed.
 ///
-/// Produced by the `FromStr` implementations of
-/// [`v2::BaseVector`](crate::v2::BaseVector) and
-/// [`v3::BaseVector`](crate::v3::BaseVector).
+/// Produced by the `FromStr` implementation of
+/// [`v2::BaseVector`](crate::v2::BaseVector).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseVectorError {
     /// A `KEY:VALUE` component was malformed (no colon, empty key, …).

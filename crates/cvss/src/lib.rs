@@ -1,9 +1,8 @@
 //! CVSS (Common Vulnerability Scoring System) vector parsing and scoring.
 //!
-//! This crate implements the CVSS **v2.0** base-metric equations (the scoring
-//! system used by the DSN 2017 paper this workspace reproduces) and, for
-//! completeness, the CVSS **v3.0/3.1** base equations. It has no
-//! dependencies and performs no I/O.
+//! This crate implements the CVSS **v2.0** base-metric equations, the
+//! scoring system used by the DSN 2017 paper this workspace reproduces. It
+//! has no dependencies and performs no I/O.
 //!
 //! The paper derives two per-vulnerability quantities from CVSS v2:
 //!
@@ -39,11 +38,6 @@
 #![warn(missing_docs)]
 
 mod error;
-pub mod severity;
 pub mod v2;
-pub mod v2_environmental;
-pub mod v2_temporal;
-pub mod v3;
 
 pub use error::ParseVectorError;
-pub use severity::Severity;

@@ -8,7 +8,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{ParseVectorError, Severity};
+use crate::ParseVectorError;
 
 /// How the vulnerability is accessed (AV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -242,11 +242,6 @@ impl BaseVector {
         round1(((0.6 * impact) + (0.4 * expl) - 1.5) * self.f_impact()).clamp(0.0, 10.0)
     }
 
-    /// Qualitative severity of [`base_score`](Self::base_score).
-    pub fn severity(&self) -> Severity {
-        Severity::from_score(self.base_score())
-    }
-
     /// The paper's *attack impact* value: the impact subscore.
     pub fn attack_impact(&self) -> f64 {
         self.impact_subscore()
@@ -413,7 +408,6 @@ mod tests {
         assert_eq!(v.base_score(), 10.0);
         assert_eq!(v.impact_subscore(), 10.0);
         assert_eq!(v.exploitability_subscore(), 10.0);
-        assert_eq!(v.severity(), Severity::Critical);
     }
 
     #[test]
@@ -429,7 +423,6 @@ mod tests {
         let v = parse("AV:N/AC:L/Au:N/C:N/I:N/A:N");
         assert_eq!(v.impact_subscore(), 0.0);
         assert_eq!(v.base_score(), 0.0);
-        assert_eq!(v.severity(), Severity::None);
         assert_eq!(v.f_impact(), 0.0);
     }
 

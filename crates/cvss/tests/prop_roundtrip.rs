@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use redeval_cvss::v2::{AccessComplexity, AccessVector, Authentication, BaseVector, Impact};
-use redeval_cvss::{v3, Severity};
 
 fn any_v2() -> impl Strategy<Value = BaseVector> {
     (
@@ -36,52 +35,6 @@ fn any_impact() -> impl Strategy<Value = Impact> {
     ]
 }
 
-fn any_v3() -> impl Strategy<Value = v3::BaseVector> {
-    (
-        prop_oneof![
-            Just(v3::AttackVector::Network),
-            Just(v3::AttackVector::Adjacent),
-            Just(v3::AttackVector::Local),
-            Just(v3::AttackVector::Physical)
-        ],
-        prop_oneof![
-            Just(v3::AttackComplexity::Low),
-            Just(v3::AttackComplexity::High)
-        ],
-        prop_oneof![
-            Just(v3::PrivilegesRequired::None),
-            Just(v3::PrivilegesRequired::Low),
-            Just(v3::PrivilegesRequired::High)
-        ],
-        prop_oneof![
-            Just(v3::UserInteraction::None),
-            Just(v3::UserInteraction::Required)
-        ],
-        prop_oneof![Just(v3::Scope::Unchanged), Just(v3::Scope::Changed)],
-        any_v3_impact(),
-        any_v3_impact(),
-        any_v3_impact(),
-    )
-        .prop_map(|(av, ac, pr, ui, s, c, i, a)| v3::BaseVector {
-            attack_vector: av,
-            attack_complexity: ac,
-            privileges_required: pr,
-            user_interaction: ui,
-            scope: s,
-            confidentiality: c,
-            integrity: i,
-            availability: a,
-        })
-}
-
-fn any_v3_impact() -> impl Strategy<Value = v3::ImpactMetric> {
-    prop_oneof![
-        Just(v3::ImpactMetric::None),
-        Just(v3::ImpactMetric::Low),
-        Just(v3::ImpactMetric::High)
-    ]
-}
-
 proptest! {
     #[test]
     fn v2_roundtrip(v in any_v2()) {
@@ -105,7 +58,6 @@ proptest! {
             && v.availability == Impact::None
         {
             prop_assert_eq!(v.base_score(), 0.0);
-            prop_assert_eq!(v.severity(), Severity::None);
         } else {
             prop_assert!(v.impact_subscore() > 0.0);
         }
@@ -117,22 +69,5 @@ proptest! {
         let mut wider = v;
         wider.access_vector = AccessVector::Network;
         prop_assert!(wider.base_score() >= v.base_score() - 1e-9);
-    }
-
-    #[test]
-    fn v3_roundtrip(v in any_v3()) {
-        let parsed: v3::BaseVector = v.to_vector_string().parse().unwrap();
-        prop_assert_eq!(parsed, v);
-    }
-
-    #[test]
-    fn v3_scores_in_range(v in any_v3()) {
-        prop_assert!((0.0..=10.0).contains(&v.base_score()));
-    }
-
-    #[test]
-    fn severity_band_monotone(a in 0.0f64..10.0, b in 0.0f64..10.0) {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(Severity::from_score(lo) <= Severity::from_score(hi));
     }
 }

@@ -21,7 +21,7 @@ use crate::{Ctmc, SolveError};
 /// # fn main() -> Result<(), redeval_markov::SolveError> {
 /// let n = 50;
 /// let (lambda, mu) = (0.5, 1.0);
-/// let bd = BirthDeath::homogeneous(n, lambda, mu);
+/// let bd = BirthDeath::new(vec![lambda; n], vec![mu; n]);
 /// let pi = bd.steady_state()?;
 /// assert!((pi[0] - 0.5).abs() < 1e-9); // 1 - ρ with tiny truncation error
 /// # Ok(())
@@ -49,12 +49,6 @@ impl BirthDeath {
             "birth and death rate vectors must have equal length"
         );
         BirthDeath { birth, death }
-    }
-
-    /// A chain with constant birth rate `lambda` and death rate `mu` on
-    /// states `0..=n`.
-    pub fn homogeneous(n: usize, lambda: f64, mu: f64) -> Self {
-        BirthDeath::new(vec![lambda; n], vec![mu; n])
     }
 
     /// The machine-repair style chain used for redundancy under patching:

@@ -2,7 +2,7 @@
 
 use crate::matrix::Csr;
 use crate::steady::{self, SteadyStateOptions};
-use crate::transient::{self, TransientOptions};
+use crate::transient;
 use crate::SolveError;
 
 /// One rate transition of a [`Ctmc`].
@@ -23,18 +23,17 @@ pub struct Transition {
 ///
 /// # Examples
 ///
-/// Mean time to absorption of a two-step Erlang chain is the sum of the
-/// stage means:
+/// A component that fails at rate `λ` and is never repaired is still up
+/// at time `t` with probability `e^{-λt}`:
 ///
 /// ```
 /// use redeval_markov::Ctmc;
 ///
 /// # fn main() -> Result<(), redeval_markov::SolveError> {
-/// let mut c = Ctmc::new(3);
+/// let mut c = Ctmc::new(2);
 /// c.add_transition(0, 1, 2.0);
-/// c.add_transition(1, 2, 4.0);
-/// let mtta = c.mean_time_to_absorption(0)?;
-/// assert!((mtta - (0.5 + 0.25)).abs() < 1e-12);
+/// let p = c.transient_from(&[1.0, 0.0], 0.5)?;
+/// assert!((p[0] - (-1.0f64).exp()).abs() < 1e-10);
 /// # Ok(())
 /// # }
 /// ```
@@ -140,16 +139,6 @@ impl Ctmc {
         Ok(Csr::from_triplets(self.n, self.n, &trips))
     }
 
-    /// Total exit rate of every state.
-    pub fn exit_rates(&self) -> Result<Vec<f64>, SolveError> {
-        let ts = self.validated()?;
-        let mut out = vec![0.0; self.n];
-        for t in &ts {
-            out[t.from] += t.rate;
-        }
-        Ok(out)
-    }
-
     /// The steady-state distribution `π` with `πQ = 0`, `Σπ = 1`, using
     /// automatically chosen solver options (GTH for small chains,
     /// Gauss–Seidel for large ones).
@@ -188,265 +177,19 @@ impl Ctmc {
         steady::steady_state_with_stats(&rates, options)
     }
 
-    /// Expected steady-state reward `Σ_i π_i · reward(i)`.
-    ///
-    /// This is how SPNP-style reward measures (e.g. the paper's
-    /// capacity-oriented availability) are evaluated.
-    ///
-    /// # Errors
-    ///
-    /// See [`steady_state`](Self::steady_state).
-    pub fn expected_steady_state_reward<F>(&self, reward: F) -> Result<f64, SolveError>
-    where
-        F: Fn(usize) -> f64,
-    {
-        let pi = self.steady_state()?;
-        Ok(pi.iter().enumerate().map(|(i, p)| p * reward(i)).sum())
-    }
-
-    /// Probability of being in state `target` at steady state.
-    ///
-    /// # Errors
-    ///
-    /// See [`steady_state`](Self::steady_state).
-    pub fn steady_state_probability(&self, target: usize) -> Result<f64, SolveError> {
-        let pi = self.steady_state()?;
-        pi.get(target).copied().ok_or(SolveError::StateOutOfRange {
-            index: target,
-            n: self.n,
-        })
-    }
-
-    /// Transient state probabilities `π(t)` starting from `initial`,
-    /// computed by uniformization.
+    /// Transient state probabilities `π(t)` from the initial distribution
+    /// `initial` (one entry per state), computed by uniformization.
     ///
     /// # Errors
     ///
     /// Returns an error for invalid transitions or a non-finite `t`.
-    pub fn transient(&self, initial: usize, t: f64) -> Result<Vec<f64>, SolveError> {
-        let mut p0 = vec![0.0; self.n];
-        if initial >= self.n {
-            return Err(SolveError::StateOutOfRange {
-                index: initial,
-                n: self.n,
-            });
-        }
-        p0[initial] = 1.0;
-        self.transient_from(&p0, t, &TransientOptions::default())
-    }
-
-    /// Transient probabilities from an arbitrary initial distribution.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns an error for invalid transitions or a non-finite `t`.
-    pub fn transient_from(
-        &self,
-        initial: &[f64],
-        t: f64,
-        options: &TransientOptions,
-    ) -> Result<Vec<f64>, SolveError> {
+    /// Panics when `initial.len()` differs from the number of states.
+    pub fn transient_from(&self, initial: &[f64], t: f64) -> Result<Vec<f64>, SolveError> {
         let rates = self.rate_matrix()?;
-        transient::transient(&rates, initial, t, options)
-    }
-
-    /// Expected instantaneous reward at time `t`.
-    ///
-    /// # Errors
-    ///
-    /// See [`transient`](Self::transient).
-    pub fn expected_transient_reward<F>(
-        &self,
-        initial: usize,
-        t: f64,
-        reward: F,
-    ) -> Result<f64, SolveError>
-    where
-        F: Fn(usize) -> f64,
-    {
-        let p = self.transient(initial, t)?;
-        Ok(p.iter().enumerate().map(|(i, pi)| pi * reward(i)).sum())
-    }
-
-    /// Time-averaged (interval) reward over `[0, t]` starting from
-    /// `initial`: `(1/t) ∫₀ᵗ Σᵢ πᵢ(s)·reward(i) ds`, by uniformization.
-    ///
-    /// With an indicator reward this is the classical *interval
-    /// availability*.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient-solver errors; `t` must be positive.
-    pub fn interval_reward<F>(&self, initial: usize, t: f64, reward: F) -> Result<f64, SolveError>
-    where
-        F: Fn(usize) -> f64,
-    {
-        if initial >= self.n {
-            return Err(SolveError::StateOutOfRange {
-                index: initial,
-                n: self.n,
-            });
-        }
-        // `!(t > 0.0)` rather than `t <= 0.0` so NaN is rejected too.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(t > 0.0) {
-            return Err(SolveError::InvalidRate {
-                from: 0,
-                to: 0,
-                value: t,
-            });
-        }
-        let mut p0 = vec![0.0; self.n];
-        p0[initial] = 1.0;
-        let rates = self.rate_matrix()?;
-        let occ = transient::accumulated(&rates, &p0, t, &TransientOptions::default())?;
-        Ok(occ
-            .iter()
-            .enumerate()
-            .map(|(i, l)| l * reward(i))
-            .sum::<f64>()
-            / t)
-    }
-
-    /// First-passage probability: the chance of hitting any state in
-    /// `targets` within time `t`, starting from `from`.
-    ///
-    /// Computed by making the target states absorbing and evaluating the
-    /// transient distribution. With `targets` = the down states this is
-    /// the complement of the classical reliability function `R(t)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient-solver errors; `targets` must be non-empty
-    /// and in range.
-    pub fn first_passage_probability(
-        &self,
-        from: usize,
-        targets: &[usize],
-        t: f64,
-    ) -> Result<f64, SolveError> {
-        if targets.is_empty() {
-            return Err(SolveError::NoAbsorbingStates);
-        }
-        for &s in targets.iter().chain(std::iter::once(&from)) {
-            if s >= self.n {
-                return Err(SolveError::StateOutOfRange {
-                    index: s,
-                    n: self.n,
-                });
-            }
-        }
-        if targets.contains(&from) {
-            return Ok(1.0);
-        }
-        let mut absorbed = Ctmc::new(self.n);
-        let is_target = |s: usize| targets.contains(&s);
-        for tr in &self.transitions {
-            if !is_target(tr.from) {
-                absorbed.add_transition(tr.from, tr.to, tr.rate);
-            }
-        }
-        let p = absorbed.transient(from, t)?;
-        Ok(targets.iter().map(|&s| p[s]).sum())
-    }
-
-    /// The reliability function `R(t)`: probability of staying inside the
-    /// `up` predicate throughout `[0, t]`, starting from `from`.
-    ///
-    /// # Errors
-    ///
-    /// See [`first_passage_probability`](Self::first_passage_probability);
-    /// `from` must satisfy `up`.
-    pub fn reliability<F>(&self, from: usize, t: f64, up: F) -> Result<f64, SolveError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        let down: Vec<usize> = (0..self.n).filter(|&s| !up(s)).collect();
-        if down.is_empty() {
-            return Ok(1.0);
-        }
-        Ok(1.0 - self.first_passage_probability(from, &down, t)?)
-    }
-
-    /// The embedded (jump) DTMC: `P_ij = q_ij / exit_i` for non-absorbing
-    /// states, absorbing states become self-loops.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transition-validation errors.
-    pub fn embedded_dtmc(&self) -> Result<crate::Dtmc, SolveError> {
-        let ts = self.validated()?;
-        let exits = self.exit_rates()?;
-        let mut d = crate::Dtmc::new(self.n);
-        for t in &ts {
-            d.add_probability(t.from, t.to, t.rate / exits[t.from]);
-        }
-        // Absorbing states get implicit self-loops in `Dtmc::matrix`.
-        Ok(d)
-    }
-
-    /// States with no outgoing transitions (absorbing states).
-    pub fn absorbing_states(&self) -> Result<Vec<usize>, SolveError> {
-        let exits = self.exit_rates()?;
-        Ok(exits
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r == 0.0)
-            .map(|(i, _)| i)
-            .collect())
-    }
-
-    /// Mean time to absorption starting from `start`.
-    ///
-    /// Solves `Q_TT · m = -1` over the transient (non-absorbing) states.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::NoAbsorbingStates`] if the chain has no
-    /// absorbing state, and [`SolveError::Singular`] when some transient
-    /// state cannot reach absorption.
-    pub fn mean_time_to_absorption(&self, start: usize) -> Result<f64, SolveError> {
-        if start >= self.n {
-            return Err(SolveError::StateOutOfRange {
-                index: start,
-                n: self.n,
-            });
-        }
-        let ts = self.validated()?;
-        let exits = self.exit_rates()?;
-        let absorbing: Vec<bool> = exits.iter().map(|&r| r == 0.0).collect();
-        if !absorbing.iter().any(|&a| a) {
-            return Err(SolveError::NoAbsorbingStates);
-        }
-        if absorbing[start] {
-            return Ok(0.0);
-        }
-        // Map transient states to compact indices.
-        let mut map = vec![usize::MAX; self.n];
-        let mut transient_states = Vec::new();
-        for i in 0..self.n {
-            if !absorbing[i] {
-                map[i] = transient_states.len();
-                transient_states.push(i);
-            }
-        }
-        let m = transient_states.len();
-        let mut q = crate::matrix::Dense::zeros(m, m);
-        for (k, &i) in transient_states.iter().enumerate() {
-            q[(k, k)] = -exits[i];
-        }
-        for t in &ts {
-            if !absorbing[t.from] && !absorbing[t.to] {
-                q[(map[t.from], map[t.to])] += t.rate;
-            }
-        }
-        let rhs = vec![-1.0; m];
-        let sol = q.solve(&rhs)?;
-        let v = sol[map[start]];
-        if !v.is_finite() || v < 0.0 {
-            return Err(SolveError::Singular);
-        }
-        Ok(v)
+        transient::transient(&rates, initial, t)
     }
 }
 
@@ -541,39 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn erlang_mtta() {
-        let mut c = Ctmc::new(4);
-        c.add_transition(0, 1, 1.0);
-        c.add_transition(1, 2, 2.0);
-        c.add_transition(2, 3, 4.0);
-        let mtta = c.mean_time_to_absorption(0).unwrap();
-        assert!((mtta - 1.75).abs() < 1e-12);
-        assert_eq!(c.mean_time_to_absorption(3).unwrap(), 0.0);
-        assert_eq!(c.absorbing_states().unwrap(), vec![3]);
-    }
-
-    #[test]
-    fn mtta_requires_absorbing_state() {
-        let c = two_state(1.0, 1.0);
-        assert_eq!(
-            c.mean_time_to_absorption(0),
-            Err(SolveError::NoAbsorbingStates)
-        );
-    }
-
-    #[test]
-    fn expected_reward_weights_by_probability() {
-        let c = two_state(1.0, 3.0); // pi = [3/4, 1/4]
-        let r = c
-            .expected_steady_state_reward(|s| if s == 0 { 1.0 } else { 0.0 })
-            .unwrap();
-        assert!((r - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn transient_converges_to_steady_state() {
         let c = two_state(0.5, 1.5);
-        let pt = c.transient(0, 50.0).unwrap();
+        let pt = c.transient_from(&[1.0, 0.0], 50.0).unwrap();
         let pi = c.steady_state().unwrap();
         for (a, b) in pt.iter().zip(pi.iter()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -583,101 +296,8 @@ mod tests {
     #[test]
     fn transient_at_zero_is_initial() {
         let c = two_state(0.5, 1.5);
-        let p = c.transient(1, 0.0).unwrap();
+        let p = c.transient_from(&[0.0, 1.0], 0.0).unwrap();
         assert_eq!(p, vec![0.0, 1.0]);
-    }
-
-    #[test]
-    fn first_passage_two_state_is_exponential() {
-        // Hitting time of the down state is Exp(λ): P = 1 - e^{-λt}.
-        let lambda = 0.8;
-        let c = two_state(lambda, 2.0);
-        for &t in &[0.1, 1.0, 4.0] {
-            let p = c.first_passage_probability(0, &[1], t).unwrap();
-            let expect = 1.0 - (-lambda * t).exp();
-            assert!((p - expect).abs() < 1e-10, "t={t}");
-            let r = c.reliability(0, t, |s| s == 0).unwrap();
-            assert!((r - (1.0 - expect)).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn first_passage_ignores_return_paths() {
-        // The repair transition must not reduce the hitting probability:
-        // compare against a chain with no repair at all.
-        let c = two_state(0.5, 100.0);
-        let mut no_repair = Ctmc::new(2);
-        no_repair.add_transition(0, 1, 0.5);
-        let a = c.first_passage_probability(0, &[1], 2.0).unwrap();
-        let b = no_repair.first_passage_probability(0, &[1], 2.0).unwrap();
-        assert!((a - b).abs() < 1e-10);
-    }
-
-    #[test]
-    fn first_passage_from_target_is_certain() {
-        let c = two_state(1.0, 1.0);
-        assert_eq!(c.first_passage_probability(1, &[1], 0.0).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn reliability_of_all_up_chain_is_one() {
-        let c = two_state(1.0, 1.0);
-        assert_eq!(c.reliability(0, 5.0, |_| true).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn first_passage_validates_inputs() {
-        let c = two_state(1.0, 1.0);
-        assert!(c.first_passage_probability(0, &[], 1.0).is_err());
-        assert!(c.first_passage_probability(0, &[7], 1.0).is_err());
-        assert!(c.first_passage_probability(9, &[1], 1.0).is_err());
-    }
-
-    #[test]
-    fn interval_reward_converges_to_steady_state() {
-        let c = two_state(0.3, 1.7);
-        let up = |s: usize| if s == 0 { 1.0 } else { 0.0 };
-        let long = c.interval_reward(0, 10_000.0, up).unwrap();
-        let pi = c.steady_state().unwrap();
-        assert!((long - pi[0]).abs() < 1e-4);
-        // Short horizons from the up state stay near 1.
-        let short = c.interval_reward(0, 0.01, up).unwrap();
-        assert!(short > 0.99);
-        // And are monotonically decreasing towards the steady state.
-        let mid = c.interval_reward(0, 1.0, up).unwrap();
-        assert!(short > mid && mid > long);
-    }
-
-    #[test]
-    fn interval_reward_rejects_bad_time() {
-        let c = two_state(1.0, 1.0);
-        assert!(c.interval_reward(0, 0.0, |_| 1.0).is_err());
-        assert!(c.interval_reward(5, 1.0, |_| 1.0).is_err());
-    }
-
-    #[test]
-    fn embedded_dtmc_jump_probabilities() {
-        let mut c = Ctmc::new(3);
-        c.add_transition(0, 1, 3.0);
-        c.add_transition(0, 2, 1.0);
-        c.add_transition(1, 0, 5.0);
-        c.add_transition(2, 0, 5.0);
-        let d = c.embedded_dtmc().unwrap();
-        let m = d.matrix().unwrap();
-        assert!((m.get(0, 1) - 0.75).abs() < 1e-12);
-        assert!((m.get(0, 2) - 0.25).abs() < 1e-12);
-        assert_eq!(m.get(1, 0), 1.0);
-    }
-
-    #[test]
-    fn embedded_dtmc_preserves_absorption() {
-        // CTMC 0 -> {1 (p 2/3), 2 (p 1/3)}, both absorbing.
-        let mut c = Ctmc::new(3);
-        c.add_transition(0, 1, 2.0);
-        c.add_transition(0, 2, 1.0);
-        let d = c.embedded_dtmc().unwrap();
-        let probs = d.absorption_probabilities(1).unwrap();
-        assert!((probs[0] - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -686,7 +306,7 @@ mod tests {
         let (l, m) = (0.4, 1.1);
         let c = two_state(l, m);
         for &t in &[0.1, 0.5, 2.0] {
-            let p = c.transient(0, t).unwrap();
+            let p = c.transient_from(&[1.0, 0.0], t).unwrap();
             let expect = l / (l + m) * (1.0 - (-(l + m) * t).exp());
             assert!((p[1] - expect).abs() < 1e-10, "t={t}");
         }

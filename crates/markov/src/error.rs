@@ -35,9 +35,6 @@ pub enum SolveError {
     Reducible,
     /// A linear system arising in the analysis was singular.
     Singular,
-    /// The requested analysis needs at least one absorbing state but the
-    /// chain has none (or the start state is itself absorbing).
-    NoAbsorbingStates,
 }
 
 impl fmt::Display for SolveError {
@@ -64,9 +61,6 @@ impl fmt::Display for SolveError {
                 write!(f, "chain is reducible; steady state is not unique")
             }
             SolveError::Singular => write!(f, "linear system is singular"),
-            SolveError::NoAbsorbingStates => {
-                write!(f, "analysis requires an absorbing state but none exists")
-            }
         }
     }
 }

@@ -1,14 +1,12 @@
-//! Continuous- and discrete-time Markov chain solvers.
+//! Continuous-time Markov chain solvers.
 //!
 //! This crate is the numerical substrate of the `redeval` workspace: it
 //! plays the role that SHARPE/SPNP's internal solvers play for the paper
 //! being reproduced. It provides:
 //!
 //! * [`Ctmc`] — a sparse continuous-time Markov chain with
-//!   steady-state solvers (GTH elimination, Gauss–Seidel),
-//!   transient analysis by uniformization, reward evaluation and
-//!   mean-time-to-absorption;
-//! * [`Dtmc`] — discrete-time chains (steady state, absorption);
+//!   steady-state solvers (GTH elimination, Gauss–Seidel) and
+//!   transient analysis by uniformization;
 //! * [`BirthDeath`] — closed-form birth–death processes used for the
 //!   upper-layer redundancy models;
 //! * dense and sparse matrix helpers ([`matrix`]).
@@ -46,20 +44,15 @@
 
 mod birth_death;
 mod ctmc;
-mod dtmc;
 mod error;
 pub mod matrix;
-mod stats;
 mod steady;
 mod transient;
 
 pub use birth_death::BirthDeath;
 pub use ctmc::{Ctmc, Transition};
-pub use dtmc::Dtmc;
 pub use error::SolveError;
-pub use stats::{weighted_mean, Summary};
 pub use steady::{SolveStats, SteadyStateMethod, SteadyStateOptions};
-pub use transient::TransientOptions;
 
 #[cfg(test)]
 mod send_sync_audit {
@@ -71,13 +64,10 @@ mod send_sync_audit {
     fn solver_types_are_send_sync() {
         fn ok<T: Send + Sync>() {}
         ok::<Ctmc>();
-        ok::<Dtmc>();
         ok::<BirthDeath>();
         ok::<Transition>();
-        ok::<Summary>();
         ok::<SolveError>();
         ok::<SteadyStateOptions>();
         ok::<SolveStats>();
-        ok::<TransientOptions>();
     }
 }

@@ -3,23 +3,11 @@
 use crate::matrix::Csr;
 use crate::SolveError;
 
-/// Options controlling transient analysis (uniformization).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransientOptions {
-    /// Truncation error bound for the Poisson series.
-    pub epsilon: f64,
-    /// Safety factor applied to the uniformization rate (must be ≥ 1).
-    pub rate_factor: f64,
-}
+/// Truncation error bound for the Poisson series.
+const EPSILON: f64 = 1e-12;
 
-impl Default for TransientOptions {
-    fn default() -> Self {
-        TransientOptions {
-            epsilon: 1e-12,
-            rate_factor: 1.02,
-        }
-    }
-}
+/// Safety factor applied to the uniformization rate (≥ 1).
+const RATE_FACTOR: f64 = 1.02;
 
 /// Computes `π(t) = π(0) · e^{Qt}` by uniformization.
 ///
@@ -30,12 +18,7 @@ impl Default for TransientOptions {
 ///
 /// Returns [`SolveError::InvalidRate`] style errors upstream; here, a
 /// non-finite or negative `t` is reported as `InvalidRate` on (0,0).
-pub fn transient(
-    rates: &Csr,
-    initial: &[f64],
-    t: f64,
-    options: &TransientOptions,
-) -> Result<Vec<f64>, SolveError> {
+pub fn transient(rates: &Csr, initial: &[f64], t: f64) -> Result<Vec<f64>, SolveError> {
     let n = rates.rows();
     if n == 0 {
         return Err(SolveError::Empty);
@@ -68,10 +51,10 @@ pub fn transient(
         // No transitions at all: distribution is constant.
         return Ok(p0);
     }
-    let lambda = max_exit * options.rate_factor.max(1.0);
+    let lambda = max_exit * RATE_FACTOR;
     let lt = lambda * t;
 
-    let (k_lo, weights) = poisson_weights(lt, options.epsilon);
+    let (k_lo, weights) = poisson_weights(lt, EPSILON);
 
     // y_k = π(0) P^k where P = I + Q/Λ.
     let mut y = p0;
@@ -111,106 +94,6 @@ pub fn transient(
         }
     }
     Ok(result)
-}
-
-/// Computes the accumulated state occupancies `L(t) = ∫₀ᵗ π(s) ds` by
-/// uniformization: `L(t) = (1/Λ) Σ_k P(N_{Λt} > k) · π(0)Pᵏ`.
-///
-/// `L(t)/t` is the interval (time-averaged) distribution; combined with a
-/// reward vector it yields interval availability.
-///
-/// # Errors
-///
-/// Same conditions as [`transient`].
-pub fn accumulated(
-    rates: &Csr,
-    initial: &[f64],
-    t: f64,
-    options: &TransientOptions,
-) -> Result<Vec<f64>, SolveError> {
-    let n = rates.rows();
-    if n == 0 {
-        return Err(SolveError::Empty);
-    }
-    assert_eq!(initial.len(), n, "initial distribution length mismatch");
-    if !t.is_finite() || t < 0.0 {
-        return Err(SolveError::InvalidRate {
-            from: 0,
-            to: 0,
-            value: t,
-        });
-    }
-    let mut p0: Vec<f64> = initial.to_vec();
-    let s: f64 = p0.iter().sum();
-    if s <= 0.0 {
-        return Err(SolveError::Singular);
-    }
-    for p in p0.iter_mut() {
-        *p /= s;
-    }
-    if t == 0.0 {
-        return Ok(vec![0.0; n]);
-    }
-
-    let exit: Vec<f64> = (0..n)
-        .map(|i| rates.row(i).iter().map(|e| e.value).sum())
-        .collect();
-    let max_exit = exit.iter().cloned().fold(0.0, f64::max);
-    if max_exit == 0.0 {
-        // Frozen chain: occupancy is initial · t.
-        return Ok(p0.into_iter().map(|p| p * t).collect());
-    }
-    let lambda = max_exit * options.rate_factor.max(1.0);
-    let lt = lambda * t;
-    let (k_lo, weights) = poisson_weights(lt, options.epsilon);
-
-    // Tail probabilities c_k = P(N > k); ≈ 1 below the truncation window.
-    let mut y = p0;
-    let mut acc = vec![0.0; n];
-    let k_hi = k_lo + weights.len() - 1;
-    let mut cdf = 0.0;
-    let mut k = 0usize;
-    loop {
-        if k >= k_lo {
-            cdf += weights[k - k_lo];
-        }
-        let tail = (1.0 - cdf).max(0.0);
-        if tail > 0.0 {
-            for (a, yi) in acc.iter_mut().zip(&y) {
-                *a += tail * yi;
-            }
-        }
-        if k >= k_hi {
-            break;
-        }
-        // y ← y P.
-        let mut next = vec![0.0; n];
-        for i in 0..n {
-            let yi = y[i];
-            if yi == 0.0 {
-                continue;
-            }
-            next[i] += yi * (1.0 - exit[i] / lambda);
-            for e in rates.row(i) {
-                if e.index != i {
-                    next[e.index] += yi * e.value / lambda;
-                }
-            }
-        }
-        y = next;
-        k += 1;
-    }
-    for a in acc.iter_mut() {
-        *a /= lambda;
-    }
-    // Normalize total occupancy to exactly t (absorbs truncation error).
-    let total: f64 = acc.iter().sum();
-    if total > 0.0 {
-        for a in acc.iter_mut() {
-            *a *= t / total;
-        }
-    }
-    Ok(acc)
 }
 
 /// Normalized Poisson(λt) weights with left/right truncation.
@@ -306,7 +189,7 @@ mod tests {
     #[test]
     fn no_transitions_is_constant() {
         let r = Csr::from_triplets(2, 2, &[]);
-        let p = transient(&r, &[0.25, 0.75], 10.0, &TransientOptions::default()).unwrap();
+        let p = transient(&r, &[0.25, 0.75], 10.0).unwrap();
         assert_eq!(p, vec![0.25, 0.75]);
     }
 
@@ -316,7 +199,7 @@ mod tests {
         let rate = 0.7;
         let r = Csr::from_triplets(2, 2, &[(0, 1, rate)]);
         for &t in &[0.0, 0.3, 1.0, 5.0] {
-            let p = transient(&r, &[1.0, 0.0], t, &TransientOptions::default()).unwrap();
+            let p = transient(&r, &[1.0, 0.0], t).unwrap();
             assert!((p[0] - (-rate * t).exp()).abs() < 1e-10, "t={t}");
         }
     }
@@ -324,7 +207,7 @@ mod tests {
     #[test]
     fn initial_distribution_is_normalized() {
         let r = Csr::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]);
-        let p = transient(&r, &[2.0, 2.0], 0.5, &TransientOptions::default()).unwrap();
+        let p = transient(&r, &[2.0, 2.0], 0.5).unwrap();
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((p[0] - 0.5).abs() < 1e-12); // symmetric chain stays uniform
     }
@@ -332,45 +215,6 @@ mod tests {
     #[test]
     fn negative_time_rejected() {
         let r = Csr::from_triplets(1, 1, &[]);
-        assert!(transient(&r, &[1.0], -1.0, &TransientOptions::default()).is_err());
-    }
-
-    #[test]
-    fn accumulated_occupancy_sums_to_t() {
-        let r = Csr::from_triplets(2, 2, &[(0, 1, 0.7), (1, 0, 1.3)]);
-        for &t in &[0.5, 3.0, 40.0] {
-            let l = accumulated(&r, &[1.0, 0.0], t, &TransientOptions::default()).unwrap();
-            assert!((l.iter().sum::<f64>() - t).abs() < 1e-9, "t={t}");
-        }
-    }
-
-    #[test]
-    fn accumulated_matches_two_state_analytic() {
-        // Interval availability of a 2-state chain from the up state:
-        // A(t) = µ/(λ+µ) + λ/((λ+µ)² t) (1 - e^{-(λ+µ)t}).
-        let (l, m) = (0.2, 1.8);
-        let r = Csr::from_triplets(2, 2, &[(0, 1, l), (1, 0, m)]);
-        for &t in &[0.1, 1.0, 10.0, 100.0] {
-            let acc = accumulated(&r, &[1.0, 0.0], t, &TransientOptions::default()).unwrap();
-            let avail = acc[0] / t;
-            let s = l + m;
-            let expect = m / s + l / (s * s * t) * (1.0 - (-s * t).exp());
-            assert!((avail - expect).abs() < 1e-8, "t={t}: {avail} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn accumulated_zero_time_is_zero() {
-        let r = Csr::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]);
-        let l = accumulated(&r, &[1.0, 0.0], 0.0, &TransientOptions::default()).unwrap();
-        assert_eq!(l, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn accumulated_frozen_chain() {
-        let r = Csr::from_triplets(2, 2, &[]);
-        let l = accumulated(&r, &[0.25, 0.75], 8.0, &TransientOptions::default()).unwrap();
-        assert!((l[0] - 2.0).abs() < 1e-12);
-        assert!((l[1] - 6.0).abs() < 1e-12);
+        assert!(transient(&r, &[1.0], -1.0).is_err());
     }
 }

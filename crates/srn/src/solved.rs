@@ -100,13 +100,9 @@ impl SolvedSrn {
     /// Transient probability distribution over the tangible markings at
     /// time `t`, starting from the net's initial marking (uniformization).
     ///
-    /// This is the primitive behind
-    /// [`transient_probability`](SolvedSrn::transient_probability) and
-    /// [`transient_expected`](SolvedSrn::transient_expected): callers
-    /// evaluating several measures at one time point should solve once
-    /// with this and reduce against the markings of
-    /// [`state_space`](SolvedSrn::state_space) — each call performs one
-    /// full CTMC transient solve.
+    /// Callers reduce it against the markings of
+    /// [`state_space`](SolvedSrn::state_space); one solve serves every
+    /// measure at that time point.
     ///
     /// # Errors
     ///
@@ -117,44 +113,7 @@ impl SolvedSrn {
         for &(i, p) in self.space.initial_distribution() {
             p0[i] = p;
         }
-        Ok(self.space.ctmc().transient_from(
-            &p0,
-            t,
-            &redeval_markov::TransientOptions::default(),
-        )?)
-    }
-
-    /// Expected reward at time `t` — the transient analogue of
-    /// [`expected`](SolvedSrn::expected).
-    ///
-    /// # Errors
-    ///
-    /// Propagates CTMC transient-solver errors.
-    pub fn transient_expected<F>(&self, t: f64, reward: F) -> Result<f64, SrnError>
-    where
-        F: Fn(&Marking) -> f64,
-    {
-        let pt = self.transient_distribution(t)?;
-        Ok(self
-            .space
-            .tangible_markings()
-            .iter()
-            .zip(&pt)
-            .map(|(m, p)| reward(m) * p)
-            .sum())
-    }
-
-    /// Probability of the predicate at time `t`, starting from the net's
-    /// initial marking (transient analysis by uniformization).
-    ///
-    /// # Errors
-    ///
-    /// Propagates CTMC transient-solver errors.
-    pub fn transient_probability<F>(&self, t: f64, pred: F) -> Result<f64, SrnError>
-    where
-        F: Fn(&Marking) -> bool,
-    {
-        self.transient_expected(t, |m| if pred(m) { 1.0 } else { 0.0 })
+        Ok(self.space.ctmc().transient_from(&p0, t)?)
     }
 }
 
@@ -241,16 +200,30 @@ mod tests {
         assert_eq!(stats, again);
     }
 
+    /// `Σ reward(m)·π_t(m)` over the tangible markings at time `t`.
+    fn transient_reward(
+        s: &crate::SolvedSrn,
+        t: f64,
+        reward: impl Fn(&crate::Marking) -> f64,
+    ) -> f64 {
+        let dist = s.transient_distribution(t).unwrap();
+        s.state_space()
+            .tangible_markings()
+            .iter()
+            .zip(&dist)
+            .map(|(m, p)| reward(m) * p)
+            .sum()
+    }
+
     #[test]
     fn transient_probability_approaches_steady() {
         let (net, up, _down, _fail) = two_components();
         let s = net.solve().unwrap();
+        let all_up = |m: &crate::Marking| if m.tokens(up) == 2 { 1.0 } else { 0.0 };
         let at_steady = s.probability(|m| m.tokens(up) == 2);
-        let transient = s
-            .transient_probability(200.0, |m| m.tokens(up) == 2)
-            .unwrap();
+        let transient = transient_reward(&s, 200.0, all_up);
         assert!((at_steady - transient).abs() < 1e-8);
-        let at_zero = s.transient_probability(0.0, |m| m.tokens(up) == 2).unwrap();
+        let at_zero = transient_reward(&s, 0.0, all_up);
         assert!((at_zero - 1.0).abs() < 1e-12);
     }
 
@@ -263,22 +236,10 @@ mod tests {
             assert_eq!(dist.len(), s.state_space().len());
             let sum: f64 = dist.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "t={t}: sums to {sum}");
-            // Reducing the distribution by hand matches transient_expected.
-            let by_hand: f64 = s
-                .state_space()
-                .tangible_markings()
-                .iter()
-                .zip(&dist)
-                .map(|(m, p)| m.tokens(up) as f64 * p)
-                .sum();
-            let expected = s.transient_expected(t, |m| m.tokens(up) as f64).unwrap();
-            assert!((by_hand - expected).abs() < 1e-12);
         }
         // At large t the transient expectation reaches the steady reward.
         let steady = s.mean_tokens(up);
-        let late = s
-            .transient_expected(500.0, |m| m.tokens(up) as f64)
-            .unwrap();
+        let late = transient_reward(&s, 500.0, |m| m.tokens(up) as f64);
         assert!((steady - late).abs() < 1e-8);
     }
 }

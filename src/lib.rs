@@ -47,7 +47,7 @@ pub mod prelude {
         SecurityMetrics, ServerParams, Tier, TierSpec, Vulnerability,
     };
     pub use redeval_avail::{AggregatedRates, ServerAnalysis, ServerModel};
-    pub use redeval_markov::{BirthDeath, Ctmc, Dtmc};
+    pub use redeval_markov::{BirthDeath, Ctmc};
     pub use redeval_sim::{estimate_asp, simulate_coa, Simulation};
     pub use redeval_srn::{Srn, SrnError};
 }

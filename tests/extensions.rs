@@ -4,8 +4,6 @@
 use redeval::case_study;
 use redeval::MetricsConfig;
 use redeval_avail::{CompositeNetwork, PatchScenario, ServerAnalysis};
-use redeval_cvss::v2::BaseVector;
-use redeval_cvss::v2_temporal::TemporalVector;
 use redeval_harm::topology::TopologyBuilder;
 use redeval_suite::prelude::*;
 
@@ -88,56 +86,6 @@ fn composite_exposes_aggregation_error() {
     // The aggregation ignores failure downtime: optimistic by p_failed.
     assert!(aggregated > exact);
     assert!((aggregated - exact - a.p_failed()).abs() < 1e-4);
-}
-
-/// Interval COA sits between 1 and the steady state and reaches it.
-#[test]
-fn interval_coa_brackets() {
-    let spec = case_study::network();
-    let analyses = spec.tier_analyses().unwrap();
-    let model = spec.network_model(&analyses);
-    let steady = model.coa().unwrap();
-    let one_day = model.interval_coa(24.0).unwrap();
-    assert!(one_day > steady && one_day <= 1.0);
-}
-
-/// Temporal CVSS: the paper's patched state corresponds to RL:OF, which
-/// demotes every critical vulnerability below the 8.0 threshold.
-#[test]
-fn temporal_scoring_models_patch_release() {
-    let after_patch: TemporalVector = "E:H/RL:OF/RC:C".parse().unwrap();
-    for r in &case_study::VULNERABILITIES {
-        let base: BaseVector = r.vector.parse().unwrap();
-        if base.is_critical(8.0) {
-            let t = after_patch.temporal_score(&base);
-            assert!(t < base.base_score());
-            assert!(t <= 8.7); // 10.0 * 0.87
-        }
-    }
-}
-
-/// Reliability function of the aggregated server: no patch within t.
-#[test]
-fn server_reliability_function() {
-    let a = case_study::dns_params().analyze().unwrap();
-    let rates = a.rates();
-    let mut c = Ctmc::new(2);
-    c.add_transition(0, 1, rates.lambda_eq);
-    c.add_transition(1, 0, rates.mu_eq);
-    // R(720h) = exp(-λ·720) ≈ 1/e for a monthly clock.
-    let r = c.reliability(0, 720.0, |s| s == 0).unwrap();
-    assert!((r - (-1.0f64).exp()).abs() < 1e-6);
-}
-
-/// Quorum COA composes with the case-study model.
-#[test]
-fn quorum_coa_on_case_study() {
-    let spec = case_study::network();
-    let analyses = spec.tier_analyses().unwrap();
-    let model = spec.network_model(&analyses);
-    let plain = model.coa().unwrap();
-    let quorum = model.coa_with_quorum(&[1, 2, 1, 1]).unwrap();
-    assert!(quorum < plain);
 }
 
 /// Greedy prioritization beats the blanket policy patch-for-patch.

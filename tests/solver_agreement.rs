@@ -43,7 +43,15 @@ fn solve(
 /// once the residual `‖πQ‖∞ ≈ Λ·‖step‖∞` is under `tolerance` (scaled by
 /// `Λ` on fast chains).
 fn power_iteration(ctmc: &Ctmc, tolerance: f64, max_steps: usize) -> Vec<f64> {
-    let exit = ctmc.exit_rates().expect("valid rates");
+    let jumps: Vec<_> = ctmc
+        .transitions()
+        .iter()
+        .filter(|t| t.from != t.to)
+        .collect();
+    let mut exit = vec![0.0; ctmc.len()];
+    for t in &jumps {
+        exit[t.from] += t.rate;
+    }
     let lambda = exit.iter().copied().fold(0.0, f64::max) * 1.05;
     assert!(lambda > 0.0, "a chain without transitions has no dynamics");
     let mut pi = vec![1.0 / exit.len() as f64; exit.len()];
@@ -53,7 +61,7 @@ fn power_iteration(ctmc: &Ctmc, tolerance: f64, max_steps: usize) -> Vec<f64> {
             .zip(&exit)
             .map(|(p, e)| p * (1.0 - e / lambda))
             .collect();
-        for t in ctmc.transitions().iter().filter(|t| t.from != t.to) {
+        for t in &jumps {
             next[t.to] += pi[t.from] * t.rate / lambda;
         }
         let total: f64 = next.iter().sum();
