@@ -25,7 +25,7 @@ use redeval::decision::{MultiBounds, ScatterBounds};
 use redeval::exec::{default_threads, Pool, Sweep};
 use redeval::output::{Report, Table, Value};
 use redeval::report::{markdown_report, ReportOptions};
-use redeval::DesignEvaluation;
+use redeval::{DesignEvaluation, PatchPolicy};
 use redeval_avail::ServerAnalysis;
 
 /// One registry entry: the machine name (CLI subcommand / golden-file
@@ -246,11 +246,12 @@ pub fn paper_multi_regions() -> Vec<(&'static str, MultiBounds, Vec<&'static str
     ]
 }
 
-/// Evaluates the paper's five designs on the batch engine — the shared
-/// evaluation path of `fig6`, `fig7`, `regions`, `cost` and
-/// `patch_priority`. Memoized: `report --all` and the golden tests call
-/// several of those builders in one process, and the grid is
-/// deterministic, so one solve serves them all.
+/// Evaluates the paper's five designs under critical-only patching at
+/// 8.0 (the [`Sweep`] default) on the batch engine — the shared
+/// evaluation path of `fig6`, `fig7`, `regions`, `cost`,
+/// `patch_priority` and `full_report`. Memoized: `report --all` and the
+/// golden tests call several of those builders in one process, and the
+/// grid is deterministic, so one solve serves them all.
 pub fn five_design_evals() -> Vec<DesignEvaluation> {
     static EVALS: OnceLock<Vec<DesignEvaluation>> = OnceLock::new();
     EVALS
@@ -276,10 +277,9 @@ pub(crate) fn case_tier_analyses() -> &'static [ServerAnalysis] {
 }
 
 /// The complete markdown report over the five designs with the paper's
-/// region bounds (the `full_report` binary).
+/// region bounds (the `full_report` binary), rendered from
+/// [`five_design_evals`].
 pub fn full_report_markdown() -> String {
-    let evaluator = case_study::evaluator().expect("evaluator builds");
-    let designs = case_study::five_designs();
     let options = ReportOptions {
         title: "Ge et al. (DSN 2017) — five redundancy designs under monthly critical patching"
             .into(),
@@ -292,7 +292,11 @@ pub fn full_report_markdown() -> String {
             .map(|(label, b, _)| (label.to_string(), b))
             .collect(),
     };
-    markdown_report(&evaluator, &designs, &options).expect("designs evaluate")
+    markdown_report(
+        &five_design_evals(),
+        PatchPolicy::CriticalOnly(8.0),
+        &options,
+    )
 }
 
 /// An empty paper-vs-measured comparison table.

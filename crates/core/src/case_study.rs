@@ -10,9 +10,7 @@ use redeval_avail::{Durations, ServerParams};
 use redeval_cvss::v2::BaseVector;
 use redeval_harm::{AttackTree, Vulnerability};
 
-use crate::evaluation::Evaluator;
 use crate::spec::{Design, NetworkSpec};
-use crate::EvalError;
 
 /// A Table-I row: id, CVE, attack impact, attack success probability, and
 /// the reconstructed CVSS v2 vector that reproduces those two values.
@@ -281,16 +279,6 @@ pub fn five_designs() -> Vec<Design> {
         Design::new("1 DNS + 1 WEB + 2 APP + 1 DB", vec![1, 1, 2, 1]),
         Design::new("1 DNS + 1 WEB + 1 APP + 2 DB", vec![1, 1, 1, 2]),
     ]
-}
-
-/// An [`Evaluator`] over the case-study network with the paper's patch
-/// policy (critical = base score > 8.0).
-///
-/// # Errors
-///
-/// Propagates lower-layer SRN solve errors.
-pub fn evaluator() -> Result<Evaluator, EvalError> {
-    Evaluator::new(network())
 }
 
 #[cfg(test)]

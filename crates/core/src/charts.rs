@@ -1,5 +1,5 @@
 //! Chart data for the paper's Figure 6 (scatter) and Figure 7 (radar),
-//! with structured-table, CSV and ASCII renderers for the bench binaries.
+//! with structured-table and ASCII renderers for the bench binaries.
 //!
 //! Tabular output goes through [`crate::output`] (the deterministic
 //! serializers the golden corpus relies on); only the ASCII scatter plot
@@ -50,11 +50,6 @@ pub fn scatter_table(points: &[ScatterPoint]) -> Table {
         ]);
     }
     t
-}
-
-/// Renders scatter points as CSV (`design,asp,coa`).
-pub fn scatter_csv(points: &[ScatterPoint]) -> String {
-    scatter_table(points).to_csv()
 }
 
 /// Renders a small ASCII scatter plot (ASP on x, COA on y), marking each
@@ -172,17 +167,6 @@ pub fn radar_series_table(series: &[RadarSeries]) -> Table {
     t
 }
 
-/// Renders radar series as CSV with one row per design.
-pub fn radar_csv(series: &[RadarSeries]) -> String {
-    radar_series_table(series).to_csv()
-}
-
-/// Renders radar series as an aligned text table (the terminal stand-in
-/// for the paper's radar charts).
-pub fn radar_table(series: &[RadarSeries]) -> String {
-    radar_series_table(series).to_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +207,7 @@ mod tests {
     #[test]
     fn csv_well_formed() {
         let evals = vec![eval("a", 1.0, 0.2, 0.9961), eval("b", 1.0, 0.3, 0.9967)];
-        let csv = scatter_csv(&scatter_data(&evals, true));
+        let csv = scatter_table(&scatter_data(&evals, true)).to_csv();
         let lines: Vec<&str> = csv.trim_end().lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "design,asp,coa");
@@ -258,9 +242,9 @@ mod tests {
         assert_eq!(series[0].values[1], 0.25);
         assert_eq!(series[0].values[5], 0.9964);
         assert_eq!(RADAR_AXES.len(), series[0].values.len());
-        let table = radar_table(&series);
-        assert!(table.contains("0.25"));
-        let csv = radar_csv(&series);
+        let table = radar_series_table(&series);
+        assert!(table.to_text().contains("0.25"));
+        let csv = table.to_csv();
         assert!(csv.contains("a,1,0.25,42.2,9,2,0.9964"));
     }
 }

@@ -205,16 +205,6 @@ impl EquilibriumOutcome {
             0.0
         }
     }
-
-    /// Fraction of attacker candidates discarded without evaluation.
-    pub fn attacker_pruned_fraction(&self) -> f64 {
-        let total = self.attacker_masks_evaluated + self.attacker_masks_pruned;
-        if total > 0 {
-            self.attacker_masks_pruned as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Deterministic Gauss-Seidel best-response iteration (see the

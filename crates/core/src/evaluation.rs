@@ -1,6 +1,7 @@
 //! Phase 2+3: model construction and combined evaluation of one design.
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use redeval_avail::ServerAnalysis;
 use redeval_harm::{
@@ -127,10 +128,9 @@ impl DesignEvaluation {
 }
 
 /// The evaluation kernel behind every front door — the batch executor's
-/// cells, [`Scenario::evaluate`](crate::exec::Scenario::evaluate) and
-/// [`Evaluator::evaluate`]: design `counts` of `base` under each
-/// `(label, policy)` of `points`, with the tier solves already resolved
-/// into `analyses`.
+/// cells and [`Scenario::evaluate`](crate::exec::Scenario::evaluate):
+/// design `counts` of `base` under each `(label, policy)` of `points`,
+/// with the tier solves already resolved into `analyses`.
 ///
 /// The policy-independent work happens once: the security model, the
 /// before-patch metrics, and the three availability measures from one
@@ -139,16 +139,13 @@ impl DesignEvaluation {
 /// # Errors
 ///
 /// Count-validation errors, then availability solver errors.
-pub(crate) fn evaluate_design<A>(
+pub(crate) fn evaluate_design(
     base: &NetworkSpec,
     counts: &[u32],
-    analyses: &[A],
+    analyses: &[Arc<ServerAnalysis>],
     metrics: &MetricsConfig,
     points: impl IntoIterator<Item = (String, PatchPolicy)>,
-) -> Result<Vec<DesignEvaluation>, EvalError>
-where
-    A: Borrow<ServerAnalysis>,
-{
+) -> Result<Vec<DesignEvaluation>, EvalError> {
     base.check_counts(counts)?;
     let security = SecurityModel::new(base, counts, metrics);
     let before = security.metrics(None, metrics);
@@ -230,152 +227,11 @@ impl<'a> SecurityModel<'a> {
     }
 }
 
-/// Evaluates designs against a base specification, caching the expensive
-/// per-tier lower-layer SRN solves (they are count-independent).
-///
-/// See the [crate-level example](crate).
-#[derive(Debug)]
-pub struct Evaluator {
-    base: NetworkSpec,
-    analyses: Vec<ServerAnalysis>,
-    metrics_config: MetricsConfig,
-    patch: PatchPolicy,
-}
-
-impl Evaluator {
-    /// Builds an evaluator: solves each tier's server SRN once.
-    ///
-    /// Uses the paper's defaults: critical-only patching at base score 8.0
-    /// and the default ASP aggregation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SRN errors from the lower-layer solves.
-    pub fn new(base: NetworkSpec) -> Result<Self, EvalError> {
-        Self::with_options(
-            base,
-            MetricsConfig::default(),
-            PatchPolicy::CriticalOnly(8.0),
-        )
-    }
-
-    /// Builds an evaluator with explicit metric and patch configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SRN errors from the lower-layer solves.
-    pub fn with_options(
-        base: NetworkSpec,
-        metrics_config: MetricsConfig,
-        patch: PatchPolicy,
-    ) -> Result<Self, EvalError> {
-        let analyses = base.tier_analyses()?;
-        Ok(Evaluator {
-            base,
-            analyses,
-            metrics_config,
-            patch,
-        })
-    }
-
-    /// Builds an evaluator from a declarative scenario document: the
-    /// document's network, metric configuration and **first** patch
-    /// policy (documents carry an ordered policy list; sweeps over all of
-    /// them go through [`Sweep::from_scenario`](crate::Sweep::from_scenario)).
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::Scenario`]/[`EvalError::InvalidSpec`] when the
-    /// document fails validation, plus the usual SRN solve errors.
-    pub fn from_scenario(doc: &crate::scenario::ScenarioDoc) -> Result<Self, EvalError> {
-        let spec = doc.to_spec()?;
-        Self::with_options(spec, doc.metrics, doc.first_policy())
-    }
-
-    /// Builds an evaluator whose per-tier solves are resolved through a
-    /// shared [`exec::AnalysisCache`](crate::exec::AnalysisCache), so
-    /// evaluators in one batch dedupe identical tier solves instead of
-    /// each re-solving them. (The small per-tier summaries are cloned out
-    /// of the cache; it is the SRN *solve* that is deduped.)
-    ///
-    /// # Errors
-    ///
-    /// Propagates SRN errors from the lower-layer solves.
-    pub fn with_cache(
-        base: NetworkSpec,
-        metrics_config: MetricsConfig,
-        patch: PatchPolicy,
-        cache: &crate::exec::AnalysisCache,
-    ) -> Result<Self, EvalError> {
-        let analyses = cache
-            .analyses_for(&base)?
-            .iter()
-            .map(|a| a.as_ref().clone())
-            .collect();
-        Ok(Evaluator {
-            base,
-            analyses,
-            metrics_config,
-            patch,
-        })
-    }
-
-    /// The base specification.
-    pub fn base(&self) -> &NetworkSpec {
-        &self.base
-    }
-
-    /// The cached per-tier analyses (aggregated rates etc.).
-    pub fn tier_analyses(&self) -> &[ServerAnalysis] {
-        &self.analyses
-    }
-
-    /// The active patch policy.
-    pub fn patch_policy(&self) -> PatchPolicy {
-        self.patch
-    }
-
-    /// The active metrics configuration.
-    pub fn metrics_config(&self) -> &MetricsConfig {
-        &self.metrics_config
-    }
-
-    /// Evaluates one design (per-tier counts over the base spec).
-    ///
-    /// # Errors
-    ///
-    /// Returns count-validation errors and solver errors.
-    pub fn evaluate(&self, name: &str, counts: &[u32]) -> Result<DesignEvaluation, EvalError> {
-        let mut evals = evaluate_design(
-            &self.base,
-            counts,
-            &self.analyses,
-            &self.metrics_config,
-            [(name.to_string(), self.patch)],
-        )?;
-        Ok(evals.pop().expect("one policy, one evaluation"))
-    }
-
-    /// Evaluates a list of designs.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first invalid design.
-    pub fn evaluate_all(
-        &self,
-        designs: &[crate::spec::Design],
-    ) -> Result<Vec<DesignEvaluation>, EvalError> {
-        designs
-            .iter()
-            .map(|d| self.evaluate(&d.name, &d.counts))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::TierSpec;
+    use crate::exec::{AnalysisCache, Pool, Scenario, Sweep};
+    use crate::spec::{Design, TierSpec};
     use redeval_avail::ServerParams;
     use redeval_harm::AttackTree;
 
@@ -469,10 +325,21 @@ mod tests {
         assert!(!PatchPolicy::CriticalOnly(8.0).patches(&v_minor));
     }
 
+    /// Design `counts` of [`spec`] under `patch`, through `cache`.
+    fn evaluate(
+        cache: &AnalysisCache,
+        name: &str,
+        counts: &[u32],
+        patch: PatchPolicy,
+    ) -> Result<DesignEvaluation, EvalError> {
+        Scenario::new(name, spec(), Design::new(name, counts.to_vec()), patch).evaluate(cache)
+    }
+
+    const PAPER: PatchPolicy = PatchPolicy::CriticalOnly(8.0);
+
     #[test]
     fn evaluation_before_and_after() {
-        let ev = Evaluator::new(spec()).unwrap();
-        let e = ev.evaluate("base", &[1, 1]).unwrap();
+        let e = evaluate(&AnalysisCache::new(), "base", &[1, 1], PAPER).unwrap();
         // Before: one path web->db.
         assert_eq!(e.before.attack_paths, 1);
         assert!((e.before.attack_impact - 12.9).abs() < 1e-9);
@@ -486,9 +353,9 @@ mod tests {
 
     #[test]
     fn redundancy_raises_coa_and_attack_surface() {
-        let ev = Evaluator::new(spec()).unwrap();
-        let base = ev.evaluate("base", &[1, 1]).unwrap();
-        let red = ev.evaluate("2web", &[2, 1]).unwrap();
+        let cache = AnalysisCache::new();
+        let base = evaluate(&cache, "base", &[1, 1], PAPER).unwrap();
+        let red = evaluate(&cache, "2web", &[2, 1], PAPER).unwrap();
         assert!(red.coa > base.coa);
         assert!(red.before.exploitable_vulnerabilities > base.before.exploitable_vulnerabilities);
         assert!(red.before.attack_paths > base.before.attack_paths);
@@ -496,64 +363,63 @@ mod tests {
 
     #[test]
     fn patch_all_removes_everything() {
-        let ev =
-            Evaluator::with_options(spec(), MetricsConfig::default(), PatchPolicy::All).unwrap();
-        let e = ev.evaluate("x", &[1, 1]).unwrap();
+        let e = evaluate(&AnalysisCache::new(), "x", &[1, 1], PatchPolicy::All).unwrap();
         assert_eq!(e.after.exploitable_vulnerabilities, 0);
         assert_eq!(e.after.entry_points, 0);
     }
 
     #[test]
     fn patch_none_changes_nothing() {
-        let ev =
-            Evaluator::with_options(spec(), MetricsConfig::default(), PatchPolicy::None).unwrap();
-        let e = ev.evaluate("x", &[1, 1]).unwrap();
+        let e = evaluate(&AnalysisCache::new(), "x", &[1, 1], PatchPolicy::None).unwrap();
         assert_eq!(e.before, e.after);
     }
 
     #[test]
     fn evaluate_all_preserves_order() {
-        let ev = Evaluator::new(spec()).unwrap();
-        let designs = vec![
-            crate::spec::Design::new("a", vec![1, 1]),
-            crate::spec::Design::new("b", vec![2, 1]),
-        ];
-        let evals = ev.evaluate_all(&designs).unwrap();
+        let designs = vec![Design::new("a", vec![1, 1]), Design::new("b", vec![2, 1])];
+        let evals = Sweep::new(spec())
+            .designs(designs)
+            .run(&Pool::new(2))
+            .unwrap();
         assert_eq!(evals[0].name, "a");
         assert_eq!(evals[1].name, "b");
     }
 
     #[test]
     fn with_cache_dedupes_solves_and_matches_with_options() {
-        let cache = crate::exec::AnalysisCache::new();
-        let plain =
-            Evaluator::with_options(spec(), MetricsConfig::default(), PatchPolicy::All).unwrap();
-        let cached =
-            Evaluator::with_cache(spec(), MetricsConfig::default(), PatchPolicy::All, &cache)
-                .unwrap();
+        let cache = AnalysisCache::new();
+        let cached = evaluate(&cache, "x", &[2, 1], PatchPolicy::All).unwrap();
         // Both tiers carry identical default parameters, so the
         // content-keyed cache solves once and relabels for the second.
         assert_eq!(cache.solves(), 1);
         assert_eq!(cache.relabels(), 1);
-        let second =
-            Evaluator::with_cache(spec(), MetricsConfig::default(), PatchPolicy::None, &cache)
-                .unwrap();
-        assert_eq!(cache.solves(), 1); // second evaluator re-solves nothing
+        let second = evaluate(&cache, "x", &[2, 1], PatchPolicy::None).unwrap();
+        assert_eq!(cache.solves(), 1); // the second scenario re-solves nothing
         assert_eq!(cache.hits(), 3); // db relabel + both tiers of the second
-                                     // Identical numbers through either constructor.
-        assert_eq!(
-            plain.evaluate("x", &[2, 1]).unwrap(),
-            cached.evaluate("x", &[2, 1]).unwrap()
-        );
-        let e = second.evaluate("x", &[2, 1]).unwrap();
-        assert_eq!(e.before, e.after);
+        assert_eq!(second.before, second.after);
+        // Identical numbers to the kernel over uncached per-tier solves.
+        let base = spec();
+        let uncached: Vec<_> = base
+            .tier_analyses()
+            .unwrap()
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let plain = evaluate_design(
+            &base,
+            &[2, 1],
+            &uncached,
+            &MetricsConfig::default(),
+            [("x".to_string(), PatchPolicy::All)],
+        )
+        .unwrap();
+        assert_eq!(plain, [cached]);
     }
 
     #[test]
     fn invalid_design_is_reported() {
-        let ev = Evaluator::new(spec()).unwrap();
         assert!(matches!(
-            ev.evaluate("bad", &[1]),
+            evaluate(&AnalysisCache::new(), "bad", &[1], PAPER),
             Err(EvalError::CountMismatch { .. })
         ));
     }

@@ -11,17 +11,19 @@
 //!    (Table IV) and the patch policy;
 //! 2. **Model construction**: a two-layer HARM per design
 //!    ([`NetworkSpec::build_harm`]) and the hierarchical SRN availability
-//!    model ([`Evaluator`] aggregates each tier's lower-layer SRN via the
-//!    paper's Equations (1),(2) and composes the upper layer);
+//!    model ([`NetworkSpec::tier_analyses`] solves each tier's lower-layer
+//!    SRN and aggregates it via the paper's Equations (1),(2);
+//!    [`NetworkSpec::network_model`] composes the upper layer);
 //! 3. **Evaluation**: security metrics before/after patch, COA
 //!    ([`DesignEvaluation`]), the decision functions of Equations (3),(4)
 //!    ([`decision`]), and chart data for the paper's Figures 6 and 7
-//!    ([`charts`]). Sweeps over designs × patch policies × schedule
-//!    parameters run on the batch execution layer ([`exec`]) — a worker
-//!    pool the caller owns, with a shared cache of the per-tier SRN
-//!    solves. All tabular results flow through the deterministic
-//!    structured-output model ([`output`]), whose canonical JSON is what
-//!    the golden-corpus regression tests pin.
+//!    ([`charts`]). Every design evaluation goes through the batch
+//!    execution layer ([`exec`]): one [`Scenario`] at a time, or sweeps
+//!    over designs × patch policies × schedule parameters ([`Sweep`]) on
+//!    a worker pool the caller owns, with a shared cache of the per-tier
+//!    SRN solves ([`AnalysisCache`]). All tabular results flow through the
+//!    deterministic structured-output model ([`output`]), whose canonical
+//!    JSON is what the golden-corpus regression tests pin.
 //!
 //! The complete case study of the paper lives in [`case_study`].
 //!
@@ -33,14 +35,12 @@
 //! ```
 //! use redeval::case_study;
 //! use redeval::decision::ScatterBounds;
+//! use redeval::{Pool, Sweep};
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
-//! let evaluator = case_study::evaluator()?;
-//! let designs = case_study::five_designs();
-//! let evals: Vec<_> = designs
-//!     .iter()
-//!     .map(|d| evaluator.evaluate(&d.name, &d.counts))
-//!     .collect::<Result<_, _>>()?;
+//! let evals = Sweep::new(case_study::network())
+//!     .designs(case_study::five_designs())
+//!     .run(&Pool::new(2))?;
 //!
 //! // Region 1 of the paper: φ = 0.2, ψ = 0.9962.
 //! let bounds = ScatterBounds { max_asp: 0.2, min_coa: 0.9962 };
@@ -76,7 +76,7 @@ pub mod telemetry;
 
 pub use equilibrium::{EquilibriumAnalyzer, EquilibriumOutcome};
 pub use error::{EvalError, SpecIssue};
-pub use evaluation::{DesignEvaluation, Evaluator, ParsePolicyError, PatchPolicy};
+pub use evaluation::{DesignEvaluation, ParsePolicyError, PatchPolicy};
 pub use exec::{AnalysisCache, Experiment, Pool, Scenario, Sweep};
 pub use optimize::{OptimizeOutcome, Optimizer};
 pub use scenario::{ScenarioDoc, ScenarioError};

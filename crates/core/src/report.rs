@@ -6,10 +6,8 @@ use std::fmt::Write as _;
 
 use crate::charts::{radar_data, radar_series_table, scatter_data, scatter_table};
 use crate::decision::{MultiBounds, ScatterBounds};
-use crate::evaluation::{DesignEvaluation, Evaluator};
+use crate::evaluation::{DesignEvaluation, PatchPolicy};
 use crate::output::{Table, Value};
-use crate::spec::Design;
-use crate::EvalError;
 
 /// Options for [`markdown_report`].
 #[derive(Debug, Clone, PartialEq)]
@@ -32,42 +30,41 @@ impl Default for ReportOptions {
     }
 }
 
-/// Evaluates `designs` against `evaluator` and renders a self-contained
-/// markdown report: per-design metric tables (before/after patch),
-/// Figure-6/7-style data, and the decision-function regions.
-///
-/// # Errors
-///
-/// Propagates evaluation errors.
+/// Renders evaluated designs as a self-contained markdown report:
+/// per-design metric tables (before/after patch), Figure-6/7-style data,
+/// and the decision-function regions. `policy` is the patch policy the
+/// rows were evaluated under; the header names it.
 ///
 /// # Examples
 ///
 /// ```
-/// use redeval::case_study;
 /// use redeval::report::{markdown_report, ReportOptions};
+/// use redeval::{case_study, PatchPolicy, Pool, Sweep};
 ///
 /// # fn main() -> Result<(), redeval::EvalError> {
-/// let evaluator = case_study::evaluator()?;
-/// let designs = case_study::five_designs();
-/// let report = markdown_report(&evaluator, &designs, &ReportOptions::default())?;
+/// let policy = PatchPolicy::CriticalOnly(8.0);
+/// let evals = Sweep::new(case_study::network())
+///     .designs(case_study::five_designs())
+///     .policies(vec![policy])
+///     .run(&Pool::new(2))?;
+/// let report = markdown_report(&evals, policy, &ReportOptions::default());
 /// assert!(report.contains("## Availability"));
 /// # Ok(())
 /// # }
 /// ```
 pub fn markdown_report(
-    evaluator: &Evaluator,
-    designs: &[Design],
+    evals: &[DesignEvaluation],
+    policy: PatchPolicy,
     options: &ReportOptions,
-) -> Result<String, EvalError> {
-    let evals = evaluator.evaluate_all(designs)?;
+) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# {}\n", options.title);
     let _ = writeln!(
         out,
         "{} designs over {} tiers; patch policy: {:?}.\n",
         evals.len(),
-        evaluator.base().tiers().len(),
-        evaluator.patch_policy()
+        evals.first().map_or(0, |e| e.counts.len()),
+        policy
     );
 
     let _ = writeln!(out, "## Security metrics\n");
@@ -84,7 +81,7 @@ pub fn markdown_report(
             "NoEP post",
         ],
     );
-    for e in &evals {
+    for e in evals {
         security.add_row(vec![
             Value::from(e.name.as_str()),
             Value::from(e.before.attack_impact),
@@ -103,7 +100,7 @@ pub fn markdown_report(
         "availability",
         ["design", "servers", "COA", "availability", "E[up]"],
     );
-    for e in &evals {
+    for e in evals {
         availability.add_row(vec![
             Value::from(e.name.as_str()),
             Value::from(e.total_servers()),
@@ -119,7 +116,7 @@ pub fn markdown_report(
     let _ = write!(
         out,
         "{}",
-        scatter_table(&scatter_data(&evals, true)).to_text()
+        scatter_table(&scatter_data(evals, true)).to_text()
     );
     let _ = writeln!(out, "```");
 
@@ -128,22 +125,22 @@ pub fn markdown_report(
     let _ = write!(
         out,
         "{}",
-        radar_series_table(&radar_data(&evals, true)).to_text()
+        radar_series_table(&radar_data(evals, true)).to_text()
     );
     let _ = writeln!(out, "```");
 
     if !options.scatter_bounds.is_empty() || !options.multi_bounds.is_empty() {
         let _ = writeln!(out, "\n## Decision regions\n");
         for (label, b) in &options.scatter_bounds {
-            let names = region_names(b.region(&evals));
+            let names = region_names(b.region(evals));
             let _ = writeln!(out, "* **{label}** (Eq. 3): {}", names);
         }
         for (label, b) in &options.multi_bounds {
-            let names = region_names(b.region(&evals));
+            let names = region_names(b.region(evals));
             let _ = writeln!(out, "* **{label}** (Eq. 4): {}", names);
         }
     }
-    Ok(out)
+    out
 }
 
 fn region_names(region: Vec<&DesignEvaluation>) -> String {
@@ -162,11 +159,20 @@ fn region_names(region: Vec<&DesignEvaluation>) -> String {
 mod tests {
     use super::*;
     use crate::case_study;
+    use crate::exec::{Pool, Sweep};
+
+    const PAPER: PatchPolicy = PatchPolicy::CriticalOnly(8.0);
+
+    fn five_design_evals() -> Vec<DesignEvaluation> {
+        Sweep::new(case_study::network())
+            .designs(case_study::five_designs())
+            .policies(vec![PAPER])
+            .run(&Pool::new(2))
+            .unwrap()
+    }
 
     #[test]
     fn report_contains_all_sections_and_designs() {
-        let evaluator = case_study::evaluator().unwrap();
-        let designs = case_study::five_designs();
         let options = ReportOptions {
             title: "T".into(),
             scatter_bounds: vec![(
@@ -187,7 +193,7 @@ mod tests {
                 },
             )],
         };
-        let md = markdown_report(&evaluator, &designs, &options).unwrap();
+        let md = markdown_report(&five_design_evals(), PAPER, &options);
         for needle in [
             "# T",
             "## Security metrics",
@@ -206,13 +212,7 @@ mod tests {
 
     #[test]
     fn empty_bounds_render_no_region_section() {
-        let evaluator = case_study::evaluator().unwrap();
-        let md = markdown_report(
-            &evaluator,
-            &case_study::five_designs()[..1],
-            &ReportOptions::default(),
-        )
-        .unwrap();
+        let md = markdown_report(&five_design_evals()[..1], PAPER, &ReportOptions::default());
         assert!(!md.contains("## Decision regions"));
     }
 }

@@ -34,14 +34,15 @@
 //!
 //! ```
 //! use redeval::scenario::{builtin, ScenarioDoc};
-//! use redeval::Evaluator;
+//! use redeval::{Design, Pool, Sweep};
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
 //! let json = builtin::paper_case_study().to_json();
 //! let doc = ScenarioDoc::from_json(&json)?;
-//! let evaluator = Evaluator::from_scenario(&doc)?;
-//! let base = evaluator.evaluate("base", &[1, 2, 2, 1])?;
-//! assert!((base.coa - 0.99707).abs() < 5e-5);
+//! let evals = Sweep::from_scenario(&doc)?
+//!     .designs(vec![Design::new("base", vec![1, 2, 2, 1])])
+//!     .run(&Pool::new(1))?;
+//! assert!((evals[0].coa - 0.99707).abs() < 5e-5);
 //! # Ok(())
 //! # }
 //! ```
@@ -262,16 +263,6 @@ impl ScenarioDoc {
         let names: Vec<&str> = self.tiers.iter().map(|t| t.name.as_str()).collect();
         let counts: Vec<u32> = self.tiers.iter().map(|t| t.count).collect();
         Design::new(Design::conventional_name(&names, &counts), counts)
-    }
-
-    /// The document's primary patch policy: the first of
-    /// [`policies`](Self::policies), or the paper default when the list is
-    /// empty.
-    pub fn first_policy(&self) -> PatchPolicy {
-        self.policies
-            .first()
-            .copied()
-            .unwrap_or(PatchPolicy::CriticalOnly(8.0))
     }
 
     /// Validates the document without building anything callers keep.

@@ -94,11 +94,6 @@ impl AttackGraph {
         &self.names[h.0]
     }
 
-    /// Looks a host up by name.
-    pub fn find_host(&self, name: &str) -> Option<HostId> {
-        self.names.iter().position(|n| n == name).map(HostId)
-    }
-
     /// Successors of a host.
     ///
     /// # Panics

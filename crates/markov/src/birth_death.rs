@@ -112,20 +112,6 @@ impl BirthDeath {
         Ok(weights.into_iter().map(|w| w / total).collect())
     }
 
-    /// Expected steady-state reward `Σ_k π_k · reward(k)` where `k` is the
-    /// level (e.g. the number of down servers).
-    ///
-    /// # Errors
-    ///
-    /// See [`steady_state`](Self::steady_state).
-    pub fn expected_reward<F>(&self, reward: F) -> Result<f64, SolveError>
-    where
-        F: Fn(usize) -> f64,
-    {
-        let pi = self.steady_state()?;
-        Ok(pi.iter().enumerate().map(|(k, p)| p * reward(k)).sum())
-    }
-
     /// Converts to a general [`Ctmc`] (for cross-checks and transient
     /// analysis).
     pub fn to_ctmc(&self) -> Ctmc {
@@ -202,14 +188,5 @@ mod tests {
             bd.steady_state(),
             Err(SolveError::InvalidRate { .. })
         ));
-    }
-
-    #[test]
-    fn expected_reward_counts_up_servers() {
-        let n = 2;
-        let bd = BirthDeath::machine_repair(n, 1.0, 1.0);
-        // With λ=µ, each server is down half the time: E[up] = n/2.
-        let e = bd.expected_reward(|down| (n - down) as f64).unwrap();
-        assert!((e - 1.0).abs() < 1e-12);
     }
 }

@@ -23,7 +23,7 @@ pub const BUCKETS: usize = 32;
 
 /// The endpoint labels tracked independently; `other` absorbs unknown
 /// paths (404s).
-pub const ENDPOINT_LABELS: [&str; 10] = [
+pub const ENDPOINT_LABELS: [&str; 11] = [
     "healthz",
     "scenarios",
     "reports",
@@ -32,6 +32,7 @@ pub const ENDPOINT_LABELS: [&str; 10] = [
     "eval",
     "sweep",
     "optimize",
+    "equilibrium",
     "generate",
     "other",
 ];

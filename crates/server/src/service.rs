@@ -489,6 +489,7 @@ pub fn http_error_response(e: &HttpError) -> Option<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redeval::output::{parse_json, Json};
     use redeval::scenario::builtin;
     use redeval::scenario::generate::{Family, GenParams};
 
@@ -900,6 +901,53 @@ mod tests {
         assert!(String::from_utf8(r.body)
             .unwrap()
             .contains("/v1/equilibrium"));
+    }
+
+    #[test]
+    fn every_routed_path_is_filed_under_its_own_label() {
+        let svc = test_service(1 << 20);
+        let doc = doc_json();
+        let wrapped = format!("{{\"scenario\": {}}}", doc.trim_end());
+        let generate = b"{\"family\": \"iot_swarm\", \"seed\": 2}".as_slice();
+        let routes: [(&str, &str, &[u8], &str); 11] = [
+            ("GET", "/healthz", b"", "healthz"),
+            ("GET", "/v1/scenarios", b"", "scenarios"),
+            ("GET", "/v1/reports", b"", "reports"),
+            ("GET", "/v1/stats", b"", "stats"),
+            ("GET", "/metrics", b"", "metrics"),
+            ("POST", "/v1/eval", doc.as_bytes(), "eval"),
+            ("POST", "/v1/sweep", wrapped.as_bytes(), "sweep"),
+            ("POST", "/v1/optimize", wrapped.as_bytes(), "optimize"),
+            ("POST", "/v1/equilibrium", wrapped.as_bytes(), "equilibrium"),
+            ("POST", "/v1/generate", generate, "generate"),
+            ("GET", "/nope", b"", "other"),
+        ];
+        for (method, path, body, _) in routes {
+            let r = svc.handle(&Request::synthetic(method, path, body));
+            let want = if path == "/nope" { 404 } else { 200 };
+            assert_eq!(r.status, want, "{method} {path}");
+        }
+        let stats = svc.handle(&Request::synthetic("GET", "/v1/stats", b""));
+        let json = parse_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
+        let table = json
+            .get("items")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .find(|item| item.get("name").and_then(Json::as_str) == Some("endpoints"))
+            .expect("the stats report has an endpoint table");
+        let filed: Vec<(&str, f64)> = table
+            .get("rows")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|row| {
+                let row = row.as_arr().unwrap();
+                (row[0].as_str().unwrap(), row[1].as_f64().unwrap())
+            })
+            .collect();
+        let want: Vec<(&str, f64)> = routes.iter().map(|&(.., label)| (label, 1.0)).collect();
+        assert_eq!(filed, want);
     }
 
     #[test]

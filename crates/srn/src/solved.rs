@@ -1,6 +1,6 @@
 //! Steady-state measures over a solved net.
 
-use crate::net::{PlaceId, TransId, TransitionKind};
+use crate::net::PlaceId;
 use crate::reach::StateSpace;
 use crate::{Marking, SrnError};
 
@@ -68,35 +68,6 @@ impl SolvedSrn {
         self.expected(|m| m.tokens(place) as f64)
     }
 
-    /// Steady-state throughput of a **timed** transition: the expected
-    /// firing rate `Σ_m π(m)·rate(m)` over markings where it is enabled.
-    ///
-    /// Immediate transitions have no throughput in this sense and yield
-    /// an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SrnError::UnknownTransition`] when `t` is immediate or
-    /// foreign.
-    pub fn throughput(&self, net: &crate::Srn, t: TransId) -> Result<f64, SrnError> {
-        if t.index() >= net.transition_count() {
-            return Err(SrnError::UnknownTransition { index: t.index() });
-        }
-        match net.transition_kind(t) {
-            TransitionKind::Immediate { .. } => {
-                Err(SrnError::UnknownTransition { index: t.index() })
-            }
-            TransitionKind::Timed { rate } => Ok(self
-                .space
-                .tangible_markings()
-                .iter()
-                .zip(&self.pi)
-                .filter(|(m, _)| net.is_enabled(t, m))
-                .map(|(m, p)| rate(m) * p)
-                .sum()),
-        }
-    }
-
     /// Transient probability distribution over the tangible markings at
     /// time `t`, starting from the net's initial marking (uniformization).
     ///
@@ -133,8 +104,9 @@ impl crate::Srn {
 mod tests {
     use crate::Srn;
 
-    /// Two independent repairable components sharing one net.
-    fn two_components() -> (Srn, crate::PlaceId, crate::PlaceId, crate::TransId) {
+    /// Two independent repairable components sharing one net, with the
+    /// place counting the components up.
+    fn two_components() -> (Srn, crate::PlaceId) {
         let mut net = Srn::new("two");
         let up = net.add_place("up", 2);
         let down = net.add_place("down", 0);
@@ -142,47 +114,20 @@ mod tests {
         net.add_move(fail, up, down).unwrap();
         let repair = net.add_timed_fn("repair", move |m| 1.0 * m.as_slice()[1] as f64);
         net.add_move(repair, down, up).unwrap();
-        (net, up, down, fail)
+        (net, up)
     }
 
     #[test]
     fn mean_tokens_matches_expectation() {
-        let (net, up, _down, _fail) = two_components();
+        let (net, up) = two_components();
         let s = net.solve().unwrap();
         let q = 0.1 / 1.1; // per-component down probability
         assert!((s.mean_tokens(up) - 2.0 * (1.0 - q)).abs() < 1e-12);
     }
 
     #[test]
-    fn throughput_balances_in_cycle() {
-        let (net, _up, _down, fail) = two_components();
-        let s = net.solve().unwrap();
-        let repair = net.find_transition("repair").unwrap();
-        let tf = s.throughput(&net, fail).unwrap();
-        let tr = s.throughput(&net, repair).unwrap();
-        // Flow balance: failures per hour == repairs per hour.
-        assert!((tf - tr).abs() < 1e-12);
-        // Expected failure throughput = 0.1 * E[up tokens].
-        let up = net.find_place("up").unwrap();
-        assert!((tf - 0.1 * s.mean_tokens(up)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throughput_of_immediate_is_error() {
-        let mut net = Srn::new("imm");
-        let a = net.add_place("a", 1);
-        let b = net.add_place("b", 0);
-        let t = net.add_immediate("imm");
-        net.add_move(t, a, b).unwrap();
-        let back = net.add_timed("back", 1.0);
-        net.add_move(back, b, a).unwrap();
-        let s = net.solve().unwrap();
-        assert!(s.throughput(&net, t).is_err());
-    }
-
-    #[test]
     fn steady_state_sums_to_one() {
-        let (net, _, _, _) = two_components();
+        let (net, _) = two_components();
         let s = net.solve().unwrap();
         let sum: f64 = s.steady_state().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
@@ -190,7 +135,7 @@ mod tests {
 
     #[test]
     fn solve_stats_cover_the_tangible_space() {
-        let (net, _, _, _) = two_components();
+        let (net, _) = two_components();
         let s = net.solve().unwrap();
         let stats = s.solve_stats();
         assert_eq!(stats.states, s.state_space().len());
@@ -217,7 +162,7 @@ mod tests {
 
     #[test]
     fn transient_probability_approaches_steady() {
-        let (net, up, _down, _fail) = two_components();
+        let (net, up) = two_components();
         let s = net.solve().unwrap();
         let all_up = |m: &crate::Marking| if m.tokens(up) == 2 { 1.0 } else { 0.0 };
         let at_steady = s.probability(|m| m.tokens(up) == 2);
@@ -229,7 +174,7 @@ mod tests {
 
     #[test]
     fn transient_distribution_is_a_distribution_and_drives_expected() {
-        let (net, up, _down, _fail) = two_components();
+        let (net, up) = two_components();
         let s = net.solve().unwrap();
         for t in [0.0, 1.0, 50.0] {
             let dist = s.transient_distribution(t).unwrap();

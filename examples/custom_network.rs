@@ -10,7 +10,7 @@
 
 use redeval::decision::MultiBounds;
 use redeval::{
-    AttackTree, Durations, Evaluator, NetworkSpec, ServerParams, TierSpec, Vulnerability,
+    AttackTree, Design, Durations, NetworkSpec, Pool, ServerParams, Sweep, TierSpec, Vulnerability,
 };
 use redeval_cvss::v2::BaseVector;
 
@@ -80,7 +80,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- HARM (render with `dot -Tsvg`) ---");
     println!("{}", harm.to_dot());
 
-    let evaluator = Evaluator::new(spec)?;
+    let designs = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2], [3, 2, 2]]
+        .iter()
+        .map(|counts| {
+            let name = counts
+                .iter()
+                .zip(["vpn", "portal", "ledger"])
+                .map(|(c, n)| format!("{c} {n}"))
+                .collect::<Vec<_>>()
+                .join(" + ");
+            Design::new(name, counts.to_vec())
+        })
+        .collect();
+    let evals = Sweep::new(spec).designs(designs).run(&Pool::new(2))?;
     let bounds = MultiBounds {
         max_asp: 0.5,
         max_noev: 8,
@@ -90,14 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!("--- designs ---");
-    for counts in [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2], [3, 2, 2]] {
-        let name = counts
-            .iter()
-            .zip(["vpn", "portal", "ledger"])
-            .map(|(c, n)| format!("{c} {n}"))
-            .collect::<Vec<_>>()
-            .join(" + ");
-        let e = evaluator.evaluate(&name, &counts)?;
+    for e in &evals {
         println!(
             "{:<28} ASP {:>6.4}  NoEV {:>2}  NoAP {:>2}  COA {:.5}  ok={}",
             e.name,
@@ -105,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             e.after.exploitable_vulnerabilities,
             e.after.attack_paths,
             e.coa,
-            bounds.satisfied(&e)
+            bounds.satisfied(e)
         );
     }
     Ok(())

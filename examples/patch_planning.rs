@@ -9,9 +9,12 @@
 //! Run with: `cargo run --example patch_planning`
 
 use redeval::case_study;
-use redeval::{Durations, Evaluator, MetricsConfig, PatchPolicy};
+use redeval::{Design, PatchPolicy, Pool, Sweep};
 
 fn main() -> Result<(), redeval::EvalError> {
+    let pool = Pool::new(2);
+    let design = Design::new("case study", vec![1, 2, 2, 1]);
+
     println!("== patch interval sweep (case-study network, critical-only policy) ==");
     println!();
     println!(
@@ -19,24 +22,14 @@ fn main() -> Result<(), redeval::EvalError> {
         "interval", "COA", "downtime", "patches/year"
     );
 
+    // One spec variant per interval, the schedule applied to every tier.
+    let intervals = [7.0, 14.0, 30.0, 60.0, 90.0, 180.0];
+    let evals = Sweep::new(case_study::network())
+        .designs(vec![design.clone()])
+        .patch_intervals_days(&intervals)
+        .run(&pool)?;
     let mut last_coa = 0.0;
-    for days in [7.0, 14.0, 30.0, 60.0, 90.0, 180.0] {
-        let base = case_study::network();
-        let interval = Durations::days(days);
-        // Apply the schedule to every tier.
-        let tiers = base
-            .tiers()
-            .iter()
-            .cloned()
-            .map(|mut t| {
-                t.params.patch_interval = interval;
-                t
-            })
-            .collect::<Vec<_>>();
-        let spec = redeval::NetworkSpec::new(tiers, base.edges().to_vec());
-
-        let evaluator = Evaluator::new(spec)?;
-        let e = evaluator.evaluate("case study", &[1, 2, 2, 1])?;
+    for (days, e) in intervals.iter().zip(&evals) {
         let downtime_hours_month = (1.0 - e.coa) * 720.0;
         println!(
             "{:>8.0} d {:>12.5} {:>8.2} h {:>14.1}",
@@ -53,22 +46,19 @@ fn main() -> Result<(), redeval::EvalError> {
     println!();
     println!("== patch policy comparison (monthly schedule) ==");
     println!();
-    // One evaluator per policy over the same network: a shared analysis
-    // cache solves each tier's SRN once instead of once per evaluator.
-    let cache = redeval::exec::AnalysisCache::new();
-    for (name, policy) in [
+    // One policy axis over the same design: the policies share its
+    // security model and tier solves.
+    let policies = [
         ("none", PatchPolicy::None),
         ("critical-only (>8.0)", PatchPolicy::CriticalOnly(8.0)),
         ("critical-only (>7.0)", PatchPolicy::CriticalOnly(7.0)),
         ("all", PatchPolicy::All),
-    ] {
-        let evaluator = Evaluator::with_cache(
-            case_study::network(),
-            MetricsConfig::default(),
-            policy,
-            &cache,
-        )?;
-        let e = evaluator.evaluate("case study", &[1, 2, 2, 1])?;
+    ];
+    let evals = Sweep::new(case_study::network())
+        .designs(vec![design])
+        .policies(policies.iter().map(|&(_, p)| p).collect())
+        .run(&pool)?;
+    for ((name, _), e) in policies.iter().zip(&evals) {
         println!(
             "{:<22} ASP {:>6.4}  NoEV {:>2}  NoAP {:>2}  NoEP {:>2}",
             name,

@@ -9,14 +9,19 @@
 
 use redeval::case_study;
 use redeval::decision::ScatterBounds;
+use redeval::{AnalysisCache, Design, PatchPolicy, Scenario};
 
 fn main() -> Result<(), redeval::EvalError> {
-    // Phase 1+2: inputs and model construction (the evaluator solves the
-    // per-tier server SRNs once).
-    let evaluator = case_study::evaluator()?;
+    // Phase 1+2: inputs and model construction: the case-study design
+    // under the paper's policy (patch base scores above 8.0). The analysis
+    // cache solves each per-tier server SRN once.
+    let name = "1 DNS + 2 WEB + 2 APP + 1 DB";
+    let design = Design::new(name, vec![1, 2, 2, 1]);
+    let policy = PatchPolicy::CriticalOnly(8.0);
+    let scenario = Scenario::new(name, case_study::network(), design, policy);
 
-    // Phase 3: evaluate the case-study design.
-    let e = evaluator.evaluate("1 DNS + 2 WEB + 2 APP + 1 DB", &[1, 2, 2, 1])?;
+    // Phase 3: evaluate it.
+    let e = scenario.evaluate(&AnalysisCache::new())?;
 
     println!("design: {}", e.name);
     println!();

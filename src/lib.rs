@@ -15,8 +15,10 @@
 //! use redeval_suite::prelude::*;
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
-//! let evaluator = redeval::case_study::evaluator()?;
-//! let e = evaluator.evaluate("case study", &[1, 2, 2, 1])?;
+//! let design = Design::new("case study", vec![1, 2, 2, 1]);
+//! let policy = PatchPolicy::CriticalOnly(8.0);
+//! let e = Scenario::new("case study", case_study::network(), design, policy)
+//!     .evaluate(&AnalysisCache::new())?;
 //! assert!((e.coa - 0.99707).abs() < 5e-5);
 //! # Ok(())
 //! # }
@@ -42,9 +44,9 @@ pub mod prelude {
     pub use redeval::decision::{MultiBounds, ScatterBounds};
     pub use redeval::exec::{self, AnalysisCache, Experiment, Pool, Scenario, Sweep};
     pub use redeval::{
-        AspStrategy, AttackGraph, AttackTree, Design, DesignEvaluation, Durations, EvalError,
-        Evaluator, Harm, MetricsConfig, NetworkModel, NetworkSpec, OrCombine, PatchPolicy,
-        SecurityMetrics, ServerParams, Tier, TierSpec, Vulnerability,
+        AspStrategy, AttackGraph, AttackTree, Design, DesignEvaluation, Durations, EvalError, Harm,
+        MetricsConfig, NetworkModel, NetworkSpec, OrCombine, PatchPolicy, SecurityMetrics,
+        ServerParams, Tier, TierSpec, Vulnerability,
     };
     pub use redeval_avail::{AggregatedRates, ServerAnalysis, ServerModel};
     pub use redeval_markov::{BirthDeath, Ctmc};

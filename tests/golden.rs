@@ -177,9 +177,9 @@ fn every_bundled_scenario_export_matches_its_golden() {
     );
 }
 
-/// The headline acceptance check of the scenario API: an [`Evaluator`]
-/// built from the **pinned** `paper_case_study` file — through the JSON
-/// parser, schema decoding and spec resolution — reproduces the
+/// The headline acceptance check of the scenario API: the network
+/// resolved from the **pinned** `paper_case_study` file — through the
+/// JSON parser, schema decoding and spec resolution — reproduces the
 /// committed Table II and Table VI golden reports **byte for byte**.
 #[test]
 fn paper_scenario_file_reproduces_table2_and_table6_byte_for_byte() {
@@ -189,16 +189,17 @@ fn paper_scenario_file_reproduces_table2_and_table6_byte_for_byte() {
     let path = golden_dir().join("scenarios/paper_case_study.json");
     let text = fs::read_to_string(&path).expect("pinned paper scenario exists");
     let doc = ScenarioDoc::from_json(&text).expect("pinned paper scenario parses");
-    let evaluator = redeval::Evaluator::from_scenario(&doc).expect("evaluator builds");
+    let spec = doc.to_spec().expect("pinned paper scenario resolves");
 
-    let table2 = tables::table2_for(evaluator.base()).to_json();
+    let table2 = tables::table2_for(&spec).to_json();
     let want2 = fs::read_to_string(golden_dir().join("table2.json")).expect("table2 golden");
     assert_eq!(
         table2, want2,
         "table2 from the scenario file differs from the golden"
     );
 
-    let table6 = tables::table6_for(evaluator.base(), evaluator.tier_analyses()).to_json();
+    let analyses = spec.tier_analyses().expect("tiers solve");
+    let table6 = tables::table6_for(&spec, &analyses).to_json();
     let want6 = fs::read_to_string(golden_dir().join("table6.json")).expect("table6 golden");
     assert_eq!(
         table6, want6,

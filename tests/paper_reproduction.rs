@@ -6,6 +6,14 @@ use redeval::decision::{MultiBounds, ScatterBounds};
 use redeval::{AspStrategy, MetricsConfig, OrCombine};
 use redeval_suite::prelude::*;
 
+/// The five Section-IV designs under the paper's critical-only policy.
+fn five_design_evals() -> Vec<DesignEvaluation> {
+    Sweep::new(case_study::network())
+        .designs(case_study::five_designs())
+        .run(&Pool::new(2))
+        .unwrap()
+}
+
 /// Table I: every reconstructed CVSS vector reproduces the paper's
 /// impact/probability pair.
 #[test]
@@ -142,8 +150,7 @@ fn table6_coa() {
 /// ordering.
 #[test]
 fn figures_6_7_design_table() {
-    let evaluator = case_study::evaluator().unwrap();
-    let evals = evaluator.evaluate_all(&case_study::five_designs()).unwrap();
+    let evals = five_design_evals();
 
     // Structural after-patch metrics per design (D1..D5).
     let noev: Vec<usize> = evals
@@ -189,8 +196,7 @@ fn figures_6_7_design_table() {
 /// Equations (3) and (4): all four region memberships.
 #[test]
 fn equations_3_4_regions() {
-    let evaluator = case_study::evaluator().unwrap();
-    let evals = evaluator.evaluate_all(&case_study::five_designs()).unwrap();
+    let evals = five_design_evals();
     let names = |v: Vec<&redeval::DesignEvaluation>| -> Vec<String> {
         v.into_iter().map(|e| e.name.clone()).collect()
     };
@@ -233,8 +239,7 @@ fn equations_3_4_regions() {
 /// The paper's two summary observations (Section IV-C).
 #[test]
 fn section4c_observations() {
-    let evaluator = case_study::evaluator().unwrap();
-    let evals = evaluator.evaluate_all(&case_study::five_designs()).unwrap();
+    let evals = five_design_evals();
     // 1. Duplicating the slowest-recovering tier (app) gives the best COA.
     let best = evals
         .iter()

@@ -95,9 +95,10 @@ fn shared_cache_dedupes_per_tier_solves_across_the_batch() {
 
 #[test]
 fn sweep_grid_agrees_with_legacy_evaluator_numbers() {
-    // The engine's numbers must match what a per-policy Evaluator loop
-    // (the pre-engine code shape) produces, label excepted, over the
-    // standard policy axis: unpatched, every CVSS threshold, patch-all.
+    // The engine's numbers must match a per-policy loop of single
+    // scenario evaluations, which shares none of the engine's cell
+    // grouping, label excepted, over the standard policy axis:
+    // unpatched, every CVSS threshold, patch-all.
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let designs = random_designs(&mut rng, 12);
     let policies: Vec<PatchPolicy> = std::iter::once(PatchPolicy::None)
@@ -110,14 +111,14 @@ fn sweep_grid_agrees_with_legacy_evaluator_numbers() {
         .run(&Pool::new(4))
         .expect("grid evaluates");
     assert_eq!(engine.len(), designs.len() * policies.len());
+    let network = Arc::new(case_study::network());
+    let cache = AnalysisCache::new();
     for (pi, &policy) in policies.iter().enumerate() {
-        let legacy =
-            Evaluator::with_options(case_study::network(), MetricsConfig::default(), policy)
-                .expect("evaluator builds")
-                .evaluate_all(&designs)
-                .expect("designs evaluate");
         // The engine's grid is design-major.
-        for (di, l) in legacy.iter().enumerate() {
+        for (di, d) in designs.iter().enumerate() {
+            let l = Scenario::new(d.name.clone(), Arc::clone(&network), d.clone(), policy)
+                .evaluate(&cache)
+                .expect("scenario evaluates");
             let e = &engine[di * policies.len() + pi];
             assert_eq!(e.counts, l.counts, "design {di}, {policy:?}");
             assert_eq!(e.before, l.before, "design {di}, {policy:?}");
@@ -133,11 +134,15 @@ fn sweep_grid_agrees_with_legacy_evaluator_numbers() {
 fn pareto_frontier_is_thread_count_independent() {
     let mut rng = StdRng::seed_from_u64(0xF007);
     let designs = random_designs(&mut rng, 20);
-    let evaluator = case_study::evaluator().expect("evaluator builds");
-    let evals = evaluator.evaluate_all(&designs).expect("designs evaluate");
+    let sweep = Sweep::new(case_study::network()).designs(designs);
+    let cache = AnalysisCache::new();
+    let evals: Vec<DesignEvaluation> = sweep
+        .scenarios()
+        .iter()
+        .map(|sc| sc.evaluate(&cache).expect("scenario evaluates"))
+        .collect();
     let sequential = pareto_frontier(&evals);
     assert!(!sequential.is_empty());
-    let sweep = Sweep::new(case_study::network()).designs(designs);
     for threads in [2, 8] {
         let pooled = sweep.run(&Pool::new(threads)).expect("grid evaluates");
         assert_eq!(sequential, pareto_frontier(&pooled));

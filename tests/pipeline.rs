@@ -47,10 +47,13 @@ fn spec() -> NetworkSpec {
 
 #[test]
 fn full_pipeline_round_trip() {
-    let evaluator = Evaluator::new(spec()).unwrap();
-    let designs = evaluator.base().enumerate_designs(2);
+    let base = spec();
+    let designs = base.enumerate_designs(2);
     assert_eq!(designs.len(), 8);
-    let evals = evaluator.evaluate_all(&designs).unwrap();
+    let evals = Sweep::new(base)
+        .designs(designs)
+        .run(&Pool::new(2))
+        .unwrap();
 
     // Every design: sane measure ranges and patch improves security.
     for e in &evals {
@@ -96,16 +99,14 @@ fn harm_and_dot_outputs() {
 
 #[test]
 fn patch_policies_bracket_each_other() {
-    let base = spec();
-    let strictest =
-        Evaluator::with_options(base.clone(), MetricsConfig::default(), PatchPolicy::All)
+    let cache = AnalysisCache::new();
+    let evaluate = |policy| {
+        Scenario::new("x", spec(), Design::new("x", vec![2, 1, 1]), policy)
+            .evaluate(&cache)
             .unwrap()
-            .evaluate("x", &[2, 1, 1])
-            .unwrap();
-    let none = Evaluator::with_options(base, MetricsConfig::default(), PatchPolicy::None)
-        .unwrap()
-        .evaluate("x", &[2, 1, 1])
-        .unwrap();
+    };
+    let strictest = evaluate(PatchPolicy::All);
+    let none = evaluate(PatchPolicy::None);
     assert_eq!(strictest.after.exploitable_vulnerabilities, 0);
     assert_eq!(
         none.after.exploitable_vulnerabilities,
@@ -142,7 +143,8 @@ fn core_types_are_send_sync() {
     assert_send_sync::<Harm>();
     assert_send_sync::<NetworkModel>();
     assert_send_sync::<NetworkSpec>();
-    assert_send_sync::<Evaluator>();
+    assert_send_sync::<Scenario>();
+    assert_send_sync::<AnalysisCache>();
     assert_send_sync::<DesignEvaluation>();
     assert_send_sync::<ServerModel>();
     assert_send_sync::<Ctmc>();
@@ -150,12 +152,20 @@ fn core_types_are_send_sync() {
 
 #[test]
 fn evaluations_parallelize_across_threads() {
-    // The evaluator is shareable; designs can be evaluated concurrently.
-    let evaluator = std::sync::Arc::new(Evaluator::new(spec()).unwrap());
+    // The spec and the analysis cache are shareable; designs can be
+    // evaluated concurrently.
+    let spec = std::sync::Arc::new(spec());
+    let cache = std::sync::Arc::new(AnalysisCache::new());
     let handles: Vec<_> = (1..=3u32)
         .map(|edge| {
-            let ev = evaluator.clone();
-            std::thread::spawn(move || ev.evaluate("d", &[edge, 1, 1]).unwrap().coa)
+            let scenario = Scenario::new(
+                "d",
+                std::sync::Arc::clone(&spec),
+                Design::new("d", vec![edge, 1, 1]),
+                PatchPolicy::CriticalOnly(8.0),
+            );
+            let cache = std::sync::Arc::clone(&cache);
+            std::thread::spawn(move || scenario.evaluate(&cache).unwrap().coa)
         })
         .collect();
     let coas: Vec<f64> = handles.into_iter().map(|h| h.join().unwrap()).collect();

@@ -4,22 +4,30 @@
 
 use redeval::exec::default_threads;
 use redeval::scenario::{builtin, ScenarioDoc, ScenarioError};
-use redeval::{case_study, EvalError, Evaluator, PatchPolicy, Pool, SpecIssue, Sweep};
+use redeval::{case_study, Design, EvalError, PatchPolicy, Pool, SpecIssue, Sweep};
 
 /// The paper document evaluated through `from_scenario` must be
 /// indistinguishable — bit for bit — from the hand-built case-study
-/// evaluator, for all five Section-IV designs.
+/// network under the paper's policy, for all five Section-IV designs.
 #[test]
 fn from_scenario_matches_the_case_study_evaluator_bitwise() {
     let json = builtin::paper_case_study().to_json();
     let doc = ScenarioDoc::from_json(&json).unwrap();
-    let from_doc = Evaluator::from_scenario(&doc).unwrap();
-    let hand = case_study::evaluator().unwrap();
-    assert_eq!(from_doc.patch_policy(), hand.patch_policy());
-    for d in case_study::five_designs() {
-        let a = from_doc.evaluate(&d.name, &d.counts).unwrap();
-        let b = hand.evaluate(&d.name, &d.counts).unwrap();
-        assert_eq!(a, b, "{} diverges through the scenario path", d.name);
+    assert_eq!(doc.policies, [PatchPolicy::CriticalOnly(8.0)]);
+    let pool = Pool::new(default_threads());
+    let designs = case_study::five_designs();
+    let from_doc = Sweep::from_scenario(&doc)
+        .unwrap()
+        .designs(designs.clone())
+        .run(&pool)
+        .unwrap();
+    let hand = Sweep::new(case_study::network())
+        .designs(designs)
+        .run(&pool)
+        .unwrap();
+    assert_eq!(from_doc.len(), 5);
+    for (a, b) in from_doc.iter().zip(&hand) {
+        assert_eq!(a, b, "{} diverges through the scenario path", a.name);
         assert_eq!(a.coa.to_bits(), b.coa.to_bits());
         assert_eq!(
             a.after.attack_success_probability.to_bits(),
@@ -42,12 +50,16 @@ fn edited_json_changes_the_evaluation() {
     let doc = ScenarioDoc::from_json(&edited).unwrap();
     let spec = doc.to_spec().unwrap();
     assert_eq!(spec.total_servers(), 7);
-    let ev = Evaluator::from_scenario(&doc).unwrap();
-    let base = ev.evaluate("edited", &[2, 2, 2, 1]).unwrap();
-    let orig = case_study::evaluator()
+    let pool = Pool::new(1);
+    let base = &Sweep::from_scenario(&doc)
         .unwrap()
-        .evaluate("orig", &[1, 2, 2, 1])
-        .unwrap();
+        .designs(vec![Design::new("edited", vec![2, 2, 2, 1])])
+        .run(&pool)
+        .unwrap()[0];
+    let orig = &Sweep::new(case_study::network())
+        .designs(vec![Design::new("orig", vec![1, 2, 2, 1])])
+        .run(&pool)
+        .unwrap()[0];
     assert!(base.coa > orig.coa, "extra DNS redundancy must raise COA");
     assert!(base.before.entry_points > orig.before.entry_points);
 }
@@ -128,20 +140,28 @@ fn canonical_form_is_a_fixed_point_for_all_builtins() {
     }
 }
 
-/// A document with a policy list drives the evaluator's primary policy;
-/// overriding policies (what `eval --policy` does) changes the outcome.
+/// A document's policy list is the policy axis of its sweep; overriding
+/// policies (what `eval --policy` does) changes the outcome.
 #[test]
 fn policy_list_controls_the_evaluator() {
+    let pool = Pool::new(1);
+    let evaluate = |doc: &ScenarioDoc| {
+        Sweep::from_scenario(doc)
+            .unwrap()
+            .designs(vec![Design::new("base", vec![1, 2, 2, 1])])
+            .run(&pool)
+            .unwrap()
+    };
     let mut doc = builtin::paper_case_study();
     doc.policies = vec![PatchPolicy::None];
-    let ev = Evaluator::from_scenario(&doc).unwrap();
-    assert_eq!(ev.patch_policy(), PatchPolicy::None);
-    let e = ev.evaluate("base", &[1, 2, 2, 1]).unwrap();
-    assert_eq!(e.before, e.after);
+    let evals = evaluate(&doc);
+    assert_eq!(evals.len(), 1);
+    assert_eq!(evals[0].before, evals[0].after);
 
     doc.policies = vec![PatchPolicy::All, PatchPolicy::None];
-    let ev = Evaluator::from_scenario(&doc).unwrap();
-    assert_eq!(ev.patch_policy(), PatchPolicy::All);
-    let e = ev.evaluate("base", &[1, 2, 2, 1]).unwrap();
-    assert_eq!(e.after.exploitable_vulnerabilities, 0);
+    let evals = evaluate(&doc);
+    assert_eq!(evals[0].name, "base | patch all");
+    assert_eq!(evals[0].after.exploitable_vulnerabilities, 0);
+    assert_eq!(evals[1].name, "base | no patch");
+    assert_eq!(evals[1].before, evals[1].after);
 }
