@@ -25,6 +25,22 @@ use redeval_server::SweepRequest;
 /// rather than monopolizing the server.
 pub const MAX_SWEEP_GRID: usize = 10_000;
 
+/// Rejects a `grid` of more than [`MAX_SWEEP_GRID`] points as a schema
+/// violation that points at the search, which never materializes one.
+fn check_grid(grid: u128) -> Result<(), EvalError> {
+    if grid <= MAX_SWEEP_GRID as u128 {
+        return Ok(());
+    }
+    Err(EvalError::Scenario(ScenarioError::Invalid {
+        at: "request".to_string(),
+        message: format!(
+            "grid of {grid} scenarios exceeds the limit of {MAX_SWEEP_GRID}; \
+             `redeval optimize` (POST /v1/optimize) searches larger spaces \
+             without materializing the grid"
+        ),
+    }))
+}
+
 /// The standard design × policy evaluation table over computed results.
 pub(crate) fn eval_table_from(name: &str, evals: &[DesignEvaluation]) -> Table {
     let mut t = Table::new(
@@ -124,17 +140,7 @@ pub fn eval_report_on(
     // designs × policies, and a pathological document must come back as
     // a structured schema error, never a grid that monopolizes the
     // server or the CLI.
-    let cells = (doc.designs.len() as u128).saturating_mul(doc.policies.len() as u128);
-    if cells > MAX_SWEEP_GRID as u128 {
-        return Err(EvalError::Scenario(ScenarioError::Invalid {
-            at: "request".to_string(),
-            message: format!(
-                "grid of {cells} scenarios exceeds the limit of {MAX_SWEEP_GRID}; \
-                 `redeval optimize` (POST /v1/optimize) searches larger spaces \
-                 without materializing the grid"
-            ),
-        }));
-    }
+    check_grid((doc.designs.len() as u128).saturating_mul(doc.policies.len() as u128))?;
     let mut r = Report::new(
         format!("eval_{}", doc.name),
         format!("Scenario evaluation — {}", doc.title),
@@ -176,23 +182,15 @@ pub fn sweep_report_on(
     cache: &Arc<AnalysisCache>,
 ) -> Result<Report, EvalError> {
     let doc = &req.doc;
-    let too_large = |grid: u128| {
-        EvalError::Scenario(ScenarioError::Invalid {
-            at: "request".to_string(),
-            message: format!(
-                "grid of {grid} scenarios exceeds the limit of {MAX_SWEEP_GRID}; \
-                 `redeval optimize` (POST /v1/optimize) searches larger spaces \
-                 without materializing the grid"
-            ),
-        })
-    };
     // Bound the grid arithmetically BEFORE materializing anything:
     // `full_design_space` eagerly enumerates max_redundancy^tiers
     // designs, so a many-tier document must be rejected by this product,
-    // not by an allocation attempt.
+    // not by an allocation attempt. The product equals the built sweep's
+    // `len()` (`full_design_space(0)` still enumerates the all-ones
+    // design), so this one check bounds the grid.
     let designs: u128 = match req.max_redundancy {
         Some(m) => {
-            let per_tier = u128::from(m);
+            let per_tier = u128::from(m.max(1));
             let mut total: u128 = 1;
             for _ in 0..doc.tiers.len() {
                 total = total.saturating_mul(per_tier);
@@ -203,12 +201,11 @@ pub fn sweep_report_on(
     };
     let policies_len = req.policies.as_ref().map_or(doc.policies.len(), Vec::len) as u128;
     let windows_len = req.patch_windows_days.as_ref().map_or(1, Vec::len) as u128;
-    let projected = designs
-        .saturating_mul(policies_len)
-        .saturating_mul(windows_len);
-    if projected > MAX_SWEEP_GRID as u128 {
-        return Err(too_large(projected));
-    }
+    check_grid(
+        designs
+            .saturating_mul(policies_len)
+            .saturating_mul(windows_len),
+    )?;
 
     let mut sweep = Sweep::from_scenario(doc)?;
     if let Some(max_redundancy) = req.max_redundancy {
@@ -221,9 +218,6 @@ pub fn sweep_report_on(
         sweep = sweep.patch_intervals_days(days);
     }
     let grid = sweep.len();
-    if grid > MAX_SWEEP_GRID {
-        return Err(too_large(grid as u128));
-    }
     let evals = sweep.share_cache(cache).run(pool)?;
     let mut r = Report::new(
         format!("sweep_{}", doc.name),

@@ -3,7 +3,7 @@
 use redeval::case_study;
 use redeval::cost::CostModel;
 use redeval::decision::ScatterBounds;
-use redeval::exec::{default_threads, Experiment, Pool, Scenario, Sweep};
+use redeval::exec::{default_threads, AnalysisCache, Pool, Scenario, Sweep};
 use redeval::output::{Report, Series, Table, Value};
 use redeval::sensitivity::coa_sensitivities;
 use redeval::{
@@ -400,11 +400,12 @@ pub fn heterogeneous() -> Report {
             &[1, 1, 1],
         ),
     ];
+    // A sweep's designs share one tier stack, and the diverse design has
+    // three tiers: the scenarios evaluate one by one on a shared cache.
+    let cache = AnalysisCache::new();
     let mut t = Table::new("designs", ["design", "asp", "noev", "noap", "coa"]);
-    for e in Experiment::new(scenarios)
-        .run(&Pool::new(default_threads()))
-        .expect("scenarios evaluate")
-    {
+    for sc in &scenarios {
+        let e = sc.evaluate(&cache).expect("scenarios evaluate");
         t.add_row(vec![
             Value::from(e.name.as_str()),
             Value::from(e.after.attack_success_probability),

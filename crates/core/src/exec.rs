@@ -17,19 +17,19 @@
 //!   (count- and name-independent, so one solve serves every design —
 //!   and every later request — sharing a tier's [`ServerParams`]
 //!   numbers);
-//! * [`Scenario`] / [`Experiment`] — one evaluation unit and an executable
-//!   batch of them; the executor groups scenarios that share a spec and
-//!   design so the HARM construction, before-patch metrics and
-//!   availability solves are computed once per group instead of once per
-//!   scenario;
-//! * [`Sweep`] — the declarative grid builder: spec variants × designs ×
-//!   patch policies, run in one call.
+//! * [`Scenario`] — one evaluation unit, evaluated alone by
+//!   [`Scenario::evaluate`];
+//! * [`Sweep`] — the declarative grid: spec variants × designs × patch
+//!   policies, run in one call. Each (variant, design) pair is one cell
+//!   and one pool job, so the HARM construction, before-patch metrics
+//!   and availability solves are computed once per cell instead of once
+//!   per policy.
 //!
 //! # Determinism
 //!
 //! Results come back in grid order regardless of pool size, and every
 //! scenario's numbers are bitwise-identical to a sequential
-//! [`Scenario::evaluate`] call: workers only partition *which* scenarios
+//! [`Scenario::evaluate`] call: workers only partition *which* cells
 //! they compute, never how a scenario is computed, and the shared caches
 //! store values that do not depend on evaluation order.
 //!
@@ -59,6 +59,7 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -224,8 +225,8 @@ impl<T: Send> BatchState<T> {
 }
 
 /// A reusable worker pool: threads spawned once, batches submitted many
-/// times. Every batch of the crate — [`Experiment`], [`Sweep`], the
-/// optimizer, the equilibrium analyzer and the sensitivity analysis —
+/// times. Every batch of the crate — [`Sweep`], the optimizer, the
+/// equilibrium analyzer and the sensitivity analysis —
 /// runs on a pool its caller owns: a CLI run builds one, `redeval serve`
 /// keeps one for its lifetime.
 ///
@@ -417,9 +418,9 @@ enum Slot {
 ///
 /// The lower-layer solve of a tier depends only on its [`ServerParams`],
 /// never on server counts, so one solve serves every design in a batch —
-/// and, when the cache is shared (it is an `Arc` inside [`Sweep`] /
-/// [`Experiment`], and `redeval serve` holds one for its whole
-/// lifetime), every batch in the session. Entries are keyed by
+/// and, when the cache is shared (it is an `Arc` inside [`Sweep`], and
+/// `redeval serve` holds one for its whole lifetime), every batch in the
+/// session. Entries are keyed by
 /// parameter *content* (the thirteen duration bit patterns), not by
 /// tier name: editing one tier's one rate re-solves exactly that tier,
 /// while renames and vulnerability edits re-solve nothing.
@@ -614,9 +615,9 @@ impl AnalysisCache {
 /// One evaluation unit: a design applied to a network spec under a patch
 /// policy and metric configuration.
 ///
-/// The spec is held behind an [`Arc`] so large grids share it instead of
-/// cloning it per scenario; the executor also uses the `Arc` identity to
-/// group scenarios that can share model construction.
+/// The spec is held behind an [`Arc`] so the scenarios of a materialized
+/// grid ([`Sweep::scenarios`]) share it instead of cloning it per
+/// scenario.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Label carried into [`DesignEvaluation::name`].
@@ -649,7 +650,7 @@ impl Scenario {
     }
 
     /// Evaluates this scenario alone, resolving tier solves through
-    /// `cache`. The batch executor runs the same kernel per cell, so the
+    /// `cache`. [`Sweep::run`] runs the same kernel per cell, so the
     /// numbers are bitwise-identical.
     ///
     /// # Errors
@@ -668,164 +669,21 @@ impl Scenario {
     }
 }
 
-/// Evaluates one group of scenarios sharing `(spec, counts, metrics)`:
-/// the HARM, before-patch metrics and availability solves happen once,
-/// the per-policy after-patch metrics once per member.
-fn evaluate_cell(
-    scenarios: &[Scenario],
-    members: &[usize],
-    cache: &AnalysisCache,
-) -> Result<Vec<DesignEvaluation>, EvalError> {
-    let first = &scenarios[members[0]];
-    let tel = cache.telemetry();
-    let _span = tel.span_with(|| format!("cell {}", first.label));
-    tel.add(Counter::CellsEvaluated, 1);
-    tel.add(Counter::DesignsEvaluated, members.len() as u64);
-    tel.add(Counter::HarmBuilds, 1);
-    let analyses = cache.analyses_for(&first.spec)?;
-    evaluate_design(
-        &first.spec,
-        &first.design.counts,
-        &analyses,
-        &first.metrics,
-        members.iter().map(|&i| {
-            let sc = &scenarios[i];
-            (sc.label.clone(), sc.patch)
-        }),
-    )
-}
-
-/// An executable batch of [`Scenario`]s.
-///
-/// Built directly from an explicit scenario list (heterogeneous batches —
-/// different topologies, different tier stacks) or via [`Sweep`] for
-/// regular grids. Running it returns one [`DesignEvaluation`] per
-/// scenario, **in input order**, whatever the pool size.
-#[derive(Debug, Clone)]
-pub struct Experiment {
-    scenarios: Arc<[Scenario]>,
-    cache: Arc<AnalysisCache>,
-}
-
-impl Experiment {
-    /// An experiment over explicit scenarios, with a fresh cache.
-    pub fn new(scenarios: Vec<Scenario>) -> Self {
-        Experiment {
-            scenarios: scenarios.into(),
-            cache: Arc::new(AnalysisCache::new()),
-        }
-    }
-
-    /// Shares an existing analysis cache (e.g. across experiments).
-    pub fn share_cache(mut self, cache: &Arc<AnalysisCache>) -> Self {
-        self.cache = Arc::clone(cache);
-        self
-    }
-
-    /// The scenarios, in evaluation order.
-    pub fn scenarios(&self) -> &[Scenario] {
-        &self.scenarios
-    }
-
-    /// Evaluates every scenario on `pool` and returns the results in
-    /// scenario order, bitwise-identical for any pool size.
-    ///
-    /// Scenarios sharing `(spec, counts, metrics)` are grouped so the
-    /// policy-independent work (HARM construction, before-patch metrics,
-    /// availability solves) is computed once per group; groups are the
-    /// pool's jobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the earliest failing scenario (grid order).
-    pub fn run(&self, pool: &Pool) -> Result<Vec<DesignEvaluation>, EvalError> {
-        let cells = Arc::new(self.cells());
-        let scenarios = Arc::clone(&self.scenarios);
-        let cache = Arc::clone(&self.cache);
-        let tel = self.cache.telemetry();
-        let _span = tel.span_with(|| format!("experiment ({} cells)", cells.len()));
-        tel.add(Counter::PoolBatches, 1);
-        tel.add(Counter::PoolJobs, cells.len() as u64);
-        let job_cells = Arc::clone(&cells);
-        let cell_results = pool.run_batch(cells.len(), move |ci| {
-            evaluate_cell(&scenarios, &job_cells[ci], &cache)
-        });
-        Self::collect(&cells, cell_results, self.scenarios.len())
-    }
-
-    /// Groups scenarios that share spec identity, counts and metric
-    /// configuration. Spec identity is Arc pointer identity: distinct
-    /// Arcs with equal contents simply form separate groups.
-    fn cells(&self) -> Vec<Vec<usize>> {
-        let mut cells: Vec<Vec<usize>> = Vec::new();
-        let mut by_key: HashMap<(usize, &[u32]), Vec<usize>> = HashMap::new();
-        for (i, sc) in self.scenarios.iter().enumerate() {
-            let key = (Arc::as_ptr(&sc.spec) as usize, sc.design.counts.as_slice());
-            let candidates = by_key.entry(key).or_default();
-            match candidates
-                .iter()
-                .find(|&&ci| self.scenarios[cells[ci][0]].metrics == sc.metrics)
-            {
-                Some(&ci) => cells[ci].push(i),
-                None => {
-                    candidates.push(cells.len());
-                    cells.push(vec![i]);
-                }
-            }
-        }
-        cells
-    }
-
-    /// Scatters per-cell results back to scenario order, reporting the
-    /// earliest error a sequential run would have hit.
-    fn collect(
-        cells: &[Vec<usize>],
-        cell_results: Vec<Result<Vec<DesignEvaluation>, EvalError>>,
-        scenarios: usize,
-    ) -> Result<Vec<DesignEvaluation>, EvalError> {
-        let mut out: Vec<Option<DesignEvaluation>> = (0..scenarios).map(|_| None).collect();
-        let mut first_err: Option<EvalError> = None;
-        let mut first_err_at = usize::MAX;
-        for (members, result) in cells.iter().zip(cell_results) {
-            match result {
-                Ok(evals) => {
-                    for (&i, e) in members.iter().zip(evals) {
-                        out[i] = Some(e);
-                    }
-                }
-                Err(err) => {
-                    // A cell fails as a unit; its earliest member is where
-                    // a sequential run would first hit the same error.
-                    let at = members[0];
-                    if at < first_err_at {
-                        first_err_at = at;
-                        first_err = Some(err);
-                    }
-                }
-            }
-        }
-        if let Some(err) = first_err {
-            return Err(err);
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("every scenario evaluated"))
-            .collect())
-    }
-}
-
 /// Declarative grid builder: spec variants × designs × patch policies.
 ///
 /// Grid order is variant-major, then design, then policy — the order
-/// [`Sweep::scenarios`] materializes and [`Sweep::run`] returns.
+/// [`Sweep::scenarios`] materializes and [`Sweep::run`] returns. Each
+/// (variant, design) pair is one *cell*: [`Sweep::run`] evaluates it as
+/// one pool job under every policy. The axes are held behind [`Arc`]s,
+/// so handing a sweep to the pool copies none of them.
 ///
 /// See the [module docs](self) for an example.
 #[derive(Debug, Clone)]
 pub struct Sweep {
     base: Arc<NetworkSpec>,
-    variants: Option<Vec<(String, Arc<NetworkSpec>)>>,
-    designs: Vec<Design>,
-    policies: Vec<PatchPolicy>,
+    variants: Arc<[(String, Arc<NetworkSpec>)]>,
+    designs: Arc<[Design]>,
+    policies: Arc<[PatchPolicy]>,
     metrics: MetricsConfig,
     cache: Arc<AnalysisCache>,
 }
@@ -834,15 +692,16 @@ impl Sweep {
     /// A sweep over `base` with its current counts as the single design,
     /// the paper's critical-only policy, default metrics and a fresh
     /// cache.
-    pub fn new(base: NetworkSpec) -> Self {
+    pub fn new(base: impl Into<Arc<NetworkSpec>>) -> Self {
+        let base = base.into();
         let counts: Vec<u32> = base.tiers().iter().map(|t| t.count).collect();
         let names: Vec<&str> = base.tiers().iter().map(|t| t.name.as_str()).collect();
         let design = Design::new(Design::conventional_name(&names, &counts), counts);
         Sweep {
-            base: Arc::new(base),
-            variants: None,
-            designs: vec![design],
-            policies: vec![PatchPolicy::CriticalOnly(8.0)],
+            variants: Arc::new([(String::new(), Arc::clone(&base))]),
+            base,
+            designs: Arc::new([design]),
+            policies: Arc::new([PatchPolicy::CriticalOnly(8.0)]),
             metrics: MetricsConfig::default(),
             cache: Arc::new(AnalysisCache::new()),
         }
@@ -885,7 +744,7 @@ impl Sweep {
     /// Panics on an empty design list.
     pub fn designs(mut self, designs: Vec<Design>) -> Self {
         assert!(!designs.is_empty(), "at least one design required");
-        self.designs = designs;
+        self.designs = designs.into();
         self
     }
 
@@ -903,7 +762,7 @@ impl Sweep {
     /// Panics on an empty policy list.
     pub fn policies(mut self, policies: Vec<PatchPolicy>) -> Self {
         assert!(!policies.is_empty(), "at least one policy required");
-        self.policies = policies;
+        self.policies = policies.into();
         self
     }
 
@@ -914,12 +773,10 @@ impl Sweep {
     /// Panics on an empty variant list.
     pub fn variants(mut self, variants: Vec<(String, NetworkSpec)>) -> Self {
         assert!(!variants.is_empty(), "at least one variant required");
-        self.variants = Some(
-            variants
-                .into_iter()
-                .map(|(name, spec)| (name, Arc::new(spec)))
-                .collect(),
-        );
+        self.variants = variants
+            .into_iter()
+            .map(|(name, spec)| (name, Arc::new(spec)))
+            .collect();
         self
     }
 
@@ -954,37 +811,34 @@ impl Sweep {
         self
     }
 
-    /// Materializes the grid in variant-major, design, policy order.
-    ///
-    /// Labels are the design name, prefixed with the variant name and
-    /// suffixed with the policy when the corresponding axis has more than
-    /// one point.
+    /// The label of one grid point: the design name, prefixed with the
+    /// variant name and suffixed with the policy when the corresponding
+    /// axis has more than one point.
+    fn label(&self, variant: &str, design: &Design, policy: PatchPolicy) -> String {
+        let mut label = String::new();
+        if self.variants.len() > 1 && !variant.is_empty() {
+            label.push_str(variant);
+            label.push_str(" | ");
+        }
+        label.push_str(&design.name);
+        if self.policies.len() > 1 {
+            let _ = write!(label, " | {policy}");
+        }
+        label
+    }
+
+    /// Materializes the grid in variant-major, design, policy order,
+    /// labelled as [`Sweep::run`] labels its results.
     pub fn scenarios(&self) -> Vec<Scenario> {
-        let base_variant = [(String::new(), Arc::clone(&self.base))];
-        let variants: &[(String, Arc<NetworkSpec>)] = match &self.variants {
-            Some(v) => v,
-            None => &base_variant,
-        };
-        let multi_variant = variants.len() > 1;
-        let multi_policy = self.policies.len() > 1;
-        let mut out = Vec::with_capacity(variants.len() * self.designs.len() * self.policies.len());
-        for (vname, vspec) in variants {
-            for design in &self.designs {
-                for &policy in &self.policies {
-                    let mut label = String::new();
-                    if multi_variant && !vname.is_empty() {
-                        label.push_str(vname);
-                        label.push_str(" | ");
-                    }
-                    label.push_str(&design.name);
-                    if multi_policy {
-                        label.push_str(&format!(" | {policy}"));
-                    }
+        let mut out = Vec::with_capacity(self.len());
+        for (variant, spec) in self.variants.iter() {
+            for design in self.designs.iter() {
+                for &patch in self.policies.iter() {
                     out.push(Scenario {
-                        label,
-                        spec: Arc::clone(vspec),
+                        label: self.label(variant, design, patch),
+                        spec: Arc::clone(spec),
                         design: design.clone(),
-                        patch: policy,
+                        patch,
                         metrics: self.metrics,
                     });
                 }
@@ -995,8 +849,7 @@ impl Sweep {
 
     /// The total number of grid points.
     pub fn len(&self) -> usize {
-        let variants = self.variants.as_ref().map_or(1, Vec::len);
-        variants * self.designs.len() * self.policies.len()
+        self.variants.len() * self.designs.len() * self.policies.len()
     }
 
     /// Whether the grid is empty (never true: every axis keeps ≥ 1 point).
@@ -1004,22 +857,49 @@ impl Sweep {
         self.len() == 0
     }
 
-    /// Builds the executable [`Experiment`] for this grid.
-    pub fn build(&self) -> Experiment {
-        Experiment {
-            scenarios: self.scenarios().into(),
-            cache: Arc::clone(&self.cache),
-        }
-    }
-
-    /// Materializes the grid and runs it on `pool`; results follow grid
-    /// order.
+    /// Runs the grid on `pool`, one job per (variant, design) cell, and
+    /// returns the results in grid order, bitwise-identical for any pool
+    /// size.
+    ///
+    /// A cell builds the HARM, the before-patch metrics and the
+    /// availability solves once and then evaluates every policy.
     ///
     /// # Errors
     ///
-    /// Returns the error of the earliest failing scenario.
+    /// Returns the error of the earliest failing scenario (grid order).
     pub fn run(&self, pool: &Pool) -> Result<Vec<DesignEvaluation>, EvalError> {
-        self.build().run(pool)
+        let cells = self.variants.len() * self.designs.len();
+        let tel = self.cache.telemetry();
+        let _span = tel.span_with(|| format!("experiment ({cells} cells)"));
+        tel.add(Counter::PoolBatches, 1);
+        tel.add(Counter::PoolJobs, cells as u64);
+        let sweep = Arc::new(self.clone());
+        let results = pool.run_batch(cells, move |cell| {
+            let (variant, spec) = &sweep.variants[cell / sweep.designs.len()];
+            let design = &sweep.designs[cell % sweep.designs.len()];
+            let tel = sweep.cache.telemetry();
+            let _span = tel
+                .span_with(|| format!("cell {}", sweep.label(variant, design, sweep.policies[0])));
+            tel.add(Counter::CellsEvaluated, 1);
+            tel.add(Counter::DesignsEvaluated, sweep.policies.len() as u64);
+            tel.add(Counter::HarmBuilds, 1);
+            let analyses = sweep.cache.analyses_for(spec)?;
+            evaluate_design(
+                spec,
+                &design.counts,
+                &analyses,
+                &sweep.metrics,
+                sweep
+                    .policies
+                    .iter()
+                    .map(|&policy| (sweep.label(variant, design, policy), policy)),
+            )
+        });
+        let mut out = Vec::with_capacity(self.len());
+        for evals in results {
+            out.extend(evals?);
+        }
+        Ok(out)
     }
 }
 
@@ -1126,22 +1006,17 @@ mod tests {
         let sweep = Sweep::new(case_study::network())
             .designs(case_study::five_designs())
             .policies(vec![PatchPolicy::CriticalOnly(8.0), PatchPolicy::All]);
-        let exp = sweep.build();
-        let single = exp.run(&Pool::new(1)).unwrap();
-        let pooled = exp.run(&pool).unwrap();
+        let single = sweep.run(&Pool::new(1)).unwrap();
+        let pooled = sweep.run(&pool).unwrap();
         assert_eq!(single, pooled);
         for (a, b) in single.iter().zip(&pooled) {
             assert_eq!(a.coa.to_bits(), b.coa.to_bits());
             assert_eq!(a.availability.to_bits(), b.availability.to_bits());
         }
         // Errors surface identically too.
-        let spec = Arc::new(case_study::network());
-        let bad = Experiment::new(vec![Scenario::new(
-            "bad",
-            spec,
-            Design::new("bad", vec![1, 1]),
-            PatchPolicy::All,
-        )]);
+        let bad = Sweep::new(case_study::network())
+            .designs(vec![Design::new("bad", vec![1, 1])])
+            .policies(vec![PatchPolicy::All]);
         assert!(matches!(
             bad.run(&pool),
             Err(EvalError::CountMismatch { .. })
@@ -1280,24 +1155,58 @@ mod tests {
 
     #[test]
     fn experiment_reports_earliest_error() {
-        let spec = Arc::new(case_study::network());
-        let good = Scenario::new(
-            "ok",
-            Arc::clone(&spec),
-            Design::new("ok", vec![1, 1, 1, 1]),
-            PatchPolicy::All,
-        );
-        let bad = Scenario::new(
-            "bad",
-            Arc::clone(&spec),
-            Design::new("bad", vec![1, 1]),
-            PatchPolicy::All,
-        );
-        let exp = Experiment::new(vec![good, bad]);
+        let sweep = Sweep::new(case_study::network())
+            .designs(vec![
+                Design::new("ok", vec![1, 1, 1, 1]),
+                Design::new("bad", vec![1, 1]),
+                Design::new("worse", vec![1, 1, 1]),
+            ])
+            .policies(vec![PatchPolicy::None, PatchPolicy::All]);
         assert!(matches!(
-            exp.run(&Pool::new(2)),
-            Err(EvalError::CountMismatch { .. })
+            sweep.run(&Pool::new(2)),
+            Err(EvalError::CountMismatch { got: 2, .. })
         ));
+    }
+
+    #[test]
+    fn sweep_run_records_one_batch_span_and_a_span_per_cell() {
+        // The span names and counters a profiled sweep leaves behind are
+        // read back by trace consumers: one batch span, one `cell` span
+        // per (variant, design) named after the cell's first point.
+        let tel = Telemetry::profiler();
+        let cache = Arc::new(AnalysisCache::with_telemetry(tel.clone()));
+        let sweep = Sweep::new(case_study::network())
+            .patch_intervals_days(&[7.0, 30.0])
+            .designs(case_study::five_designs()[..3].to_vec())
+            .policies(vec![PatchPolicy::None, PatchPolicy::All])
+            .share_cache(&cache);
+        assert_eq!(sweep.run(&Pool::new(2)).unwrap().len(), 12);
+        let spans = tel.spans();
+        let batches: Vec<&str> = spans
+            .iter()
+            .map(|s| s.name.as_str())
+            .filter(|n| n.starts_with("experiment"))
+            .collect();
+        assert_eq!(batches, ["experiment (6 cells)"]);
+        let mut cells: Vec<&str> = spans
+            .iter()
+            .filter_map(|s| s.name.strip_prefix("cell "))
+            .collect();
+        cells.sort_unstable();
+        let scenarios = sweep.scenarios();
+        let mut expected: Vec<&str> = scenarios
+            .iter()
+            .step_by(2)
+            .map(|sc| sc.label.as_str())
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(cells, expected);
+        let snap = tel.snapshot();
+        assert_eq!(snap.get(Counter::PoolBatches), 1);
+        assert_eq!(snap.get(Counter::PoolJobs), 6);
+        assert_eq!(snap.get(Counter::CellsEvaluated), 6);
+        assert_eq!(snap.get(Counter::HarmBuilds), 6);
+        assert_eq!(snap.get(Counter::DesignsEvaluated), 12);
     }
 
     #[test]

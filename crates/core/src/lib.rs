@@ -77,7 +77,7 @@ pub mod telemetry;
 pub use equilibrium::{EquilibriumAnalyzer, EquilibriumOutcome};
 pub use error::{EvalError, SpecIssue};
 pub use evaluation::{DesignEvaluation, ParsePolicyError, PatchPolicy};
-pub use exec::{AnalysisCache, Experiment, Pool, Scenario, Sweep};
+pub use exec::{AnalysisCache, Pool, Scenario, Sweep};
 pub use optimize::{OptimizeOutcome, Optimizer};
 pub use scenario::{ScenarioDoc, ScenarioError};
 pub use spec::{Design, NetworkSpec, TierSpec};

@@ -6,13 +6,12 @@
 //!
 //! The candidate space is the box `[1, max_redundancy]^T` of per-tier
 //! counts crossed with the patch-policy list — the same space
-//! [`Sweep::full_design_space`](crate::exec::Sweep::full_design_space)
-//! materializes eagerly, which caps it at grids the executor can hold.
-//! The optimizer instead subdivides the box and prunes sub-boxes whose
-//! *optimistic* objective point is already dominated by the incremental
-//! Pareto front ([`ParetoFront`]) on
-//! (after-patch ASP ↓, COA ↑), so only candidates near the frontier are
-//! ever evaluated.
+//! [`Sweep::full_design_space`] materializes eagerly, which caps it at
+//! grids the executor can hold. The optimizer instead subdivides the
+//! box and prunes sub-boxes whose *optimistic* objective point is
+//! already dominated by the incremental Pareto front ([`ParetoFront`])
+//! on (after-patch ASP ↓, COA ↑), so only candidates near the frontier
+//! are ever evaluated.
 //!
 //! # Why the bounds are sound (DESIGN.md §11)
 //!
@@ -50,13 +49,13 @@
 //! # Determinism
 //!
 //! Traversal is a fixed-order wave loop: boxes split on the widest tier
-//! range (lowest tier index on ties, counts ascending), corner designs
-//! evaluate through [`Experiment`] on the caller's [`Pool`] (bitwise
-//! invariant in the pool size), and the front updates sequentially in
-//! wave order. The reported frontier is re-sorted under the exhaustive
-//! tie-break (ascending ASP, then design-enumeration order, then policy
-//! order), so the outcome is byte-identical to [`pareto_frontier`] over
-//! the materialized grid on any pool.
+//! range (lowest tier index on ties, counts ascending), each wave's
+//! corner designs evaluate as one [`Sweep`] on the caller's [`Pool`]
+//! (bitwise invariant in the pool size), and the front updates
+//! sequentially in wave order. The reported frontier is re-sorted under
+//! the exhaustive tie-break (ascending ASP, then design-enumeration
+//! order, then policy order), so the outcome is byte-identical to
+//! [`pareto_frontier`] over the materialized grid on any pool.
 //!
 //! # Examples
 //!
@@ -85,7 +84,7 @@ use redeval_harm::MetricsConfig;
 use crate::decision::{pareto_frontier, ParetoFront};
 use crate::error::EvalError;
 use crate::evaluation::{DesignEvaluation, PatchPolicy};
-use crate::exec::{AnalysisCache, Experiment, Pool, Scenario};
+use crate::exec::{AnalysisCache, Pool, Sweep};
 use crate::spec::{Design, NetworkSpec};
 
 /// Default per-tier count bound when a request does not name one —
@@ -275,10 +274,10 @@ impl OptimizeOutcome {
 /// Deterministic branch-and-bound over the redundancy-count design
 /// space (see the [module docs](self)).
 ///
-/// Mirrors the [`Sweep`](crate::exec::Sweep) builder: policies and
-/// metrics default from the scenario document, and
-/// [`run`](Optimizer::run) evaluates on the caller's [`Pool`] with a
-/// shared [`AnalysisCache`] for per-tier solve dedup.
+/// Mirrors the [`Sweep`] builder: policies and metrics default from the
+/// scenario document, and [`run`](Optimizer::run) evaluates on the
+/// caller's [`Pool`] with a shared [`AnalysisCache`] for per-tier solve
+/// dedup.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     spec: Arc<NetworkSpec>,
@@ -350,21 +349,9 @@ impl Optimizer {
         f64::from(self.max_redundancy).powi(self.spec.tiers().len() as i32)
     }
 
-    /// The scenario label convention shared with
-    /// [`Sweep::scenarios`](crate::exec::Sweep): the design name,
-    /// policy-suffixed only when the policy axis has more than one
-    /// point.
-    fn label(&self, design_name: &str, policy: PatchPolicy) -> String {
-        if self.policies.len() > 1 {
-            format!("{design_name} | {policy}")
-        } else {
-            design_name.to_string()
-        }
-    }
-
-    /// Evaluates the not-yet-memoized designs of `need` (all policies
-    /// per design, grouped exactly like a sweep cell) and offers every
-    /// cell to the front.
+    /// Evaluates the not-yet-memoized designs of `need` as one [`Sweep`]
+    /// (all policies per design, one cell each) and offers every result
+    /// to the front.
     fn evaluate_wave(
         &self,
         pool: &Pool,
@@ -376,20 +363,14 @@ impl Optimizer {
             return Ok(());
         }
         let names: Vec<&str> = self.spec.tiers().iter().map(|t| t.name.as_str()).collect();
-        let mut scenarios = Vec::with_capacity(need.len() * self.policies.len());
-        for counts in need {
-            let name = Design::conventional_name(&names, counts);
-            for &policy in &self.policies {
-                scenarios.push(Scenario {
-                    label: self.label(&name, policy),
-                    spec: Arc::clone(&self.spec),
-                    design: Design::new(name.clone(), counts.clone()),
-                    patch: policy,
-                    metrics: self.metrics,
-                });
-            }
-        }
-        let evals = Experiment::new(scenarios)
+        let designs = need
+            .iter()
+            .map(|counts| Design::new(Design::conventional_name(&names, counts), counts.clone()))
+            .collect();
+        let evals = Sweep::new(Arc::clone(&self.spec))
+            .designs(designs)
+            .policies(self.policies.clone())
+            .metrics(self.metrics)
             .share_cache(&self.cache)
             .run(pool)?;
         for (counts, cell) in need.iter().zip(evals.chunks(self.policies.len())) {
@@ -534,7 +515,7 @@ pub fn exhaustive_frontier(
     optimizer: &Optimizer,
     pool: &Pool,
 ) -> Result<Vec<DesignEvaluation>, EvalError> {
-    let evals = crate::exec::Sweep::new((*optimizer.spec).clone())
+    let evals = Sweep::new(Arc::clone(&optimizer.spec))
         .full_design_space(optimizer.max_redundancy)
         .policies(optimizer.policies.clone())
         .metrics(optimizer.metrics)

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use redeval_avail::{Durations, ServerParams};
 
-use crate::exec::Pool;
+use crate::exec::{AnalysisCache, Pool};
 use crate::spec::NetworkSpec;
 use crate::EvalError;
 
@@ -93,9 +93,11 @@ pub struct Sensitivity {
 /// central differences with relative step `rel_step` (e.g. `0.05`),
 /// sorted by descending |elasticity|.
 ///
-/// The perturbation pairs (each costs two full pipeline solves) are the
-/// jobs of one `pool` batch. They are computed independently and merged
-/// in job order before the stable sort, so the ranking is
+/// The perturbation pairs (each costs two pipeline evaluations) are the
+/// jobs of one `pool` batch. They resolve tier solves through one
+/// [`AnalysisCache`], so each perturbation solves only its perturbed
+/// tier. Pairs are merged in job order before the stable sort, and a
+/// cache hit returns the numbers a fresh solve would, so the ranking is
 /// bitwise-identical for any pool size.
 ///
 /// # Errors
@@ -115,7 +117,8 @@ pub fn coa_sensitivities(
         rel_step > 0.0 && rel_step < 0.5,
         "relative step must be in (0, 0.5)"
     );
-    let base_loss = 1.0 - coa_of(spec, counts)?;
+    let cache = Arc::new(AnalysisCache::new());
+    let base_loss = 1.0 - coa_of(&cache, spec, counts)?;
     let spec = Arc::new(spec.clone());
     let counts = counts.to_vec();
     let per_tier = Parameter::ALL.len();
@@ -129,7 +132,8 @@ pub fn coa_sensitivities(
             let perturbed = |value: f64| -> Result<f64, EvalError> {
                 let mut tiers = spec.tiers().to_vec();
                 param.set(&mut tiers[ti].params, value);
-                coa_of(&NetworkSpec::new(tiers, spec.edges().to_vec()), &counts)
+                let varied = NetworkSpec::new(tiers, spec.edges().to_vec());
+                coa_of(&cache, &varied, &counts)
             };
             let hi = 1.0 - perturbed(theta + step)?;
             let lo = 1.0 - perturbed(theta - step)?;
@@ -158,11 +162,11 @@ pub fn coa_sensitivities(
     Ok(out)
 }
 
-/// Product-form COA of `spec` at `counts`, through a fresh lower-layer
-/// solve.
-fn coa_of(spec: &NetworkSpec, counts: &[u32]) -> Result<f64, EvalError> {
+/// Product-form COA of `spec` at `counts`, its lower-layer solves
+/// resolved through `cache`.
+fn coa_of(cache: &AnalysisCache, spec: &NetworkSpec, counts: &[u32]) -> Result<f64, EvalError> {
     let design = spec.with_counts(counts)?;
-    let analyses = design.tier_analyses()?;
+    let analyses = cache.analyses_for(&design)?;
     Ok(design.network_model(&analyses).coa()?)
 }
 

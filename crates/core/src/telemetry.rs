@@ -43,6 +43,8 @@ use std::time::Instant;
 
 use redeval_markov::SolveStats;
 
+use crate::output::push_json_str;
+
 /// The deterministic counters tracked by [`Telemetry`].
 ///
 /// Each is a monotone sum over completed work items; see the
@@ -360,10 +362,11 @@ impl Telemetry {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"name\":");
+            push_json_str(&mut out, &s.name);
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-                escape_json(&s.name),
+                ",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
                 s.tid,
                 s.start_ns as f64 / 1000.0,
                 (s.end_ns - s.start_ns) as f64 / 1000.0,
@@ -513,21 +516,6 @@ fn span_tree(spans: &[SpanRecord]) -> String {
     }
     let mut out = String::new();
     tree.render(0, 0, &mut out);
-    out
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -42,7 +42,7 @@ pub mod prelude {
     pub use redeval::charts;
     pub use redeval::cost::CostModel;
     pub use redeval::decision::{MultiBounds, ScatterBounds};
-    pub use redeval::exec::{self, AnalysisCache, Experiment, Pool, Scenario, Sweep};
+    pub use redeval::exec::{self, AnalysisCache, Pool, Scenario, Sweep};
     pub use redeval::{
         AspStrategy, AttackGraph, AttackTree, Design, DesignEvaluation, Durations, EvalError, Harm,
         MetricsConfig, NetworkModel, NetworkSpec, OrCombine, PatchPolicy, SecurityMetrics,

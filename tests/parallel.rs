@@ -148,63 +148,3 @@ fn pareto_frontier_is_thread_count_independent() {
         assert_eq!(sequential, pareto_frontier(&pooled));
     }
 }
-
-#[test]
-fn experiment_mixes_topologies_in_one_batch() {
-    // Scenarios need not share a spec: a heterogeneous batch evaluates
-    // like the individual scenarios do.
-    let case = Arc::new(case_study::network());
-    let custom = Arc::new({
-        let tree = |cve: &str| Some(AttackTree::leaf(Vulnerability::new(cve, 10.0, 0.9)));
-        NetworkSpec::new(
-            vec![
-                TierSpec {
-                    name: "edge".into(),
-                    count: 2,
-                    params: ServerParams::builder("edge").build(),
-                    tree: tree("CVE-E"),
-                    entry: true,
-                    target: false,
-                },
-                TierSpec {
-                    name: "core".into(),
-                    count: 1,
-                    params: ServerParams::builder("core").build(),
-                    tree: tree("CVE-C"),
-                    entry: false,
-                    target: true,
-                },
-            ],
-            vec![(0, 1)],
-        )
-    });
-    let scenarios = vec![
-        Scenario::new(
-            "case 1+2+2+1",
-            Arc::clone(&case),
-            Design::new("case", vec![1, 2, 2, 1]),
-            PatchPolicy::CriticalOnly(8.0),
-        ),
-        Scenario::new(
-            "custom 2+1",
-            Arc::clone(&custom),
-            Design::new("custom", vec![2, 1]),
-            PatchPolicy::All,
-        ),
-        Scenario::new(
-            "custom 3+2",
-            Arc::clone(&custom),
-            Design::new("custom", vec![3, 2]),
-            PatchPolicy::None,
-        ),
-    ];
-    let experiment = Experiment::new(scenarios.clone());
-    let batch = experiment.run(&Pool::new(3)).expect("batch evaluates");
-    let cache = AnalysisCache::new();
-    for (b, sc) in batch.iter().zip(&scenarios) {
-        let single = sc.evaluate(&cache).expect("scenario evaluates");
-        assert_eq!(b, &single);
-    }
-    assert_eq!(batch[0].name, "case 1+2+2+1");
-    assert!(batch[2].before == batch[2].after); // PatchPolicy::None
-}
