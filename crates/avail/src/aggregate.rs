@@ -1,6 +1,7 @@
 //! Steady-state analysis of one server and the paper's two-state
 //! aggregation (Equations (1) and (2)).
 
+use redeval_markov::{BirthDeath, SolveError};
 use redeval_srn::SrnError;
 
 use crate::params::ServerParams;
@@ -28,6 +29,17 @@ impl AggregatedRates {
     /// Mean time to recovery, `1/µ_eq` (hours).
     pub fn mttr(&self) -> f64 {
         1.0 / self.mu_eq
+    }
+
+    /// Steady-state distribution of the number of **down** servers among
+    /// `count` servers with these rates (independent patch clocks →
+    /// machine-repair birth–death chain), indexed by down servers.
+    ///
+    /// # Errors
+    ///
+    /// Propagates invalid-rate errors.
+    pub fn down_distribution(&self, count: u32) -> Result<Vec<f64>, SolveError> {
+        BirthDeath::machine_repair(count as usize, self.lambda_eq, self.mu_eq).steady_state()
     }
 }
 

@@ -1,7 +1,7 @@
 //! The upper-layer network availability model (the paper's Figure 4) and
 //! the capacity-oriented availability reward (Table VI).
 
-use redeval_markov::{BirthDeath, SolveError};
+use redeval_markov::SolveError;
 use redeval_srn::{PlaceId, Srn, SrnError};
 
 use crate::aggregate::AggregatedRates;
@@ -44,6 +44,41 @@ pub struct NetworkMeasures {
     pub availability: f64,
     /// Expected running servers ([`NetworkModel::expected_up_servers`]).
     pub expected_up: f64,
+}
+
+impl NetworkMeasures {
+    /// The measures of a network of independent tiers, from each tier's
+    /// steady-state distribution of down servers: `dists[i][k]` is the
+    /// probability that `k` of tier `i`'s `dists[i].len() − 1` servers are
+    /// down ([`AggregatedRates::down_distribution`]).
+    ///
+    /// Up to 2²⁰ joint states this is one pass over them; above, the
+    /// algebraically identical factored forms.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dists` is empty or a tier has no server (a
+    /// distribution shorter than 2).
+    pub fn from_down_distributions(dists: &[&[f64]]) -> NetworkMeasures {
+        assert!(!dists.is_empty(), "at least one tier required");
+        assert!(
+            dists.iter().all(|d| d.len() >= 2),
+            "a tier needs at least one server"
+        );
+        let total: u32 = dists.iter().map(|d| servers(d)).sum();
+        if !factored(dists) {
+            return enumerate(dists, total);
+        }
+        let n = dists.len();
+        let quorum = tier_moments(dists, &vec![1; n]);
+        // No indicator: `E[Σᵢ upᵢ]` is the sum of per-tier means.
+        let all = tier_moments(dists, &vec![0; n]);
+        NetworkMeasures {
+            coa: quorum_coa_factored(&quorum, total),
+            availability: quorum.iter().map(|&(p, _)| p).product(),
+            expected_up: all.iter().map(|&(_, m)| m).sum(),
+        }
+    }
 }
 
 /// The composed network model: independent per-tier birth–death processes
@@ -94,7 +129,7 @@ impl NetworkModel {
     }
 
     /// Steady-state distribution of the number of **down** servers in tier
-    /// `i` (independent patch clocks → machine-repair birth–death).
+    /// `i` ([`AggregatedRates::down_distribution`] of its rates and count).
     ///
     /// # Errors
     ///
@@ -105,8 +140,7 @@ impl NetworkModel {
     /// Panics when `i` is out of range.
     pub fn tier_down_distribution(&self, i: usize) -> Result<Vec<f64>, SolveError> {
         let t = &self.tiers[i];
-        BirthDeath::machine_repair(t.count as usize, t.rates.lambda_eq, t.rates.mu_eq)
-            .steady_state()
+        t.rates.down_distribution(t.count)
     }
 
     /// Every tier's [`tier_down_distribution`](Self::tier_down_distribution),
@@ -117,144 +151,17 @@ impl NetworkModel {
             .collect()
     }
 
-    /// Joint states `Π (countᵢ + 1)` the mixed-radix enumeration of
-    /// [`measures`](Self::measures) visits (saturating).
-    fn joint_states(&self) -> u128 {
-        self.tiers
-            .iter()
-            .fold(1u128, |acc, t| acc.saturating_mul(u128::from(t.count) + 1))
-    }
-
-    /// Above this joint-state count the separable reward measures (COA,
-    /// availability, expected up servers) switch from exact
-    /// enumeration to the algebraically identical factored form — the
-    /// enumeration is exponential in the tier count and a fleet-scale
-    /// network (hundreds of tiers) never finishes it. Small networks
-    /// keep the enumeration path so pinned numbers stay bit-identical.
-    const FACTORED_THRESHOLD: u128 = 1 << 20;
-
-    /// Whether the separable measures take the factored form.
-    fn factored(&self) -> bool {
-        self.joint_states() > Self::FACTORED_THRESHOLD
-    }
-
-    /// Per-tier `(P(upᵢ ≥ qᵢ), E[upᵢ · 1{upᵢ ≥ qᵢ}])` for the factored
-    /// forms, from the tiers' down distributions.
-    fn tier_moments(&self, dists: &[Vec<f64>], quorum: &[u32]) -> Vec<(f64, f64)> {
-        dists
-            .iter()
-            .zip(&self.tiers)
-            .zip(quorum)
-            .map(|((dist, tier), &q)| {
-                let mut p = 0.0;
-                let mut m = 0.0;
-                for (down, &prob) in dist.iter().enumerate() {
-                    let up = tier.count - down as u32;
-                    if up >= q {
-                        p += prob;
-                        m += prob * f64::from(up);
-                    }
-                }
-                (p, m)
-            })
-            .collect()
-    }
-
-    /// Factored quorum COA from the quorum's [`tier_moments`](Self::tier_moments).
-    /// Tiers are independent, so
-    /// `E[Σᵢ upᵢ · Πⱼ 1{upⱼ ≥ qⱼ}] = Σᵢ mᵢ · Πⱼ≠ᵢ pⱼ`; prefix/suffix
-    /// products keep it `O(n)` without dividing by a possibly-zero `pᵢ`.
-    fn quorum_coa_factored(&self, moments: &[(f64, f64)]) -> f64 {
-        let n = moments.len();
-        let mut prefix = vec![1.0; n + 1];
-        for (i, &(p, _)) in moments.iter().enumerate() {
-            prefix[i + 1] = prefix[i] * p;
-        }
-        let mut suffix = vec![1.0; n + 1];
-        for i in (0..n).rev() {
-            suffix[i] = suffix[i + 1] * moments[i].0;
-        }
-        let mut up_sum = 0.0;
-        for (i, &(_, m)) in moments.iter().enumerate() {
-            up_sum += prefix[i] * m * suffix[i + 1];
-        }
-        up_sum / f64::from(self.total_servers())
-    }
-
     /// COA, availability and expected running servers together — what
     /// every design evaluation needs — from one birth–death solve per
-    /// tier and, below the factoring threshold, one pass over the joint
-    /// states.
+    /// tier and [`NetworkMeasures::from_down_distributions`].
     ///
     /// # Errors
     ///
     /// Propagates solver errors.
     pub fn measures(&self) -> Result<NetworkMeasures, SolveError> {
         let dists = self.tier_down_distributions()?;
-        let n = self.tiers.len();
-        if self.factored() {
-            let quorum = self.tier_moments(&dists, &vec![1; n]);
-            // No indicator: `E[Σᵢ upᵢ]` is the sum of per-tier means.
-            let all = self.tier_moments(&dists, &vec![0; n]);
-            return Ok(NetworkMeasures {
-                coa: self.quorum_coa_factored(&quorum),
-                availability: quorum.iter().map(|&(p, _)| p).product(),
-                expected_up: all.iter().map(|&(_, m)| m).sum(),
-            });
-        }
-        // One pass over the joint states in mixed-radix order (tier 0
-        // fastest), with tier 0 as the inner loop. Each state's
-        // probability is still the left-to-right product from tier 0
-        // (`1.0 · x` is exact, so it starts at tier 0's factor); what the
-        // outer tiers contribute — their factors, up servers and whether
-        // one of them is down — is set once per outer state. A state
-        // with some tier down adds `p · 0.0` to COA and availability,
-        // which is exact to skip, and `p · 1.0` is `p`: each total sees
-        // the arithmetic of the single-reward pass.
-        let total = self.total_servers() as f64;
-        let share: Vec<f64> = (0..=self.total_servers())
-            .map(|up| up as f64 / total)
-            .collect();
-        let (first, outer_dists) = dists.split_first().expect("at least one tier");
-        let count0 = self.tiers[0].count;
-        let outer_counts: Vec<u32> = self.tiers[1..].iter().map(|t| t.count).collect();
-        let mut outer = vec![0usize; outer_counts.len()];
-        let mut factors = vec![0.0; outer_counts.len()];
-        let (mut coa, mut availability, mut expected_up) = (0.0, 0.0, 0.0);
-        loop {
-            let mut outer_up = 0;
-            let mut outer_out = false;
-            for (((f, &down), dist), &count) in factors
-                .iter_mut()
-                .zip(&outer)
-                .zip(outer_dists)
-                .zip(&outer_counts)
-            {
-                *f = dist[down];
-                outer_up += count - down as u32;
-                outer_out |= down as u32 == count;
-            }
-            for (down0, &p0) in first.iter().enumerate() {
-                let p = factors.iter().fold(p0, |p, &f| p * f);
-                if p > 0.0 {
-                    let up0 = count0 - down0 as u32;
-                    let up = outer_up + up0;
-                    if !outer_out && up0 > 0 {
-                        coa += p * share[up as usize];
-                        availability += p;
-                    }
-                    expected_up += p * f64::from(up);
-                }
-            }
-            if !next_state(&mut outer, &outer_counts) {
-                break;
-            }
-        }
-        Ok(NetworkMeasures {
-            coa,
-            availability,
-            expected_up,
-        })
+        let dists: Vec<&[f64]> = dists.iter().map(Vec::as_slice).collect();
+        Ok(NetworkMeasures::from_down_distributions(&dists))
     }
 
     /// The paper's capacity-oriented availability (Table VI, generalized):
@@ -335,11 +242,203 @@ impl NetworkModel {
     }
 }
 
+/// Above this joint-state count the separable reward measures (COA,
+/// availability, expected up servers) switch from exact enumeration to
+/// the algebraically identical factored form — the enumeration is
+/// exponential in the tier count and a fleet-scale network (hundreds of
+/// tiers) never finishes it. Small networks keep the enumeration path so
+/// pinned numbers stay bit-identical.
+const FACTORED_THRESHOLD: u128 = 1 << 20;
+
+/// The most entries the joint-state pass's prefix table holds (96 KiB):
+/// the leading tiers whose joint states fit are multiplied out once per
+/// network, the remaining tiers are streamed over the table.
+const PREFIX_TABLE_ENTRIES: usize = 4096;
+
+/// Servers in the tier with down distribution `dist` (one state per
+/// down-server count, `0..=count`).
+fn servers(dist: &[f64]) -> u32 {
+    u32::try_from(dist.len() - 1).expect("a tier's server count fits u32")
+}
+
+/// Joint states `Π (countᵢ + 1)` the mixed-radix enumeration visits
+/// (saturating).
+fn joint_states(dists: &[&[f64]]) -> u128 {
+    dists
+        .iter()
+        .fold(1u128, |acc, d| acc.saturating_mul(d.len() as u128))
+}
+
+/// Whether the separable measures take the factored form.
+fn factored(dists: &[&[f64]]) -> bool {
+    joint_states(dists) > FACTORED_THRESHOLD
+}
+
+/// Per-tier `(P(upᵢ ≥ qᵢ), E[upᵢ · 1{upᵢ ≥ qᵢ}])` for the factored forms,
+/// from the tiers' down distributions.
+fn tier_moments(dists: &[&[f64]], quorum: &[u32]) -> Vec<(f64, f64)> {
+    dists
+        .iter()
+        .zip(quorum)
+        .map(|(dist, &q)| {
+            let count = servers(dist);
+            let mut p = 0.0;
+            let mut m = 0.0;
+            for (down, &prob) in dist.iter().enumerate() {
+                let up = count - down as u32;
+                if up >= q {
+                    p += prob;
+                    m += prob * f64::from(up);
+                }
+            }
+            (p, m)
+        })
+        .collect()
+}
+
+/// Factored quorum COA from the quorum's [`tier_moments`] over `total`
+/// servers. Tiers are independent, so
+/// `E[Σᵢ upᵢ · Πⱼ 1{upⱼ ≥ qⱼ}] = Σᵢ mᵢ · Πⱼ≠ᵢ pⱼ`; prefix/suffix products
+/// keep it `O(n)` without dividing by a possibly-zero `pᵢ`.
+fn quorum_coa_factored(moments: &[(f64, f64)], total: u32) -> f64 {
+    let n = moments.len();
+    let mut prefix = vec![1.0; n + 1];
+    for (i, &(p, _)) in moments.iter().enumerate() {
+        prefix[i + 1] = prefix[i] * p;
+    }
+    let mut suffix = vec![1.0; n + 1];
+    for i in (0..n).rev() {
+        suffix[i] = suffix[i + 1] * moments[i].0;
+    }
+    let mut up_sum = 0.0;
+    for (i, &(_, m)) in moments.iter().enumerate() {
+        up_sum += prefix[i] * m * suffix[i + 1];
+    }
+    up_sum / f64::from(total)
+}
+
+/// One joint state of the tiers the prefix table covers.
+#[derive(Debug, Clone, Copy)]
+struct Prefix {
+    /// The left-to-right product of the covered tiers' factors, from
+    /// `1.0`.
+    p: f64,
+    /// `1.0` when every covered tier has a server up, else `0.0`.
+    w: f64,
+    /// Up servers over the covered tiers.
+    up: u32,
+}
+
+impl Prefix {
+    /// This state extended by a tier with `down` of its `count` servers
+    /// down, at probability `factor`.
+    fn then(self, factor: f64, count: u32, down: usize) -> Prefix {
+        let up = count - down as u32;
+        Prefix {
+            p: self.p * factor,
+            w: if up > 0 { self.w } else { 0.0 },
+            up: self.up + up,
+        }
+    }
+}
+
+/// The joint states of `covered` in mixed-radix order (tier 0 fastest):
+/// the table of one empty state, replicated once per down-server count of
+/// each next tier, each block extended by its count.
+fn prefix_table(covered: &[&[f64]]) -> Vec<Prefix> {
+    let mut table = Vec::with_capacity(covered.iter().map(|d| d.len()).product());
+    table.push(Prefix {
+        p: 1.0,
+        w: 1.0,
+        up: 0,
+    });
+    for dist in covered {
+        let width = table.len();
+        for _ in 1..dist.len() {
+            table.extend_from_within(..width);
+        }
+        let count = servers(dist);
+        for (block, (down, &factor)) in table.chunks_exact_mut(width).zip(dist.iter().enumerate()) {
+            for state in block {
+                *state = state.then(factor, count, down);
+            }
+        }
+    }
+    table
+}
+
+/// How many leading tiers the prefix table covers: as many as fit
+/// [`PREFIX_TABLE_ENTRIES`], but never the last tier. Streaming it costs
+/// one multiplication per state; covering it would walk the states twice.
+fn covered_tiers(dists: &[&[f64]]) -> usize {
+    let mut entries = 1usize;
+    dists[..dists.len() - 1]
+        .iter()
+        .take_while(|d| {
+            entries = entries.saturating_mul(d.len());
+            entries <= PREFIX_TABLE_ENTRIES
+        })
+        .count()
+}
+
+/// The exact enumeration: one pass over the joint states in mixed-radix
+/// order (tier 0 fastest) accumulating all three measures.
+///
+/// The [`covered_tiers`] are multiplied out once into a
+/// [`prefix_table`]; the remaining tiers are streamed outermost, their
+/// factors, up servers and whether one of them is down set once per
+/// outer state. A state's probability is its table entry times the
+/// remaining factors in tier order — the left-to-right product from
+/// tier 0 the per-reward passes take. The accumulation has no branch:
+/// COA and availability terms carry a 0/1 weight (every tier up), and a
+/// probability failing `p > 0.0` counts as `+0.0`. Its scratch is the
+/// table and one digit and factor per streamed tier, whatever the server
+/// count: a state's share `up/total` is divided where it is used.
+fn enumerate(dists: &[&[f64]], total: u32) -> NetworkMeasures {
+    let total = f64::from(total);
+    let (covered, streamed) = dists.split_at(covered_tiers(dists));
+    let table = prefix_table(covered);
+    let mut outer = vec![0usize; streamed.len()];
+    let mut factors = vec![0.0; streamed.len()];
+    let (mut coa, mut availability, mut expected_up) = (0.0, 0.0, 0.0);
+    loop {
+        let mut outer_up = 0;
+        let mut outer_w = 1.0;
+        for ((f, &down), dist) in factors.iter_mut().zip(&outer).zip(streamed) {
+            let up = servers(dist) - down as u32;
+            *f = dist[down];
+            outer_up += up;
+            if up == 0 {
+                outer_w = 0.0;
+            }
+        }
+        let (&first, rest) = factors.split_first().expect("the last tier is streamed");
+        for state in &table {
+            let p = rest.iter().fold(state.p * first, |p, &f| p * f);
+            let p = if p > 0.0 { p } else { 0.0 };
+            let w = state.w * outer_w;
+            let up = state.up + outer_up;
+            coa += p * w * (f64::from(up) / total);
+            availability += p * w;
+            expected_up += p * f64::from(up);
+        }
+        if !next_state(&mut outer, streamed) {
+            break;
+        }
+    }
+    NetworkMeasures {
+        coa,
+        availability,
+        expected_up,
+    }
+}
+
 /// Advances the mixed-radix counter `idx` (digit `i` over
-/// `0..=counts[i]`, digit 0 fastest); `false` once it wraps to all zeros.
-fn next_state(idx: &mut [usize], counts: &[u32]) -> bool {
-    for (i, &count) in idx.iter_mut().zip(counts) {
-        if *i < count as usize {
+/// `0..dists[i].len()`, digit 0 fastest); `false` once it wraps to all
+/// zeros.
+fn next_state(idx: &mut [usize], dists: &[&[f64]]) -> bool {
+    for (i, dist) in idx.iter_mut().zip(dists) {
+        if *i + 1 < dist.len() {
             *i += 1;
             return true;
         }
@@ -495,15 +594,29 @@ mod tests {
         assert_eq!(reward(&[1, 0, 2, 1]), 0.0);
     }
 
+    /// `net`'s tier down distributions, and the slices the free
+    /// functions take.
+    fn distributions(net: &NetworkModel) -> Vec<Vec<f64>> {
+        net.tier_down_distributions().unwrap()
+    }
+
+    fn slices(dists: &[Vec<f64>]) -> Vec<&[f64]> {
+        dists.iter().map(Vec::as_slice).collect()
+    }
+
     #[test]
     fn factored_forms_match_enumeration() {
         // The factored fast path must agree with the exact mixed-radix
         // enumeration on networks small enough to run both.
         let net = case_study();
-        let dists = net.tier_down_distributions().unwrap();
-        let moments = |q: &[u32]| net.tier_moments(&dists, q);
+        let dists = distributions(&net);
+        let dists = slices(&dists);
+        let moments = |q: &[u32]| tier_moments(&dists, q);
         assert!(
-            (net.quorum_coa_factored(&moments(&[1, 1, 1, 1])) - net.coa().unwrap()).abs() < 1e-12
+            (quorum_coa_factored(&moments(&[1, 1, 1, 1]), net.total_servers())
+                - net.coa().unwrap())
+            .abs()
+                < 1e-12
         );
         let avail_factored: f64 = moments(&[1, 1, 1, 1]).iter().map(|&(p, _)| p).product();
         assert!((avail_factored - net.availability().unwrap()).abs() < 1e-12);
@@ -511,17 +624,19 @@ mod tests {
         assert!((up_factored - net.expected_up_servers().unwrap()).abs() < 1e-12);
     }
 
-    /// The three single-reward computations the fused pass replaced, kept
+    /// The three single-reward computations the one pass replaced, kept
     /// as its oracle: one mixed-radix loop per reward below the factoring
-    /// threshold, the factored forms above it.
+    /// threshold, each state's probability folded from `1.0` over every
+    /// tier, the factored forms above it.
     fn separate_measures(net: &NetworkModel) -> [f64; 3] {
-        let dists = net.tier_down_distributions().unwrap();
+        let dists = distributions(net);
         let n = net.tiers().len();
-        if net.factored() {
-            let quorum = net.tier_moments(&dists, &vec![1; n]);
-            let all = net.tier_moments(&dists, &vec![0; n]);
+        if factored(&slices(&dists)) {
+            let dists = slices(&dists);
+            let quorum = tier_moments(&dists, &vec![1; n]);
+            let all = tier_moments(&dists, &vec![0; n]);
             return [
-                net.quorum_coa_factored(&quorum),
+                quorum_coa_factored(&quorum, net.total_servers()),
                 quorum.iter().map(|&(p, _)| p).product(),
                 all.iter().map(|&(_, m)| m).sum(),
             ];
@@ -571,8 +686,8 @@ mod tests {
         ]
     }
 
-    /// The fused pass, and the three public measures, against the
-    /// oracle, bit for bit.
+    /// The one pass, and the three public measures, against the oracle,
+    /// bit for bit.
     fn assert_measures_match(net: &NetworkModel) {
         let m = net.measures().unwrap();
         let fused = [m.coa, m.availability, m.expected_up];
@@ -594,30 +709,102 @@ mod tests {
         // factored form. Both sides must match bit for bit.
         let tier = |i: usize, count| Tier::new(format!("t{i}"), count, rates(0.5 + 0.1 * i as f64));
         let enumerated = NetworkModel::new((0..10).map(|i| tier(i, 3)).collect());
-        assert_eq!(enumerated.joint_states(), 1 << 20);
-        assert!(!enumerated.factored());
+        let dists = distributions(&enumerated);
+        assert_eq!(joint_states(&slices(&dists)), 1 << 20);
+        assert!(!factored(&slices(&dists)));
         assert_measures_match(&enumerated);
         let mut tiers = enumerated.tiers().to_vec();
         tiers.push(tier(10, 1));
-        let factored = NetworkModel::new(tiers);
-        assert!(factored.factored());
-        assert_measures_match(&factored);
+        let factored_net = NetworkModel::new(tiers);
+        assert!(factored(&slices(&distributions(&factored_net))));
+        assert_measures_match(&factored_net);
         assert_measures_match(&case_study());
+    }
+
+    #[test]
+    fn measures_match_separate_measures_across_the_prefix_table_cap() {
+        // The table covers the leading tiers whose joint states fit
+        // `PREFIX_TABLE_ENTRIES`, never the last tier: exactly full, one
+        // tier over, every tier streamed (tier 0 alone overflows it), a
+        // single tier, and every tier but the last covered.
+        let tier = |i: usize, count| Tier::new(format!("t{i}"), count, rates(0.4 + 0.3 * i as f64));
+        let nets = [
+            (
+                vec![tier(0, 7), tier(1, 7), tier(2, 7), tier(3, 7), tier(4, 2)],
+                4,
+            ),
+            (vec![tier(0, 4095), tier(1, 1), tier(2, 2)], 1),
+            (vec![tier(0, 4096), tier(1, 2), tier(2, 1)], 0),
+            (vec![tier(0, 3)], 0),
+            (vec![tier(0, 1), tier(1, 2), tier(2, 3)], 2),
+        ];
+        for (tiers, covered) in nets {
+            let net = NetworkModel::new(tiers);
+            let dists = distributions(&net);
+            assert_eq!(covered_tiers(&slices(&dists)), covered);
+            assert_measures_match(&net);
+        }
+    }
+
+    #[test]
+    fn prefix_table_builds_the_joint_states_in_mixed_radix_order() {
+        // Tier 0 fastest: entry `d0 + 3·d1` is (d0, d1) down, its
+        // probability the left-to-right product from `1.0`.
+        let dists: [&[f64]; 2] = [&[0.5, 0.25, 0.25], &[0.75, 0.25]];
+        let table = prefix_table(&dists);
+        assert_eq!(table.len(), 6);
+        for (i, state) in table.iter().enumerate() {
+            let (d0, d1) = (i % 3, i / 3);
+            assert_eq!(
+                state.p.to_bits(),
+                (1.0 * dists[0][d0] * dists[1][d1]).to_bits()
+            );
+            assert_eq!(state.up, (2 - d0 + 1 - d1) as u32);
+            assert_eq!(state.w, if d0 < 2 && d1 < 1 { 1.0 } else { 0.0 });
+        }
+    }
+
+    #[test]
+    #[ignore = "the whole 8⁴ case-study space; run in release"]
+    fn measures_match_separate_measures_over_the_case_study_space() {
+        // Every design of the paper's case study with 1..=8 servers per
+        // tier, under its Table V rates.
+        let base = case_study();
+        let mut designs = 0;
+        for i in 0..8u32.pow(4) {
+            let tiers = base
+                .tiers()
+                .iter()
+                .enumerate()
+                .map(|(t, tier)| {
+                    Tier::new(
+                        tier.name.clone(),
+                        1 + i / 8u32.pow(t as u32) % 8,
+                        tier.rates,
+                    )
+                })
+                .collect();
+            assert_measures_match(&NetworkModel::new(tiers));
+            designs += 1;
+        }
+        assert_eq!(designs, 4096);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// Random small networks: the fused pass is the three measures.
-        /// About a third of the tiers never go down (`λ_eq = 0`), so
-        /// their down distribution is `[1, 0, …]` and every joint state
-        /// with one of them down has probability zero: the fused pass
-        /// must skip exactly the states the per-reward passes skip.
+        /// Random networks of up to 9 tiers: the one pass is the three
+        /// measures, inside the prefix table, across its cap and past the
+        /// factoring threshold. About a third of the tiers never go down
+        /// (`λ_eq = 0`), so their down distribution is `[1, 0, …]` and
+        /// every joint state with one of them down has probability zero:
+        /// the pass must give those states exactly the per-reward passes'
+        /// arithmetic.
         #[test]
         fn fused_measures_match_separate_measures(
             tiers in proptest::collection::vec(
                 (1u32..6, 0u32..3, 1e-4f64..0.1, 0.05f64..5.0),
-                1..6,
+                1..10,
             ),
         ) {
             let net = NetworkModel::new(

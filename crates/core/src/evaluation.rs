@@ -1,15 +1,14 @@
 //! Phase 2+3: model construction and combined evaluation of one design.
 
-use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use redeval_avail::ServerAnalysis;
+use redeval_avail::{AggregatedRates, NetworkMeasures, ServerAnalysis};
 use redeval_harm::{
-    AspStrategy, AttackTree, Harm, MetricsConfig, ReplicatedTier, SecurityMetrics, TierDag,
-    Vulnerability,
+    AspStrategy, AttackTree, MetricsConfig, ReplicatedTier, SecurityMetrics, Vulnerability,
 };
+use redeval_markov::SolveError;
 
-use crate::spec::{NetworkSpec, TierSpec};
+use crate::spec::NetworkSpec;
 use crate::EvalError;
 
 /// Which vulnerabilities the patch round removes.
@@ -127,104 +126,200 @@ impl DesignEvaluation {
     }
 }
 
+/// Everything [`evaluate_design`] needs that does not depend on the
+/// design: one spec variant, its metric configuration and its patch
+/// policies. It is built once before a batch — [`Sweep::run`] builds one
+/// per variant, [`Scenario::evaluate`] one for its single design — and
+/// its cells share it.
+///
+/// [`Sweep::run`]: crate::exec::Sweep::run
+/// [`Scenario::evaluate`]: crate::exec::Scenario::evaluate
+#[derive(Debug)]
+pub(crate) struct VariantContext {
+    spec: Arc<NetworkSpec>,
+    metrics: MetricsConfig,
+    /// The policies in grid order, each with its label suffix.
+    policies: Vec<(PatchPolicy, String)>,
+    /// On the tier walk, every tier's tree as each policy prunes it
+    /// (policy-major); `None` when the cells take the host walk.
+    pruned: Option<Vec<Vec<Option<AttackTree>>>>,
+    /// Per tier, the down distributions of the server counts the batch's
+    /// designs give it.
+    dists: Vec<TierDistributions>,
+}
+
+impl VariantContext {
+    /// The context of `spec` under `metrics` and `policies` (each with
+    /// its label suffix), for a batch of the designs whose per-tier
+    /// counts `designs` lists.
+    pub(crate) fn new<'a>(
+        spec: Arc<NetworkSpec>,
+        metrics: MetricsConfig,
+        policies: Vec<(PatchPolicy, String)>,
+        designs: impl Iterator<Item = &'a [u32]> + Clone,
+    ) -> Self {
+        let tier_walk = spec.tier_dag().is_some() && metrics.asp != AspStrategy::Reliability;
+        let pruned = tier_walk.then(|| {
+            policies
+                .iter()
+                .map(|&(p, _)| {
+                    spec.tiers()
+                        .iter()
+                        .map(|t| t.tree.as_ref()?.without(&move |v| p.patches(v)))
+                        .collect()
+                })
+                .collect()
+        });
+        let tiers = spec.tiers().len();
+        let designs = designs.filter(|counts| counts.len() == tiers);
+        let dists = (0..tiers)
+            .map(|t| TierDistributions::new(designs.clone().map(|counts| counts[t])))
+            .collect();
+        VariantContext {
+            spec,
+            metrics,
+            policies,
+            pruned,
+            dists,
+        }
+    }
+
+    /// The security metrics of the checked design `counts` before the
+    /// patch round and after each policy's, bit for bit those of
+    /// `build_harm().metrics(..)`.
+    fn security(&self, counts: &[u32]) -> (SecurityMetrics, Vec<SecurityMetrics>) {
+        let config = &self.metrics;
+        let tiers = self.spec.tiers();
+        match (self.spec.tier_dag(), &self.pruned) {
+            // An acyclic tier graph under a path-based ASP: the tier
+            // walk, with no host graph.
+            (Some(dag), Some(pruned)) => {
+                let walk = |trees: &mut dyn Iterator<Item = Option<&AttackTree>>| {
+                    let replicated: Vec<ReplicatedTier<'_>> = tiers
+                        .iter()
+                        .zip(counts)
+                        .zip(trees)
+                        .map(|((t, &count), tree)| ReplicatedTier {
+                            count,
+                            tree,
+                            entry: t.entry,
+                            target: t.target,
+                        })
+                        .collect();
+                    dag.metrics(&replicated, config)
+                };
+                let before = walk(&mut tiers.iter().map(|t| t.tree.as_ref()));
+                let after = pruned
+                    .iter()
+                    .map(|trees| walk(&mut trees.iter().map(Option::as_ref)))
+                    .collect();
+                (before, after)
+            }
+            // A cyclic tier graph, or `AspStrategy::Reliability` (its
+            // exact ASP needs each path's hosts): the host walk over the
+            // expanded HARM.
+            _ => {
+                let harm = self.spec.harm_for(counts);
+                let before = harm.metrics(config);
+                let after = self
+                    .policies
+                    .iter()
+                    .map(|&(p, _)| harm.patched(&move |v| p.patches(v)).metrics(config))
+                    .collect();
+                (before, after)
+            }
+        }
+    }
+
+    /// The availability measures of the checked design `counts`, from
+    /// the down distributions of the rates in `analyses`.
+    fn measures(
+        &self,
+        counts: &[u32],
+        analyses: &[Arc<ServerAnalysis>],
+    ) -> Result<NetworkMeasures, SolveError> {
+        assert_eq!(analyses.len(), counts.len(), "one analysis per tier");
+        let dists = self
+            .dists
+            .iter()
+            .zip(counts)
+            .zip(analyses)
+            .map(|((tier, &count), a)| tier.get(count, a.rates()))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(NetworkMeasures::from_down_distributions(&dists))
+    }
+}
+
+/// One tier's down distributions, one per server count of the batch,
+/// each solved by the first cell that needs it from the rates that cell
+/// looked up. A variant's tier has the same rates in every cell: the
+/// analysis cache keys on parameter content and solves deterministically.
+#[derive(Debug)]
+struct TierDistributions {
+    /// Sorted, distinct.
+    counts: Vec<u32>,
+    /// The distribution for each count, or the solve error every cell
+    /// that needs it returns.
+    solved: Vec<OnceLock<Result<Vec<f64>, SolveError>>>,
+}
+
+impl TierDistributions {
+    fn new(counts: impl Iterator<Item = u32>) -> Self {
+        let mut counts: Vec<u32> = counts.collect();
+        counts.sort_unstable();
+        counts.dedup();
+        let solved = counts.iter().map(|_| OnceLock::new()).collect();
+        TierDistributions { counts, solved }
+    }
+
+    fn get(&self, count: u32, rates: AggregatedRates) -> Result<&[f64], SolveError> {
+        let slot = self
+            .counts
+            .binary_search(&count)
+            .expect("the context lists every count of its batch's designs");
+        self.solved[slot]
+            .get_or_init(|| rates.down_distribution(count))
+            .as_deref()
+            .map_err(SolveError::clone)
+    }
+}
+
 /// The evaluation kernel behind every front door — the batch executor's
 /// cells and [`Scenario::evaluate`](crate::exec::Scenario::evaluate):
-/// design `counts` of `base` under each `(label, policy)` of `points`,
-/// with the tier solves already resolved into `analyses`.
+/// design `counts` of the `context`'s spec under each of its policies,
+/// labelled `stem` plus the policy's suffix, with the tier solves already
+/// resolved into `analyses`.
 ///
 /// The policy-independent work happens once: the security model, the
 /// before-patch metrics, and the three availability measures from one
-/// pass. Each policy adds one pruned model and its metrics.
+/// pass. Each policy adds the metrics of its pruned model.
 ///
 /// # Errors
 ///
 /// Count-validation errors, then availability solver errors.
 pub(crate) fn evaluate_design(
-    base: &NetworkSpec,
+    context: &VariantContext,
+    stem: &str,
     counts: &[u32],
     analyses: &[Arc<ServerAnalysis>],
-    metrics: &MetricsConfig,
-    points: impl IntoIterator<Item = (String, PatchPolicy)>,
 ) -> Result<Vec<DesignEvaluation>, EvalError> {
-    base.check_counts(counts)?;
-    let security = SecurityModel::new(base, counts, metrics);
-    let before = security.metrics(None, metrics);
-    let availability = base.network_model_for(counts, analyses).measures()?;
-    Ok(points
-        .into_iter()
-        .map(|(name, patch)| DesignEvaluation {
-            name,
+    context.spec.check_counts(counts)?;
+    let (before, after) = context.security(counts);
+    let availability = context.measures(counts, analyses)?;
+    Ok(context
+        .policies
+        .iter()
+        .zip(after)
+        .map(|((_, suffix), after)| DesignEvaluation {
+            name: [stem, suffix].concat(),
             counts: counts.to_vec(),
             before: before.clone(),
-            after: security.metrics(Some(patch), metrics),
+            after,
             coa: availability.coa,
             availability: availability.availability,
             expected_up: availability.expected_up,
         })
         .collect())
-}
-
-/// The security model of one design, built once per cell. Either way
-/// the metrics are bit for bit those of `build_harm().metrics(..)`.
-enum SecurityModel<'a> {
-    /// An acyclic tier graph under a path-based ASP: the tier walk, with
-    /// no host graph.
-    Tiers {
-        dag: &'a TierDag,
-        tiers: &'a [TierSpec],
-        counts: &'a [u32],
-    },
-    /// A cyclic tier graph, or [`AspStrategy::Reliability`] (its exact
-    /// ASP needs each path's hosts): the host walk over the expanded
-    /// HARM.
-    Hosts(Harm),
-}
-
-impl<'a> SecurityModel<'a> {
-    fn new(base: &'a NetworkSpec, counts: &'a [u32], metrics: &MetricsConfig) -> Self {
-        match base.tier_dag() {
-            Some(dag) if metrics.asp != AspStrategy::Reliability => SecurityModel::Tiers {
-                dag,
-                tiers: base.tiers(),
-                counts,
-            },
-            _ => SecurityModel::Hosts(base.harm_for(counts)),
-        }
-    }
-
-    /// The metrics before the patch round (`patch` = `None`) or after it.
-    fn metrics(&self, patch: Option<PatchPolicy>, metrics: &MetricsConfig) -> SecurityMetrics {
-        match (self, patch) {
-            (SecurityModel::Hosts(harm), None) => harm.metrics(metrics),
-            (SecurityModel::Hosts(harm), Some(p)) => {
-                harm.patched(&move |v| p.patches(v)).metrics(metrics)
-            }
-            (SecurityModel::Tiers { dag, tiers, counts }, patch) => {
-                let trees: Vec<Option<Cow<'_, AttackTree>>> = tiers
-                    .iter()
-                    .map(|t| {
-                        let tree = t.tree.as_ref()?;
-                        match patch {
-                            None => Some(Cow::Borrowed(tree)),
-                            Some(p) => tree.without(&move |v| p.patches(v)).map(Cow::Owned),
-                        }
-                    })
-                    .collect();
-                let replicated: Vec<ReplicatedTier<'_>> = tiers
-                    .iter()
-                    .zip(*counts)
-                    .zip(&trees)
-                    .map(|((t, &count), tree)| ReplicatedTier {
-                        count,
-                        tree: tree.as_deref(),
-                        entry: t.entry,
-                        target: t.target,
-                    })
-                    .collect();
-                dag.metrics(&replicated, metrics)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -398,22 +493,43 @@ mod tests {
         assert_eq!(cache.hits(), 3); // db relabel + both tiers of the second
         assert_eq!(second.before, second.after);
         // Identical numbers to the kernel over uncached per-tier solves.
-        let base = spec();
+        let base = Arc::new(spec());
         let uncached: Vec<_> = base
             .tier_analyses()
             .unwrap()
             .into_iter()
             .map(Arc::new)
             .collect();
-        let plain = evaluate_design(
-            &base,
-            &[2, 1],
-            &uncached,
-            &MetricsConfig::default(),
-            [("x".to_string(), PatchPolicy::All)],
-        )
-        .unwrap();
+        let context = VariantContext::new(
+            Arc::clone(&base),
+            MetricsConfig::default(),
+            vec![(PatchPolicy::All, String::new())],
+            std::iter::once(&[2, 1][..]),
+        );
+        let plain = evaluate_design(&context, "x", &[2, 1], &uncached).unwrap();
         assert_eq!(plain, [cached]);
+    }
+
+    #[test]
+    fn memoized_distributions_solve_once_and_replay_errors() {
+        let memo = TierDistributions::new([2, 1, 2].into_iter());
+        assert_eq!(memo.counts, [1, 2]);
+        let rates = AggregatedRates {
+            lambda_eq: 1.0 / 720.0,
+            mu_eq: 1.5,
+        };
+        let first = memo.get(2, rates).unwrap();
+        assert_eq!(first, rates.down_distribution(2).unwrap());
+        assert!(std::ptr::eq(first, memo.get(2, rates).unwrap()));
+        // A failed solve is kept: every cell that needs it returns it.
+        let memo = TierDistributions::new([3].into_iter());
+        let bad = AggregatedRates {
+            lambda_eq: -1.0,
+            mu_eq: 1.5,
+        };
+        let err = bad.down_distribution(3).unwrap_err();
+        assert_eq!(memo.get(3, bad).unwrap_err(), err);
+        assert_eq!(memo.get(3, bad).unwrap_err(), err);
     }
 
     #[test]

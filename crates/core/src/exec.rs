@@ -20,9 +20,12 @@
 //! * [`Scenario`] — one evaluation unit, evaluated alone by
 //!   [`Scenario::evaluate`];
 //! * [`Sweep`] — the declarative grid: spec variants × designs × patch
-//!   policies, run in one call. Each (variant, design) pair is one cell
-//!   and one pool job, so the HARM construction, before-patch metrics
-//!   and availability solves are computed once per cell instead of once
+//!   policies, run in one call. What depends only on the variant — each
+//!   policy's pruned attack trees and label suffix, and the memo of tier
+//!   down distributions per (tier, count) — is prepared once per variant
+//!   before the batch. Each (variant, design) pair is then one cell and
+//!   one pool job, so the security model, before-patch metrics and
+//!   availability measures are computed once per cell instead of once
 //!   per policy.
 //!
 //! # Determinism
@@ -58,8 +61,8 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -67,7 +70,7 @@ use redeval_avail::{Durations, ServerAnalysis, ServerParams};
 use redeval_harm::MetricsConfig;
 use redeval_srn::SrnError;
 
-use crate::evaluation::{evaluate_design, DesignEvaluation, PatchPolicy};
+use crate::evaluation::{evaluate_design, DesignEvaluation, PatchPolicy, VariantContext};
 use crate::spec::{Design, NetworkSpec};
 use crate::telemetry::{Counter, Telemetry};
 use crate::EvalError;
@@ -574,14 +577,44 @@ impl AnalysisCache {
 
     /// One cached analysis per tier of `spec`, in tier order.
     ///
+    /// When every tier is a plain hit — solved, under its own name — the
+    /// lookups share one lock; otherwise each tier goes through
+    /// [`analysis`](Self::analysis). Either way the counters move as
+    /// [`analysis`](Self::analysis) moves them, tier by tier.
+    ///
     /// # Errors
     ///
     /// Propagates SRN build/solve errors.
     pub fn analyses_for(&self, spec: &NetworkSpec) -> Result<Vec<Arc<ServerAnalysis>>, SrnError> {
+        if let Some(hits) = self.all_hits(spec) {
+            return Ok(hits);
+        }
         spec.tiers()
             .iter()
             .map(|t| self.analysis(&t.params))
             .collect()
+    }
+
+    /// Every tier's analysis of `spec` under one lock, counted as hits,
+    /// when each is solved and labelled with its tier's name; `None`,
+    /// counting nothing, when any tier needs a solve, a wait or a
+    /// relabel.
+    fn all_hits(&self, spec: &NetworkSpec) -> Option<Vec<Arc<ServerAnalysis>>> {
+        let map = self.map.lock().expect("cache lock");
+        let hits = spec
+            .tiers()
+            .iter()
+            .map(|t| match map.get(&ParamsKey::of(&t.params))? {
+                Slot::Ready(variants) => {
+                    variants.iter().find(|a| a.name() == t.params.name).cloned()
+                }
+                Slot::InFlight => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        drop(map);
+        self.hits.fetch_add(hits.len(), Ordering::Relaxed);
+        self.telemetry.add(Counter::CacheHits, hits.len() as u64);
+        Some(hits)
     }
 
     /// Requests served from the cache.
@@ -658,13 +691,14 @@ impl Scenario {
     /// Returns count-validation and solver errors.
     pub fn evaluate(&self, cache: &AnalysisCache) -> Result<DesignEvaluation, EvalError> {
         let analyses = cache.analyses_for(&self.spec)?;
-        let mut evals = evaluate_design(
-            &self.spec,
-            &self.design.counts,
-            &analyses,
-            &self.metrics,
-            [(self.label.clone(), self.patch)],
-        )?;
+        let counts = self.design.counts.as_slice();
+        let context = VariantContext::new(
+            Arc::clone(&self.spec),
+            self.metrics,
+            vec![(self.patch, String::new())],
+            std::iter::once(counts),
+        );
+        let mut evals = evaluate_design(&context, &self.label, counts, &analyses)?;
         Ok(evals.pop().expect("one policy, one evaluation"))
     }
 }
@@ -811,34 +845,47 @@ impl Sweep {
         self
     }
 
-    /// The label of one grid point: the design name, prefixed with the
-    /// variant name and suffixed with the policy when the corresponding
-    /// axis has more than one point.
-    fn label(&self, variant: &str, design: &Design, policy: PatchPolicy) -> String {
-        let mut label = String::new();
+    /// The label of a grid point without its policy suffix: the design
+    /// name, prefixed with the variant name when that axis has more than
+    /// one point.
+    fn stem<'a>(&self, variant: &str, design: &'a Design) -> Cow<'a, str> {
         if self.variants.len() > 1 && !variant.is_empty() {
-            label.push_str(variant);
-            label.push_str(" | ");
+            Cow::Owned([variant, " | ", &design.name].concat())
+        } else {
+            Cow::Borrowed(&design.name)
         }
-        label.push_str(&design.name);
-        if self.policies.len() > 1 {
-            let _ = write!(label, " | {policy}");
-        }
-        label
+    }
+
+    /// Each policy with the suffix its points' labels end in: the policy
+    /// when that axis has more than one point.
+    fn labelled_policies(&self) -> Vec<(PatchPolicy, String)> {
+        self.policies
+            .iter()
+            .map(|&policy| {
+                let suffix = if self.policies.len() > 1 {
+                    format!(" | {policy}")
+                } else {
+                    String::new()
+                };
+                (policy, suffix)
+            })
+            .collect()
     }
 
     /// Materializes the grid in variant-major, design, policy order,
     /// labelled as [`Sweep::run`] labels its results.
     pub fn scenarios(&self) -> Vec<Scenario> {
+        let policies = self.labelled_policies();
         let mut out = Vec::with_capacity(self.len());
         for (variant, spec) in self.variants.iter() {
             for design in self.designs.iter() {
-                for &patch in self.policies.iter() {
+                let stem = self.stem(variant, design);
+                for (patch, suffix) in &policies {
                     out.push(Scenario {
-                        label: self.label(variant, design, patch),
+                        label: [&stem, suffix.as_str()].concat(),
                         spec: Arc::clone(spec),
                         design: design.clone(),
-                        patch,
+                        patch: *patch,
                         metrics: self.metrics,
                     });
                 }
@@ -861,8 +908,11 @@ impl Sweep {
     /// returns the results in grid order, bitwise-identical for any pool
     /// size.
     ///
-    /// A cell builds the HARM, the before-patch metrics and the
-    /// availability solves once and then evaluates every policy.
+    /// What does not depend on the design is prepared once per variant
+    /// before the batch: the trees each policy prunes, the label
+    /// suffixes, and the memo of the tier down distributions. A cell
+    /// builds the security model, the before-patch metrics and the
+    /// availability measures once and then evaluates every policy.
     ///
     /// # Errors
     ///
@@ -873,27 +923,33 @@ impl Sweep {
         let _span = tel.span_with(|| format!("experiment ({cells} cells)"));
         tel.add(Counter::PoolBatches, 1);
         tel.add(Counter::PoolJobs, cells as u64);
+        let policies = self.labelled_policies();
+        let contexts: Arc<[VariantContext]> = self
+            .variants
+            .iter()
+            .map(|(_, spec)| {
+                VariantContext::new(
+                    Arc::clone(spec),
+                    self.metrics,
+                    policies.clone(),
+                    self.designs.iter().map(|d| d.counts.as_slice()),
+                )
+            })
+            .collect();
+        let first_suffix = policies[0].1.clone();
         let sweep = Arc::new(self.clone());
         let results = pool.run_batch(cells, move |cell| {
-            let (variant, spec) = &sweep.variants[cell / sweep.designs.len()];
+            let variant = cell / sweep.designs.len();
+            let (variant_name, spec) = &sweep.variants[variant];
             let design = &sweep.designs[cell % sweep.designs.len()];
+            let stem = sweep.stem(variant_name, design);
             let tel = sweep.cache.telemetry();
-            let _span = tel
-                .span_with(|| format!("cell {}", sweep.label(variant, design, sweep.policies[0])));
+            let _span = tel.span_with(|| format!("cell {stem}{first_suffix}"));
             tel.add(Counter::CellsEvaluated, 1);
             tel.add(Counter::DesignsEvaluated, sweep.policies.len() as u64);
             tel.add(Counter::HarmBuilds, 1);
             let analyses = sweep.cache.analyses_for(spec)?;
-            evaluate_design(
-                spec,
-                &design.counts,
-                &analyses,
-                &sweep.metrics,
-                sweep
-                    .policies
-                    .iter()
-                    .map(|&policy| (sweep.label(variant, design, policy), policy)),
-            )
+            evaluate_design(&contexts[variant], &stem, &design.counts, &analyses)
         });
         let mut out = Vec::with_capacity(self.len());
         for evals in results {
@@ -1114,6 +1170,65 @@ mod tests {
             .map(|sc| sc.evaluate(&cache).unwrap())
             .collect();
         assert_eq!(parallel, reference);
+    }
+
+    #[test]
+    fn sweep_availability_matches_the_network_model_per_variant() {
+        // Each variant's cells share one memo of tier down distributions;
+        // the variants' patch intervals give them different rates. Every
+        // point must carry the measures of its own variant's
+        // `NetworkModel`, bit for bit.
+        let days = [7.0, 30.0];
+        let spec = case_study::network();
+        let sweep = Sweep::new(spec.clone())
+            .patch_intervals_days(&days)
+            .full_design_space(3)
+            .policies(vec![PatchPolicy::None, PatchPolicy::All]);
+        let evals = sweep.run(&Pool::new(2)).unwrap();
+        let cache = AnalysisCache::new();
+        let mut points = evals.iter();
+        for &d in &days {
+            let variant = spec.with_patch_interval(Durations::days(d));
+            let analyses = cache.analyses_for(&variant).unwrap();
+            for design in variant.enumerate_designs(3) {
+                let sized = variant.with_counts(&design.counts).unwrap();
+                let want = sized.network_model(&analyses).measures().unwrap();
+                for _ in 0..2 {
+                    let e = points.next().unwrap();
+                    assert_eq!(e.counts, design.counts);
+                    assert_eq!(e.coa.to_bits(), want.coa.to_bits(), "{}", e.name);
+                    assert_eq!(e.availability.to_bits(), want.availability.to_bits());
+                    assert_eq!(e.expected_up.to_bits(), want.expected_up.to_bits());
+                }
+            }
+        }
+        assert!(points.next().is_none());
+    }
+
+    #[test]
+    fn cache_counts_a_shared_lock_hit_as_one_hit_per_tier() {
+        // The all-hit lookup takes one lock for every tier; the counters
+        // move as the tier-by-tier lookups move them.
+        let tel = Telemetry::counters();
+        let cache = AnalysisCache::with_telemetry(tel.clone());
+        let spec = case_study::network();
+        let mut renamed = spec.tiers().to_vec();
+        renamed[0].params.name = "dns replica".to_string();
+        let renamed = NetworkSpec::new(renamed, spec.edges().to_vec());
+        let first = cache.analyses_for(&spec).unwrap();
+        assert_eq!((cache.solves(), cache.hits(), cache.relabels()), (4, 0, 0));
+        // A relabel takes the tier-by-tier path: 4 hits, one a relabel.
+        cache.analyses_for(&renamed).unwrap();
+        assert_eq!((cache.solves(), cache.hits(), cache.relabels()), (4, 4, 1));
+        let again = cache.analyses_for(&spec).unwrap();
+        let renamed_again = cache.analyses_for(&renamed).unwrap();
+        assert_eq!((cache.solves(), cache.hits(), cache.relabels()), (4, 12, 1));
+        assert_eq!(tel.snapshot().get(Counter::CacheHits), 12);
+        assert_eq!(tel.snapshot().get(Counter::CacheRelabels), 1);
+        for (a, b) in first.iter().zip(&again) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+        assert_eq!(renamed_again[0].name(), "dns replica");
     }
 
     #[test]

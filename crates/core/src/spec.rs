@@ -1,5 +1,6 @@
 //! Network specifications: the phase-1 inputs of the paper's approach.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use redeval_avail::{NetworkModel, ServerParams, Tier};
@@ -48,14 +49,21 @@ impl Design {
     }
 
     /// The conventional name `"a DNS + b WEB + c APP + d DB"` style, from
-    /// tier names.
+    /// tier names, written into one string. Upper-casing char by char
+    /// gives the bytes of `str::to_uppercase`.
     pub fn conventional_name(tier_names: &[&str], counts: &[u32]) -> String {
-        tier_names
-            .iter()
-            .zip(counts)
-            .map(|(n, c)| format!("{c} {}", n.to_uppercase()))
-            .collect::<Vec<_>>()
-            .join(" + ")
+        // Per tier: the name, a count of up to 10 digits, a space and
+        // the ` + ` separator.
+        let mut name =
+            String::with_capacity(tier_names.iter().map(|n| n.len() + 14).sum::<usize>());
+        for (i, (n, c)) in tier_names.iter().zip(counts).enumerate() {
+            if i > 0 {
+                name.push_str(" + ");
+            }
+            let _ = write!(name, "{c} ");
+            name.extend(n.chars().flat_map(char::to_uppercase));
+        }
+        name
     }
 }
 
@@ -341,22 +349,12 @@ impl NetworkSpec {
     where
         A: std::borrow::Borrow<redeval_avail::ServerAnalysis>,
     {
-        self.network_model_for(&self.counts(), analyses)
-    }
-
-    /// [`network_model`](Self::network_model) for the design `counts`
-    /// (already checked) instead of the spec's own counts.
-    pub(crate) fn network_model_for<A>(&self, counts: &[u32], analyses: &[A]) -> NetworkModel
-    where
-        A: std::borrow::Borrow<redeval_avail::ServerAnalysis>,
-    {
         assert_eq!(analyses.len(), self.tiers.len(), "one analysis per tier");
         NetworkModel::new(
             self.tiers
                 .iter()
-                .zip(counts)
                 .zip(analyses)
-                .map(|((t, &count), a)| Tier::new(t.name.clone(), count, a.borrow().rates()))
+                .map(|(t, a)| Tier::new(t.name.clone(), t.count, a.borrow().rates()))
                 .collect(),
         )
     }
@@ -523,6 +521,18 @@ mod tests {
     fn conventional_name_format() {
         let n = Design::conventional_name(&["dns", "web"], &[2, 1]);
         assert_eq!(n, "2 DNS + 1 WEB");
+        // The bytes of `format!` + `str::to_uppercase` + `join`, on
+        // names whose upper case changes length.
+        let names = ["straße", "ǆ-ﬁ", "web", "", "İi"];
+        let counts = [10, 0, u32::MAX, 3, 7];
+        let joined = names
+            .iter()
+            .zip(counts)
+            .map(|(n, c)| format!("{c} {}", n.to_uppercase()))
+            .collect::<Vec<_>>()
+            .join(" + ");
+        assert_eq!(Design::conventional_name(&names, &counts), joined);
+        assert_eq!(Design::conventional_name(&[], &[]), "");
     }
 
     #[test]

@@ -135,13 +135,24 @@ impl PathFold {
     /// multiplicity, so they take the path once; the noisy-or product
     /// does, so it multiplies once per copy. With `n = 1` this is the
     /// per-path update of the host walk.
+    ///
+    /// The product stops early where the rest cannot change it: `q = 1`
+    /// leaves `miss` as it is, and once `miss` is ±0 a finite `q` keeps
+    /// it ±0 — [`finish`](Self::finish) reads only `1 − miss`, the same
+    /// for either sign.
     pub(crate) fn add(&mut self, (impact, probability): (f64, f64), len: usize, n: usize) {
         self.paths += n;
         self.aim = self.aim.max(impact);
         self.max_probability = self.max_probability.max(probability);
         let q = 1.0 - probability;
-        for _ in 0..n {
-            self.miss *= q;
+        if q != 1.0 {
+            let absorbs = q.is_finite();
+            for _ in 0..n {
+                if absorbs && self.miss == 0.0 {
+                    break;
+                }
+                self.miss *= q;
+            }
         }
         self.risk = self.risk.max(impact * probability);
         self.shortest = Some(self.shortest.map_or(len, |s| s.min(len)));
@@ -222,5 +233,63 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("AIM=52.2"));
         assert!(s.contains("NoAP=8"));
+    }
+
+    /// `fold` after one `add` of a path of `probability`, and the ASP it
+    /// finishes with, next to the per-copy product the early exit
+    /// replaces.
+    fn noisy_or_after(mut fold: PathFold, probability: f64, n: usize) -> (f64, f64, f64) {
+        let mut miss = fold.miss;
+        for _ in 0..n {
+            miss *= 1.0 - probability;
+        }
+        fold.add((1.0, probability), 2, n);
+        let asp = fold
+            .finish(&MetricsConfig::default(), None, 0, 0)
+            .attack_success_probability;
+        (fold.miss, miss, asp)
+    }
+
+    #[test]
+    fn noisy_or_stops_at_zero_with_the_same_asp() {
+        // A certain path repeated `max_paths` times: one multiplication
+        // reaches `miss = 0`, and the ASP is the per-copy product's.
+        let n = MetricsConfig::default().max_paths;
+        let (early, full, asp) = noisy_or_after(PathFold::new(), 1.0, n);
+        assert_eq!((early.to_bits(), full.to_bits()), (0, 0));
+        assert_eq!(asp.to_bits(), (1.0 - full).to_bits());
+        // A negative `q` flips the sign of a zero `miss` on every copy;
+        // `1 − miss` is the same for both signs.
+        let mut fold = PathFold::new();
+        fold.add((1.0, 1.0), 1, 1);
+        let (early, full, asp) = noisy_or_after(fold, 1.5, 3);
+        assert_eq!(early, full);
+        assert_eq!(asp.to_bits(), (1.0 - full).to_bits());
+    }
+
+    #[test]
+    fn noisy_or_keeps_multiplying_a_non_finite_q() {
+        // `0 · ∞` and `0 · NaN` are NaN: a zero `miss` absorbs only
+        // finite factors.
+        for probability in [f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
+            let mut fold = PathFold::new();
+            fold.add((1.0, 1.0), 1, 1);
+            assert_eq!(fold.miss, 0.0);
+            let (early, full, asp) = noisy_or_after(fold, probability, 3);
+            assert!(early.is_nan() && full.is_nan(), "p = {probability}");
+            assert!(asp.is_nan());
+        }
+    }
+
+    #[test]
+    fn noisy_or_skips_a_q_of_one() {
+        // `p = 0` (and `p` too small to move `1 − p`) multiplies by 1.
+        let mut fold = PathFold::new();
+        fold.add((1.0, 0.25), 1, 3);
+        for probability in [0.0, -0.0, 1e-300] {
+            let (early, full, _) = noisy_or_after(fold.clone(), probability, 5);
+            assert_eq!(early.to_bits(), full.to_bits(), "p = {probability}");
+            assert_eq!(early.to_bits(), fold.miss.to_bits());
+        }
     }
 }
