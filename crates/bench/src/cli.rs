@@ -111,7 +111,8 @@ OPTIONS:
     --format <FMT>       text (default), json, or csv
     --out <DIR>          write DIR/<name>.<ext> instead of stdout
     --addr <A>           serve: listen address (default 127.0.0.1:7878)
-    --threads <N>        serve: worker-pool size (default: all cores)
+    --threads <N>        serve: worker-pool size 1..=1024 (default: all
+                         cores)
     --cache-cap <BYTES>  serve: result-cache budget (default 67108864)
     --cache-dir <DIR>    serve: persist results under DIR so a restarted
                          server answers repeats warm (DESIGN.md §12)
@@ -139,6 +140,11 @@ EXIT CODES: 0 ok; 1 a consistency/validation check failed; 2 usage error.
 
 /// The commands that analyze one scenario.
 const ANALYSES: &[&str] = &["eval", "optimize", "equilibrium"];
+
+/// The worker counts `serve --threads` accepts. The server spawns that
+/// many pool workers and that many connection workers, so a mistyped
+/// count must be a usage error, not thousands of threads.
+const THREADS_RANGE: RangeInclusive<usize> = 1..=1024;
 
 /// Every command-specific flag and the commands that accept it; the
 /// remaining flags (`--format`, `--out`, `--help`) apply to any command.
@@ -456,10 +462,7 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
             "--max-iters" => max_iters = Some(in_range(flag, value()?, MAX_ITERS_RANGE)?),
             "--bounds" => bounds = Some(parse_bounds(value()?)?),
             "--addr" => addr = Some(value()?.to_string()),
-            "--threads" => match number(flag, value()?)? {
-                0 => return Err("--threads must be at least 1".to_string()),
-                n => threads = Some(n),
-            },
+            "--threads" => threads = Some(in_range(flag, value()?, THREADS_RANGE)?),
             "--cache-cap" => cache_cap = Some(number(flag, value()?)?),
             "--cache-dir" => cache_dir = Some(value()?.to_string()),
             "--seed" => seed = Some(in_range(flag, value()?, 0..=MAX_SEED)?),
@@ -897,11 +900,16 @@ pub fn run(args: &[String]) -> i32 {
                 Err(e) => fail(2, format!("cannot start acceptors: {e}")),
             }
         }
+        // One pool and one solve cache for the whole run, `report --all`
+        // included: every report resolves its tiers through the same
+        // cache, and neither changes a byte of any report.
         Cmd::Reports(names) => {
+            let pool = Pool::new(redeval::exec::default_threads());
+            let cache = Arc::new(AnalysisCache::new());
             let mut all_ok = true;
             for name in names {
                 let spec = reports::find(name).expect("registry name resolves");
-                match emit(&(spec.build)()) {
+                match emit(&(spec.build)(&pool, &cache)) {
                     Ok(ok) => all_ok &= ok,
                     Err(code) => return code,
                 }
@@ -1508,6 +1516,27 @@ mod tests {
         assert!(parse(&args(&["table", "2", "--cache-dir", "/tmp/x"])).is_err());
         assert!(parse(&args(&["--addr", "127.0.0.1:1"])).is_err());
         assert!(parse(&args(&["serve", "extra"])).is_err());
+    }
+
+    #[test]
+    fn serve_threads_stop_at_the_bound() {
+        // Parsing only: no pool or server is ever built here.
+        let threads = |n: &str| -> Result<usize, String> {
+            match parse(&args(&["serve", "--threads", n]))?.cmd {
+                Cmd::Serve { threads, .. } => Ok(threads),
+                other => panic!("expected Serve, got {other:?}"),
+            }
+        };
+        assert_eq!(threads("1"), Ok(1));
+        assert_eq!(threads("1024"), Ok(1024));
+        for bad in ["0", "1025"] {
+            let err = threads(bad).unwrap_err();
+            assert!(
+                err.contains("--threads") && err.contains("1..=1024"),
+                "{err}"
+            );
+        }
+        assert!(USAGE.contains("1..=1024"), "usage states the bound");
     }
 
     #[test]

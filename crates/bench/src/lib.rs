@@ -3,12 +3,15 @@
 //! Each paper table/figure — Tables I–VI, Figures 3–7, the Equation
 //! (3),(4) region analyses and the §V extension studies — is built by a
 //! function in [`reports`] returning a structured
-//! [`Report`](redeval::output::Report). The unified `redeval` binary
-//! ([`cli`]) dispatches over the report registry with `--format
+//! [`Report`](redeval::output::Report). Every registry builder runs on
+//! the caller's [`Pool`](redeval::exec::Pool) and
+//! [`AnalysisCache`](redeval::exec::AnalysisCache). The unified `redeval`
+//! binary ([`cli`]) dispatches over the report registry with `--format
 //! text|json|csv` (`redeval <name>` for any artifact); the `design_space`
 //! and `full_report` binaries render the same functions with a bound
-//! argument and as markdown. See `DESIGN.md` §6–§7 and the README's
-//! reproduction index.
+//! argument and as markdown. Each of the three builds one pool and one
+//! cache per run, and [`serve`] keeps one of each for the server's
+//! lifetime. See `DESIGN.md` §5–§7 and the README's reproduction index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use redeval::equilibrium::{EquilibriumAnalyzer, EquilibriumOutcome, DEFAULT_MAX_ITERS};
-use redeval::exec::{default_threads, AnalysisCache, Pool};
+use redeval::exec::{AnalysisCache, Pool};
 use redeval::optimize::DEFAULT_MAX_REDUNDANCY;
 use redeval::output::{Report, Table, Value};
 use redeval::scenario::builtin;
@@ -40,12 +40,11 @@ pub fn equilibrium_report_on(
     let max_iters = req.max_iters.unwrap_or(DEFAULT_MAX_ITERS);
     let mut analyzer = EquilibriumAnalyzer::from_scenario(doc)?
         .max_redundancy(max_redundancy)
-        .max_iters(max_iters)
-        .share_cache(cache);
+        .max_iters(max_iters);
     if let Some(policies) = &req.policies {
         analyzer = analyzer.policies(policies.clone());
     }
-    let outcome = analyzer.run(pool)?;
+    let outcome = analyzer.run(pool, cache)?;
 
     let policies: Vec<String> = match &req.policies {
         Some(p) => p.iter().map(ToString::to_string).collect(),
@@ -199,12 +198,11 @@ pub fn default_request() -> EquilibriumRequest {
     }
 }
 
-/// The registry entry: [`default_request`] evaluated on a fresh pool and
-/// cache and pinned under the registry key `equilibrium`.
-pub fn builtin_equilibrium() -> Report {
-    let pool = Pool::new(default_threads());
-    let mut r = equilibrium_report_on(&default_request(), &pool, &Arc::new(AnalysisCache::new()))
-        .expect("builtin equilibrium report");
+/// The registry entry: [`default_request`] evaluated on `pool` and
+/// `cache` and pinned under the registry key `equilibrium`.
+pub fn builtin_equilibrium(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
+    let mut r =
+        equilibrium_report_on(&default_request(), pool, cache).expect("builtin equilibrium report");
     r.name = "equilibrium".into();
     r
 }
@@ -212,13 +210,22 @@ pub fn builtin_equilibrium() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redeval::exec::default_threads;
+
+    /// [`builtin_equilibrium`] on a fresh pool and cache.
+    fn builtin() -> Report {
+        builtin_equilibrium(
+            &Pool::new(default_threads()),
+            &Arc::new(AnalysisCache::new()),
+        )
+    }
 
     #[test]
     fn builtin_report_is_deterministic_and_passes_checks() {
-        let r = builtin_equilibrium();
+        let r = builtin();
         assert!(r.ok);
         assert_eq!(r.name, "equilibrium");
-        assert_eq!(r.to_json(), builtin_equilibrium().to_json());
+        assert_eq!(r.to_json(), builtin().to_json());
         let json = r.to_json();
         assert!(json.contains("\"converged\": true"));
         assert!(json.contains("\"trace\""));

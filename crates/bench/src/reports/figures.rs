@@ -1,14 +1,17 @@
 //! Builders for the paper's Figures 3–7.
 
+use std::sync::Arc;
+
 use redeval::case_study;
 use redeval::charts::{
     radar_data, radar_series_table, scatter_ascii, scatter_data, scatter_table, RADAR_AXES,
 };
+use redeval::exec::{AnalysisCache, Pool};
 use redeval::output::{Report, Table, Value};
 use redeval::{Harm, MetricsConfig};
 use redeval_avail::ServerModel;
 
-use super::{case_tier_analyses, eq3_regions, eq4_regions, five_design_evals};
+use super::{eq3_regions, eq4_regions, five_design_evals};
 
 fn path_table(name: &str, harm: &Harm, cfg: &MetricsConfig) -> Table {
     let mut t = Table::new(name, ["path", "aim", "asp"]);
@@ -44,8 +47,9 @@ pub fn fig3() -> Report {
 }
 
 /// **Figures 4 and 5** — the SRN sub-models as Graphviz DOT, plus the
-/// tangible state space of the server model.
-pub fn fig45() -> Report {
+/// tangible state space of the server model; the network sub-model's
+/// tiers are solved through `cache`.
+pub fn fig45(cache: &AnalysisCache) -> Report {
     let mut r = Report::new("fig45", "Figures 4/5: SRN sub-models");
     let model = ServerModel::build(&case_study::dns_params());
     r.note(format!(
@@ -72,7 +76,8 @@ pub fn fig45() -> Report {
     r.table(markings);
 
     let spec = case_study::network();
-    let (net, _) = spec.network_model(case_tier_analyses()).to_srn();
+    let analyses = cache.analyses_for(&spec).expect("server models solve");
+    let (net, _) = spec.network_model(&analyses).to_srn();
     r.note(format!(
         "Figure 4 — SRN sub-models for the network, DOT:\n{}",
         net.to_dot()
@@ -82,9 +87,9 @@ pub fn fig45() -> Report {
 
 /// **Figure 6** — the ASP-vs-COA scatter of the five designs, before and
 /// after patch, plus the Equation-(3) region analysis.
-pub fn fig6() -> Report {
+pub fn fig6(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new("fig6", "Figure 6: ASP vs COA for the five designs");
-    let evals = five_design_evals();
+    let evals = five_design_evals(pool, cache);
 
     let mut before = scatter_table(&scatter_data(&evals, false));
     before.name = "scatter-before-patch".to_string();
@@ -107,12 +112,12 @@ pub fn fig6() -> Report {
 /// **Figure 7** — the six-metric radar comparison of the five designs,
 /// the paper's qualitative observations (checked), and the Equation-(4)
 /// region analysis.
-pub fn fig7() -> Report {
+pub fn fig7(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new(
         "fig7",
         "Figure 7: six-metric comparison of the five designs",
     );
-    let evals = five_design_evals();
+    let evals = five_design_evals(pool, cache);
     r.note(format!("radar axes: {}", RADAR_AXES.join(" | ")));
 
     let before = radar_data(&evals, false);

@@ -8,6 +8,15 @@
 //! seeds, order-stable data structures, and results independent of thread
 //! count (DESIGN.md §5–§6) — a builder that records wall-clock times or
 //! machine parallelism must never join this registry.
+//!
+//! A builder describes *what* to compute; *where* it runs is the
+//! caller's. Every registry entry takes the caller's [`Pool`] and
+//! [`AnalysisCache`], and a builder that batches or solves tiers runs on
+//! them, so one run — `redeval report --all`, the golden tests — builds
+//! one pool and one cache and every report shares its tier solves
+//! (`profile` alone counts on a cold cache of its own). The cache is
+//! exact and every batch is bitwise-identical at any pool size, so
+//! neither changes a byte.
 
 pub mod equilibrium;
 pub mod figures;
@@ -18,26 +27,26 @@ pub mod studies;
 pub mod tables;
 pub mod validate;
 
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 use redeval::case_study;
 use redeval::decision::{MultiBounds, ScatterBounds};
-use redeval::exec::{default_threads, Pool, Sweep};
+use redeval::exec::{AnalysisCache, Pool, Sweep};
 use redeval::output::{Report, Table, Value};
 use redeval::report::{markdown_report, ReportOptions};
 use redeval::{DesignEvaluation, PatchPolicy};
-use redeval_avail::ServerAnalysis;
 
 /// One registry entry: the machine name (CLI subcommand / golden-file
-/// stem), a one-line description, and the zero-argument builder.
+/// stem), a one-line description, and the builder.
 #[derive(Debug, Clone, Copy)]
 pub struct ReportSpec {
     /// Machine name, e.g. `table2` or `design_space`.
     pub name: &'static str,
     /// One-line description (shown by `redeval list`).
     pub about: &'static str,
-    /// Builds the report with its default parameters.
-    pub build: fn() -> Report,
+    /// Builds the report with its default parameters on the caller's
+    /// pool and cache. A builder that needs neither ignores them.
+    pub build: fn(&Pool, &Arc<AnalysisCache>) -> Report,
 }
 
 /// Every report, in the order `report --all` emits them. Names are the
@@ -47,42 +56,42 @@ pub const REGISTRY: &[ReportSpec] = &[
     ReportSpec {
         name: "table1",
         about: "Table I — vulnerability data from reconstructed CVSS vectors",
-        build: tables::table1,
+        build: |_, _| tables::table1(),
     },
     ReportSpec {
         name: "table2",
         about: "Table II — security metrics before/after patch vs the paper",
-        build: tables::table2,
+        build: |_, _| tables::table2(),
     },
     ReportSpec {
         name: "table3",
         about: "Table III — SRN guard functions probed against the net",
-        build: tables::table3,
+        build: |_, _| tables::table3(),
     },
     ReportSpec {
         name: "table4",
         about: "Table IV — SRN input parameters per tier",
-        build: tables::table4,
+        build: |_, _| tables::table4(),
     },
     ReportSpec {
         name: "table5",
         about: "Table V — aggregated patch/recovery rates per tier",
-        build: tables::table5,
+        build: |_, cache| tables::table5(cache),
     },
     ReportSpec {
         name: "table6",
         about: "Table VI — COA reward function and the paper's COA, three ways",
-        build: tables::table6,
+        build: |_, cache| tables::table6(cache),
     },
     ReportSpec {
         name: "fig3",
         about: "Figure 3 — HARM attack paths and DOT, before/after patch",
-        build: figures::fig3,
+        build: |_, _| figures::fig3(),
     },
     ReportSpec {
         name: "fig45",
         about: "Figures 4/5 — SRN sub-models as DOT + tangible state space",
-        build: figures::fig45,
+        build: |_, cache| figures::fig45(cache),
     },
     ReportSpec {
         name: "fig6",
@@ -107,12 +116,12 @@ pub const REGISTRY: &[ReportSpec] = &[
     ReportSpec {
         name: "sensitivity",
         about: "COA-loss sensitivities of every Table-IV parameter",
-        build: studies::sensitivity_default,
+        build: studies::sensitivity,
     },
     ReportSpec {
         name: "scenarios",
         about: "Partial patch scenarios — per-tier MTTR and network COA",
-        build: studies::scenarios,
+        build: |pool, _| studies::scenarios(pool),
     },
     ReportSpec {
         name: "cost",
@@ -122,17 +131,17 @@ pub const REGISTRY: &[ReportSpec] = &[
     ReportSpec {
         name: "design_space",
         about: "Exhaustive design-space search with the decision functions",
-        build: studies::design_space_default,
+        build: |pool, cache| studies::design_space(3, pool, cache),
     },
     ReportSpec {
         name: "heterogeneous",
         about: "Heterogeneous (diverse-stack) redundancy study",
-        build: studies::heterogeneous,
+        build: |_, cache| studies::heterogeneous(cache),
     },
     ReportSpec {
         name: "importance",
         about: "Host-importance ranking before/after patch",
-        build: studies::importance,
+        build: |_, _| studies::importance(),
     },
     ReportSpec {
         name: "patch_priority",
@@ -142,12 +151,12 @@ pub const REGISTRY: &[ReportSpec] = &[
     ReportSpec {
         name: "perf",
         about: "M/M/c response times per design under patching",
-        build: studies::perf,
+        build: |_, cache| studies::perf(cache),
     },
     ReportSpec {
         name: "transient",
         about: "Capacity transient of a patch round (uniformization)",
-        build: studies::transient,
+        build: |_, cache| studies::transient(cache),
     },
     ReportSpec {
         name: "optimize",
@@ -162,7 +171,7 @@ pub const REGISTRY: &[ReportSpec] = &[
     ReportSpec {
         name: "profile",
         about: "Deterministic telemetry counters over eval/optimize/equilibrium",
-        build: profile::builtin_profile,
+        build: |pool, _| profile::builtin_profile(pool),
     },
     ReportSpec {
         name: "scenario_suite",
@@ -177,12 +186,12 @@ pub const REGISTRY: &[ReportSpec] = &[
     ReportSpec {
         name: "validate_sim",
         about: "Analytic vs simulation cross-validation (fixed seeds)",
-        build: validate::validate_sim,
+        build: |_, cache| validate::validate_sim(cache),
     },
     ReportSpec {
         name: "aggregation_error",
         about: "Eq. (1),(2) aggregation accuracy vs the exact composite",
-        build: validate::aggregation_error,
+        build: |_, _| validate::aggregation_error(),
     },
 ];
 
@@ -247,39 +256,22 @@ pub fn paper_multi_regions() -> Vec<(&'static str, MultiBounds, Vec<&'static str
 }
 
 /// Evaluates the paper's five designs under critical-only patching at
-/// 8.0 (the [`Sweep`] default) on the batch engine — the shared
+/// 8.0 (the [`Sweep`] default) on `pool` and `cache` — the shared
 /// evaluation path of `fig6`, `fig7`, `regions`, `cost`,
-/// `patch_priority` and `full_report`. Memoized: `report --all` and the
-/// golden tests call several of those builders in one process, and the
-/// grid is deterministic, so one solve serves them all.
-pub fn five_design_evals() -> Vec<DesignEvaluation> {
-    static EVALS: OnceLock<Vec<DesignEvaluation>> = OnceLock::new();
-    EVALS
-        .get_or_init(|| {
-            Sweep::new(case_study::network())
-                .designs(case_study::five_designs())
-                .run(&Pool::new(default_threads()))
-                .expect("five designs evaluate")
-        })
-        .clone()
-}
-
-/// The solved lower-layer SRN analyses of the case-study tiers, in tier
-/// order. Memoized for the same reason as [`five_design_evals`]: six
-/// builders need them and the solve is count-independent.
-pub(crate) fn case_tier_analyses() -> &'static [ServerAnalysis] {
-    static ANALYSES: OnceLock<Vec<ServerAnalysis>> = OnceLock::new();
-    ANALYSES.get_or_init(|| {
-        case_study::network()
-            .tier_analyses()
-            .expect("server models solve")
-    })
+/// `patch_priority` and `full_report`. A run building several of those
+/// reports solves the case-study tiers once, in its cache; the five
+/// cells themselves are cheap.
+pub fn five_design_evals(pool: &Pool, cache: &Arc<AnalysisCache>) -> Vec<DesignEvaluation> {
+    Sweep::new(case_study::network())
+        .designs(case_study::five_designs())
+        .run(pool, cache)
+        .expect("five designs evaluate")
 }
 
 /// The complete markdown report over the five designs with the paper's
 /// region bounds (the `full_report` binary), rendered from
-/// [`five_design_evals`].
-pub fn full_report_markdown() -> String {
+/// [`five_design_evals`] on `pool` and `cache`.
+pub fn full_report_markdown(pool: &Pool, cache: &Arc<AnalysisCache>) -> String {
     let options = ReportOptions {
         title: "Ge et al. (DSN 2017) — five redundancy designs under monthly critical patching"
             .into(),
@@ -293,7 +285,7 @@ pub fn full_report_markdown() -> String {
             .collect(),
     };
     markdown_report(
-        &five_design_evals(),
+        &five_design_evals(pool, cache),
         PatchPolicy::CriticalOnly(8.0),
         &options,
     )
@@ -407,6 +399,7 @@ mod tests {
         // Cheap spot-check on a fast builder: the Report's own name must
         // equal its registry key (the golden-file stem).
         let spec = find("regions").unwrap();
-        assert_eq!((spec.build)().name, "regions");
+        let report = (spec.build)(&Pool::new(1), &Arc::new(AnalysisCache::new()));
+        assert_eq!(report.name, "regions");
     }
 }

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use redeval::decision::ScatterBounds;
-use redeval::exec::{default_threads, AnalysisCache, Pool};
+use redeval::exec::{AnalysisCache, Pool};
 use redeval::optimize::DEFAULT_MAX_REDUNDANCY;
 use redeval::output::{Report, Value};
 use redeval::scenario::builtin;
@@ -44,13 +44,11 @@ pub fn optimize_report_on(
 ) -> Result<Report, EvalError> {
     let doc = &req.doc;
     let max_redundancy = req.max_redundancy.unwrap_or(DEFAULT_MAX_REDUNDANCY);
-    let mut optimizer = Optimizer::from_scenario(doc)?
-        .max_redundancy(max_redundancy)
-        .share_cache(cache);
+    let mut optimizer = Optimizer::from_scenario(doc)?.max_redundancy(max_redundancy);
     if let Some(policies) = &req.policies {
         optimizer = optimizer.policies(policies.clone());
     }
-    let outcome = optimizer.run(pool)?;
+    let outcome = optimizer.run(pool, cache)?;
 
     let mut r = Report::new(
         format!("optimize_{}", doc.name),
@@ -144,14 +142,13 @@ pub fn default_request() -> OptimizeRequest {
     }
 }
 
-/// The registry entry: [`default_request`] evaluated on a fresh pool and
-/// cache and pinned under the registry key `optimize` (the golden-corpus
-/// contract names every registry report after its key; the serving/CLI
-/// paths keep the `optimize_<scenario>` convention).
-pub fn builtin_optimize() -> Report {
-    let pool = Pool::new(default_threads());
-    let mut r = optimize_report_on(&default_request(), &pool, &Arc::new(AnalysisCache::new()))
-        .expect("builtin optimize report");
+/// The registry entry: [`default_request`] evaluated on `pool` and
+/// `cache` and pinned under the registry key `optimize` (the
+/// golden-corpus contract names every registry report after its key; the
+/// serving/CLI paths keep the `optimize_<scenario>` convention).
+pub fn builtin_optimize(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
+    let mut r =
+        optimize_report_on(&default_request(), pool, cache).expect("builtin optimize report");
     r.name = "optimize".into();
     r
 }
@@ -159,6 +156,7 @@ pub fn builtin_optimize() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redeval::exec::default_threads;
     use redeval::optimize::exhaustive_frontier;
 
     /// [`optimize_report_on`] on `pool` with a fresh cache.
@@ -166,12 +164,20 @@ mod tests {
         optimize_report_on(req, pool, &Arc::new(AnalysisCache::new()))
     }
 
+    /// [`builtin_optimize`] on a fresh pool and cache.
+    fn builtin() -> Report {
+        builtin_optimize(
+            &Pool::new(default_threads()),
+            &Arc::new(AnalysisCache::new()),
+        )
+    }
+
     #[test]
     fn builtin_report_is_deterministic_and_passes_checks() {
-        let r = builtin_optimize();
+        let r = builtin();
         assert!(r.ok);
         assert_eq!(r.name, "optimize");
-        assert_eq!(r.to_json(), builtin_optimize().to_json());
+        assert_eq!(r.to_json(), builtin().to_json());
     }
 
     #[test]
@@ -188,6 +194,7 @@ mod tests {
         let exhaustive = exhaustive_frontier(
             &Optimizer::from_scenario(&doc).unwrap().max_redundancy(3),
             &pool,
+            &Arc::new(AnalysisCache::new()),
         )
         .unwrap();
         let table = r.to_json();

@@ -2,12 +2,12 @@
 //!
 //! [`builtin_profile`] runs a fixed three-stage pipeline — the paper's
 //! case-study evaluation, a small branch-and-bound optimize, and a small
-//! attacker–defender equilibrium — over one shared
-//! [`AnalysisCache`] carrying a counters-mode [`Telemetry`] handle, and
-//! reports the counter snapshot after each stage. Counters are
-//! schedule-independent by the telemetry contract (DESIGN.md §14), so
-//! the report is byte-identical at any thread count and joins the golden
-//! corpus like every other registry builder. Wall-clock spans are
+//! attacker–defender equilibrium — on the caller's [`Pool`] over one
+//! [`AnalysisCache`] of its own carrying a counters-mode [`Telemetry`]
+//! handle, and reports the counter snapshot after each stage. Counters
+//! are schedule-independent by the telemetry contract (DESIGN.md §14),
+//! so the report is byte-identical at any thread count and joins the
+//! golden corpus like every other registry builder. Wall-clock spans are
 //! **not** recorded here: this is the counters-only view; timings live
 //! exclusively in the `--profile` trace file.
 
@@ -25,14 +25,18 @@ use super::{equilibrium, optimize, scenario};
 const STAGES: [&str; 3] = ["eval", "optimize", "equilibrium"];
 
 /// The registry entry: cumulative counter snapshots across the fixed
-/// pipeline, pinned under the registry key `profile`.
-pub fn builtin_profile() -> Report {
+/// pipeline on `pool`, pinned under the registry key `profile`.
+pub fn builtin_profile(pool: &Pool) -> Report {
     let tel = Telemetry::counters();
-    let pool = Pool::new(2);
+    // The one cache a registry builder makes for itself: the report
+    // measures the solves and hits of this pipeline from a cold start,
+    // and a cache warmed by the run's other reports would move every
+    // counter. The pool is the caller's: counters do not depend on its
+    // size (`tests/telemetry_differential.rs`).
     let cache = Arc::new(AnalysisCache::with_telemetry(tel.clone()));
     let doc = builtin::paper_case_study();
 
-    scenario::eval_report_on(&doc, &pool, &cache).expect("profile eval stage");
+    scenario::eval_report_on(&doc, pool, &cache).expect("profile eval stage");
     let after_eval = tel.snapshot();
 
     let opt_req = OptimizeRequest {
@@ -41,7 +45,7 @@ pub fn builtin_profile() -> Report {
         max_redundancy: Some(2),
         bounds: None,
     };
-    optimize::optimize_report_on(&opt_req, &pool, &cache).expect("profile optimize stage");
+    optimize::optimize_report_on(&opt_req, pool, &cache).expect("profile optimize stage");
     let after_optimize = tel.snapshot();
 
     let eq_req = EquilibriumRequest {
@@ -50,7 +54,7 @@ pub fn builtin_profile() -> Report {
         max_redundancy: Some(2),
         max_iters: None,
     };
-    equilibrium::equilibrium_report_on(&eq_req, &pool, &cache).expect("profile equilibrium stage");
+    equilibrium::equilibrium_report_on(&eq_req, pool, &cache).expect("profile equilibrium stage");
     let after_equilibrium = tel.snapshot();
 
     let mut r = Report::new(
@@ -123,10 +127,10 @@ mod tests {
 
     #[test]
     fn builtin_report_is_deterministic_and_passes_checks() {
-        let r = builtin_profile();
+        let r = builtin_profile(&Pool::new(2));
         assert!(r.ok, "counter self-checks hold");
         assert_eq!(r.name, "profile");
-        assert_eq!(r.to_json(), builtin_profile().to_json());
+        assert_eq!(r.to_json(), builtin_profile(&Pool::new(1)).to_json());
         let json = r.to_json();
         assert!(json.contains("\"counters\""));
         assert!(json.contains("solver_solves"));

@@ -80,7 +80,7 @@ fn evaluation_table(
     pool: &Pool,
     cache: &Arc<AnalysisCache>,
 ) -> Result<Table, EvalError> {
-    let evals = Sweep::from_scenario(doc)?.share_cache(cache).run(pool)?;
+    let evals = Sweep::from_scenario(doc)?.run(pool, cache)?;
     Ok(eval_table_from(name, &evals))
 }
 
@@ -110,7 +110,9 @@ fn topology_table(name: &str, doc: &ScenarioDoc) -> Table {
 }
 
 /// [`eval_report_on`] on a fresh pool (one worker per core) and a fresh
-/// solve cache.
+/// solve cache. Kept for the benchmark harness (`perfbench/`), which
+/// times a cold evaluation through it; every in-tree front door passes
+/// its own pool and cache to [`eval_report_on`].
 ///
 /// # Errors
 ///
@@ -218,7 +220,7 @@ pub fn sweep_report_on(
         sweep = sweep.patch_intervals_days(days);
     }
     let grid = sweep.len();
-    let evals = sweep.share_cache(cache).run(pool)?;
+    let evals = sweep.run(pool, cache)?;
     let mut r = Report::new(
         format!("sweep_{}", doc.name),
         format!("Scenario sweep — {}", doc.title),
@@ -247,10 +249,10 @@ pub fn sweep_report_on(
 }
 
 /// **Scenario suite** — every bundled scenario of
-/// [`builtin::BUILTINS`] evaluated end-to-end through the scenario API;
-/// the golden corpus pins the whole gallery's numbers.
-pub fn scenario_suite() -> Report {
-    let (pool, cache) = (Pool::new(default_threads()), Arc::new(AnalysisCache::new()));
+/// [`builtin::BUILTINS`] evaluated end-to-end through the scenario API on
+/// `pool` and `cache`; the golden corpus pins the whole gallery's
+/// numbers.
+pub fn scenario_suite(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new(
         "scenario_suite",
         "Bundled scenario gallery, evaluated through the declarative API",
@@ -276,7 +278,7 @@ pub fn scenario_suite() -> Report {
         // pins is the *file* semantics, not the in-memory constructors.
         let doc = ScenarioDoc::from_json(&doc.to_json()).expect("builtin round-trips");
         r.check(doc.validate().is_ok());
-        r.table(evaluation_table(s.name, &doc, &pool, &cache).expect("builtin evaluates"));
+        r.table(evaluation_table(s.name, &doc, pool, cache).expect("builtin evaluates"));
     }
     r.note(
         "every table is produced by Sweep::from_scenario over the canonical \
@@ -289,10 +291,10 @@ pub fn scenario_suite() -> Report {
 /// **Generator suite** — the pinned generator corpus
 /// ([`generate::PINNED`]) regenerated in-process, self-checked
 /// (byte-determinism, strict validation, round-trip equality) and
-/// evaluated end-to-end; the golden pins both the corpus shape and its
-/// numbers, so any drift in the generators is a test failure.
-pub fn gen_suite() -> Report {
-    let (pool, cache) = (Pool::new(default_threads()), Arc::new(AnalysisCache::new()));
+/// evaluated end-to-end on `pool` and `cache`; the golden pins both the
+/// corpus shape and its numbers, so any drift in the generators is a
+/// test failure.
+pub fn gen_suite(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new(
         "gen_suite",
         "Seeded generator corpus, evaluated through the declarative API",
@@ -341,7 +343,7 @@ pub fn gen_suite() -> Report {
         // `redeval eval --scenario <generated file>` computes.
         let doc = ScenarioDoc::from_json(&doc.to_json()).expect("generated doc round-trips");
         let name = doc.name.clone();
-        r.table(evaluation_table(&name, &doc, &pool, &cache).expect("generated doc evaluates"));
+        r.table(evaluation_table(&name, &doc, pool, cache).expect("generated doc evaluates"));
     }
     r.note(
         "the corpus is redeval::scenario::generate::PINNED — the same \
@@ -363,7 +365,10 @@ mod tests {
 
     #[test]
     fn suite_covers_every_builtin_and_passes_checks() {
-        let r = scenario_suite();
+        let r = scenario_suite(
+            &Pool::new(default_threads()),
+            &Arc::new(AnalysisCache::new()),
+        );
         assert!(r.ok);
         let json = r.to_json();
         for s in builtin::BUILTINS {
@@ -373,7 +378,10 @@ mod tests {
 
     #[test]
     fn gen_suite_covers_every_pinned_doc_and_passes_checks() {
-        let r = gen_suite();
+        let r = gen_suite(
+            &Pool::new(default_threads()),
+            &Arc::new(AnalysisCache::new()),
+        );
         assert!(r.ok);
         let json = r.to_json();
         for &(family, params, seed) in generate::PINNED {

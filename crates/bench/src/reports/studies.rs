@@ -1,9 +1,11 @@
 //! Builders for the sweep, decision and extension studies.
 
+use std::sync::Arc;
+
 use redeval::case_study;
 use redeval::cost::CostModel;
 use redeval::decision::ScatterBounds;
-use redeval::exec::{default_threads, AnalysisCache, Pool, Scenario, Sweep};
+use redeval::exec::{AnalysisCache, Pool, Scenario, Sweep};
 use redeval::output::{Report, Series, Table, Value};
 use redeval::sensitivity::coa_sensitivities;
 use redeval::{
@@ -13,14 +15,14 @@ use redeval::{
 use redeval_avail::mmc::{availability_weighted_response_time, Mmc};
 use redeval_avail::{NetworkModel, PatchScenario, ServerAnalysis, Tier};
 
-use super::{case_tier_analyses, design_table, eq3_regions, eq4_regions, five_design_evals};
+use super::{design_table, eq3_regions, eq4_regions, five_design_evals};
 use crate::{CASE_STUDY_COUNTS, CVSS_THRESHOLDS, PATCH_WINDOWS_DAYS};
 
 /// The paper's **Equation (3) and (4) region analyses** in one report —
 /// the workspace's headline-result check (`ok` flips on any deviation).
-pub fn regions() -> Report {
+pub fn regions(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new("regions", "Equations (3),(4): decision-function regions");
-    let evals = five_design_evals();
+    let evals = five_design_evals(pool, cache);
     let refs: Vec<&redeval::DesignEvaluation> = evals.iter().collect();
     r.table(design_table("five-designs-after-patch", &refs));
     eq3_regions(&mut r, &evals);
@@ -28,14 +30,8 @@ pub fn regions() -> Report {
     r
 }
 
-/// Patch-interval and criticality-threshold sweeps on a fresh pool.
-pub fn sweep() -> Report {
-    sweep_on(&Pool::new(default_threads()))
-}
-
-/// [`sweep`] on the caller's pool (the golden tests use this to prove
-/// the serialized report invariant in the pool size).
-pub fn sweep_on(pool: &Pool) -> Report {
+/// Patch-interval and criticality-threshold sweeps on `pool` and `cache`.
+pub fn sweep(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new(
         "sweep",
         "Patch-schedule sweeps (case-study network, 1+2+2+1)",
@@ -45,7 +41,7 @@ pub fn sweep_on(pool: &Pool) -> Report {
     let evals = Sweep::new(case_study::network())
         .patch_intervals_days(&PATCH_WINDOWS_DAYS)
         .designs(vec![case_design.clone()])
-        .run(pool)
+        .run(pool, cache)
         .expect("interval grid evaluates");
     let mut intervals = Table::new(
         "patch-interval-sweep",
@@ -80,7 +76,7 @@ pub fn sweep_on(pool: &Pool) -> Report {
                 .map(|&t| PatchPolicy::CriticalOnly(t))
                 .collect(),
         )
-        .run(pool)
+        .run(pool, cache)
         .expect("threshold grid evaluates");
     let mut thresholds = Table::new(
         "criticality-threshold-sweep",
@@ -103,21 +99,17 @@ pub fn sweep_on(pool: &Pool) -> Report {
     r
 }
 
-/// COA sensitivities on a fresh pool.
-pub fn sensitivity_default() -> Report {
-    sensitivity_on(&Pool::new(default_threads()))
-}
-
 /// COA-loss sensitivity analysis — which Table-IV parameter most moves
 /// the availability conclusion, per tier, as elasticities of `1 − COA` —
-/// on the caller's pool.
-pub fn sensitivity_on(pool: &Pool) -> Report {
+/// on `pool` and `cache`.
+pub fn sensitivity(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new(
         "sensitivity",
         "COA-loss sensitivities, case-study network (1+2+2+1)",
     );
     let spec = case_study::network();
-    let sens = coa_sensitivities(&spec, &CASE_STUDY_COUNTS, 0.05, pool).expect("pipeline solves");
+    let sens =
+        coa_sensitivities(&spec, &CASE_STUDY_COUNTS, 0.05, pool, cache).expect("pipeline solves");
     let mut t = Table::new(
         "sensitivities",
         [
@@ -149,8 +141,10 @@ pub fn sensitivity_on(pool: &Pool) -> Report {
 }
 
 /// Partial patch scenarios — per-tier MTTR and network COA for each
-/// round shape (paper §V "SRN models").
-pub fn scenarios() -> Report {
+/// round shape (paper §V "SRN models"), solved on `pool`. The
+/// [`AnalysisCache`] keys only full-round solves, so these per-shape
+/// solves do not go through it.
+pub fn scenarios(pool: &Pool) -> Report {
     let mut r = Report::new("scenarios", "Partial patch scenarios");
     let spec = case_study::network();
     let scenario_list = [
@@ -160,11 +154,11 @@ pub fn scenarios() -> Report {
         PatchScenario::ServiceOnly,
     ];
 
-    // One lower-layer solve per (tier, scenario), on a worker pool.
+    // One lower-layer solve per (tier, scenario), on the caller's pool.
     let tiers = spec.tiers();
     let params: Vec<ServerParams> = tiers.iter().map(|t| t.params.clone()).collect();
     let analyses: Vec<ServerAnalysis> =
-        Pool::new(default_threads()).run_batch(tiers.len() * scenario_list.len(), move |job| {
+        pool.run_batch(tiers.len() * scenario_list.len(), move |job| {
             let (params, scenario) = (
                 &params[job / scenario_list.len()],
                 scenario_list[job % scenario_list.len()],
@@ -216,9 +210,9 @@ pub fn scenarios() -> Report {
 
 /// Expected monthly operational cost per design — server spend vs
 /// capacity-loss vs expected breach loss (paper §V "other metrics").
-pub fn cost() -> Report {
+pub fn cost(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new("cost", "Expected monthly cost per design");
-    let evals = five_design_evals();
+    let evals = five_design_evals(pool, cache);
     let model = CostModel::default();
     r.keys([
         ("server_month", Value::from(model.server_month)),
@@ -263,23 +257,18 @@ pub fn cost() -> Report {
     r
 }
 
-/// Design-space search with the default bound (redundancy ≤ 3 per tier).
-pub fn design_space_default() -> Report {
-    design_space(3)
-}
-
 /// Exhaustive design-space search with the paper's decision functions,
-/// beyond the five hand-picked designs (paper §V "systems").
-pub fn design_space(max_redundancy: u32) -> Report {
+/// beyond the five hand-picked designs (paper §V "systems"), over
+/// `1..=max_redundancy` servers per tier on `pool` and `cache`. The
+/// registry entry uses a bound of 3.
+pub fn design_space(max_redundancy: u32, pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new("design_space", "Exhaustive design-space search");
     let sweep = Sweep::new(case_study::network()).full_design_space(max_redundancy);
     r.keys([
         ("max_redundancy", Value::from(max_redundancy)),
         ("designs", Value::from(sweep.len())),
     ]);
-    let evals = sweep
-        .run(&Pool::new(default_threads()))
-        .expect("designs evaluate");
+    let evals = sweep.run(pool, cache).expect("designs evaluate");
 
     let mut by_coa: Vec<&redeval::DesignEvaluation> = evals.iter().collect();
     by_coa.sort_by(|a, b| b.coa.partial_cmp(&a.coa).expect("finite"));
@@ -354,8 +343,9 @@ fn het_web_tier(name: &str, tree: AttackTree) -> TierSpec {
 }
 
 /// Heterogeneous redundancy — a diverse replica carries a different
-/// vulnerability set than its sibling (paper §V "systems").
-pub fn heterogeneous() -> Report {
+/// vulnerability set than its sibling (paper §V "systems"), its tiers
+/// solved through `cache`.
+pub fn heterogeneous(cache: &AnalysisCache) -> Report {
     let mut r = Report::new(
         "heterogeneous",
         "Heterogeneous redundancy (web tier, after patch)",
@@ -401,11 +391,10 @@ pub fn heterogeneous() -> Report {
         ),
     ];
     // A sweep's designs share one tier stack, and the diverse design has
-    // three tiers: the scenarios evaluate one by one on a shared cache.
-    let cache = AnalysisCache::new();
+    // three tiers: the scenarios evaluate one by one on the cache.
     let mut t = Table::new("designs", ["design", "asp", "noev", "noap", "coa"]);
     for sc in &scenarios {
-        let e = sc.evaluate(&cache).expect("scenarios evaluate");
+        let e = sc.evaluate(cache).expect("scenarios evaluate");
         t.add_row(vec![
             Value::from(e.name.as_str()),
             Value::from(e.after.attack_success_probability),
@@ -458,7 +447,7 @@ pub fn importance() -> Report {
 
 /// Greedy patch prioritization — when the maintenance window only allows
 /// a few patches, which vulnerabilities go first?
-pub fn patch_priority() -> Report {
+pub fn patch_priority(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new("patch_priority", "Greedy patch prioritization");
     let harm = case_study::network().build_harm();
     let cfg = MetricsConfig::default();
@@ -497,7 +486,7 @@ pub fn patch_priority() -> Report {
          metrics the schedule makes visible.",
     );
 
-    let evals = five_design_evals();
+    let evals = five_design_evals(pool, cache);
     let mut blanket_table = Table::new(
         "blanket-policy-five-designs",
         ["design", "asp_before", "asp_after"],
@@ -520,11 +509,11 @@ pub fn patch_priority() -> Report {
 
 /// M/M/c response times per design, weighting each tier's queue by its
 /// up-server distribution under the patch schedule (paper §V "user
-/// oriented performance").
-pub fn perf() -> Report {
+/// oriented performance"), the tiers solved through `cache`.
+pub fn perf(cache: &AnalysisCache) -> Report {
     let mut r = Report::new("perf", "M/M/c response times under patching");
     let spec = case_study::network();
-    let analyses = case_tier_analyses();
+    let analyses = cache.analyses_for(&spec).expect("server models solve");
     // Request profile: 50 req/s arrive at the web tier; each request
     // costs one app call and 0.5 db calls. Service rates are per server.
     let arrival_web = 50.0;
@@ -555,7 +544,7 @@ pub fn perf() -> Report {
         let model = spec
             .with_counts(&d.counts)
             .expect("valid design")
-            .network_model(analyses);
+            .network_model(&analyses);
         for &(name, tier_idx, lambda, mu) in &queue_tiers {
             let count = d.counts[tier_idx];
             let design = Value::from(d.name.as_str());
@@ -602,12 +591,12 @@ pub fn perf() -> Report {
 }
 
 /// Capacity transient of a patch round, by uniformization on the
-/// upper-layer SRN.
-pub fn transient() -> Report {
+/// upper-layer SRN, the tiers solved through `cache`.
+pub fn transient(cache: &AnalysisCache) -> Report {
     let mut r = Report::new("transient", "Capacity transient from the fully-up state");
     let spec = case_study::network();
-    let analyses = case_tier_analyses();
-    let model = spec.network_model(analyses);
+    let analyses = cache.analyses_for(&spec).expect("server models solve");
+    let model = spec.network_model(&analyses);
     let (net, ups) = model.to_srn();
     let counts: Vec<u32> = model.tiers().iter().map(|t| t.count).collect();
     let total: u32 = counts.iter().sum();

@@ -1,13 +1,16 @@
 //! Builders for the paper's Tables I–VI.
 
+use std::borrow::Borrow;
+
 use redeval::case_study::{self, VULNERABILITIES};
+use redeval::exec::AnalysisCache;
 use redeval::output::{Report, Table, Value};
 use redeval::{AspStrategy, MetricsConfig, OrCombine, SecurityMetrics, ServerParams};
-use redeval_avail::ServerModel;
+use redeval_avail::{ServerAnalysis, ServerModel};
 use redeval_cvss::v2::BaseVector;
 use redeval_sim::simulate_coa;
 
-use super::{case_tier_analyses, compare_row, compare_table};
+use super::{compare_row, compare_table};
 
 /// **Table I** — vulnerability information of the example network,
 /// regenerated from the embedded CVSS vectors; checks that every
@@ -275,16 +278,19 @@ pub fn table4() -> Report {
 }
 
 /// **Table V** — aggregated patch/recovery rates for all servers, from
-/// each tier's lower-layer SRN and the paper's Equations (1),(2).
-pub fn table5() -> Report {
+/// each tier's lower-layer SRN (solved through `cache`) and the paper's
+/// Equations (1),(2).
+pub fn table5(cache: &AnalysisCache) -> Report {
     let mut r = Report::new("table5", "Table V: aggregated values for the servers");
-    let analyses = case_tier_analyses();
+    let analyses = cache
+        .analyses_for(&case_study::network())
+        .expect("server models solve");
 
     let mut t = Table::new(
         "aggregated-rates",
         ["service", "mttp_h", "patch_rate", "mttr_h", "recovery_rate"],
     );
-    for a in analyses {
+    for a in &analyses {
         let rates = a.rates();
         t.add_row(vec![
             Value::from(a.name()),
@@ -337,7 +343,7 @@ pub fn table5() -> Report {
             "tangible_states",
         ],
     );
-    for a in analyses {
+    for a in &analyses {
         steady.add_row(vec![
             Value::from(a.name()),
             Value::from(a.p_patch_down()),
@@ -352,17 +358,20 @@ pub fn table5() -> Report {
 
 /// **Table VI** — the COA reward function and the paper's COA value
 /// (≈ 0.99707), computed by product form, explicit upper-layer SRN and
-/// discrete-event simulation (fixed seed).
-pub fn table6() -> Report {
-    table6_for(&case_study::network(), case_tier_analyses())
+/// discrete-event simulation (fixed seed), the tiers solved through
+/// `cache`.
+pub fn table6(cache: &AnalysisCache) -> Report {
+    let spec = case_study::network();
+    let analyses = cache.analyses_for(&spec).expect("server models solve");
+    table6_for(&spec, &analyses)
 }
 
 /// [`table6`] computed over an explicit specification and its solved tier
-/// analyses (same byte-for-byte contract as
-/// [`table2_for`]).
-pub fn table6_for(
+/// analyses — plain values or the cache's shared ones (same
+/// byte-for-byte contract as [`table2_for`]).
+pub fn table6_for<A: Borrow<ServerAnalysis>>(
     spec: &redeval::NetworkSpec,
-    analyses: &[redeval_avail::ServerAnalysis],
+    analyses: &[A],
 ) -> Report {
     let mut r = Report::new(
         "table6",

@@ -5,25 +5,27 @@
 //! reproducible.
 
 use redeval::case_study;
+use redeval::exec::AnalysisCache;
 use redeval::output::{Report, Table, Value};
 use redeval::{AspStrategy, MetricsConfig, ServerParams};
 use redeval_avail::{CompositeNetwork, NetworkModel, ServerAnalysis, ServerModel, Tier};
 use redeval_sim::{estimate_asp, simulate_coa, Simulation};
 
-use super::{case_tier_analyses, compare_row, compare_table_vs};
+use super::{compare_row, compare_table_vs};
 
 /// Cross-validation report: every analytic quantity with a simulation
-/// counterpart, side by side (availability, COA, ASP).
-pub fn validate_sim() -> Report {
+/// counterpart, side by side (availability, COA, ASP); the analytic
+/// tiers are solved through `cache`.
+pub fn validate_sim(cache: &AnalysisCache) -> Report {
     let mut r = Report::new(
         "validate_sim",
         "Cross-validation: analytic vs discrete-event simulation",
     );
     let spec = case_study::network();
-    let analyses = case_tier_analyses();
+    let analyses = cache.analyses_for(&spec).expect("server models solve");
 
     let mut avail = compare_table_vs("server-availability-srn-vs-sim", "analytic", "simulated");
-    for (tier, analysis) in spec.tiers().iter().zip(analyses) {
+    for (tier, analysis) in spec.tiers().iter().zip(&analyses) {
         let model = ServerModel::build(&tier.params);
         let places = *model.places();
         let mut sim = Simulation::new(model.net(), 1_234_567);
@@ -47,7 +49,7 @@ pub fn validate_sim() -> Report {
     }
     r.table(avail);
 
-    let model = spec.network_model(analyses);
+    let model = spec.network_model(&analyses);
     let analytic = model.coa().expect("product form solves");
     let est = simulate_coa(&model, 2_000_000.0, 31_337).expect("simulation runs");
     let mut coa = compare_table_vs("network-coa-analytic-vs-sim", "analytic", "simulated");

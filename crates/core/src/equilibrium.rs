@@ -26,7 +26,7 @@
 //! # Determinism
 //!
 //! Everything is deterministic and invariant in the size of the
-//! caller's [`Pool`]:
+//! caller's [`Pool`] and in the state of the caller's [`AnalysisCache`]:
 //!
 //! * the defender's best response is the first member of the optimizer's
 //!   frontier, which is byte-identical to the exhaustive grid's
@@ -49,15 +49,18 @@
 //! # Examples
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use redeval::equilibrium::EquilibriumAnalyzer;
-//! use redeval::exec::Pool;
+//! use redeval::exec::{AnalysisCache, Pool};
 //! use redeval::scenario::builtin;
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
 //! let doc = builtin::paper_case_study();
+//! let cache = Arc::new(AnalysisCache::new());
 //! let outcome = EquilibriumAnalyzer::from_scenario(&doc)?
 //!     .max_redundancy(2)
-//!     .run(&Pool::new(2))?;
+//!     .run(&Pool::new(2), &cache)?;
 //! assert!(outcome.converged);
 //! assert!(outcome.attacker_mask.iter().any(|&b| b));
 //! # Ok(())
@@ -212,9 +215,9 @@ impl EquilibriumOutcome {
 ///
 /// Mirrors the [`Optimizer`] builder: policies and metrics default from
 /// the scenario document, and [`run`](EquilibriumAnalyzer::run)
-/// evaluates on the caller's [`Pool`] with a shared [`AnalysisCache`] —
-/// entry masking never touches tier parameters, so every round and every
-/// mask reuse the same per-tier solves.
+/// evaluates on the caller's [`Pool`] and [`AnalysisCache`] — entry
+/// masking never touches tier parameters, so every round and every mask
+/// reuse the same per-tier solves.
 #[derive(Debug, Clone)]
 pub struct EquilibriumAnalyzer {
     spec: Arc<NetworkSpec>,
@@ -222,13 +225,12 @@ pub struct EquilibriumAnalyzer {
     metrics: MetricsConfig,
     max_redundancy: u32,
     max_iters: u32,
-    cache: Arc<AnalysisCache>,
 }
 
 impl EquilibriumAnalyzer {
     /// An analyzer over `spec` with the paper's critical-only policy,
-    /// default metrics, [`DEFAULT_MAX_REDUNDANCY`], [`DEFAULT_MAX_ITERS`]
-    /// and a fresh cache.
+    /// default metrics, [`DEFAULT_MAX_REDUNDANCY`] and
+    /// [`DEFAULT_MAX_ITERS`].
     pub fn new(spec: NetworkSpec) -> Self {
         EquilibriumAnalyzer {
             spec: Arc::new(spec),
@@ -236,7 +238,6 @@ impl EquilibriumAnalyzer {
             metrics: MetricsConfig::default(),
             max_redundancy: DEFAULT_MAX_REDUNDANCY,
             max_iters: DEFAULT_MAX_ITERS,
-            cache: Arc::new(AnalysisCache::new()),
         }
     }
 
@@ -284,12 +285,6 @@ impl EquilibriumAnalyzer {
         self
     }
 
-    /// Shares an existing analysis cache (e.g. the serving path's).
-    pub fn share_cache(mut self, cache: &Arc<AnalysisCache>) -> Self {
-        self.cache = Arc::clone(cache);
-        self
-    }
-
     /// Candidate masks per attacker best response, `2^k − 1` over the
     /// spec's `k` entry tiers.
     pub fn attacker_space_masks(&self) -> u64 {
@@ -300,7 +295,8 @@ impl EquilibriumAnalyzer {
     /// lexicographic optimum under (after-patch ASP ↑, COA ↓, counts
     /// reversed-lex ↑, policy index ↑) over the full design × policy
     /// space, computed as the first frontier member of the pruned
-    /// branch-and-bound over the masked specification, on `pool`.
+    /// branch-and-bound over the masked specification, on `pool` and
+    /// `cache`.
     ///
     /// # Errors
     ///
@@ -310,14 +306,14 @@ impl EquilibriumAnalyzer {
         &self,
         mask: &[bool],
         pool: &Pool,
+        cache: &Arc<AnalysisCache>,
     ) -> Result<DefenderResponse, EvalError> {
         let masked = self.spec.with_entry_tiers(mask)?;
         let outcome = Optimizer::new(masked)
             .policies(self.policies.clone())
             .metrics(self.metrics)
             .max_redundancy(self.max_redundancy)
-            .share_cache(&self.cache)
-            .run(pool)?;
+            .run(pool, cache)?;
         // The frontier is sorted (ASP ↑, counts reversed-lex ↑, policy ↑)
         // and equal-ASP members share their COA (an ASP tie with a COA
         // gap is a domination), so the head is the lexicographic optimum.
@@ -336,7 +332,9 @@ impl EquilibriumAnalyzer {
 
     /// The attacker's best response to a defender strategy: the
     /// first-enumerated maximizer of (after-patch ASP, then AIM) over all
-    /// non-empty entry-tier masks, with the union-bound prune.
+    /// non-empty entry-tier masks, with the union-bound prune. The masks
+    /// re-walk one prebuilt HARM and solve no tier, so `cache` serves
+    /// only as the telemetry sink (its span and mask counters).
     ///
     /// # Errors
     ///
@@ -349,8 +347,9 @@ impl EquilibriumAnalyzer {
         &self,
         counts: &[u32],
         policy_idx: usize,
+        cache: &AnalysisCache,
     ) -> Result<AttackerResponse, EvalError> {
-        self.attacker_response_impl(counts, policy_idx, true)
+        self.attacker_response_impl(counts, policy_idx, cache, true)
     }
 
     /// [`attacker_response`](EquilibriumAnalyzer::attacker_response)
@@ -364,17 +363,19 @@ impl EquilibriumAnalyzer {
         &self,
         counts: &[u32],
         policy_idx: usize,
+        cache: &AnalysisCache,
     ) -> Result<AttackerResponse, EvalError> {
-        self.attacker_response_impl(counts, policy_idx, false)
+        self.attacker_response_impl(counts, policy_idx, cache, false)
     }
 
     fn attacker_response_impl(
         &self,
         counts: &[u32],
         policy_idx: usize,
+        cache: &AnalysisCache,
         prune: bool,
     ) -> Result<AttackerResponse, EvalError> {
-        let tel = self.cache.telemetry().clone();
+        let tel = cache.telemetry();
         let _span = tel.span("attacker response");
         let entry_tiers = self.spec.entry_tiers();
         let k = entry_tiers.len();
@@ -460,15 +461,21 @@ impl EquilibriumAnalyzer {
     }
 
     /// Runs the iteration, each defender best response searching on
-    /// `pool`. The outcome is bitwise-identical for any pool size.
+    /// `pool` and every round resolving tier solves through `cache`. The
+    /// outcome is bitwise-identical for any pool size and any cache
+    /// state.
     ///
     /// # Errors
     ///
     /// [`SpecIssue::TooManyEntryTiers`] past [`MAX_ENTRY_TIERS`];
     /// otherwise count-validation and solver errors from the evaluation
     /// pipeline.
-    pub fn run(&self, pool: &Pool) -> Result<EquilibriumOutcome, EvalError> {
-        let tel = self.cache.telemetry().clone();
+    pub fn run(
+        &self,
+        pool: &Pool,
+        cache: &Arc<AnalysisCache>,
+    ) -> Result<EquilibriumOutcome, EvalError> {
+        let tel = cache.telemetry();
         let _span = tel.span(format!("equilibrium (max_iters {})", self.max_iters));
         let entry_tiers = self.spec.entry_tiers();
         let k = entry_tiers.len();
@@ -503,9 +510,9 @@ impl EquilibriumAnalyzer {
         for iteration in 1..=self.max_iters {
             let _round_span = tel.span(format!("round {iteration}"));
             tel.add(crate::telemetry::Counter::EquilibriumRounds, 1);
-            let d = self.defender_response(&attacker, pool)?;
+            let d = self.defender_response(&attacker, pool, cache)?;
             defender_evaluated_cells += d.evaluated_cells;
-            let a = self.attacker_response(&d.eval.counts, d.policy_idx)?;
+            let a = self.attacker_response(&d.eval.counts, d.policy_idx, cache)?;
             masks_evaluated += a.evaluated;
             masks_pruned += a.pruned;
             iterations = iteration as usize;
@@ -560,8 +567,8 @@ impl EquilibriumAnalyzer {
 
 /// Reference defender best response for small spaces: materialize the
 /// full design × policy grid over the masked specification on `pool` and
-/// take the lexicographic argmin under (after-patch ASP ↑, COA ↓, counts
-/// reversed-lex ↑, policy index ↑) — what
+/// `cache` and take the lexicographic argmin under (after-patch ASP ↑,
+/// COA ↓, counts reversed-lex ↑, policy index ↑) — what
 /// [`EquilibriumAnalyzer::defender_response`] must agree with
 /// byte-for-byte.
 ///
@@ -572,13 +579,14 @@ pub fn exhaustive_defender_response(
     analyzer: &EquilibriumAnalyzer,
     mask: &[bool],
     pool: &Pool,
+    cache: &Arc<AnalysisCache>,
 ) -> Result<(DesignEvaluation, usize), EvalError> {
     let masked = analyzer.spec.with_entry_tiers(mask)?;
     let evals = crate::exec::Sweep::new(masked)
         .full_design_space(analyzer.max_redundancy)
         .policies(analyzer.policies.clone())
         .metrics(analyzer.metrics)
-        .run(pool)?;
+        .run(pool, cache)?;
     // Grid order is already (counts reversed-lex ↑, policy ↑), so a
     // strict-improvement scan realizes the full tie-break.
     let mut best: Option<(usize, &DesignEvaluation)> = None;
@@ -607,6 +615,11 @@ mod tests {
     use crate::exec::default_threads;
     use crate::scenario::builtin;
 
+    /// An empty cache for a run whose solves nothing else shares.
+    fn fresh_cache() -> Arc<AnalysisCache> {
+        Arc::new(AnalysisCache::new())
+    }
+
     #[test]
     fn converges_on_the_case_study_to_a_mutual_best_response() {
         let doc = builtin::paper_case_study();
@@ -615,20 +628,26 @@ mod tests {
             let analyzer = EquilibriumAnalyzer::from_scenario(&doc)
                 .unwrap()
                 .max_redundancy(r);
-            let outcome = analyzer.run(&pool).unwrap();
+            let cache = fresh_cache();
+            let outcome = analyzer.run(&pool, &cache).unwrap();
             assert!(outcome.converged, "r = {r}");
             assert!(!outcome.cycle_detected, "r = {r}");
             assert!(outcome.iterations >= 1);
 
             // Brute force: the defender cannot improve against the final
             // mask…
-            let (best_eval, best_policy) =
-                exhaustive_defender_response(&analyzer, &outcome.attacker_mask, &pool).unwrap();
+            let (best_eval, best_policy) = exhaustive_defender_response(
+                &analyzer,
+                &outcome.attacker_mask,
+                &pool,
+                &fresh_cache(),
+            )
+            .unwrap();
             assert_eq!(best_eval, outcome.defender, "r = {r}");
             assert_eq!(best_policy, outcome.policy_idx, "r = {r}");
             // …and no attacker mask beats the final one (exhaustively).
             let a = analyzer
-                .attacker_response_exhaustive(&outcome.defender.counts, outcome.policy_idx)
+                .attacker_response_exhaustive(&outcome.defender.counts, outcome.policy_idx, &cache)
                 .unwrap();
             assert_eq!(a.mask, outcome.attacker_mask, "r = {r}");
             assert_eq!(a.asp.to_bits(), outcome.attacker_asp.to_bits());
@@ -642,13 +661,13 @@ mod tests {
         let reference = EquilibriumAnalyzer::from_scenario(&doc)
             .unwrap()
             .max_redundancy(2)
-            .run(&Pool::new(1))
+            .run(&Pool::new(1), &fresh_cache())
             .unwrap();
         for threads in [1, 2, 4] {
             let outcome = EquilibriumAnalyzer::from_scenario(&doc)
                 .unwrap()
                 .max_redundancy(2)
-                .run(&Pool::new(threads))
+                .run(&Pool::new(threads), &fresh_cache())
                 .unwrap();
             assert_eq!(outcome, reference);
             assert_eq!(
@@ -669,10 +688,9 @@ mod tests {
         let cache = Arc::new(AnalysisCache::new());
         let analyzer = EquilibriumAnalyzer::from_scenario(&doc)
             .unwrap()
-            .max_redundancy(2)
-            .share_cache(&cache);
-        let pooled = analyzer.run(&pool).unwrap();
-        let single = analyzer.run(&Pool::new(1)).unwrap();
+            .max_redundancy(2);
+        let pooled = analyzer.run(&pool, &cache).unwrap();
+        let single = analyzer.run(&Pool::new(1), &cache).unwrap();
         assert_eq!(pooled, single);
         assert!(cache.solves() > 0);
     }
@@ -681,11 +699,14 @@ mod tests {
     fn pruned_attacker_response_equals_exhaustive() {
         let doc = builtin::paper_case_study();
         let analyzer = EquilibriumAnalyzer::from_scenario(&doc).unwrap();
+        let cache = AnalysisCache::new();
         for counts in [vec![1, 1, 1, 1], vec![2, 1, 2, 1], vec![2, 2, 2, 2]] {
             for policy_idx in 0..analyzer.policies.len() {
-                let pruned = analyzer.attacker_response(&counts, policy_idx).unwrap();
+                let pruned = analyzer
+                    .attacker_response(&counts, policy_idx, &cache)
+                    .unwrap();
                 let full = analyzer
-                    .attacker_response_exhaustive(&counts, policy_idx)
+                    .attacker_response_exhaustive(&counts, policy_idx, &cache)
                     .unwrap();
                 assert_eq!(pruned.mask, full.mask);
                 assert_eq!(pruned.asp.to_bits(), full.asp.to_bits());
@@ -712,11 +733,14 @@ mod tests {
         let tiers = analyzer.spec.tiers().len();
         let mixed: Vec<u32> = (0..tiers).map(|i| [1, 2, 3][i % 3]).collect();
         let mut pruned_any = false;
+        let cache = AnalysisCache::new();
         for counts in [vec![1; tiers], vec![3; tiers], mixed] {
             for policy_idx in 0..analyzer.policies.len() {
-                let pruned = analyzer.attacker_response(&counts, policy_idx).unwrap();
+                let pruned = analyzer
+                    .attacker_response(&counts, policy_idx, &cache)
+                    .unwrap();
                 let full = analyzer
-                    .attacker_response_exhaustive(&counts, policy_idx)
+                    .attacker_response_exhaustive(&counts, policy_idx, &cache)
                     .unwrap();
                 let context = format!("counts {counts:?}, policy {policy_idx}");
                 assert_eq!(pruned.mask, full.mask, "{context}");
@@ -740,10 +764,12 @@ mod tests {
             .max_redundancy(2);
         let k = analyzer.spec.entry_tiers().len();
         let pool = Pool::new(default_threads());
+        let cache = fresh_cache();
         for bits in 1u64..(1u64 << k) {
             let mask: Vec<bool> = (0..k).map(|j| bits & (1 << j) != 0).collect();
-            let pruned = analyzer.defender_response(&mask, &pool).unwrap();
-            let (eval, policy_idx) = exhaustive_defender_response(&analyzer, &mask, &pool).unwrap();
+            let pruned = analyzer.defender_response(&mask, &pool, &cache).unwrap();
+            let (eval, policy_idx) =
+                exhaustive_defender_response(&analyzer, &mask, &pool, &fresh_cache()).unwrap();
             assert_eq!(pruned.eval, eval, "mask {mask:?}");
             assert_eq!(pruned.policy_idx, policy_idx);
             assert_eq!(pruned.eval.coa.to_bits(), eval.coa.to_bits());
@@ -778,7 +804,7 @@ mod tests {
             .collect();
         let spec = NetworkSpec::new(tiers, edges);
         let err = EquilibriumAnalyzer::new(spec)
-            .run(&Pool::new(1))
+            .run(&Pool::new(1), &fresh_cache())
             .unwrap_err();
         assert!(matches!(
             err,
@@ -794,7 +820,7 @@ mod tests {
             .unwrap()
             .max_redundancy(2)
             .max_iters(1)
-            .run(&Pool::new(default_threads()))
+            .run(&Pool::new(default_threads()), &fresh_cache())
             .unwrap();
         assert_eq!(outcome.iterations, 1);
         assert_eq!(outcome.trace.len(), 1);
@@ -819,7 +845,9 @@ mod tests {
         let masked = harm.with_entry_mask(&host_mask).metrics(&analyzer.metrics);
         assert_eq!(expected, masked);
         // And the BR search considered that mask (the all-ones bits).
-        let a = analyzer.attacker_response_exhaustive(&counts, 0).unwrap();
+        let a = analyzer
+            .attacker_response_exhaustive(&counts, 0, &AnalysisCache::new())
+            .unwrap();
         assert_eq!(a.evaluated as u64, (1u64 << k) - 1);
     }
 }

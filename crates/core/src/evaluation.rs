@@ -474,7 +474,7 @@ mod tests {
         let designs = vec![Design::new("a", vec![1, 1]), Design::new("b", vec![2, 1])];
         let evals = Sweep::new(spec())
             .designs(designs)
-            .run(&Pool::new(2))
+            .run(&Pool::new(2), &Arc::new(AnalysisCache::new()))
             .unwrap();
         assert_eq!(evals[0].name, "a");
         assert_eq!(evals[1].name, "b");

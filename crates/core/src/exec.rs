@@ -16,7 +16,9 @@
 //!   per-tier lower-layer SRN solves, keyed by parameter content
 //!   (count- and name-independent, so one solve serves every design —
 //!   and every later request — sharing a tier's [`ServerParams`]
-//!   numbers);
+//!   numbers). Like the pool it belongs to the caller: every batch
+//!   below takes both, and the builders describe only *what* to
+//!   compute;
 //! * [`Scenario`] — one evaluation unit, evaluated alone by
 //!   [`Scenario::evaluate`];
 //! * [`Sweep`] — the declarative grid: spec variants × designs × patch
@@ -39,15 +41,17 @@
 //! # Examples
 //!
 //! Evaluate the paper's five designs under three patch policies on a
-//! two-worker pool:
+//! two-worker pool and a solve cache, both owned by the caller:
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use redeval::case_study;
-//! use redeval::exec::{Pool, Sweep};
+//! use redeval::exec::{AnalysisCache, Pool, Sweep};
 //! use redeval::PatchPolicy;
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
-//! let pool = Pool::new(2);
+//! let (pool, cache) = (Pool::new(2), Arc::new(AnalysisCache::new()));
 //! let evals = Sweep::new(case_study::network())
 //!     .designs(case_study::five_designs())
 //!     .policies(vec![
@@ -55,8 +59,11 @@
 //!         PatchPolicy::CriticalOnly(8.0),
 //!         PatchPolicy::All,
 //!     ])
-//!     .run(&pool)?;
+//!     .run(&pool, &cache)?;
 //! assert_eq!(evals.len(), 15); // 5 designs × 3 policies, in grid order
+//! // A second batch on the same cache re-solves no tier.
+//! Sweep::new(case_study::network()).run(&pool, &cache)?;
+//! assert_eq!(cache.solves(), 4);
 //! # Ok(())
 //! # }
 //! ```
@@ -90,7 +97,9 @@ pub fn default_threads() -> usize {
 /// caller's stack: the helpers are spawned for this call and joined
 /// before it returns, and they run the pool's own claim loop, so the
 /// ordering and panic contract is the pool's. With `threads <= 1` (or a
-/// single job) every job runs on the caller's thread.
+/// single job) every job runs on the caller's thread. No batch of this
+/// crate uses it; it stays because the repository benchmark
+/// (`perfbench/`) verifies its served answers through it.
 ///
 /// # Panics
 ///
@@ -230,8 +239,9 @@ impl<T: Send> BatchState<T> {
 /// A reusable worker pool: threads spawned once, batches submitted many
 /// times. Every batch of the crate — [`Sweep`], the optimizer, the
 /// equilibrium analyzer and the sensitivity analysis —
-/// runs on a pool its caller owns: a CLI run builds one, `redeval serve`
-/// keeps one for its lifetime.
+/// runs on a pool its caller owns, next to the caller's
+/// [`AnalysisCache`]: a CLI run builds one of each, `redeval serve`
+/// keeps one of each for its lifetime.
 ///
 /// [`Pool::run_batch`] returns results in job order, balances long and
 /// short jobs through a shared counter, and resumes a job's panic on the
@@ -421,9 +431,9 @@ enum Slot {
 ///
 /// The lower-layer solve of a tier depends only on its [`ServerParams`],
 /// never on server counts, so one solve serves every design in a batch —
-/// and, when the cache is shared (it is an `Arc` inside [`Sweep`], and
-/// `redeval serve` holds one for its whole lifetime), every batch in the
-/// session. Entries are keyed by
+/// and every batch run on the same cache: a CLI run shares one across
+/// its reports, and `redeval serve` holds one for its whole lifetime.
+/// Entries are keyed by
 /// parameter *content* (the thirteen duration bit patterns), not by
 /// tier name: editing one tier's one rate re-solves exactly that tier,
 /// while renames and vulnerability edits re-solve nothing.
@@ -709,7 +719,8 @@ impl Scenario {
 /// [`Sweep::scenarios`] materializes and [`Sweep::run`] returns. Each
 /// (variant, design) pair is one *cell*: [`Sweep::run`] evaluates it as
 /// one pool job under every policy. The axes are held behind [`Arc`]s,
-/// so handing a sweep to the pool copies none of them.
+/// so handing a sweep to the pool copies none of them. A sweep holds no
+/// pool and no cache: [`Sweep::run`] takes the caller's.
 ///
 /// See the [module docs](self) for an example.
 #[derive(Debug, Clone)]
@@ -719,13 +730,11 @@ pub struct Sweep {
     designs: Arc<[Design]>,
     policies: Arc<[PatchPolicy]>,
     metrics: MetricsConfig,
-    cache: Arc<AnalysisCache>,
 }
 
 impl Sweep {
     /// A sweep over `base` with its current counts as the single design,
-    /// the paper's critical-only policy, default metrics and a fresh
-    /// cache.
+    /// the paper's critical-only policy and default metrics.
     pub fn new(base: impl Into<Arc<NetworkSpec>>) -> Self {
         let base = base.into();
         let counts: Vec<u32> = base.tiers().iter().map(|t| t.count).collect();
@@ -737,13 +746,11 @@ impl Sweep {
             designs: Arc::new([design]),
             policies: Arc::new([PatchPolicy::CriticalOnly(8.0)]),
             metrics: MetricsConfig::default(),
-            cache: Arc::new(AnalysisCache::new()),
         }
     }
 
     /// A sweep over everything a scenario document declares: its network,
-    /// its designs, its patch policies and its metric configuration, with
-    /// a fresh cache.
+    /// its designs, its patch policies and its metric configuration.
     ///
     /// # Errors
     ///
@@ -753,12 +760,15 @@ impl Sweep {
     /// # Examples
     ///
     /// ```
-    /// use redeval::exec::{Pool, Sweep};
+    /// use std::sync::Arc;
+    ///
+    /// use redeval::exec::{AnalysisCache, Pool, Sweep};
     /// use redeval::scenario::builtin;
     ///
     /// # fn main() -> Result<(), redeval::EvalError> {
     /// let doc = builtin::paper_case_study();
-    /// let evals = Sweep::from_scenario(&doc)?.run(&Pool::new(2))?;
+    /// let cache = Arc::new(AnalysisCache::new());
+    /// let evals = Sweep::from_scenario(&doc)?.run(&Pool::new(2), &cache)?;
     /// assert_eq!(evals.len(), 5); // five designs × one policy
     /// # Ok(())
     /// # }
@@ -838,13 +848,6 @@ impl Sweep {
         self
     }
 
-    /// Shares an existing analysis cache (e.g. across sweeps, or to
-    /// inspect hit/solve counters after the run).
-    pub fn share_cache(mut self, cache: &Arc<AnalysisCache>) -> Self {
-        self.cache = Arc::clone(cache);
-        self
-    }
-
     /// The label of a grid point without its policy suffix: the design
     /// name, prefixed with the variant name when that axis has more than
     /// one point.
@@ -904,9 +907,10 @@ impl Sweep {
         self.len() == 0
     }
 
-    /// Runs the grid on `pool`, one job per (variant, design) cell, and
-    /// returns the results in grid order, bitwise-identical for any pool
-    /// size.
+    /// Runs the grid on `pool`, one job per (variant, design) cell,
+    /// resolving tier solves through `cache`, and returns the results in
+    /// grid order, bitwise-identical for any pool size and any cache
+    /// state (a hit returns the numbers a fresh solve would).
     ///
     /// What does not depend on the design is prepared once per variant
     /// before the batch: the trees each policy prunes, the label
@@ -917,9 +921,13 @@ impl Sweep {
     /// # Errors
     ///
     /// Returns the error of the earliest failing scenario (grid order).
-    pub fn run(&self, pool: &Pool) -> Result<Vec<DesignEvaluation>, EvalError> {
+    pub fn run(
+        &self,
+        pool: &Pool,
+        cache: &Arc<AnalysisCache>,
+    ) -> Result<Vec<DesignEvaluation>, EvalError> {
         let cells = self.variants.len() * self.designs.len();
-        let tel = self.cache.telemetry();
+        let tel = cache.telemetry();
         let _span = tel.span_with(|| format!("experiment ({cells} cells)"));
         tel.add(Counter::PoolBatches, 1);
         tel.add(Counter::PoolJobs, cells as u64);
@@ -938,17 +946,18 @@ impl Sweep {
             .collect();
         let first_suffix = policies[0].1.clone();
         let sweep = Arc::new(self.clone());
+        let cache = Arc::clone(cache);
         let results = pool.run_batch(cells, move |cell| {
             let variant = cell / sweep.designs.len();
             let (variant_name, spec) = &sweep.variants[variant];
             let design = &sweep.designs[cell % sweep.designs.len()];
             let stem = sweep.stem(variant_name, design);
-            let tel = sweep.cache.telemetry();
+            let tel = cache.telemetry();
             let _span = tel.span_with(|| format!("cell {stem}{first_suffix}"));
             tel.add(Counter::CellsEvaluated, 1);
             tel.add(Counter::DesignsEvaluated, sweep.policies.len() as u64);
             tel.add(Counter::HarmBuilds, 1);
-            let analyses = sweep.cache.analyses_for(spec)?;
+            let analyses = cache.analyses_for(spec)?;
             evaluate_design(&contexts[variant], &stem, &design.counts, &analyses)
         });
         let mut out = Vec::with_capacity(self.len());
@@ -963,6 +972,11 @@ impl Sweep {
 mod tests {
     use super::*;
     use crate::case_study;
+
+    /// An empty cache for a batch whose solves nothing else shares.
+    fn fresh_cache() -> Arc<AnalysisCache> {
+        Arc::new(AnalysisCache::new())
+    }
 
     #[test]
     fn run_batch_orders_results_any_thread_count() {
@@ -1062,8 +1076,8 @@ mod tests {
         let sweep = Sweep::new(case_study::network())
             .designs(case_study::five_designs())
             .policies(vec![PatchPolicy::CriticalOnly(8.0), PatchPolicy::All]);
-        let single = sweep.run(&Pool::new(1)).unwrap();
-        let pooled = sweep.run(&pool).unwrap();
+        let single = sweep.run(&Pool::new(1), &fresh_cache()).unwrap();
+        let pooled = sweep.run(&pool, &fresh_cache()).unwrap();
         assert_eq!(single, pooled);
         for (a, b) in single.iter().zip(&pooled) {
             assert_eq!(a.coa.to_bits(), b.coa.to_bits());
@@ -1074,7 +1088,7 @@ mod tests {
             .designs(vec![Design::new("bad", vec![1, 1])])
             .policies(vec![PatchPolicy::All]);
         assert!(matches!(
-            bad.run(&pool),
+            bad.run(&pool, &fresh_cache()),
             Err(EvalError::CountMismatch { .. })
         ));
     }
@@ -1162,7 +1176,7 @@ mod tests {
         let sweep = Sweep::new(case_study::network())
             .designs(case_study::five_designs())
             .policies(vec![PatchPolicy::CriticalOnly(8.0), PatchPolicy::All]);
-        let parallel = sweep.run(&Pool::new(4)).unwrap();
+        let parallel = sweep.run(&Pool::new(4), &fresh_cache()).unwrap();
         let cache = AnalysisCache::new();
         let reference: Vec<DesignEvaluation> = sweep
             .scenarios()
@@ -1184,7 +1198,7 @@ mod tests {
             .patch_intervals_days(&days)
             .full_design_space(3)
             .policies(vec![PatchPolicy::None, PatchPolicy::All]);
-        let evals = sweep.run(&Pool::new(2)).unwrap();
+        let evals = sweep.run(&Pool::new(2), &fresh_cache()).unwrap();
         let cache = AnalysisCache::new();
         let mut points = evals.iter();
         for &d in &days {
@@ -1255,7 +1269,9 @@ mod tests {
                 PatchPolicy::CriticalOnly(8.0),
                 PatchPolicy::All,
             ]);
-        let evals = sweep.run(&Pool::new(default_threads())).unwrap();
+        let evals = sweep
+            .run(&Pool::new(default_threads()), &fresh_cache())
+            .unwrap();
         assert_eq!(evals.len(), 15);
         // The three policies of one design share before-patch metrics.
         assert_eq!(evals[0].before, evals[1].before);
@@ -1278,7 +1294,7 @@ mod tests {
             ])
             .policies(vec![PatchPolicy::None, PatchPolicy::All]);
         assert!(matches!(
-            sweep.run(&Pool::new(2)),
+            sweep.run(&Pool::new(2), &fresh_cache()),
             Err(EvalError::CountMismatch { got: 2, .. })
         ));
     }
@@ -1293,9 +1309,8 @@ mod tests {
         let sweep = Sweep::new(case_study::network())
             .patch_intervals_days(&[7.0, 30.0])
             .designs(case_study::five_designs()[..3].to_vec())
-            .policies(vec![PatchPolicy::None, PatchPolicy::All])
-            .share_cache(&cache);
-        assert_eq!(sweep.run(&Pool::new(2)).unwrap().len(), 12);
+            .policies(vec![PatchPolicy::None, PatchPolicy::All]);
+        assert_eq!(sweep.run(&Pool::new(2), &cache).unwrap().len(), 12);
         let spans = tel.spans();
         let batches: Vec<&str> = spans
             .iter()
@@ -1328,15 +1343,14 @@ mod tests {
     fn shared_cache_spans_batches() {
         let pool = Pool::new(default_threads());
         let cache = Arc::new(AnalysisCache::new());
-        let sweep = Sweep::new(case_study::network()).share_cache(&cache);
-        sweep.run(&pool).unwrap();
+        let sweep = Sweep::new(case_study::network());
+        sweep.run(&pool, &cache).unwrap();
         let solves_after_first = cache.solves();
         assert_eq!(solves_after_first, 4);
         // A second batch over the same spec re-solves nothing.
         Sweep::new(case_study::network())
-            .share_cache(&cache)
             .designs(case_study::five_designs())
-            .run(&pool)
+            .run(&pool, &cache)
             .unwrap();
         assert_eq!(cache.solves(), solves_after_first);
     }

@@ -19,9 +19,12 @@
 //!    ([`decision`]), and chart data for the paper's Figures 6 and 7
 //!    ([`charts`]). Every design evaluation goes through the batch
 //!    execution layer ([`exec`]): one [`Scenario`] at a time, or sweeps
-//!    over designs × patch policies × schedule parameters ([`Sweep`]) on
-//!    a worker pool the caller owns, with a shared cache of the per-tier
-//!    SRN solves ([`AnalysisCache`]). All tabular results flow through the
+//!    over designs × patch policies × schedule parameters ([`Sweep`]).
+//!    The execution context belongs to the caller: every batch — a sweep,
+//!    the [`optimize`] search, the [`equilibrium`] iteration, the
+//!    [`sensitivity`] analysis — runs on the caller's worker [`Pool`] and
+//!    resolves the per-tier SRN solves through the caller's
+//!    [`AnalysisCache`]. All tabular results flow through the
 //!    deterministic structured-output model ([`output`]), whose canonical
 //!    JSON is what the golden-corpus regression tests pin.
 //!
@@ -33,14 +36,17 @@
 //! an administrator's bounds:
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use redeval::case_study;
 //! use redeval::decision::ScatterBounds;
-//! use redeval::{Pool, Sweep};
+//! use redeval::{AnalysisCache, Pool, Sweep};
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
+//! let (pool, cache) = (Pool::new(2), Arc::new(AnalysisCache::new()));
 //! let evals = Sweep::new(case_study::network())
 //!     .designs(case_study::five_designs())
-//!     .run(&Pool::new(2))?;
+//!     .run(&pool, &cache)?;
 //!
 //! // Region 1 of the paper: φ = 0.2, ψ = 0.9962.
 //! let bounds = ScatterBounds { max_asp: 0.2, min_coa: 0.9962 };

@@ -50,8 +50,9 @@
 //!
 //! Traversal is a fixed-order wave loop: boxes split on the widest tier
 //! range (lowest tier index on ties, counts ascending), each wave's
-//! corner designs evaluate as one [`Sweep`] on the caller's [`Pool`]
-//! (bitwise invariant in the pool size), and the front updates
+//! corner designs evaluate as one [`Sweep`] on the caller's [`Pool`] and
+//! [`AnalysisCache`] (bitwise invariant in the pool size and the cache
+//! state), and the front updates
 //! sequentially in wave order. The reported frontier is re-sorted under
 //! the exhaustive tie-break (ascending ASP, then design-enumeration
 //! order, then policy order), so the outcome is byte-identical to
@@ -60,15 +61,18 @@
 //! # Examples
 //!
 //! ```
-//! use redeval::exec::Pool;
+//! use std::sync::Arc;
+//!
+//! use redeval::exec::{AnalysisCache, Pool};
 //! use redeval::optimize::Optimizer;
 //! use redeval::scenario::builtin;
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
 //! let doc = builtin::paper_case_study();
+//! let cache = Arc::new(AnalysisCache::new());
 //! let outcome = Optimizer::from_scenario(&doc)?
 //!     .max_redundancy(3)
-//!     .run(&Pool::new(2))?;
+//!     .run(&Pool::new(2), &cache)?;
 //! assert!(!outcome.frontier.is_empty());
 //! assert!((outcome.evaluated_designs as f64) <= outcome.space_designs);
 //! # Ok(())
@@ -78,7 +82,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use redeval_avail::{NetworkModel, ServerAnalysis, Tier};
+use redeval_avail::ServerAnalysis;
 use redeval_harm::MetricsConfig;
 
 use crate::decision::{pareto_frontier, ParetoFront};
@@ -130,27 +134,23 @@ impl SpaceBox {
 /// tier `t` at count `c`, `p[t][c-1] = P(up ≥ 1)` and
 /// `m[t][c-1] = E[up · 1{up ≥ 1}]` under the tier's aggregated
 /// machine-repair chain — the same moments the factored COA form of
-/// [`NetworkModel`] uses, computed through the same solver.
+/// [`NetworkModel`](redeval_avail::NetworkModel) uses, computed through
+/// the same solver.
 struct CoaBounder {
     p: Vec<Vec<f64>>,
     m: Vec<Vec<f64>>,
 }
 
 impl CoaBounder {
-    fn new(
-        spec: &NetworkSpec,
-        analyses: &[Arc<ServerAnalysis>],
-        max_redundancy: u32,
-    ) -> Result<Self, EvalError> {
-        let mut p = Vec::with_capacity(spec.tiers().len());
-        let mut m = Vec::with_capacity(spec.tiers().len());
-        for (tier, analysis) in spec.tiers().iter().zip(analyses) {
+    fn new(analyses: &[Arc<ServerAnalysis>], max_redundancy: u32) -> Result<Self, EvalError> {
+        let mut p = Vec::with_capacity(analyses.len());
+        let mut m = Vec::with_capacity(analyses.len());
+        for analysis in analyses {
             let rates = analysis.rates();
             let mut pt = Vec::with_capacity(max_redundancy as usize);
             let mut mt = Vec::with_capacity(max_redundancy as usize);
             for c in 1..=max_redundancy {
-                let chain = NetworkModel::new(vec![Tier::new(tier.name.clone(), c, rates)]);
-                let dist = chain.tier_down_distribution(0)?;
+                let dist = rates.down_distribution(c)?;
                 let mut prob_up = 0.0;
                 let mut mean_up = 0.0;
                 for (down, &prob) in dist.iter().enumerate() {
@@ -276,27 +276,25 @@ impl OptimizeOutcome {
 ///
 /// Mirrors the [`Sweep`] builder: policies and metrics default from the
 /// scenario document, and [`run`](Optimizer::run) evaluates on the
-/// caller's [`Pool`] with a shared [`AnalysisCache`] for per-tier solve
-/// dedup.
+/// caller's [`Pool`] and [`AnalysisCache`], so every wave shares the
+/// caller's per-tier solves.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     spec: Arc<NetworkSpec>,
     policies: Vec<PatchPolicy>,
     metrics: MetricsConfig,
     max_redundancy: u32,
-    cache: Arc<AnalysisCache>,
 }
 
 impl Optimizer {
     /// An optimizer over `spec` with the paper's critical-only policy,
-    /// default metrics, [`DEFAULT_MAX_REDUNDANCY`] and a fresh cache.
+    /// default metrics and [`DEFAULT_MAX_REDUNDANCY`].
     pub fn new(spec: NetworkSpec) -> Self {
         Optimizer {
             spec: Arc::new(spec),
             policies: vec![PatchPolicy::CriticalOnly(8.0)],
             metrics: MetricsConfig::default(),
             max_redundancy: DEFAULT_MAX_REDUNDANCY,
-            cache: Arc::new(AnalysisCache::new()),
         }
     }
 
@@ -338,12 +336,6 @@ impl Optimizer {
         self
     }
 
-    /// Shares an existing analysis cache (e.g. the serving path's).
-    pub fn share_cache(mut self, cache: &Arc<AnalysisCache>) -> Self {
-        self.cache = Arc::clone(cache);
-        self
-    }
-
     /// Total designs in the search space, `max_redundancy ^ tiers`.
     pub fn space_designs(&self) -> f64 {
         f64::from(self.max_redundancy).powi(self.spec.tiers().len() as i32)
@@ -355,6 +347,7 @@ impl Optimizer {
     fn evaluate_wave(
         &self,
         pool: &Pool,
+        cache: &Arc<AnalysisCache>,
         need: &[Vec<u32>],
         memo: &mut HashMap<Vec<u32>, Vec<DesignEvaluation>>,
         front: &mut ParetoFront<(usize, DesignEvaluation)>,
@@ -371,8 +364,7 @@ impl Optimizer {
             .designs(designs)
             .policies(self.policies.clone())
             .metrics(self.metrics)
-            .share_cache(&self.cache)
-            .run(pool)?;
+            .run(pool, cache)?;
         for (counts, cell) in need.iter().zip(evals.chunks(self.policies.len())) {
             for (policy_idx, e) in cell.iter().enumerate() {
                 front.insert(
@@ -386,21 +378,26 @@ impl Optimizer {
         Ok(())
     }
 
-    /// Runs the search, evaluating each wave's corners on `pool`. The
-    /// outcome is bitwise-identical for any pool size.
+    /// Runs the search, evaluating each wave's corners on `pool` with
+    /// tier solves resolved through `cache`. The outcome is
+    /// bitwise-identical for any pool size and any cache state.
     ///
     /// # Errors
     ///
     /// Returns count-validation and solver errors (earliest in wave
     /// order, like the batch executor).
-    pub fn run(&self, pool: &Pool) -> Result<OptimizeOutcome, EvalError> {
+    pub fn run(
+        &self,
+        pool: &Pool,
+        cache: &Arc<AnalysisCache>,
+    ) -> Result<OptimizeOutcome, EvalError> {
         let tiers = self.spec.tiers().len();
         let space_designs = self.space_designs();
         let space_cells = space_designs * self.policies.len() as f64;
-        let tel = self.cache.telemetry().clone();
+        let tel = cache.telemetry().clone();
         let _span = tel.span(format!("optimize (max_redundancy {})", self.max_redundancy));
-        let analyses = self.cache.analyses_for(&self.spec)?;
-        let bounder = CoaBounder::new(&self.spec, &analyses, self.max_redundancy)?;
+        let analyses = cache.analyses_for(&self.spec)?;
+        let bounder = CoaBounder::new(&analyses, self.max_redundancy)?;
 
         let mut memo: HashMap<Vec<u32>, Vec<DesignEvaluation>> = HashMap::new();
         let mut front: ParetoFront<(usize, DesignEvaluation)> = ParetoFront::new();
@@ -446,7 +443,7 @@ impl Optimizer {
                     need.push(b.lo.clone());
                 }
             }
-            self.evaluate_wave(pool, &need, &mut memo, &mut front)?;
+            self.evaluate_wave(pool, cache, &need, &mut memo, &mut front)?;
 
             // Stage B: re-prune on the exact corner ASP, else split.
             let mut next = Vec::new();
@@ -505,8 +502,9 @@ impl Optimizer {
 }
 
 /// Reference implementation for small spaces: materialize the full grid
-/// on `pool` through the batch executor and take [`pareto_frontier`] —
-/// what the optimizer must agree with byte-for-byte.
+/// on `pool` and `cache` through the batch executor and take
+/// [`pareto_frontier`] — what the optimizer must agree with
+/// byte-for-byte.
 ///
 /// # Errors
 ///
@@ -514,12 +512,13 @@ impl Optimizer {
 pub fn exhaustive_frontier(
     optimizer: &Optimizer,
     pool: &Pool,
+    cache: &Arc<AnalysisCache>,
 ) -> Result<Vec<DesignEvaluation>, EvalError> {
     let evals = Sweep::new(Arc::clone(&optimizer.spec))
         .full_design_space(optimizer.max_redundancy)
         .policies(optimizer.policies.clone())
         .metrics(optimizer.metrics)
-        .run(pool)?;
+        .run(pool, cache)?;
     Ok(pareto_frontier(&evals).into_iter().cloned().collect())
 }
 
@@ -529,6 +528,11 @@ mod tests {
     use crate::exec::default_threads;
     use crate::scenario::builtin;
 
+    /// An empty cache for a search whose solves nothing else shares.
+    fn fresh_cache() -> Arc<AnalysisCache> {
+        Arc::new(AnalysisCache::new())
+    }
+
     #[test]
     fn matches_exhaustive_frontier_on_the_case_study() {
         // r = 8 is the top of the front doors' `max_redundancy` range.
@@ -536,8 +540,8 @@ mod tests {
         let pool = Pool::new(default_threads());
         for r in [3u32, 8] {
             let opt = Optimizer::from_scenario(&doc).unwrap().max_redundancy(r);
-            let outcome = opt.run(&pool).unwrap();
-            let exhaustive = exhaustive_frontier(&opt, &pool).unwrap();
+            let outcome = opt.run(&pool, &fresh_cache()).unwrap();
+            let exhaustive = exhaustive_frontier(&opt, &pool, &fresh_cache()).unwrap();
             assert_eq!(outcome.frontier.len(), exhaustive.len(), "r = {r}");
             for (a, b) in outcome.frontier.iter().zip(&exhaustive) {
                 assert_eq!(a, b, "r = {r}");
@@ -559,13 +563,13 @@ mod tests {
         let reference = Optimizer::from_scenario(&doc)
             .unwrap()
             .max_redundancy(3)
-            .run(&Pool::new(1))
+            .run(&Pool::new(1), &fresh_cache())
             .unwrap();
         for threads in [2, 4] {
             let outcome = Optimizer::from_scenario(&doc)
                 .unwrap()
                 .max_redundancy(3)
-                .run(&Pool::new(threads))
+                .run(&Pool::new(threads), &fresh_cache())
                 .unwrap();
             assert_eq!(outcome.frontier, reference.frontier);
             assert_eq!(outcome.evaluated_designs, reference.evaluated_designs);
@@ -578,12 +582,9 @@ mod tests {
         let doc = builtin::paper_case_study();
         let pool = Pool::new(3);
         let cache = Arc::new(AnalysisCache::new());
-        let opt = Optimizer::from_scenario(&doc)
-            .unwrap()
-            .max_redundancy(2)
-            .share_cache(&cache);
-        let pooled = opt.run(&pool).unwrap();
-        let single = opt.run(&Pool::new(1)).unwrap();
+        let opt = Optimizer::from_scenario(&doc).unwrap().max_redundancy(2);
+        let pooled = opt.run(&pool, &cache).unwrap();
+        let single = opt.run(&Pool::new(1), &cache).unwrap();
         assert_eq!(pooled.frontier, single.frontier);
         assert!(cache.solves() > 0);
     }
@@ -594,7 +595,7 @@ mod tests {
         let outcome = Optimizer::from_scenario(&doc)
             .unwrap()
             .max_redundancy(1)
-            .run(&Pool::new(default_threads()))
+            .run(&Pool::new(default_threads()), &fresh_cache())
             .unwrap();
         assert_eq!(outcome.evaluated_designs, 1);
         assert_eq!(outcome.space_designs, 1.0);
@@ -608,7 +609,7 @@ mod tests {
         let outcome = Optimizer::from_scenario(&doc)
             .unwrap()
             .max_redundancy(4)
-            .run(&Pool::new(default_threads()))
+            .run(&Pool::new(default_threads()), &fresh_cache())
             .unwrap();
         for member in &outcome.frontier {
             for (lo, hi) in &outcome.pruned_boxes {
@@ -628,7 +629,7 @@ mod tests {
         let outcome = Optimizer::from_scenario(&doc)
             .unwrap()
             .max_redundancy(4)
-            .run(&Pool::new(default_threads()))
+            .run(&Pool::new(default_threads()), &fresh_cache())
             .unwrap();
         assert!(outcome.boxes_pruned > 0, "no pruning at all");
         assert!(

@@ -38,15 +38,17 @@ impl Default for ReportOptions {
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
+///
 /// use redeval::report::{markdown_report, ReportOptions};
-/// use redeval::{case_study, PatchPolicy, Pool, Sweep};
+/// use redeval::{case_study, AnalysisCache, PatchPolicy, Pool, Sweep};
 ///
 /// # fn main() -> Result<(), redeval::EvalError> {
 /// let policy = PatchPolicy::CriticalOnly(8.0);
 /// let evals = Sweep::new(case_study::network())
 ///     .designs(case_study::five_designs())
 ///     .policies(vec![policy])
-///     .run(&Pool::new(2))?;
+///     .run(&Pool::new(2), &Arc::new(AnalysisCache::new()))?;
 /// let report = markdown_report(&evals, policy, &ReportOptions::default());
 /// assert!(report.contains("## Availability"));
 /// # Ok(())
@@ -159,7 +161,7 @@ fn region_names(region: Vec<&DesignEvaluation>) -> String {
 mod tests {
     use super::*;
     use crate::case_study;
-    use crate::exec::{Pool, Sweep};
+    use crate::exec::{AnalysisCache, Pool, Sweep};
 
     const PAPER: PatchPolicy = PatchPolicy::CriticalOnly(8.0);
 
@@ -167,7 +169,7 @@ mod tests {
         Sweep::new(case_study::network())
             .designs(case_study::five_designs())
             .policies(vec![PAPER])
-            .run(&Pool::new(2))
+            .run(&Pool::new(2), &std::sync::Arc::new(AnalysisCache::new()))
             .unwrap()
     }
 

@@ -541,7 +541,9 @@ pub fn microservices_mesh() -> ScenarioDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{default_threads, Pool, Sweep};
+    use std::sync::Arc;
+
+    use crate::exec::{default_threads, AnalysisCache, Pool, Sweep};
 
     #[test]
     fn gallery_names_are_unique_and_findable() {
@@ -573,7 +575,7 @@ mod tests {
             let doc = (s.build)();
             let evals = Sweep::from_scenario(&doc)
                 .unwrap_or_else(|e| panic!("{}: {e}", s.name))
-                .run(&pool)
+                .run(&pool, &Arc::new(AnalysisCache::new()))
                 .unwrap_or_else(|e| panic!("{}: {e}", s.name));
             assert_eq!(evals.len(), doc.designs.len() * doc.policies.len());
             for e in &evals {

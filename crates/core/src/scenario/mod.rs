@@ -33,15 +33,17 @@
 //! Round-trip the paper network through JSON and evaluate it:
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use redeval::scenario::{builtin, ScenarioDoc};
-//! use redeval::{Design, Pool, Sweep};
+//! use redeval::{AnalysisCache, Design, Pool, Sweep};
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
 //! let json = builtin::paper_case_study().to_json();
 //! let doc = ScenarioDoc::from_json(&json)?;
 //! let evals = Sweep::from_scenario(&doc)?
 //!     .designs(vec![Design::new("base", vec![1, 2, 2, 1])])
-//!     .run(&Pool::new(1))?;
+//!     .run(&Pool::new(1), &Arc::new(AnalysisCache::new()))?;
 //! assert!((evals[0].coa - 0.99707).abs() < 5e-5);
 //! # Ok(())
 //! # }

@@ -6,7 +6,9 @@
 //! to each of them, by central finite differences on the full pipeline
 //! (lower-layer SRN solve → aggregation → product-form COA). Elasticities
 //! (`d log COA-loss / d log θ`) make parameters with different units
-//! comparable.
+//! comparable. The perturbations run on the caller's [`Pool`] and
+//! resolve their tier solves through the caller's [`AnalysisCache`], like
+//! every batch of [`exec`](crate::exec).
 
 use std::sync::Arc;
 
@@ -94,11 +96,11 @@ pub struct Sensitivity {
 /// sorted by descending |elasticity|.
 ///
 /// The perturbation pairs (each costs two pipeline evaluations) are the
-/// jobs of one `pool` batch. They resolve tier solves through one
-/// [`AnalysisCache`], so each perturbation solves only its perturbed
+/// jobs of one `pool` batch. They resolve tier solves through the
+/// caller's `cache`, so each perturbation solves only its perturbed
 /// tier. Pairs are merged in job order before the stable sort, and a
 /// cache hit returns the numbers a fresh solve would, so the ranking is
-/// bitwise-identical for any pool size.
+/// bitwise-identical for any pool size and any cache state.
 ///
 /// # Errors
 ///
@@ -112,13 +114,14 @@ pub fn coa_sensitivities(
     counts: &[u32],
     rel_step: f64,
     pool: &Pool,
+    cache: &Arc<AnalysisCache>,
 ) -> Result<Vec<Sensitivity>, EvalError> {
     assert!(
         rel_step > 0.0 && rel_step < 0.5,
         "relative step must be in (0, 0.5)"
     );
-    let cache = Arc::new(AnalysisCache::new());
-    let base_loss = 1.0 - coa_of(&cache, spec, counts)?;
+    let base_loss = 1.0 - coa_of(cache, spec, counts)?;
+    let cache = Arc::clone(cache);
     let spec = Arc::new(spec.clone());
     let counts = counts.to_vec();
     let per_tier = Parameter::ALL.len();
@@ -175,10 +178,16 @@ mod tests {
     use super::*;
     use crate::case_study;
 
+    /// An empty cache for an analysis whose solves nothing else shares.
+    fn fresh_cache() -> Arc<AnalysisCache> {
+        Arc::new(AnalysisCache::new())
+    }
+
     #[test]
     fn longer_patches_increase_loss() {
         let spec = case_study::network();
-        let sens = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(1)).unwrap();
+        let sens =
+            coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(1), &fresh_cache()).unwrap();
         // Every patch/reboot duration has a positive derivative (longer
         // downtime → more loss); the patch interval has a negative one
         // (rarer patching → less loss).
@@ -198,7 +207,8 @@ mod tests {
         // for each tier; combined over 4 tiers still ≈ −1 per tier
         // contribution. Check the dns tier's interval elasticity.
         let spec = case_study::network();
-        let sens = coa_sensitivities(&spec, &[1, 1, 1, 1], 0.05, &Pool::new(1)).unwrap();
+        let sens =
+            coa_sensitivities(&spec, &[1, 1, 1, 1], 0.05, &Pool::new(1), &fresh_cache()).unwrap();
         let dns_interval = sens
             .iter()
             .find(|s| s.tier == "dns" && s.parameter == Parameter::PatchInterval)
@@ -215,7 +225,8 @@ mod tests {
         // server's downtime costs 1/6 of capacity while the db/dns tiers
         // zero the reward — so the single-server tiers top the ranking.
         let spec = case_study::network();
-        let sens = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(1)).unwrap();
+        let sens =
+            coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(1), &fresh_cache()).unwrap();
         let top_tiers: Vec<&str> = sens[..3].iter().map(|s| s.tier.as_str()).collect();
         assert!(
             top_tiers.iter().all(|t| *t == "db" || *t == "dns"),
@@ -224,7 +235,8 @@ mod tests {
         // Duplicating a tier strictly reduces the magnitude of its own
         // patch-duration sensitivity: compare app's OS-patch elasticity
         // between the non-redundant and the case-study design.
-        let flat = coa_sensitivities(&spec, &[1, 1, 1, 1], 0.05, &Pool::new(1)).unwrap();
+        let flat =
+            coa_sensitivities(&spec, &[1, 1, 1, 1], 0.05, &Pool::new(1), &fresh_cache()).unwrap();
         let el = |list: &[Sensitivity]| {
             list.iter()
                 .find(|s| s.tier == "app" && s.parameter == Parameter::OsPatch)
@@ -238,14 +250,16 @@ mod tests {
     #[should_panic(expected = "relative step")]
     fn bad_step_panics() {
         let spec = case_study::network();
-        let _ = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.9, &Pool::new(1));
+        let _ = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.9, &Pool::new(1), &fresh_cache());
     }
 
     #[test]
     fn is_bitwise_identical_across_pool_sizes() {
         let spec = case_study::network();
-        let seq = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(1)).unwrap();
-        let par = coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(4)).unwrap();
+        let seq =
+            coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(1), &fresh_cache()).unwrap();
+        let par =
+            coa_sensitivities(&spec, &[1, 2, 2, 1], 0.05, &Pool::new(4), &fresh_cache()).unwrap();
         assert_eq!(seq, par);
     }
 }

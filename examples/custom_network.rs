@@ -10,7 +10,8 @@
 
 use redeval::decision::MultiBounds;
 use redeval::{
-    AttackTree, Design, Durations, NetworkSpec, Pool, ServerParams, Sweep, TierSpec, Vulnerability,
+    AnalysisCache, AttackTree, Design, Durations, NetworkSpec, Pool, ServerParams, Sweep, TierSpec,
+    Vulnerability,
 };
 use redeval_cvss::v2::BaseVector;
 
@@ -92,7 +93,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Design::new(name, counts.to_vec())
         })
         .collect();
-    let evals = Sweep::new(spec).designs(designs).run(&Pool::new(2))?;
+    let evals = Sweep::new(spec)
+        .designs(designs)
+        .run(&Pool::new(2), &std::sync::Arc::new(AnalysisCache::new()))?;
     let bounds = MultiBounds {
         max_asp: 0.5,
         max_noev: 8,

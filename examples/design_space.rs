@@ -7,9 +7,11 @@
 //!
 //! Run with: `cargo run --example design_space [max_redundancy]`
 
+use std::sync::Arc;
+
 use redeval::case_study;
 use redeval::decision::pareto_frontier;
-use redeval::exec::{default_threads, Pool, Sweep};
+use redeval::exec::{default_threads, AnalysisCache, Pool, Sweep};
 
 fn main() -> Result<(), redeval::EvalError> {
     let max_redundancy: u32 = std::env::args()
@@ -25,9 +27,11 @@ fn main() -> Result<(), redeval::EvalError> {
         default_threads()
     );
 
-    // The whole space evaluates on one worker pool; results come back in
-    // design order, identical for any pool size.
-    let evals = sweep.run(&Pool::new(default_threads()))?;
+    // The whole space evaluates on one worker pool, with the four tier
+    // solves shared through one cache; results come back in design
+    // order, identical for any pool size.
+    let cache = Arc::new(AnalysisCache::new());
+    let evals = sweep.run(&Pool::new(default_threads()), &cache)?;
 
     // Pareto frontier: not dominated by any other design.
     let frontier = pareto_frontier(&evals);

@@ -8,11 +8,13 @@
 //!
 //! Run with: `cargo run --example patch_planning`
 
+use std::sync::Arc;
+
 use redeval::case_study;
-use redeval::{Design, PatchPolicy, Pool, Sweep};
+use redeval::{AnalysisCache, Design, PatchPolicy, Pool, Sweep};
 
 fn main() -> Result<(), redeval::EvalError> {
-    let pool = Pool::new(2);
+    let (pool, cache) = (Pool::new(2), Arc::new(AnalysisCache::new()));
     let design = Design::new("case study", vec![1, 2, 2, 1]);
 
     println!("== patch interval sweep (case-study network, critical-only policy) ==");
@@ -27,7 +29,7 @@ fn main() -> Result<(), redeval::EvalError> {
     let evals = Sweep::new(case_study::network())
         .designs(vec![design.clone()])
         .patch_intervals_days(&intervals)
-        .run(&pool)?;
+        .run(&pool, &cache)?;
     let mut last_coa = 0.0;
     for (days, e) in intervals.iter().zip(&evals) {
         let downtime_hours_month = (1.0 - e.coa) * 720.0;
@@ -57,7 +59,7 @@ fn main() -> Result<(), redeval::EvalError> {
     let evals = Sweep::new(case_study::network())
         .designs(vec![design])
         .policies(policies.iter().map(|&(_, p)| p).collect())
-        .run(&pool)?;
+        .run(&pool, &cache)?;
     for ((name, _), e) in policies.iter().zip(&evals) {
         println!(
             "{:<22} ASP {:>6.4}  NoEV {:>2}  NoAP {:>2}  NoEP {:>2}",

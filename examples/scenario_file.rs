@@ -5,7 +5,9 @@
 //!
 //! Run with: `cargo run --example scenario_file`
 
-use redeval::exec::{default_threads, Pool, Sweep};
+use std::sync::Arc;
+
+use redeval::exec::{default_threads, AnalysisCache, Pool, Sweep};
 use redeval::scenario::{builtin, ScenarioDoc, TierDef, TreeDef, VulnDef, VulnSource};
 use redeval::{Design, PatchPolicy, ServerParams};
 
@@ -89,13 +91,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         loaded.designs.len()
     );
 
-    // 3. Evaluate the declared grid on the batch engine's worker pool.
+    // 3. Evaluate the declared grid on the batch engine's worker pool,
+    //    its tier solves kept in one cache for the rest of the run.
     let pool = Pool::new(default_threads());
+    let cache = Arc::new(AnalysisCache::new());
     println!(
         "\n{:<28} {:>8} {:>6} {:>9}",
         "scenario", "asp", "noap", "coa"
     );
-    for e in Sweep::from_scenario(&loaded)?.run(&pool)? {
+    for e in Sweep::from_scenario(&loaded)?.run(&pool, &cache)? {
         println!(
             "{:<28} {:>8.4} {:>6} {:>9.5}",
             e.name, e.after.attack_success_probability, e.after.attack_paths, e.coa
@@ -105,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. The bundled gallery works the same way — here is the paper's
     //    network loaded through its own exported document.
     let paper = ScenarioDoc::from_json(&builtin::paper_case_study().to_json())?;
-    let evals = Sweep::from_scenario(&paper)?.run(&pool)?;
+    let evals = Sweep::from_scenario(&paper)?.run(&pool, &cache)?;
     println!(
         "\npaper case study via the scenario API: {} designs, best COA {:.5}",
         evals.len(),

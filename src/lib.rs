@@ -9,17 +9,30 @@
 //! re-exported too; its CLI front door is `redeval serve` in
 //! `redeval-bench`.
 //!
+//! Every evaluation runs on an execution context the caller owns: a
+//! worker [`Pool`](prelude::Pool) and an
+//! [`AnalysisCache`](prelude::AnalysisCache) of the per-tier SRN solves.
+//! Build one of each per run and pass them to every batch.
+//!
 //! # Examples
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use redeval_suite::prelude::*;
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
+//! let (pool, cache) = (Pool::new(2), Arc::new(AnalysisCache::new()));
 //! let design = Design::new("case study", vec![1, 2, 2, 1]);
 //! let policy = PatchPolicy::CriticalOnly(8.0);
 //! let e = Scenario::new("case study", case_study::network(), design, policy)
-//!     .evaluate(&AnalysisCache::new())?;
+//!     .evaluate(&cache)?;
 //! assert!((e.coa - 0.99707).abs() < 5e-5);
+//! // A sweep on the same cache re-solves none of the four tiers.
+//! let evals = Sweep::new(case_study::network())
+//!     .designs(case_study::five_designs())
+//!     .run(&pool, &cache)?;
+//! assert_eq!((evals.len(), cache.solves()), (5, 4));
 //! # Ok(())
 //! # }
 //! ```

@@ -17,10 +17,11 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use redeval::scenario::generate::{self, Family, GenParams};
 use redeval::scenario::ScenarioDoc;
-use redeval::{Pool, Sweep};
+use redeval::{AnalysisCache, Pool, Sweep};
 use redeval_bench::{cli, reports, serve};
 use redeval_server::{Request, Service, CACHE_HEADER};
 
@@ -149,10 +150,13 @@ fn generated_sweeps_are_thread_count_invariant() {
             let doc = generate::generate(family, &corpus_params(family, seed), seed);
             let reference = Sweep::from_scenario(&doc)
                 .unwrap_or_else(|e| panic!("{}: {e}", doc.name))
-                .run(&single)
+                .run(&single, &Arc::new(AnalysisCache::new()))
                 .unwrap_or_else(|e| panic!("{}: {e}", doc.name));
             for (threads, pool) in &pools {
-                let parallel = Sweep::from_scenario(&doc).unwrap().run(pool).unwrap();
+                let parallel = Sweep::from_scenario(&doc)
+                    .unwrap()
+                    .run(pool, &Arc::new(AnalysisCache::new()))
+                    .unwrap();
                 assert_eq!(parallel.len(), reference.len());
                 for (p, r) in parallel.iter().zip(&reference) {
                     assert_eq!(p, r, "{}: {threads} threads diverge", doc.name);

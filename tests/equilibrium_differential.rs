@@ -78,7 +78,7 @@ fn equilibrium_outcome_is_bitwise_invariant_across_threads() {
         let reference = EquilibriumAnalyzer::from_scenario(&doc)
             .unwrap_or_else(|e| panic!("{}: {e}", doc.name))
             .max_redundancy(max_redundancy)
-            .run(&pools[0].1)
+            .run(&pools[0].1, &Arc::new(AnalysisCache::new()))
             .unwrap_or_else(|e| panic!("{}: {e}", doc.name));
         assert!(
             reference.converged || reference.cycle_detected,
@@ -89,7 +89,7 @@ fn equilibrium_outcome_is_bitwise_invariant_across_threads() {
             let outcome = EquilibriumAnalyzer::from_scenario(&doc)
                 .unwrap()
                 .max_redundancy(max_redundancy)
-                .run(pool)
+                .run(pool, &Arc::new(AnalysisCache::new()))
                 .unwrap_or_else(|e| panic!("{} @ {threads} threads: {e}", doc.name));
             assert_eq!(
                 outcome, reference,

@@ -16,9 +16,11 @@
 //! knobs, defender counts and attacker masks, so the suite covers
 //! profiles the Gauss-Seidel trajectory itself never visits.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use redeval::equilibrium::{exhaustive_defender_response, EquilibriumAnalyzer};
-use redeval::exec::Pool;
+use redeval::exec::{AnalysisCache, Pool};
 use redeval::scenario::generate::{self, GenParams};
 use redeval::scenario::ScenarioDoc;
 
@@ -86,9 +88,10 @@ proptest! {
         let counts = derived_counts(&doc, max_redundancy, counts_seed);
         let policy_idx = policy_pick % doc.policies.len();
 
-        let pruned = analyzer.attacker_response(&counts, policy_idx)
+        let cache = AnalysisCache::new();
+        let pruned = analyzer.attacker_response(&counts, policy_idx, &cache)
             .expect("pruned attacker response");
-        let full = analyzer.attacker_response_exhaustive(&counts, policy_idx)
+        let full = analyzer.attacker_response_exhaustive(&counts, policy_idx, &cache)
             .expect("exhaustive attacker response");
 
         prop_assert_eq!(&pruned.mask, &full.mask);
@@ -119,9 +122,11 @@ proptest! {
         let mask = derived_mask(k, mask_seed);
 
         let pool = Pool::new(2);
-        let pruned = analyzer.defender_response(&mask, &pool).expect("pruned defender response");
-        let (exhaustive_eval, exhaustive_policy) = exhaustive_defender_response(&analyzer, &mask, &pool)
-            .expect("exhaustive defender response");
+        let pruned = analyzer.defender_response(&mask, &pool, &Arc::new(AnalysisCache::new()))
+            .expect("pruned defender response");
+        let (exhaustive_eval, exhaustive_policy) =
+            exhaustive_defender_response(&analyzer, &mask, &pool, &Arc::new(AnalysisCache::new()))
+                .expect("exhaustive defender response");
 
         prop_assert_eq!(pruned.policy_idx, exhaustive_policy);
         prop_assert_eq!(&pruned.eval.counts, &exhaustive_eval.counts);

@@ -18,9 +18,23 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::{Arc, OnceLock};
 
-use redeval::exec::Pool;
+use redeval::exec::{AnalysisCache, Pool};
 use redeval_bench::reports::{self, REGISTRY};
+
+/// The execution context the registry replays here share, as one
+/// `redeval report --all` run does: one multi-worker pool and one solve
+/// cache.
+fn shared() -> &'static (Pool, Arc<AnalysisCache>) {
+    static CONTEXT: OnceLock<(Pool, Arc<AnalysisCache>)> = OnceLock::new();
+    CONTEXT.get_or_init(|| (Pool::new(4), Arc::new(AnalysisCache::new())))
+}
+
+/// An empty cache, for a build that shares no solve with any other.
+fn fresh_cache() -> Arc<AnalysisCache> {
+    Arc::new(AnalysisCache::new())
+}
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -50,32 +64,48 @@ fn first_diff(want: &str, got: &str) -> String {
 #[test]
 fn every_report_matches_its_golden() {
     let dir = golden_dir();
+    let (pool, cache) = shared();
     let mut failures = Vec::new();
     for spec in REGISTRY {
-        let report = (spec.build)();
+        let report = (spec.build)(pool, cache);
         assert_eq!(
             report.name, spec.name,
             "report name must match registry key"
         );
         let json = report.to_json();
+        // A builder computes *what* to report; the caller's pool and
+        // cache decide only where it runs. Built alone, on one worker and
+        // an empty cache, the report must match the same golden.
+        let alone = (spec.build)(&Pool::new(1), &fresh_cache()).to_json();
         let path = dir.join(format!("{}.json", spec.name));
-        if blessing() {
+        let want = if blessing() {
             fs::create_dir_all(&dir).expect("golden dir");
             fs::write(&path, &json).expect("write golden");
-            continue;
-        }
-        match fs::read_to_string(&path) {
-            Ok(want) if want == json => {}
-            Ok(want) => failures.push(format!(
-                "{}: output changed; {}",
-                spec.name,
-                first_diff(&want, &json)
-            )),
-            Err(_) => failures.push(format!(
-                "{}: missing golden {} — bless with REDEVAL_BLESS=1 cargo test --test golden",
-                spec.name,
-                path.display()
-            )),
+            json.clone()
+        } else {
+            match fs::read_to_string(&path) {
+                Ok(want) => want,
+                Err(_) => {
+                    failures.push(format!(
+                        "{}: missing golden {} — bless with REDEVAL_BLESS=1 cargo test --test golden",
+                        spec.name,
+                        path.display()
+                    ));
+                    continue;
+                }
+            }
+        };
+        for (run, got) in [
+            ("shared context", &json),
+            ("one worker, empty cache", &alone),
+        ] {
+            if *got != want {
+                failures.push(format!(
+                    "{} ({run}): output changed; {}",
+                    spec.name,
+                    first_diff(&want, got)
+                ));
+            }
         }
     }
     assert!(
@@ -212,13 +242,25 @@ fn golden_reports_all_pass_their_consistency_checks() {
     // The corpus must never pin a failing state: `ok` is serialized, so
     // this is equivalent to checking the committed files, but the
     // in-process check gives a direct message when a region regresses.
+    let (pool, cache) = shared();
     for spec in REGISTRY {
         assert!(
-            (spec.build)().ok,
+            (spec.build)(pool, cache).ok,
             "report {} fails its embedded consistency checks",
             spec.name
         );
     }
+    // That pass left every tier the registry solves in the shared cache,
+    // so a replay of the whole registry solves none again.
+    let solves = cache.solves();
+    for spec in REGISTRY {
+        (spec.build)(pool, cache);
+    }
+    assert_eq!(
+        cache.solves(),
+        solves,
+        "replaying the registry on a warm cache re-solved tiers"
+    );
 }
 
 #[test]
@@ -226,11 +268,12 @@ fn json_is_byte_identical_across_runs() {
     // Serialization is a pure function of the computed numbers, and the
     // computed numbers are run-to-run deterministic (fixed seeds, no
     // wall-clock, no hash-order dependence).
+    let (pool, cache) = shared();
     for name in ["regions", "table2", "heterogeneous"] {
         let spec = reports::find(name).unwrap();
         assert_eq!(
-            (spec.build)().to_json(),
-            (spec.build)().to_json(),
+            (spec.build)(pool, cache).to_json(),
+            (spec.build)(pool, cache).to_json(),
             "report {name} differs between two in-process runs"
         );
     }
@@ -240,19 +283,19 @@ fn json_is_byte_identical_across_runs() {
 fn json_is_byte_identical_across_thread_counts() {
     // The batch engine guarantees bitwise-identical numbers for any
     // worker count (DESIGN.md §5); the serialized reports inherit that.
-    let sweep_1 = reports::studies::sweep_on(&Pool::new(1)).to_json();
+    let sweep_1 = reports::studies::sweep(&Pool::new(1), &fresh_cache()).to_json();
     for threads in [2, 4, 8] {
         assert_eq!(
             sweep_1,
-            reports::studies::sweep_on(&Pool::new(threads)).to_json(),
+            reports::studies::sweep(&Pool::new(threads), &fresh_cache()).to_json(),
             "sweep report differs between 1 and {threads} threads"
         );
     }
-    let sens_1 = reports::studies::sensitivity_on(&Pool::new(1)).to_json();
+    let sens_1 = reports::studies::sensitivity(&Pool::new(1), &fresh_cache()).to_json();
     for threads in [3, 7] {
         assert_eq!(
             sens_1,
-            reports::studies::sensitivity_on(&Pool::new(threads)).to_json(),
+            reports::studies::sensitivity(&Pool::new(threads), &fresh_cache()).to_json(),
             "sensitivity report differs between 1 and {threads} threads"
         );
     }

@@ -76,12 +76,16 @@ fn pruned_search_matches_exhaustive_enumeration_on_small_grids() {
             let optimizer = Optimizer::from_scenario(&doc)
                 .unwrap_or_else(|e| panic!("{}: {e}", doc.name))
                 .max_redundancy(max_redundancy);
-            let reference = exhaustive_frontier(&optimizer, &reference_pool)
-                .unwrap_or_else(|e| panic!("{}: exhaustive sweep: {e}", doc.name));
+            let reference =
+                exhaustive_frontier(&optimizer, &reference_pool, &Arc::new(AnalysisCache::new()))
+                    .unwrap_or_else(|e| panic!("{}: exhaustive sweep: {e}", doc.name));
             assert!(!reference.is_empty(), "{}: empty frontier", doc.name);
+            // The first pool run solves the tiers itself; the later ones
+            // find them in its cache.
+            let cache = Arc::new(AnalysisCache::new());
             for (threads, pool) in &pools {
                 let outcome = optimizer
-                    .run(pool)
+                    .run(pool, &cache)
                     .unwrap_or_else(|e| panic!("{}: optimize: {e}", doc.name));
                 assert_bitwise_equal(
                     &reference,
@@ -196,7 +200,7 @@ fn pruned_boxes_never_contain_frontier_members() {
             .unwrap_or_else(|e| panic!("case {case} ({}): {e}", doc.name))
             .max_redundancy(max_redundancy);
         let outcome = optimizer
-            .run(&Pool::new(2))
+            .run(&Pool::new(2), &Arc::new(AnalysisCache::new()))
             .unwrap_or_else(|e| panic!("case {case} ({}): {e}", doc.name));
         assert!(!outcome.frontier.is_empty(), "case {case}: empty frontier");
         for member in &outcome.frontier {

@@ -10,7 +10,7 @@ use redeval_suite::prelude::*;
 fn five_design_evals() -> Vec<DesignEvaluation> {
     Sweep::new(case_study::network())
         .designs(case_study::five_designs())
-        .run(&Pool::new(2))
+        .run(&Pool::new(2), &std::sync::Arc::new(AnalysisCache::new()))
         .unwrap()
 }
 

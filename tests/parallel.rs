@@ -45,7 +45,9 @@ fn randomized_grid_parallel_is_bitwise_identical_to_sequential() {
 
     // The engine must reproduce it exactly for any thread count.
     for threads in [1, 2, 4, 16] {
-        let parallel = sweep.run(&Pool::new(threads)).expect("grid evaluates");
+        let parallel = sweep
+            .run(&Pool::new(threads), &Arc::new(AnalysisCache::new()))
+            .expect("grid evaluates");
         assert_eq!(parallel.len(), reference.len());
         for (p, r) in parallel.iter().zip(&reference) {
             assert_eq!(p, r, "thread count {threads} changed a result");
@@ -73,10 +75,9 @@ fn shared_cache_dedupes_per_tier_solves_across_the_batch() {
     assert_eq!(cache.len(), 4);
 
     let evals = Sweep::new(case_study::network())
-        .share_cache(&cache)
         .designs(case_study::five_designs())
         .policies(vec![PatchPolicy::CriticalOnly(8.0), PatchPolicy::All])
-        .run(&pool)
+        .run(&pool, &cache)
         .expect("grid evaluates");
     assert_eq!(evals.len(), 10);
     // Four distinct tiers → the four warm-up solves serve the whole
@@ -87,8 +88,7 @@ fn shared_cache_dedupes_per_tier_solves_across_the_batch() {
 
     // A second batch over the same parameters re-solves nothing.
     Sweep::new(case_study::network())
-        .share_cache(&cache)
-        .run(&pool)
+        .run(&pool, &cache)
         .expect("grid evaluates");
     assert_eq!(cache.solves(), 4);
 }
@@ -108,7 +108,7 @@ fn sweep_grid_agrees_with_legacy_evaluator_numbers() {
     let engine = Sweep::new(case_study::network())
         .designs(designs.clone())
         .policies(policies.clone())
-        .run(&Pool::new(4))
+        .run(&Pool::new(4), &Arc::new(AnalysisCache::new()))
         .expect("grid evaluates");
     assert_eq!(engine.len(), designs.len() * policies.len());
     let network = Arc::new(case_study::network());
@@ -144,7 +144,9 @@ fn pareto_frontier_is_thread_count_independent() {
     let sequential = pareto_frontier(&evals);
     assert!(!sequential.is_empty());
     for threads in [2, 8] {
-        let pooled = sweep.run(&Pool::new(threads)).expect("grid evaluates");
+        let pooled = sweep
+            .run(&Pool::new(threads), &Arc::new(AnalysisCache::new()))
+            .expect("grid evaluates");
         assert_eq!(sequential, pareto_frontier(&pooled));
     }
 }

@@ -52,7 +52,7 @@ fn full_pipeline_round_trip() {
     assert_eq!(designs.len(), 8);
     let evals = Sweep::new(base)
         .designs(designs)
-        .run(&Pool::new(2))
+        .run(&Pool::new(2), &std::sync::Arc::new(AnalysisCache::new()))
         .unwrap();
 
     // Every design: sane measure ranges and patch improves security.

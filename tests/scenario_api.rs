@@ -2,9 +2,11 @@
 //! the contract, so everything here goes through serialized documents
 //! rather than in-memory constructors.
 
+use std::sync::Arc;
+
 use redeval::exec::default_threads;
 use redeval::scenario::{builtin, ScenarioDoc, ScenarioError};
-use redeval::{case_study, Design, EvalError, PatchPolicy, Pool, SpecIssue, Sweep};
+use redeval::{case_study, AnalysisCache, Design, EvalError, PatchPolicy, Pool, SpecIssue, Sweep};
 
 /// The paper document evaluated through `from_scenario` must be
 /// indistinguishable — bit for bit — from the hand-built case-study
@@ -19,11 +21,11 @@ fn from_scenario_matches_the_case_study_evaluator_bitwise() {
     let from_doc = Sweep::from_scenario(&doc)
         .unwrap()
         .designs(designs.clone())
-        .run(&pool)
+        .run(&pool, &Arc::new(AnalysisCache::new()))
         .unwrap();
     let hand = Sweep::new(case_study::network())
         .designs(designs)
-        .run(&pool)
+        .run(&pool, &Arc::new(AnalysisCache::new()))
         .unwrap();
     assert_eq!(from_doc.len(), 5);
     for (a, b) in from_doc.iter().zip(&hand) {
@@ -54,11 +56,11 @@ fn edited_json_changes_the_evaluation() {
     let base = &Sweep::from_scenario(&doc)
         .unwrap()
         .designs(vec![Design::new("edited", vec![2, 2, 2, 1])])
-        .run(&pool)
+        .run(&pool, &Arc::new(AnalysisCache::new()))
         .unwrap()[0];
     let orig = &Sweep::new(case_study::network())
         .designs(vec![Design::new("orig", vec![1, 2, 2, 1])])
-        .run(&pool)
+        .run(&pool, &Arc::new(AnalysisCache::new()))
         .unwrap()[0];
     assert!(base.coa > orig.coa, "extra DNS redundancy must raise COA");
     assert!(base.before.entry_points > orig.before.entry_points);
@@ -71,7 +73,12 @@ fn sweep_from_scenario_covers_the_declared_grid() {
     let doc = builtin::iot_fleet();
     let sweep = Sweep::from_scenario(&doc).unwrap();
     assert_eq!(sweep.len(), doc.designs.len() * doc.policies.len());
-    let evals = sweep.run(&Pool::new(default_threads())).unwrap();
+    let evals = sweep
+        .run(
+            &Pool::new(default_threads()),
+            &Arc::new(AnalysisCache::new()),
+        )
+        .unwrap();
     assert_eq!(evals.len(), 6); // 2 designs × 3 policies
     assert!(evals[0].name.ends_with("no patch"));
     assert!(evals[1].name.ends_with("critical>8"));
@@ -149,7 +156,7 @@ fn policy_list_controls_the_evaluator() {
         Sweep::from_scenario(doc)
             .unwrap()
             .designs(vec![Design::new("base", vec![1, 2, 2, 1])])
-            .run(&pool)
+            .run(&pool, &Arc::new(AnalysisCache::new()))
             .unwrap()
     };
     let mut doc = builtin::paper_case_study();

@@ -450,7 +450,7 @@ fn case_study_space_matches_host_walk(designs: Vec<Design>) {
             .designs(designs.clone())
             .policies(policies.clone())
             .metrics(config)
-            .run(&pool)
+            .run(&pool, &Arc::new(AnalysisCache::new()))
             .expect("sweep evaluates");
         assert_eq!(evals.len(), designs.len() * policies.len());
         for (design, row) in designs.iter().zip(evals.chunks(policies.len())) {
