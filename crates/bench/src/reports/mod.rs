@@ -121,7 +121,7 @@ pub const REGISTRY: &[ReportSpec] = &[
     ReportSpec {
         name: "scenarios",
         about: "Partial patch scenarios — per-tier MTTR and network COA",
-        build: |pool, _| studies::scenarios(pool),
+        build: studies::scenarios,
     },
     ReportSpec {
         name: "cost",
@@ -191,7 +191,7 @@ pub const REGISTRY: &[ReportSpec] = &[
     ReportSpec {
         name: "aggregation_error",
         about: "Eq. (1),(2) aggregation accuracy vs the exact composite",
-        build: |_, _| validate::aggregation_error(),
+        build: |_, cache| validate::aggregation_error(cache),
     },
 ];
 

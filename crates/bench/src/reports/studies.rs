@@ -141,10 +141,10 @@ pub fn sensitivity(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
 }
 
 /// Partial patch scenarios — per-tier MTTR and network COA for each
-/// round shape (paper §V "SRN models"), solved on `pool`. The
-/// [`AnalysisCache`] keys only full-round solves, so these per-shape
-/// solves do not go through it.
-pub fn scenarios(pool: &Pool) -> Report {
+/// round shape (paper §V "SRN models"). The full round's tier solves
+/// resolve through `cache`; the [`AnalysisCache`] keys only full-round
+/// solves, so the partial shapes are solved directly on `pool`.
+pub fn scenarios(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new("scenarios", "Partial patch scenarios");
     let spec = case_study::network();
     let scenario_list = [
@@ -154,18 +154,20 @@ pub fn scenarios(pool: &Pool) -> Report {
         PatchScenario::ServiceOnly,
     ];
 
-    // One lower-layer solve per (tier, scenario), on the caller's pool.
     let tiers = spec.tiers();
+    let full = cache.analyses_for(&spec).expect("server models solve");
+    // One lower-layer solve per (tier, partial shape), on the caller's
+    // pool; the partial shapes follow `Full` in the list.
+    let shapes = scenario_list.len() - 1;
     let params: Vec<ServerParams> = tiers.iter().map(|t| t.params.clone()).collect();
-    let analyses: Vec<ServerAnalysis> =
-        pool.run_batch(tiers.len() * scenario_list.len(), move |job| {
-            let (params, scenario) = (
-                &params[job / scenario_list.len()],
-                scenario_list[job % scenario_list.len()],
-            );
-            ServerAnalysis::of_scenario(params, scenario).expect("model solves")
-        });
-    let analysis = |ti: usize, si: usize| &analyses[ti * scenario_list.len() + si];
+    let partial: Vec<ServerAnalysis> = pool.run_batch(tiers.len() * shapes, move |job| {
+        let (params, scenario) = (&params[job / shapes], scenario_list[1 + job % shapes]);
+        ServerAnalysis::of_scenario(params, scenario).expect("model solves")
+    });
+    let analysis = |ti: usize, si: usize| match si {
+        0 => &*full[ti],
+        _ => &partial[ti * shapes + si - 1],
+    };
 
     let mut mttr = Table::new(
         "per-tier-mttr-hours",

@@ -8,7 +8,7 @@ use redeval::case_study;
 use redeval::exec::AnalysisCache;
 use redeval::output::{Report, Table, Value};
 use redeval::{AspStrategy, MetricsConfig, ServerParams};
-use redeval_avail::{CompositeNetwork, NetworkModel, ServerAnalysis, ServerModel, Tier};
+use redeval_avail::{CompositeNetwork, NetworkModel, ServerModel, Tier};
 use redeval_sim::{estimate_asp, simulate_coa, Simulation};
 
 use super::{compare_row, compare_table_vs};
@@ -74,12 +74,14 @@ pub fn validate_sim(cache: &AnalysisCache) -> Report {
     r
 }
 
-fn aggregated_coa(params: &[ServerParams], counts: &[u32]) -> f64 {
+/// The aggregated COA of `counts` servers of each of `params`, with the
+/// tiers solved through `cache`.
+fn aggregated_coa(params: &[ServerParams], counts: &[u32], cache: &AnalysisCache) -> f64 {
     let tiers: Vec<Tier> = params
         .iter()
         .zip(counts)
         .map(|(p, &c)| {
-            let a = ServerAnalysis::of(p).expect("server model solves");
+            let a = cache.analysis(p).expect("server model solves");
             Tier::new(p.name.clone(), c, a.rates())
         })
         .collect();
@@ -88,8 +90,9 @@ fn aggregated_coa(params: &[ServerParams], counts: &[u32]) -> f64 {
 
 /// Validation of the paper's hierarchical aggregation (Equations
 /// (1),(2) + patch-only upper layer) against the exact, unreduced
-/// composition of full server models.
-pub fn aggregation_error() -> Report {
+/// composition of full server models; the aggregated tiers are solved
+/// through `cache`.
+pub fn aggregation_error(cache: &AnalysisCache) -> Report {
     let mut r = Report::new(
         "aggregation_error",
         "Aggregation accuracy: exact composite vs Equations (1),(2)",
@@ -109,7 +112,7 @@ pub fn aggregation_error() -> Report {
     for (label, params, counts) in cases {
         let composite = CompositeNetwork::build(&params, &counts);
         let exact = composite.coa_exact().expect("exact solve");
-        let agg = aggregated_coa(&params, &counts);
+        let agg = aggregated_coa(&params, &counts, cache);
         exact_table.add_row(vec![
             Value::from(label),
             Value::from(exact),
@@ -131,26 +134,10 @@ pub fn aggregation_error() -> Report {
     let counts: Vec<u32> = spec.tiers().iter().map(|t| t.count).collect();
     let composite = CompositeNetwork::build(&params, &counts);
     let mut sim = Simulation::new(composite.net(), 777);
-    // Rebuild the reward against the simulator's marking type.
-    let servers = composite.servers().to_vec();
-    let n_tiers = counts.len();
-    let total: u32 = counts.iter().sum();
-    sim.add_reward("coa", move |m| {
-        let mut up = vec![0u32; n_tiers];
-        for (tier, places) in &servers {
-            if places.service_up(m) {
-                up[*tier] += 1;
-            }
-        }
-        if up.contains(&0) {
-            0.0
-        } else {
-            f64::from(up.iter().sum::<u32>()) / f64::from(total)
-        }
-    });
+    sim.add_reward("coa", |m| composite.coa_reward(m));
     let out = sim.run(5_000.0, 1_000_000.0, 20).expect("simulation runs");
     let est = &out.rewards[0];
-    let agg = aggregated_coa(&params, &counts);
+    let agg = aggregated_coa(&params, &counts, cache);
     r.keys([
         ("case_study_simulated_coa", Value::from(est.mean)),
         ("case_study_sim_ci95", Value::from(est.ci95)),

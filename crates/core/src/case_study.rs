@@ -8,7 +8,6 @@
 
 use redeval_avail::{Durations, ServerParams};
 use redeval_cvss::v2::BaseVector;
-use redeval_harm::{AttackTree, Vulnerability};
 
 use crate::spec::{Design, NetworkSpec};
 
@@ -144,19 +143,6 @@ pub const VULNERABILITIES: [VulnRecord; 16] = [
     },
 ];
 
-/// Looks a Table-I record up by its paper-local id.
-///
-/// # Panics
-///
-/// Panics for an unknown id (programming error in callers).
-pub fn vuln(id: &str) -> Vulnerability {
-    let r = VULNERABILITIES
-        .iter()
-        .find(|r| r.id == id)
-        .unwrap_or_else(|| panic!("unknown vulnerability id {id}"));
-    Vulnerability::new(format!("{} ({})", r.id, r.cve), r.impact, r.probability)
-}
-
 /// Verifies that a record's reconstructed CVSS vector reproduces its
 /// Table-I values (used by tests and the `table1` bench binary).
 pub fn vector_consistent(r: &VulnRecord) -> bool {
@@ -165,54 +151,6 @@ pub fn vector_consistent(r: &VulnRecord) -> bool {
     };
     (v.attack_impact() - r.impact).abs() < 1e-9
         && (v.attack_success_probability() - r.probability).abs() < 1e-9
-}
-
-/// The DNS server's attack tree: `OR(v1dns)`.
-pub fn dns_tree() -> AttackTree {
-    AttackTree::or(vec![AttackTree::leaf(vuln("v1dns"))])
-}
-
-/// The web server's attack tree:
-/// `OR(v1web, v2web, v3web, AND(v4web, v5web))` — the paper's worked
-/// example with impact 12.9.
-pub fn web_tree() -> AttackTree {
-    AttackTree::or(vec![
-        AttackTree::leaf(vuln("v1web")),
-        AttackTree::leaf(vuln("v2web")),
-        AttackTree::leaf(vuln("v3web")),
-        AttackTree::and(vec![
-            AttackTree::leaf(vuln("v4web")),
-            AttackTree::leaf(vuln("v5web")),
-        ]),
-    ])
-}
-
-/// The application server's attack tree (impact 16.4).
-pub fn app_tree() -> AttackTree {
-    AttackTree::or(vec![
-        AttackTree::leaf(vuln("v1app")),
-        AttackTree::leaf(vuln("v2app")),
-        AttackTree::leaf(vuln("v3app")),
-        AttackTree::and(vec![
-            AttackTree::leaf(vuln("v4app")),
-            AttackTree::leaf(vuln("v5app")),
-        ]),
-    ])
-}
-
-/// The database server's attack tree:
-/// `OR(v1db, v2db, AND(v3db, v4db), v5db)` (impact 12.9 before *and*
-/// after patching, matching the paper's `aim_db1`).
-pub fn db_tree() -> AttackTree {
-    AttackTree::or(vec![
-        AttackTree::leaf(vuln("v1db")),
-        AttackTree::leaf(vuln("v2db")),
-        AttackTree::and(vec![
-            AttackTree::leaf(vuln("v3db")),
-            AttackTree::leaf(vuln("v4db")),
-        ]),
-        AttackTree::leaf(vuln("v5db")),
-    ])
 }
 
 /// Table IV parameters for the DNS server (exact paper values).
@@ -262,8 +200,8 @@ pub fn db_params() -> ServerParams {
 /// ([`scenario::builtin::paper_case_study`](crate::scenario::builtin::paper_case_study)),
 /// so the entire golden corpus continuously proves that the declarative
 /// scenario path reproduces the paper's network bit-for-bit. The document
-/// assembles the same Table-I vectors, attack-tree shapes and Table-IV
-/// parameters this module defines.
+/// takes its Table-I vectors and Table-IV parameters from this module and
+/// defines the four attack trees itself; it is their only definition.
 pub fn network() -> NetworkSpec {
     crate::scenario::builtin::paper_case_study()
         .to_spec()
@@ -284,7 +222,7 @@ pub fn five_designs() -> Vec<Design> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redeval_harm::{AspStrategy, MetricsConfig, OrCombine};
+    use redeval_harm::{AspStrategy, AttackTree, MetricsConfig, OrCombine, Vulnerability};
 
     #[test]
     fn all_vectors_reproduce_table_i() {
@@ -297,7 +235,7 @@ mod tests {
     fn critical_set_is_the_nine_remote_root_vulns() {
         let critical: Vec<&str> = VULNERABILITIES
             .iter()
-            .filter(|r| vuln(r.id).is_critical(8.0))
+            .filter(|r| Vulnerability::new(r.id, r.impact, r.probability).is_critical(8.0))
             .map(|r| r.id)
             .collect();
         assert_eq!(
@@ -306,24 +244,37 @@ mod tests {
         );
     }
 
+    /// The attack trees of the reference document, in tier order
+    /// (dns, web, app, db).
+    fn trees() -> Vec<AttackTree> {
+        network()
+            .tiers()
+            .iter()
+            .map(|t| t.tree.clone().expect("every case-study tier has a tree"))
+            .collect()
+    }
+
     #[test]
     fn tree_impacts_match_paper() {
-        assert!((dns_tree().impact() - 10.0).abs() < 1e-12);
-        assert!((web_tree().impact() - 12.9).abs() < 1e-12);
-        assert!((app_tree().impact() - 16.4).abs() < 1e-12);
-        assert!((db_tree().impact() - 12.9).abs() < 1e-12);
+        let impacts: Vec<f64> = trees().iter().map(AttackTree::impact).collect();
+        assert_eq!(impacts.len(), 4);
+        for (got, want) in impacts.into_iter().zip([10.0, 12.9, 16.4, 12.9]) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
     }
 
     #[test]
     fn after_patch_tree_impacts() {
         let crit = |v: &Vulnerability| v.is_critical(8.0);
-        assert!(dns_tree().without(&crit).is_none());
-        let web = web_tree().without(&crit).unwrap();
+        let trees = trees();
+        assert!(trees[0].without(&crit).is_none());
+        let web = trees[1].without(&crit).unwrap();
         assert!((web.impact() - 12.9).abs() < 1e-12);
         assert_eq!(web.leaf_count(), 2);
-        let app = app_tree().without(&crit).unwrap();
+        let app = trees[2].without(&crit).unwrap();
         assert!((app.impact() - 16.4).abs() < 1e-12);
-        let db = db_tree().without(&crit).unwrap();
+        assert_eq!(app.leaf_count(), 2);
+        let db = trees[3].without(&crit).unwrap();
         assert!((db.impact() - 12.9).abs() < 1e-12);
         assert_eq!(db.leaf_count(), 3);
     }

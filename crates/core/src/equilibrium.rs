@@ -10,18 +10,19 @@
 //!   `1..=max_redundancy`) and a patch policy from the configured list,
 //!   minimizing after-patch ASP and then maximizing COA;
 //! * the **attacker** picks a non-empty subset of the entry tiers to
-//!   commit to (realized as entry masking of the prebuilt HARM via
-//!   [`Harm::with_entry_mask`] — the graph is never rebuilt), maximizing
-//!   after-patch ASP and then AIM.
+//!   commit to, maximizing after-patch ASP and then AIM.
 //!
-//! Payoffs are evaluated through the existing pipeline: the defender's
-//! inner best response is exactly [`Optimizer`]'s pruned branch-and-bound
-//! over the entry-masked specification
-//! ([`NetworkSpec::with_entry_tiers`]), the attacker's enumerates its
-//! `2^k − 1` masks with a union-bound prune. Best responses alternate
-//! Gauss-Seidel style — the scheme of the GNEP literature (Nie–Tang–Xu;
-//! Choi–Nie–Tang–Zhong, see PAPERS.md) — with fixed player order
-//! (defender first), until the profile repeats.
+//! Both players mask entry tiers the same way, with
+//! [`NetworkSpec::with_entry_tiers`], and both score through the
+//! evaluation kernel: the defender's inner best response is exactly
+//! [`Optimizer`]'s pruned branch-and-bound over the masked
+//! specification, and the attacker's enumerates its `2^k − 1` masks
+//! with a union-bound prune, scoring each masked specification by the
+//! kernel's after-patch security walk (the tier walk on an acyclic tier
+//! graph under a path-based ASP, the host walk otherwise). Best
+//! responses alternate Gauss-Seidel style — the scheme of the GNEP
+//! literature (Nie–Tang–Xu; Choi–Nie–Tang–Zhong, see PAPERS.md) — with
+//! fixed player order (defender first), until the profile repeats.
 //!
 //! # Determinism
 //!
@@ -69,16 +70,13 @@
 
 use std::sync::Arc;
 
-use redeval_harm::{AspStrategy, MetricsConfig};
+use redeval_harm::{AspStrategy, MetricsConfig, SecurityMetrics};
 
 use crate::error::{EvalError, SpecIssue};
-use crate::evaluation::{DesignEvaluation, PatchPolicy};
+use crate::evaluation::{DesignEvaluation, PatchPolicy, VariantContext};
 use crate::exec::{AnalysisCache, Pool};
 use crate::optimize::{Optimizer, DEFAULT_MAX_REDUNDANCY};
 use crate::spec::NetworkSpec;
-
-#[cfg(doc)]
-use redeval_harm::Harm;
 
 /// Default Gauss-Seidel round cap — matches the CLI's `--max-iters`
 /// default. Monotone entry-subset payoffs converge in a handful of
@@ -332,9 +330,12 @@ impl EquilibriumAnalyzer {
 
     /// The attacker's best response to a defender strategy: the
     /// first-enumerated maximizer of (after-patch ASP, then AIM) over all
-    /// non-empty entry-tier masks, with the union-bound prune. The masks
-    /// re-walk one prebuilt HARM and solve no tier, so `cache` serves
-    /// only as the telemetry sink (its span and mask counters).
+    /// non-empty entry-tier masks, with the union-bound prune. Each
+    /// candidate is the specification masked by
+    /// [`NetworkSpec::with_entry_tiers`] at `counts`, scored by the
+    /// evaluation kernel's after-patch security walk under the policy.
+    /// The walks solve no tier, so `cache` serves only as the telemetry
+    /// sink (its span and mask counters).
     ///
     /// # Errors
     ///
@@ -387,18 +388,20 @@ impl EquilibriumAnalyzer {
             .into());
         }
         let policy = self.policies[policy_idx];
-        let spec = self.spec.with_counts(counts)?;
-        // One HARM build + one patch round per best response; every
-        // candidate is a re-mask of this model.
-        let harm = spec.build_harm().patched(&move |v| policy.patches(v));
-        // `build_harm` adds entry hosts tier-major, so a tier mask
-        // expands to host slots by repeating each bit `count` times.
-        let host_counts: Vec<usize> = entry_tiers.iter().map(|&ti| counts[ti] as usize).collect();
-        let expand = |mask: &[bool]| -> Vec<bool> {
-            mask.iter()
-                .zip(&host_counts)
-                .flat_map(|(&keep, &c)| std::iter::repeat(keep).take(c))
-                .collect()
+        self.spec.check_counts(counts)?;
+        // A candidate is the spec keeping only the masked entry tiers,
+        // scored by the kernel's after-patch walk at the responding
+        // counts under the defender's policy.
+        let score = |mask: &[bool], metrics: MetricsConfig| -> Result<SecurityMetrics, EvalError> {
+            let masked = Arc::new(self.spec.with_entry_tiers(mask)?);
+            let context = VariantContext::new(
+                masked,
+                metrics,
+                vec![(policy, String::new())],
+                std::iter::empty(),
+            );
+            let (_, mut after) = context.security(counts, false);
+            Ok(after.remove(0))
         };
         // Union-bound singles: per-tier ASP under noisy-or, which
         // upper-bounds every aggregation strategy (max-path trivially,
@@ -412,8 +415,7 @@ impl EquilibriumAnalyzer {
         for j in 0..k {
             let mut mask = vec![false; k];
             mask[j] = true;
-            let m = harm.with_entry_mask(&expand(&mask)).metrics(&nor);
-            single_ub.push(m.attack_success_probability);
+            single_ub.push(score(&mask, nor)?.attack_success_probability);
         }
         let mut best: Option<(f64, f64, Vec<bool>)> = None;
         let mut evaluated = 0usize;
@@ -438,7 +440,7 @@ impl EquilibriumAnalyzer {
                 }
             }
             let mask: Vec<bool> = (0..k).map(|j| bits & (1u64 << j) != 0).collect();
-            let m = harm.with_entry_mask(&expand(&mask)).metrics(&self.metrics);
+            let m = score(&mask, self.metrics)?;
             evaluated += 1;
             tel.add(crate::telemetry::Counter::MasksEvaluated, 1);
             let (asp, aim) = (m.attack_success_probability, m.attack_impact);
@@ -828,22 +830,30 @@ mod tests {
 
     #[test]
     fn attacker_full_mask_matches_the_static_pipeline() {
-        // The attacker's payoff under the full mask must be exactly the
+        // The design under the full entry mask must score exactly the
         // classic evaluation path's after-patch metrics.
+        use crate::exec::Scenario;
+        use crate::spec::Design;
         let doc = builtin::paper_case_study();
         let analyzer = EquilibriumAnalyzer::from_scenario(&doc).unwrap();
         let k = analyzer.spec.entry_tiers().len();
         let counts = vec![1; analyzer.spec.tiers().len()];
         let policy = analyzer.policies[0];
-        let spec = analyzer.spec.with_counts(&counts).unwrap();
-        let expected = spec
+        let expected = analyzer
+            .spec
+            .with_counts(&counts)
+            .unwrap()
             .build_harm()
             .patched(&move |v| policy.patches(v))
             .metrics(&analyzer.metrics);
-        let harm = spec.build_harm().patched(&move |v| policy.patches(v));
-        let host_mask = vec![true; harm.graph().entries().len()];
-        let masked = harm.with_entry_mask(&host_mask).metrics(&analyzer.metrics);
-        assert_eq!(expected, masked);
+        let full = analyzer.spec.with_entry_tiers(&vec![true; k]).unwrap();
+        let masked = Scenario {
+            metrics: analyzer.metrics,
+            ..Scenario::new("full", full, Design::new("full", counts.clone()), policy)
+        }
+        .evaluate(&AnalysisCache::new())
+        .unwrap();
+        assert_eq!(expected, masked.after);
         // And the BR search considered that mask (the all-ones bits).
         let a = analyzer
             .attacker_response_exhaustive(&counts, 0, &AnalysisCache::new())

@@ -130,7 +130,8 @@ impl DesignEvaluation {
 /// design: one spec variant, its metric configuration and its patch
 /// policies. It is built once before a batch — [`Sweep::run`] builds one
 /// per variant, [`Scenario::evaluate`] one for its single design — and
-/// its cells share it.
+/// its cells share it. The equilibrium attacker builds one per candidate
+/// entry mask and reads only its after-patch security walk.
 ///
 /// [`Sweep::run`]: crate::exec::Sweep::run
 /// [`Scenario::evaluate`]: crate::exec::Scenario::evaluate
@@ -184,10 +185,15 @@ impl VariantContext {
         }
     }
 
-    /// The security metrics of the checked design `counts` before the
-    /// patch round and after each policy's, bit for bit those of
-    /// `build_harm().metrics(..)`.
-    fn security(&self, counts: &[u32]) -> (SecurityMetrics, Vec<SecurityMetrics>) {
+    /// The security metrics of the checked design `counts` after each
+    /// policy's patch round and, when `before` is set, before it — bit
+    /// for bit those of `build_harm()` and its `patched(..)` models. The
+    /// equilibrium attacker scores its candidates after the patch only.
+    pub(crate) fn security(
+        &self,
+        counts: &[u32],
+        before: bool,
+    ) -> (Option<SecurityMetrics>, Vec<SecurityMetrics>) {
         let config = &self.metrics;
         let tiers = self.spec.tiers();
         match (self.spec.tier_dag(), &self.pruned) {
@@ -208,7 +214,7 @@ impl VariantContext {
                         .collect();
                     dag.metrics(&replicated, config)
                 };
-                let before = walk(&mut tiers.iter().map(|t| t.tree.as_ref()));
+                let before = before.then(|| walk(&mut tiers.iter().map(|t| t.tree.as_ref())));
                 let after = pruned
                     .iter()
                     .map(|trees| walk(&mut trees.iter().map(Option::as_ref)))
@@ -220,7 +226,7 @@ impl VariantContext {
             // expanded HARM.
             _ => {
                 let harm = self.spec.harm_for(counts);
-                let before = harm.metrics(config);
+                let before = before.then(|| harm.metrics(config));
                 let after = self
                     .policies
                     .iter()
@@ -304,7 +310,8 @@ pub(crate) fn evaluate_design(
     analyses: &[Arc<ServerAnalysis>],
 ) -> Result<Vec<DesignEvaluation>, EvalError> {
     context.spec.check_counts(counts)?;
-    let (before, after) = context.security(counts);
+    let (before, after) = context.security(counts, true);
+    let before = before.expect("the before-patch walk was asked for");
     let availability = context.measures(counts, analyses)?;
     Ok(context
         .policies

@@ -108,35 +108,6 @@ impl AttackGraph {
         &self.entries
     }
 
-    /// A copy of the graph keeping only the entry hosts whose position in
-    /// [`entries`](Self::entries) is selected by `mask` (hosts and edges
-    /// are untouched).
-    ///
-    /// An all-false mask yields a graph with no entries — every path
-    /// enumeration over it is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mask.len()` differs from the number of entries.
-    pub fn with_entry_mask(&self, mask: &[bool]) -> AttackGraph {
-        assert_eq!(
-            mask.len(),
-            self.entries.len(),
-            "one mask slot per entry host required"
-        );
-        let entries = self
-            .entries
-            .iter()
-            .zip(mask)
-            .filter_map(|(&e, &keep)| keep.then_some(e))
-            .collect();
-        AttackGraph {
-            names: self.names.clone(),
-            succ: self.succ.clone(),
-            entries,
-        }
-    }
-
     /// Enumerates all simple paths from any entry host to any target,
     /// traversing only hosts for which `passable` is true.
     ///
@@ -391,38 +362,6 @@ mod tests {
         let mut g = AttackGraph::new();
         let a = g.add_host("a");
         g.add_edge(a, a);
-    }
-
-    #[test]
-    fn entry_mask_selects_by_position() {
-        let (g, hosts, db) = case_study_like();
-        let (dns, web1, web2) = (hosts[0], hosts[1], hosts[2]);
-        assert_eq!(g.entries(), &[dns, web1, web2]);
-        // Full mask: identical entry set, identical paths.
-        let full = g.with_entry_mask(&[true, true, true]);
-        assert_eq!(full.entries(), g.entries());
-        assert_eq!(full.simple_paths(&[db], &|_| true, 1000).unwrap().len(), 8);
-        // Partial mask: only the webs remain (4 length-3 paths).
-        let webs = g.with_entry_mask(&[false, true, true]);
-        assert_eq!(webs.entries(), &[web1, web2]);
-        let paths = webs.simple_paths(&[db], &|_| true, 1000).unwrap();
-        assert_eq!(paths.len(), 4);
-        assert!(paths.iter().all(|p| p.len() == 3));
-        // Empty mask: no entries, no paths, hosts untouched.
-        let none = g.with_entry_mask(&[false, false, false]);
-        assert!(none.entries().is_empty());
-        assert!(none
-            .simple_paths(&[db], &|_| true, 1000)
-            .unwrap()
-            .is_empty());
-        assert_eq!(none.host_count(), g.host_count());
-    }
-
-    #[test]
-    #[should_panic(expected = "one mask slot per entry host")]
-    fn entry_mask_length_mismatch_panics() {
-        let (g, ..) = case_study_like();
-        let _ = g.with_entry_mask(&[true]);
     }
 
     #[test]

@@ -26,10 +26,9 @@ pub struct AttackPath {
 /// Hosts whose tree is `None` (no exploitable vulnerability) are treated as
 /// non-traversable, exactly like the paper's post-patch DNS server.
 ///
-/// The graph, the targets and the trees are shared behind [`Arc`]s:
-/// derived models ([`patched`](Self::patched),
-/// [`with_entry_mask`](Self::with_entry_mask)) reuse what they do not
-/// change, and hosts built from one tree (the replicas of a tier, see
+/// The graph, the targets and the trees are shared behind [`Arc`]s: a
+/// [`patched`](Self::patched) model reuses the graph and the targets,
+/// and hosts built from one tree (the replicas of a tier, see
 /// [`from_shared`](Self::from_shared)) hold one copy of it.
 ///
 /// See the [crate-level documentation](crate) for an example.
@@ -158,42 +157,6 @@ impl Harm {
     /// CVSS base score strictly exceeds `threshold`.
     pub fn patched_critical(&self, threshold: f64) -> Harm {
         self.patched(&move |v: &Vulnerability| v.is_critical(threshold))
-    }
-
-    /// A new HARM restricted to the entry hosts selected by `mask`
-    /// (positions in [`AttackGraph::entries`] order); hosts, edges, trees
-    /// and targets are untouched.
-    ///
-    /// This is the attacker-strategy hook: an adaptive adversary choosing
-    /// which entry points to commit to re-masks one prebuilt HARM instead
-    /// of rebuilding the graph. An all-false mask models an attacker with
-    /// no foothold — zero paths, zero ASP.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use redeval_harm::{AttackGraph, AttackTree, Harm, MetricsConfig, Vulnerability};
-    ///
-    /// let mut g = AttackGraph::new();
-    /// let a = g.add_host("a");
-    /// let b = g.add_host("b");
-    /// g.add_entry(a);
-    /// g.add_entry(b);
-    /// let leaf = |p| Some(AttackTree::leaf(Vulnerability::new("v", 5.0, p)));
-    /// let harm = Harm::new(g, vec![leaf(0.5), leaf(0.5)], vec![a, b]);
-    /// let one = harm.with_entry_mask(&[true, false]);
-    /// assert_eq!(one.metrics(&MetricsConfig::default()).attack_paths, 1);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mask.len()` differs from the graph's entry count.
-    pub fn with_entry_mask(&self, mask: &[bool]) -> Harm {
-        Harm {
-            graph: Arc::new(self.graph.with_entry_mask(mask)),
-            trees: self.trees.clone(),
-            targets: Arc::clone(&self.targets),
-        }
     }
 
     /// Enumerates the attack paths with their impact/probability values.
@@ -804,50 +767,6 @@ mod tests {
         let order = harm.greedy_patch_order(&MetricsConfig::default(), 5);
         assert_eq!(order.len(), 1);
         assert_eq!(order[0].1, 0.0);
-    }
-
-    #[test]
-    fn entry_mask_full_is_identity_for_metrics() {
-        let harm = diamond(0.5, 0.5);
-        let config = MetricsConfig::default();
-        let base = harm.metrics(&config);
-        let masked = harm.with_entry_mask(&[true, true]).metrics(&config);
-        assert_eq!(base, masked);
-    }
-
-    #[test]
-    fn entry_mask_partial_restricts_paths() {
-        let harm = diamond(0.5, 0.5);
-        let config = MetricsConfig::default();
-        let m = harm.with_entry_mask(&[true, false]).metrics(&config);
-        assert_eq!(m.attack_paths, 1);
-        assert_eq!(m.entry_points, 1);
-        // One two-hop path: ASP = 0.25 under every strategy.
-        assert!((m.attack_success_probability - 0.25).abs() < 1e-12);
-        // Trees are untouched: NoEV counts all hosts, masked or not.
-        assert_eq!(m.exploitable_vulnerabilities, 3);
-    }
-
-    #[test]
-    fn entry_mask_empty_zeroes_path_metrics() {
-        let harm = diamond(0.5, 0.5);
-        let config = MetricsConfig::default();
-        let m = harm.with_entry_mask(&[false, false]).metrics(&config);
-        assert_eq!(m.attack_paths, 0);
-        assert_eq!(m.entry_points, 0);
-        assert_eq!(m.attack_success_probability, 0.0);
-        assert_eq!(m.attack_impact, 0.0);
-        assert_eq!(m.shortest_path_length, None);
-    }
-
-    #[test]
-    fn entry_mask_composes_with_patching_in_either_order() {
-        let harm = diamond(0.8, 0.9);
-        let config = MetricsConfig::default();
-        let patch = |vu: &Vulnerability| vu.id == "v2";
-        let a = harm.with_entry_mask(&[true, false]).patched(&patch);
-        let b = harm.patched(&patch).with_entry_mask(&[true, false]);
-        assert_eq!(a.metrics(&config), b.metrics(&config));
     }
 
     #[test]

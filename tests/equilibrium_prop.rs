@@ -14,7 +14,9 @@
 //!
 //! Cases are generated scenarios from every family with randomized
 //! knobs, defender counts and attacker masks, so the suite covers
-//! profiles the Gauss-Seidel trajectory itself never visits.
+//! profiles the Gauss-Seidel trajectory itself never visits. The
+//! attacker cases also draw the ASP strategy and may close a tier cycle,
+//! so its candidates are scored on both of the kernel's walks.
 
 use std::sync::Arc;
 
@@ -23,6 +25,7 @@ use redeval::equilibrium::{exhaustive_defender_response, EquilibriumAnalyzer};
 use redeval::exec::{AnalysisCache, Pool};
 use redeval::scenario::generate::{self, GenParams};
 use redeval::scenario::ScenarioDoc;
+use redeval::AspStrategy;
 
 /// A generated document plus a cell-count guard: the knobs keep every
 /// grid at most `3^6 × 2 = 1458` cells, well under the exhaustive cap.
@@ -72,7 +75,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The attacker's pruned best response equals the exhaustive one,
-    /// bit for bit, and the prune accounts for every skipped mask.
+    /// bit for bit, the prune accounts for every skipped mask, and the
+    /// exhaustive one is the argmax over every mask's host walk. The ASP
+    /// strategy is drawn and a back edge may close a tier cycle, so the
+    /// kernel scores candidates on its host walk as well as its tier walk.
     #[test]
     fn pruned_attacker_response_equals_exhaustive_argmax(
         family_idx in 0usize..3,
@@ -82,8 +88,19 @@ proptest! {
         max_redundancy in 2u32..=3,
         counts_seed in 0u64..(1 << 60),
         policy_pick in 0usize..64,
+        asp_idx in 0usize..3,
+        back_edge in 0usize..2,
     ) {
-        let doc = small_doc(family_idx, seed, tiers, policies);
+        let mut doc = small_doc(family_idx, seed, tiers, policies);
+        doc.metrics.asp = [
+            AspStrategy::MaxPath,
+            AspStrategy::NoisyOrPaths,
+            AspStrategy::Reliability,
+        ][asp_idx];
+        if back_edge == 1 {
+            let (from, to) = doc.edges.last().cloned().expect("generated tiers are linked");
+            doc.edges.push((to, from));
+        }
         let analyzer = analyzer(&doc, max_redundancy);
         let counts = derived_counts(&doc, max_redundancy, counts_seed);
         let policy_idx = policy_pick % doc.policies.len();
@@ -101,6 +118,38 @@ proptest! {
         // masks the exhaustive pass evaluated.
         prop_assert_eq!(pruned.evaluated + pruned.pruned, full.evaluated);
         prop_assert_eq!(full.pruned, 0);
+
+        // The reference argmax: each mask's host walk, replaced only on
+        // a strictly better (ASP, AIM) pair.
+        let policy = doc.policies[policy_idx];
+        let spec = doc
+            .to_spec()
+            .expect("generated documents convert")
+            .with_counts(&counts)
+            .expect("derived counts are valid");
+        let k = spec.entry_tiers().len();
+        let mut best: Option<(f64, f64, Vec<bool>)> = None;
+        for bits in 1u64..(1 << k) {
+            let mask: Vec<bool> = (0..k).map(|j| bits & (1 << j) != 0).collect();
+            let m = spec
+                .with_entry_tiers(&mask)
+                .expect("a non-empty mask")
+                .build_harm()
+                .patched(&move |v| policy.patches(v))
+                .metrics(&doc.metrics);
+            let (asp, aim) = (m.attack_success_probability, m.attack_impact);
+            let better = match &best {
+                None => true,
+                Some((b_asp, b_aim, _)) => asp > *b_asp || (asp == *b_asp && aim > *b_aim),
+            };
+            if better {
+                best = Some((asp, aim, mask));
+            }
+        }
+        let (asp, aim, mask) = best.expect("at least one entry tier");
+        prop_assert_eq!(&full.mask, &mask);
+        prop_assert_eq!(full.asp.to_bits(), asp.to_bits());
+        prop_assert_eq!(full.aim.to_bits(), aim.to_bits());
     }
 
     /// The defender's branch-and-bound best response equals the

@@ -29,21 +29,16 @@ fn topology_builder_matches_case_study_graph() {
     let g = b.build();
 
     // Same tree assignment as the case study, same metrics as Table II.
-    let trees = vec![
-        Some(case_study::dns_tree()),
-        Some(case_study::web_tree()),
-        Some(case_study::web_tree()),
-        Some(case_study::app_tree()),
-        Some(case_study::app_tree()),
-        Some(case_study::db_tree()),
-    ];
+    let spec = case_study::network();
+    let tree = |tier: usize| spec.tiers()[tier].tree.clone();
+    let trees = vec![tree(0), tree(1), tree(1), tree(2), tree(2), tree(3)];
     let harm = Harm::new(g, trees, vec![db]);
     let m = harm.metrics(&MetricsConfig::default());
     assert_eq!(m.attack_paths, 8);
     assert_eq!(m.entry_points, 3);
     assert!((m.attack_impact - 52.2).abs() < 1e-9);
 
-    let reference = case_study::network().build_harm();
+    let reference = spec.build_harm();
     let mr = reference.metrics(&MetricsConfig::default());
     assert_eq!(m, mr);
 }
