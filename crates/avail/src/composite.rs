@@ -11,7 +11,7 @@
 use redeval_srn::{Marking, Srn};
 
 use crate::params::ServerParams;
-use crate::server::{PatchScenario, ServerModel, ServerPlaces};
+use crate::server::{add_server, PatchScenario, ServerPlaces};
 
 /// A network of complete server models sharing one SRN.
 #[derive(Debug)]
@@ -38,7 +38,8 @@ impl CompositeNetwork {
         let mut servers = Vec::new();
         for (tier, (p, &count)) in params.iter().zip(counts).enumerate() {
             for copy in 1..=count {
-                let places = append_server(&mut net, p, &format!("{}{}", p.name, copy));
+                let prefix = format!("{}{copy}:", p.name);
+                let (places, _) = add_server(&mut net, p, &prefix, PatchScenario::Full);
                 servers.push((tier, places));
             }
         }
@@ -93,49 +94,13 @@ impl CompositeNetwork {
     }
 }
 
-/// Appends one server sub-net (all 16 places, 24 transitions, prefixed
-/// names) to `net` and returns its place handles.
-fn append_server(net: &mut Srn, params: &ServerParams, prefix: &str) -> ServerPlaces {
-    // Build a standalone model to copy the structure from. Rates and
-    // guards are reconstructed against the appended places.
-    let template = ServerModel::build_scenario(params, PatchScenario::Full);
-    let offset = net.place_count();
-    // Re-add places with prefixed names.
-    for pid in template.net().place_ids() {
-        let name = format!("{prefix}:{}", template.net().place_name(pid));
-        let tokens = template.net().initial_marking().tokens(pid);
-        net.add_place(name, tokens);
-    }
-    let shift = |p: redeval_srn::PlaceId| redeval_srn::PlaceId::from_index(p.index() + offset);
-    let tp = *template.places();
-    let places = ServerPlaces {
-        hw_up: shift(tp.hw_up),
-        hw_down: shift(tp.hw_down),
-        os_up: shift(tp.os_up),
-        os_down: shift(tp.os_down),
-        os_failed: shift(tp.os_failed),
-        os_ready_patch: shift(tp.os_ready_patch),
-        os_patched: shift(tp.os_patched),
-        svc_up: shift(tp.svc_up),
-        svc_down: shift(tp.svc_down),
-        svc_failed: shift(tp.svc_failed),
-        svc_ready_patch: shift(tp.svc_ready_patch),
-        svc_patched: shift(tp.svc_patched),
-        svc_ready_reboot: shift(tp.svc_ready_reboot),
-        clock: shift(tp.clock),
-        policy: shift(tp.policy),
-        trigger: shift(tp.trigger),
-    };
-    crate::server::add_server_transitions(net, params, &places, &format!("{prefix}:"));
-    places
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::ServerAnalysis;
     use crate::network::{NetworkModel, Tier};
     use crate::params::Durations;
+    use crate::server::ServerModel;
 
     /// A sped-up server so failure/patch events are not vanishingly rare
     /// (tightens simulation/solver comparisons).

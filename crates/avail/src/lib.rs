@@ -53,7 +53,7 @@ mod server;
 
 pub use aggregate::{AggregatedRates, ServerAnalysis};
 pub use composite::CompositeNetwork;
-pub use network::{NetworkMeasures, NetworkModel, Tier};
+pub use network::{tier_moments, NetworkMeasures, NetworkModel, Tier};
 pub use params::{Durations, ServerParams, ServerParamsBuilder};
 pub use server::{PatchScenario, ServerModel, ServerPlaces};
 

@@ -69,14 +69,12 @@ impl NetworkMeasures {
         if !factored(dists) {
             return enumerate(dists, total);
         }
-        let n = dists.len();
-        let quorum = tier_moments(dists, &vec![1; n]);
-        // No indicator: `E[Σᵢ upᵢ]` is the sum of per-tier means.
-        let all = tier_moments(dists, &vec![0; n]);
+        let moments: Vec<_> = dists.iter().map(|dist| tier_moments(dist)).collect();
         NetworkMeasures {
-            coa: quorum_coa_factored(&quorum, total),
-            availability: quorum.iter().map(|&(p, _)| p).product(),
-            expected_up: all.iter().map(|&(_, m)| m).sum(),
+            coa: coa_factored(&moments, total),
+            availability: moments.iter().map(|&(p, _, _)| p).product(),
+            // `E[Σᵢ upᵢ]` is the sum of per-tier means.
+            expected_up: moments.iter().map(|&(_, _, mean)| mean).sum(),
         }
     }
 }
@@ -274,36 +272,38 @@ fn factored(dists: &[&[f64]]) -> bool {
     joint_states(dists) > FACTORED_THRESHOLD
 }
 
-/// Per-tier `(P(upᵢ ≥ qᵢ), E[upᵢ · 1{upᵢ ≥ qᵢ}])` for the factored forms,
-/// from the tiers' down distributions.
-fn tier_moments(dists: &[&[f64]], quorum: &[u32]) -> Vec<(f64, f64)> {
-    dists
-        .iter()
-        .zip(quorum)
-        .map(|(dist, &q)| {
-            let count = servers(dist);
-            let mut p = 0.0;
-            let mut m = 0.0;
-            for (down, &prob) in dist.iter().enumerate() {
-                let up = count - down as u32;
-                if up >= q {
-                    p += prob;
-                    m += prob * f64::from(up);
-                }
-            }
-            (p, m)
-        })
-        .collect()
+/// One tier's moments `(P(up ≥ 1), E[up · 1{up ≥ 1}], E[up])` from its
+/// down distribution `dist` (`dist[k]` is the probability that `k` of
+/// its `dist.len() − 1` servers are down), summed in one pass in
+/// down-count order. They are the per-tier factors of the factored
+/// measures of [`NetworkMeasures::from_down_distributions`].
+///
+/// # Panics
+///
+/// Panics when `dist` is empty.
+pub fn tier_moments(dist: &[f64]) -> (f64, f64, f64) {
+    let count = servers(dist);
+    let (mut p, mut m, mut mean) = (0.0, 0.0, 0.0);
+    for (down, &prob) in dist.iter().enumerate() {
+        let up = count - down as u32;
+        let weighted = prob * f64::from(up);
+        if up >= 1 {
+            p += prob;
+            m += weighted;
+        }
+        mean += weighted;
+    }
+    (p, m, mean)
 }
 
-/// Factored quorum COA from the quorum's [`tier_moments`] over `total`
-/// servers. Tiers are independent, so
-/// `E[Σᵢ upᵢ · Πⱼ 1{upⱼ ≥ qⱼ}] = Σᵢ mᵢ · Πⱼ≠ᵢ pⱼ`; prefix/suffix products
+/// Factored COA from every tier's [`tier_moments`] over `total` servers.
+/// Tiers are independent, so
+/// `E[Σᵢ upᵢ · Πⱼ 1{upⱼ ≥ 1}] = Σᵢ mᵢ · Πⱼ≠ᵢ pⱼ`; prefix/suffix products
 /// keep it `O(n)` without dividing by a possibly-zero `pᵢ`.
-fn quorum_coa_factored(moments: &[(f64, f64)], total: u32) -> f64 {
+fn coa_factored(moments: &[(f64, f64, f64)], total: u32) -> f64 {
     let n = moments.len();
     let mut prefix = vec![1.0; n + 1];
-    for (i, &(p, _)) in moments.iter().enumerate() {
+    for (i, &(p, _, _)) in moments.iter().enumerate() {
         prefix[i + 1] = prefix[i] * p;
     }
     let mut suffix = vec![1.0; n + 1];
@@ -311,7 +311,7 @@ fn quorum_coa_factored(moments: &[(f64, f64)], total: u32) -> f64 {
         suffix[i] = suffix[i + 1] * moments[i].0;
     }
     let mut up_sum = 0.0;
-    for (i, &(_, m)) in moments.iter().enumerate() {
+    for (i, &(_, m, _)) in moments.iter().enumerate() {
         up_sum += prefix[i] * m * suffix[i + 1];
     }
     up_sum / f64::from(total)
@@ -609,18 +609,14 @@ mod tests {
         // The factored fast path must agree with the exact mixed-radix
         // enumeration on networks small enough to run both.
         let net = case_study();
-        let dists = distributions(&net);
-        let dists = slices(&dists);
-        let moments = |q: &[u32]| tier_moments(&dists, q);
-        assert!(
-            (quorum_coa_factored(&moments(&[1, 1, 1, 1]), net.total_servers())
-                - net.coa().unwrap())
-            .abs()
-                < 1e-12
-        );
-        let avail_factored: f64 = moments(&[1, 1, 1, 1]).iter().map(|&(p, _)| p).product();
+        let moments: Vec<_> = distributions(&net)
+            .iter()
+            .map(|dist| tier_moments(dist))
+            .collect();
+        assert!((coa_factored(&moments, net.total_servers()) - net.coa().unwrap()).abs() < 1e-12);
+        let avail_factored: f64 = moments.iter().map(|&(p, _, _)| p).product();
         assert!((avail_factored - net.availability().unwrap()).abs() < 1e-12);
-        let up_factored: f64 = moments(&[0, 0, 0, 0]).iter().map(|&(_, m)| m).sum();
+        let up_factored: f64 = moments.iter().map(|&(_, _, mean)| mean).sum();
         assert!((up_factored - net.expected_up_servers().unwrap()).abs() < 1e-12);
     }
 
@@ -632,13 +628,11 @@ mod tests {
         let dists = distributions(net);
         let n = net.tiers().len();
         if factored(&slices(&dists)) {
-            let dists = slices(&dists);
-            let quorum = tier_moments(&dists, &vec![1; n]);
-            let all = tier_moments(&dists, &vec![0; n]);
+            let moments: Vec<_> = dists.iter().map(|dist| tier_moments(dist)).collect();
             return [
-                quorum_coa_factored(&quorum, net.total_servers()),
-                quorum.iter().map(|&(p, _)| p).product(),
-                all.iter().map(|&(_, m)| m).sum(),
+                coa_factored(&moments, net.total_servers()),
+                moments.iter().map(|&(p, _, _)| p).product(),
+                moments.iter().map(|&(_, _, mean)| mean).sum(),
             ];
         }
         let enumerate = |reward: &dyn Fn(&[u32]) -> f64| {

@@ -193,46 +193,7 @@ impl ServerModel {
     /// (the paper's Section V extension).
     pub fn build_scenario(params: &ServerParams, scenario: PatchScenario) -> Self {
         let mut net = Srn::new(format!("server:{}", params.name));
-
-        // -------- places (names match the paper) --------
-        let hw_up = net.add_place("Phwup", 1);
-        let hw_down = net.add_place("Phwd", 0);
-        let os_up = net.add_place("Posup", 1);
-        let os_down = net.add_place("Posd", 0);
-        let os_failed = net.add_place("Posfd", 0);
-        let os_ready_patch = net.add_place("Posrp", 0);
-        let os_patched = net.add_place("Posp", 0);
-        let svc_up = net.add_place("Psvcup", 1);
-        let svc_down = net.add_place("Psvcd", 0);
-        let svc_failed = net.add_place("Psvcfd", 0);
-        let svc_ready_patch = net.add_place("Psvcrp", 0);
-        let svc_patched = net.add_place("Psvcp", 0);
-        let svc_ready_reboot = net.add_place("Psvcrrb", 0);
-        let clock = net.add_place("Pclock", 1);
-        let policy = net.add_place("Ppolicy", 0);
-        let trigger = net.add_place("Ptrigger", 0);
-
-        let places = ServerPlaces {
-            hw_up,
-            hw_down,
-            os_up,
-            os_down,
-            os_failed,
-            os_ready_patch,
-            os_patched,
-            svc_up,
-            svc_down,
-            svc_failed,
-            svc_ready_patch,
-            svc_patched,
-            svc_ready_reboot,
-            clock,
-            policy,
-            trigger,
-        };
-
-        let transitions = add_server_transitions_scenario(&mut net, params, &places, "", scenario);
-
+        let (places, transitions) = add_server(&mut net, params, "", scenario);
         ServerModel {
             net,
             places,
@@ -268,27 +229,37 @@ impl ServerModel {
     }
 }
 
-/// Adds the Figure-5 transitions (hardware, OS, service, patch clock) for
-/// one server against already-created places. `prefix` namespaces the
-/// transition names so several servers can share one net (see
-/// [`crate::CompositeNetwork`]).
-pub(crate) fn add_server_transitions(
+/// Adds one server's Figure-5 sub-net to `net` — the 16 places, then
+/// the transitions of the hardware, OS, service and patch-clock
+/// sub-models — and returns its handles. `prefix` namespaces every place
+/// and transition name so several servers can share one net (`""` gives
+/// `Phwup`, `"web1:"` gives `web1:Phwup`; see [`crate::CompositeNetwork`]).
+pub(crate) fn add_server(
     net: &mut Srn,
     params: &ServerParams,
-    places: &ServerPlaces,
-    prefix: &str,
-) -> ServerTransitions {
-    add_server_transitions_scenario(net, params, places, prefix, PatchScenario::Full)
-}
-
-/// Scenario-aware variant of [`add_server_transitions`].
-pub(crate) fn add_server_transitions_scenario(
-    net: &mut Srn,
-    params: &ServerParams,
-    places: &ServerPlaces,
     prefix: &str,
     scenario: PatchScenario,
-) -> ServerTransitions {
+) -> (ServerPlaces, ServerTransitions) {
+    // -------- places (names match the paper) --------
+    let mut place = |name: &str, tokens| net.add_place(format!("{prefix}{name}"), tokens);
+    let places = ServerPlaces {
+        hw_up: place("Phwup", 1),
+        hw_down: place("Phwd", 0),
+        os_up: place("Posup", 1),
+        os_down: place("Posd", 0),
+        os_failed: place("Posfd", 0),
+        os_ready_patch: place("Posrp", 0),
+        os_patched: place("Posp", 0),
+        svc_up: place("Psvcup", 1),
+        svc_down: place("Psvcd", 0),
+        svc_failed: place("Psvcfd", 0),
+        svc_ready_patch: place("Psvcrp", 0),
+        svc_patched: place("Psvcp", 0),
+        svc_ready_reboot: place("Psvcrrb", 0),
+        clock: place("Pclock", 1),
+        policy: place("Ppolicy", 0),
+        trigger: place("Ptrigger", 0),
+    };
     let ServerPlaces {
         hw_up,
         hw_down,
@@ -306,11 +277,10 @@ pub(crate) fn add_server_transitions_scenario(
         clock,
         policy,
         trigger,
-    } = *places;
+    } = places;
     // Failure-freeze guard: the paper assumes no hardware/OS/service
     // failures while any patch step is in progress.
-    let freeze = *places;
-    let not_patching = move |m: &Marking| !freeze.patch_in_progress(m);
+    let not_patching = move |m: &Marking| !places.patch_in_progress(m);
 
     // -------- hardware sub-model (Fig. 5a) --------
     let t_hw_down = net.add_timed(format!("{prefix}Thwd"), params.hw_mtbf.rate_per_hour());
@@ -509,7 +479,7 @@ pub(crate) fn add_server_transitions_scenario(
             .expect("valid id");
     }
 
-    ServerTransitions {
+    let transitions = ServerTransitions {
         t_hw_down,
         t_hw_up,
         t_os_down,
@@ -534,7 +504,8 @@ pub(crate) fn add_server_transitions_scenario(
         t_interval,
         t_policy,
         t_reset,
-    }
+    };
+    (places, transitions)
 }
 
 #[cfg(test)]

@@ -136,7 +136,7 @@ pub const REGISTRY: &[ReportSpec] = &[
     ReportSpec {
         name: "heterogeneous",
         about: "Heterogeneous (diverse-stack) redundancy study",
-        build: |_, cache| studies::heterogeneous(cache),
+        build: studies::heterogeneous,
     },
     ReportSpec {
         name: "importance",

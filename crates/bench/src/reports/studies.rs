@@ -5,7 +5,7 @@ use std::sync::Arc;
 use redeval::case_study;
 use redeval::cost::CostModel;
 use redeval::decision::ScatterBounds;
-use redeval::exec::{AnalysisCache, Pool, Scenario, Sweep};
+use redeval::exec::{AnalysisCache, Pool, Sweep};
 use redeval::output::{Report, Series, Table, Value};
 use redeval::sensitivity::coa_sensitivities;
 use redeval::{
@@ -345,58 +345,43 @@ fn het_web_tier(name: &str, tree: AttackTree) -> TierSpec {
 }
 
 /// Heterogeneous redundancy — a diverse replica carries a different
-/// vulnerability set than its sibling (paper §V "systems"), its tiers
-/// solved through `cache`.
-pub fn heterogeneous(cache: &AnalysisCache) -> Report {
+/// vulnerability set than its sibling (paper §V "systems") — on `pool`
+/// and `cache`.
+pub fn heterogeneous(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let mut r = Report::new(
         "heterogeneous",
         "Heterogeneous redundancy (web tier, after patch)",
     );
-    let scenario = |label: &str, spec: NetworkSpec, counts: &[u32]| {
-        Scenario::new(
-            label,
-            spec,
-            Design::new(label, counts.to_vec()),
-            PatchPolicy::CriticalOnly(8.0),
-        )
-    };
-    let scenarios = vec![
-        scenario(
-            "single web (stack A)",
-            NetworkSpec::new(
-                vec![het_web_tier("web", stack_a_tree()), het_db_tier()],
-                vec![(0, 1)],
-            ),
-            &[1, 1],
-        ),
-        scenario(
-            "2x web (identical A+A)",
-            NetworkSpec::new(
-                vec![het_web_tier("web", stack_a_tree()), het_db_tier()],
-                vec![(0, 1)],
-            ),
-            &[2, 1],
-        ),
-        // Heterogeneous redundancy: one stack-A and one stack-B server,
-        // modelled as two single-server tiers feeding the same database.
-        scenario(
-            "2x web (diverse A+B)",
-            NetworkSpec::new(
-                vec![
-                    het_web_tier("webA", stack_a_tree()),
-                    het_web_tier("webB", stack_b_tree()),
-                    het_db_tier(),
-                ],
-                vec![(0, 2), (1, 2)],
-            ),
-            &[1, 1, 1],
-        ),
-    ];
-    // A sweep's designs share one tier stack, and the diverse design has
-    // three tiers: the scenarios evaluate one by one on the cache.
+    let design = |label: &str, counts: &[u32]| Design::new(label, counts.to_vec());
+    // A sweep's designs share one tier stack: the single-web and
+    // identical-web designs are one sweep over the two-tier stack.
+    let mut evals = Sweep::new(NetworkSpec::new(
+        vec![het_web_tier("web", stack_a_tree()), het_db_tier()],
+        vec![(0, 1)],
+    ))
+    .designs(vec![
+        design("single web (stack A)", &[1, 1]),
+        design("2x web (identical A+A)", &[2, 1]),
+    ])
+    .run(pool, cache)
+    .expect("designs evaluate");
+    // Heterogeneous redundancy: one stack-A and one stack-B server,
+    // modelled as two single-server tiers feeding the same database.
+    evals.extend(
+        Sweep::new(NetworkSpec::new(
+            vec![
+                het_web_tier("webA", stack_a_tree()),
+                het_web_tier("webB", stack_b_tree()),
+                het_db_tier(),
+            ],
+            vec![(0, 2), (1, 2)],
+        ))
+        .designs(vec![design("2x web (diverse A+B)", &[1, 1, 1])])
+        .run(pool, cache)
+        .expect("designs evaluate"),
+    );
     let mut t = Table::new("designs", ["design", "asp", "noev", "noap", "coa"]);
-    for sc in &scenarios {
-        let e = sc.evaluate(cache).expect("scenarios evaluate");
+    for e in &evals {
         t.add_row(vec![
             Value::from(e.name.as_str()),
             Value::from(e.after.attack_success_probability),

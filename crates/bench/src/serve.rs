@@ -29,7 +29,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use redeval::exec::{AnalysisCache, Pool};
-use redeval_server::{DiskCache, Endpoints, Limits, Service, ServiceConfig};
+use redeval_server::{DiskCache, Endpoints, Service};
 
 use crate::{cli, reports};
 
@@ -93,14 +93,7 @@ fn wired_service(threads: usize, cache_capacity: usize) -> Service {
         scenarios: Box::new(cli::scenario_list_report),
         reports: Box::new(cli::list_report),
     };
-    Service::new(
-        endpoints,
-        ServiceConfig {
-            cache_capacity,
-            limits: Limits::default(),
-        },
-    )
-    .with_telemetry(telemetry)
+    Service::new(endpoints, cache_capacity).with_telemetry(telemetry)
 }
 
 #[cfg(test)]

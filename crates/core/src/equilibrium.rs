@@ -832,7 +832,7 @@ mod tests {
     fn attacker_full_mask_matches_the_static_pipeline() {
         // The design under the full entry mask must score exactly the
         // classic evaluation path's after-patch metrics.
-        use crate::exec::Scenario;
+        use crate::exec::Sweep;
         use crate::spec::Design;
         let doc = builtin::paper_case_study();
         let analyzer = EquilibriumAnalyzer::from_scenario(&doc).unwrap();
@@ -847,13 +847,14 @@ mod tests {
             .patched(&move |v| policy.patches(v))
             .metrics(&analyzer.metrics);
         let full = analyzer.spec.with_entry_tiers(&vec![true; k]).unwrap();
-        let masked = Scenario {
-            metrics: analyzer.metrics,
-            ..Scenario::new("full", full, Design::new("full", counts.clone()), policy)
-        }
-        .evaluate(&AnalysisCache::new())
-        .unwrap();
-        assert_eq!(expected, masked.after);
+        let masked = Sweep::new(full)
+            .designs(vec![Design::new("full", counts.clone())])
+            .policies(vec![policy])
+            .metrics(analyzer.metrics)
+            .run(&Pool::new(1), &fresh_cache())
+            .unwrap();
+        assert_eq!(masked.len(), 1);
+        assert_eq!(expected, masked[0].after);
         // And the BR search considered that mask (the all-ones bits).
         let a = analyzer
             .attacker_response_exhaustive(&counts, 0, &AnalysisCache::new())

@@ -129,12 +129,11 @@ impl DesignEvaluation {
 /// Everything [`evaluate_design`] needs that does not depend on the
 /// design: one spec variant, its metric configuration and its patch
 /// policies. It is built once before a batch — [`Sweep::run`] builds one
-/// per variant, [`Scenario::evaluate`] one for its single design — and
-/// its cells share it. The equilibrium attacker builds one per candidate
-/// entry mask and reads only its after-patch security walk.
+/// per variant — and its cells share it. The equilibrium attacker builds
+/// one per candidate entry mask and reads only its after-patch security
+/// walk.
 ///
 /// [`Sweep::run`]: crate::exec::Sweep::run
-/// [`Scenario::evaluate`]: crate::exec::Scenario::evaluate
 #[derive(Debug)]
 pub(crate) struct VariantContext {
     spec: Arc<NetworkSpec>,
@@ -290,11 +289,11 @@ impl TierDistributions {
     }
 }
 
-/// The evaluation kernel behind every front door — the batch executor's
-/// cells and [`Scenario::evaluate`](crate::exec::Scenario::evaluate):
-/// design `counts` of the `context`'s spec under each of its policies,
-/// labelled `stem` plus the policy's suffix, with the tier solves already
-/// resolved into `analyses`.
+/// The evaluation kernel behind every front door, run by each cell of
+/// [`Sweep::run`](crate::exec::Sweep::run): design `counts` of the
+/// `context`'s spec under each of its policies, labelled `stem` plus the
+/// policy's suffix, with the tier solves already resolved into
+/// `analyses`.
 ///
 /// The policy-independent work happens once: the security model, the
 /// before-patch metrics, and the three availability measures from one
@@ -332,7 +331,7 @@ pub(crate) fn evaluate_design(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{AnalysisCache, Pool, Scenario, Sweep};
+    use crate::exec::{AnalysisCache, Pool, Sweep};
     use crate::spec::{Design, TierSpec};
     use redeval_avail::ServerParams;
     use redeval_harm::AttackTree;
@@ -427,21 +426,31 @@ mod tests {
         assert!(!PatchPolicy::CriticalOnly(8.0).patches(&v_minor));
     }
 
-    /// Design `counts` of [`spec`] under `patch`, through `cache`.
+    /// Design `counts` of [`spec`] under `patch`, through `cache`: a
+    /// one-design, one-policy sweep on a one-worker pool.
     fn evaluate(
-        cache: &AnalysisCache,
+        cache: &Arc<AnalysisCache>,
         name: &str,
         counts: &[u32],
         patch: PatchPolicy,
     ) -> Result<DesignEvaluation, EvalError> {
-        Scenario::new(name, spec(), Design::new(name, counts.to_vec()), patch).evaluate(cache)
+        let mut evals = Sweep::new(spec())
+            .designs(vec![Design::new(name, counts.to_vec())])
+            .policies(vec![patch])
+            .run(&Pool::new(1), cache)?;
+        assert_eq!(evals.len(), 1);
+        Ok(evals.remove(0))
+    }
+
+    fn fresh_cache() -> Arc<AnalysisCache> {
+        Arc::new(AnalysisCache::new())
     }
 
     const PAPER: PatchPolicy = PatchPolicy::CriticalOnly(8.0);
 
     #[test]
     fn evaluation_before_and_after() {
-        let e = evaluate(&AnalysisCache::new(), "base", &[1, 1], PAPER).unwrap();
+        let e = evaluate(&fresh_cache(), "base", &[1, 1], PAPER).unwrap();
         // Before: one path web->db.
         assert_eq!(e.before.attack_paths, 1);
         assert!((e.before.attack_impact - 12.9).abs() < 1e-9);
@@ -455,7 +464,7 @@ mod tests {
 
     #[test]
     fn redundancy_raises_coa_and_attack_surface() {
-        let cache = AnalysisCache::new();
+        let cache = fresh_cache();
         let base = evaluate(&cache, "base", &[1, 1], PAPER).unwrap();
         let red = evaluate(&cache, "2web", &[2, 1], PAPER).unwrap();
         assert!(red.coa > base.coa);
@@ -465,14 +474,14 @@ mod tests {
 
     #[test]
     fn patch_all_removes_everything() {
-        let e = evaluate(&AnalysisCache::new(), "x", &[1, 1], PatchPolicy::All).unwrap();
+        let e = evaluate(&fresh_cache(), "x", &[1, 1], PatchPolicy::All).unwrap();
         assert_eq!(e.after.exploitable_vulnerabilities, 0);
         assert_eq!(e.after.entry_points, 0);
     }
 
     #[test]
     fn patch_none_changes_nothing() {
-        let e = evaluate(&AnalysisCache::new(), "x", &[1, 1], PatchPolicy::None).unwrap();
+        let e = evaluate(&fresh_cache(), "x", &[1, 1], PatchPolicy::None).unwrap();
         assert_eq!(e.before, e.after);
     }
 
@@ -489,7 +498,7 @@ mod tests {
 
     #[test]
     fn with_cache_dedupes_solves_and_matches_with_options() {
-        let cache = AnalysisCache::new();
+        let cache = fresh_cache();
         let cached = evaluate(&cache, "x", &[2, 1], PatchPolicy::All).unwrap();
         // Both tiers carry identical default parameters, so the
         // content-keyed cache solves once and relabels for the second.
@@ -542,7 +551,7 @@ mod tests {
     #[test]
     fn invalid_design_is_reported() {
         assert!(matches!(
-            evaluate(&AnalysisCache::new(), "bad", &[1], PAPER),
+            evaluate(&fresh_cache(), "bad", &[1], PAPER),
             Err(EvalError::CountMismatch { .. })
         ));
     }

@@ -3,9 +3,9 @@
 //!
 //! The paper's headline results are *sweeps* — designs × patch policies ×
 //! schedule parameters — and every such sweep reduces to the same shape:
-//! a grid of [`Scenario`]s, each producing one [`DesignEvaluation`]. This
+//! a grid of points, each producing one [`DesignEvaluation`]. This
 //! module provides that shape once, so the design space can grow to
-//! thousands of scenarios without per-call-site `for` loops:
+//! thousands of points without per-call-site `for` loops:
 //!
 //! * [`Pool`] — the one parallel primitive: persistent workers, owned by
 //!   the caller, that run deterministic parallel maps over job indices
@@ -19,24 +19,23 @@
 //!   numbers). Like the pool it belongs to the caller: every batch
 //!   below takes both, and the builders describe only *what* to
 //!   compute;
-//! * [`Scenario`] — one evaluation unit, evaluated alone by
-//!   [`Scenario::evaluate`];
-//! * [`Sweep`] — the declarative grid: spec variants × designs × patch
-//!   policies, run in one call. What depends only on the variant — each
-//!   policy's pruned attack trees and label suffix, and the memo of tier
-//!   down distributions per (tier, count) — is prepared once per variant
-//!   before the batch. Each (variant, design) pair is then one cell and
-//!   one pool job, so the security model, before-patch metrics and
-//!   availability measures are computed once per cell instead of once
-//!   per policy.
+//! * [`Sweep`] — the declarative grid, and the one in-process way to
+//!   evaluate a design (one design under one policy is a one-point
+//!   sweep): spec variants × designs × patch policies, run in one call.
+//!   What depends only on the variant — each policy's pruned attack trees
+//!   and label suffix, and the memo of tier down distributions per
+//!   (tier, count) — is prepared once per variant before the batch. Each
+//!   (variant, design) pair is then one cell and one pool job, so the
+//!   security model, before-patch metrics and availability measures are
+//!   computed once per cell instead of once per policy.
 //!
 //! # Determinism
 //!
 //! Results come back in grid order regardless of pool size, and every
-//! scenario's numbers are bitwise-identical to a sequential
-//! [`Scenario::evaluate`] call: workers only partition *which* cells
-//! they compute, never how a scenario is computed, and the shared caches
-//! store values that do not depend on evaluation order.
+//! point's numbers are bitwise-identical to a one-point sweep of it on a
+//! one-worker pool: workers only partition *which* cells they compute,
+//! never how a point is computed, and the shared caches store values
+//! that do not depend on evaluation order.
 //!
 //! # Examples
 //!
@@ -655,72 +654,14 @@ impl AnalysisCache {
     }
 }
 
-/// One evaluation unit: a design applied to a network spec under a patch
-/// policy and metric configuration.
-///
-/// The spec is held behind an [`Arc`] so the scenarios of a materialized
-/// grid ([`Sweep::scenarios`]) share it instead of cloning it per
-/// scenario.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    /// Label carried into [`DesignEvaluation::name`].
-    pub label: String,
-    /// The base specification (model parameters baked in).
-    pub spec: Arc<NetworkSpec>,
-    /// The redundancy design applied to `spec`.
-    pub design: Design,
-    /// The patch policy.
-    pub patch: PatchPolicy,
-    /// Security-metric configuration.
-    pub metrics: MetricsConfig,
-}
-
-impl Scenario {
-    /// A scenario with the default metric configuration.
-    pub fn new(
-        label: impl Into<String>,
-        spec: impl Into<Arc<NetworkSpec>>,
-        design: Design,
-        patch: PatchPolicy,
-    ) -> Self {
-        Scenario {
-            label: label.into(),
-            spec: spec.into(),
-            design,
-            patch,
-            metrics: MetricsConfig::default(),
-        }
-    }
-
-    /// Evaluates this scenario alone, resolving tier solves through
-    /// `cache`. [`Sweep::run`] runs the same kernel per cell, so the
-    /// numbers are bitwise-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns count-validation and solver errors.
-    pub fn evaluate(&self, cache: &AnalysisCache) -> Result<DesignEvaluation, EvalError> {
-        let analyses = cache.analyses_for(&self.spec)?;
-        let counts = self.design.counts.as_slice();
-        let context = VariantContext::new(
-            Arc::clone(&self.spec),
-            self.metrics,
-            vec![(self.patch, String::new())],
-            std::iter::once(counts),
-        );
-        let mut evals = evaluate_design(&context, &self.label, counts, &analyses)?;
-        Ok(evals.pop().expect("one policy, one evaluation"))
-    }
-}
-
 /// Declarative grid builder: spec variants × designs × patch policies.
 ///
 /// Grid order is variant-major, then design, then policy — the order
-/// [`Sweep::scenarios`] materializes and [`Sweep::run`] returns. Each
-/// (variant, design) pair is one *cell*: [`Sweep::run`] evaluates it as
-/// one pool job under every policy. The axes are held behind [`Arc`]s,
-/// so handing a sweep to the pool copies none of them. A sweep holds no
-/// pool and no cache: [`Sweep::run`] takes the caller's.
+/// [`Sweep::run`] returns. Each (variant, design) pair is one *cell*:
+/// [`Sweep::run`] evaluates it as one pool job under every policy. The
+/// axes are held behind [`Arc`]s, so handing a sweep to the pool copies
+/// none of them. A sweep holds no pool and no cache: [`Sweep::run`]
+/// takes the caller's.
 ///
 /// See the [module docs](self) for an example.
 #[derive(Debug, Clone)]
@@ -873,28 +814,6 @@ impl Sweep {
                 (policy, suffix)
             })
             .collect()
-    }
-
-    /// Materializes the grid in variant-major, design, policy order,
-    /// labelled as [`Sweep::run`] labels its results.
-    pub fn scenarios(&self) -> Vec<Scenario> {
-        let policies = self.labelled_policies();
-        let mut out = Vec::with_capacity(self.len());
-        for (variant, spec) in self.variants.iter() {
-            for design in self.designs.iter() {
-                let stem = self.stem(variant, design);
-                for (patch, suffix) in &policies {
-                    out.push(Scenario {
-                        label: [&stem, suffix.as_str()].concat(),
-                        spec: Arc::clone(spec),
-                        design: design.clone(),
-                        patch: *patch,
-                        metrics: self.metrics,
-                    });
-                }
-            }
-        }
-        out
     }
 
     /// The total number of grid points.
@@ -1071,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn experiment_run_is_bitwise_identical_across_pool_sizes() {
+    fn sweep_run_is_bitwise_identical_across_pool_sizes() {
         let pool = Pool::new(4);
         let sweep = Sweep::new(case_study::network())
             .designs(case_study::five_designs())
@@ -1171,19 +1090,55 @@ mod tests {
         );
     }
 
+    /// The sequential reference of a one-variant grid over `spec`: each
+    /// point in grid order as its own one-design, one-policy sweep on a
+    /// one-worker pool, the design named with the label the grid gives
+    /// that point.
+    fn per_point(
+        spec: &Arc<NetworkSpec>,
+        designs: &[Design],
+        policies: &[PatchPolicy],
+    ) -> Vec<DesignEvaluation> {
+        let (pool, cache) = (Pool::new(1), fresh_cache());
+        let mut out = Vec::new();
+        for design in designs {
+            for &policy in policies {
+                let label = if policies.len() > 1 {
+                    format!("{} | {policy}", design.name)
+                } else {
+                    design.name.clone()
+                };
+                let point = Sweep::new(Arc::clone(spec))
+                    .designs(vec![Design::new(label, design.counts.clone())])
+                    .policies(vec![policy])
+                    .run(&pool, &cache)
+                    .unwrap();
+                assert_eq!(point.len(), 1);
+                out.extend(point);
+            }
+        }
+        out
+    }
+
     #[test]
     fn sweep_matches_sequential_reference_bitwise() {
-        let sweep = Sweep::new(case_study::network())
-            .designs(case_study::five_designs())
-            .policies(vec![PatchPolicy::CriticalOnly(8.0), PatchPolicy::All]);
-        let parallel = sweep.run(&Pool::new(4), &fresh_cache()).unwrap();
-        let cache = AnalysisCache::new();
-        let reference: Vec<DesignEvaluation> = sweep
-            .scenarios()
-            .iter()
-            .map(|sc| sc.evaluate(&cache).unwrap())
-            .collect();
+        let spec = Arc::new(case_study::network());
+        let (designs, policies) = (
+            case_study::five_designs(),
+            vec![PatchPolicy::CriticalOnly(8.0), PatchPolicy::All],
+        );
+        let parallel = Sweep::new(Arc::clone(&spec))
+            .designs(designs.clone())
+            .policies(policies.clone())
+            .run(&Pool::new(4), &fresh_cache())
+            .unwrap();
+        let reference = per_point(&spec, &designs, &policies);
         assert_eq!(parallel, reference);
+        for (a, b) in parallel.iter().zip(&reference) {
+            assert_eq!(a.coa.to_bits(), b.coa.to_bits());
+            assert_eq!(a.availability.to_bits(), b.availability.to_bits());
+            assert_eq!(a.expected_up.to_bits(), b.expected_up.to_bits());
+        }
     }
 
     #[test]
@@ -1251,17 +1206,17 @@ mod tests {
             .patch_intervals_days(&[7.0, 30.0])
             .designs(case_study::five_designs()[..2].to_vec())
             .policies(vec![PatchPolicy::None, PatchPolicy::All]);
-        let scenarios = sweep.scenarios();
-        assert_eq!(scenarios.len(), 8);
+        let evals = sweep.run(&Pool::new(2), &fresh_cache()).unwrap();
+        assert_eq!(evals.len(), 8);
         assert_eq!(sweep.len(), 8);
-        assert!(scenarios[0].label.starts_with("7 d | 1 DNS"));
-        assert!(scenarios[0].label.ends_with("no patch"));
-        assert!(scenarios[1].label.ends_with("patch all"));
-        assert!(scenarios[4].label.starts_with("30 d | 1 DNS"));
+        assert!(evals[0].name.starts_with("7 d | 1 DNS"));
+        assert!(evals[0].name.ends_with("no patch"));
+        assert!(evals[1].name.ends_with("patch all"));
+        assert!(evals[4].name.starts_with("30 d | 1 DNS"));
     }
 
     #[test]
-    fn experiment_groups_share_policy_independent_work() {
+    fn sweep_cells_share_policy_independent_work() {
         let sweep = Sweep::new(case_study::network())
             .designs(case_study::five_designs())
             .policies(vec![
@@ -1285,7 +1240,7 @@ mod tests {
     }
 
     #[test]
-    fn experiment_reports_earliest_error() {
+    fn sweep_reports_earliest_error() {
         let sweep = Sweep::new(case_study::network())
             .designs(vec![
                 Design::new("ok", vec![1, 1, 1, 1]),
@@ -1310,7 +1265,8 @@ mod tests {
             .patch_intervals_days(&[7.0, 30.0])
             .designs(case_study::five_designs()[..3].to_vec())
             .policies(vec![PatchPolicy::None, PatchPolicy::All]);
-        assert_eq!(sweep.run(&Pool::new(2), &cache).unwrap().len(), 12);
+        let evals = sweep.run(&Pool::new(2), &cache).unwrap();
+        assert_eq!(evals.len(), 12);
         let spans = tel.spans();
         let batches: Vec<&str> = spans
             .iter()
@@ -1323,12 +1279,7 @@ mod tests {
             .filter_map(|s| s.name.strip_prefix("cell "))
             .collect();
         cells.sort_unstable();
-        let scenarios = sweep.scenarios();
-        let mut expected: Vec<&str> = scenarios
-            .iter()
-            .step_by(2)
-            .map(|sc| sc.label.as_str())
-            .collect();
+        let mut expected: Vec<&str> = evals.iter().step_by(2).map(|e| e.name.as_str()).collect();
         expected.sort_unstable();
         assert_eq!(cells, expected);
         let snap = tel.snapshot();

@@ -18,8 +18,9 @@
 //!    ([`DesignEvaluation`]), the decision functions of Equations (3),(4)
 //!    ([`decision`]), and chart data for the paper's Figures 6 and 7
 //!    ([`charts`]). Every design evaluation goes through the batch
-//!    execution layer ([`exec`]): one [`Scenario`] at a time, or sweeps
-//!    over designs × patch policies × schedule parameters ([`Sweep`]).
+//!    execution layer ([`exec`]): a [`Sweep`] over designs × patch
+//!    policies × schedule parameters, one design under one policy being
+//!    a one-point sweep.
 //!    The execution context belongs to the caller: every batch — a sweep,
 //!    the [`optimize`] search, the [`equilibrium`] iteration, the
 //!    [`sensitivity`] analysis — runs on the caller's worker [`Pool`] and
@@ -83,7 +84,7 @@ pub mod telemetry;
 pub use equilibrium::{EquilibriumAnalyzer, EquilibriumOutcome};
 pub use error::{EvalError, SpecIssue};
 pub use evaluation::{DesignEvaluation, ParsePolicyError, PatchPolicy};
-pub use exec::{AnalysisCache, Pool, Scenario, Sweep};
+pub use exec::{AnalysisCache, Pool, Sweep};
 pub use optimize::{OptimizeOutcome, Optimizer};
 pub use scenario::{ScenarioDoc, ScenarioError};
 pub use spec::{Design, NetworkSpec, TierSpec};

@@ -82,7 +82,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use redeval_avail::ServerAnalysis;
+use redeval_avail::{tier_moments, ServerAnalysis};
 use redeval_harm::MetricsConfig;
 
 use crate::decision::{pareto_frontier, ParetoFront};
@@ -133,9 +133,8 @@ impl SpaceBox {
 /// Per-tier availability tables backing the box-level COA bound: for
 /// tier `t` at count `c`, `p[t][c-1] = P(up ≥ 1)` and
 /// `m[t][c-1] = E[up · 1{up ≥ 1}]` under the tier's aggregated
-/// machine-repair chain — the same moments the factored COA form of
-/// [`NetworkModel`](redeval_avail::NetworkModel) uses, computed through
-/// the same solver.
+/// machine-repair chain — the [`tier_moments`] the factored COA form of
+/// [`NetworkModel`](redeval_avail::NetworkModel) uses.
 struct CoaBounder {
     p: Vec<Vec<f64>>,
     m: Vec<Vec<f64>>,
@@ -150,16 +149,7 @@ impl CoaBounder {
             let mut pt = Vec::with_capacity(max_redundancy as usize);
             let mut mt = Vec::with_capacity(max_redundancy as usize);
             for c in 1..=max_redundancy {
-                let dist = rates.down_distribution(c)?;
-                let mut prob_up = 0.0;
-                let mut mean_up = 0.0;
-                for (down, &prob) in dist.iter().enumerate() {
-                    let up = c - down as u32;
-                    if up >= 1 {
-                        prob_up += prob;
-                        mean_up += prob * f64::from(up);
-                    }
-                }
+                let (prob_up, mean_up, _) = tier_moments(&rates.down_distribution(c)?);
                 pt.push(prob_up);
                 mt.push(mean_up);
             }

@@ -6,16 +6,16 @@
 //! to each of them, by central finite differences on the full pipeline
 //! (lower-layer SRN solve → aggregation → product-form COA). Elasticities
 //! (`d log COA-loss / d log θ`) make parameters with different units
-//! comparable. The perturbations run on the caller's [`Pool`] and
-//! resolve their tier solves through the caller's [`AnalysisCache`], like
-//! every batch of [`exec`](crate::exec).
+//! comparable. The perturbed specs are the variants of one
+//! [`Sweep`], run on the caller's [`Pool`] with its tier solves resolved
+//! through the caller's [`AnalysisCache`].
 
 use std::sync::Arc;
 
 use redeval_avail::{Durations, ServerParams};
 
-use crate::exec::{AnalysisCache, Pool};
-use crate::spec::NetworkSpec;
+use crate::exec::{AnalysisCache, Pool, Sweep};
+use crate::spec::{Design, NetworkSpec};
 use crate::EvalError;
 
 /// Which duration parameter of a tier's servers is perturbed.
@@ -95,10 +95,11 @@ pub struct Sensitivity {
 /// central differences with relative step `rel_step` (e.g. `0.05`),
 /// sorted by descending |elasticity|.
 ///
-/// The perturbation pairs (each costs two pipeline evaluations) are the
-/// jobs of one `pool` batch. They resolve tier solves through the
+/// The base spec and both perturbations of every pair (`θ ± θ·rel_step`)
+/// are the spec variants of one [`Sweep`] of the design `counts`, run as
+/// one batch on `pool`. The variants resolve tier solves through the
 /// caller's `cache`, so each perturbation solves only its perturbed
-/// tier. Pairs are merged in job order before the stable sort, and a
+/// tier. Pairs are merged in grid order before the stable sort, and a
 /// cache hit returns the numbers a fresh solve would, so the ranking is
 /// bitwise-identical for any pool size and any cache state.
 ///
@@ -120,42 +121,49 @@ pub fn coa_sensitivities(
         rel_step > 0.0 && rel_step < 0.5,
         "relative step must be in (0, 0.5)"
     );
-    let base_loss = 1.0 - coa_of(cache, spec, counts)?;
-    let cache = Arc::clone(cache);
-    let spec = Arc::new(spec.clone());
-    let counts = counts.to_vec();
-    let per_tier = Parameter::ALL.len();
-    let results = pool.run_batch(
-        spec.tiers().len() * per_tier,
-        move |job| -> Result<_, EvalError> {
-            let (ti, param) = (job / per_tier, Parameter::ALL[job % per_tier]);
-            let tier = &spec.tiers()[ti];
+    // The base spec, then each (tier, parameter) pair's `θ + step` and
+    // `θ − step` specs.
+    let mut pairs = Vec::new();
+    let mut variants = vec![(String::new(), spec.clone())];
+    for (ti, tier) in spec.tiers().iter().enumerate() {
+        for param in Parameter::ALL {
             let theta = param.get(&tier.params);
             let step = theta * rel_step;
-            let perturbed = |value: f64| -> Result<f64, EvalError> {
+            for value in [theta + step, theta - step] {
                 let mut tiers = spec.tiers().to_vec();
                 param.set(&mut tiers[ti].params, value);
                 let varied = NetworkSpec::new(tiers, spec.edges().to_vec());
-                coa_of(&cache, &varied, &counts)
-            };
-            let hi = 1.0 - perturbed(theta + step)?;
-            let lo = 1.0 - perturbed(theta - step)?;
+                variants.push((String::new(), varied));
+            }
+            pairs.push((&tier.name, param, theta, step));
+        }
+    }
+    let evals = Sweep::new(spec.clone())
+        .variants(variants)
+        .designs(vec![Design::new("", counts.to_vec())])
+        .run(pool, cache)?;
+    let base_loss = 1.0 - evals[0].coa;
+    let mut out: Vec<Sensitivity> = pairs
+        .iter()
+        .zip(evals[1..].chunks_exact(2))
+        .map(|(&(tier, param, theta, step), perturbed)| {
+            let hi = 1.0 - perturbed[0].coa;
+            let lo = 1.0 - perturbed[1].coa;
             let derivative = (hi - lo) / (2.0 * step);
             let elasticity = if base_loss > 0.0 {
                 derivative * theta / base_loss
             } else {
                 0.0
             };
-            Ok(Sensitivity {
-                tier: tier.name.clone(),
+            Sensitivity {
+                tier: tier.clone(),
                 parameter: param,
                 value_hours: theta,
                 derivative,
                 elasticity,
-            })
-        },
-    );
-    let mut out = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+            }
+        })
+        .collect();
     out.sort_by(|a, b| {
         b.elasticity
             .abs()
@@ -163,14 +171,6 @@ pub fn coa_sensitivities(
             .expect("finite elasticities")
     });
     Ok(out)
-}
-
-/// Product-form COA of `spec` at `counts`, its lower-layer solves
-/// resolved through `cache`.
-fn coa_of(cache: &AnalysisCache, spec: &NetworkSpec, counts: &[u32]) -> Result<f64, EvalError> {
-    let design = spec.with_counts(counts)?;
-    let analyses = cache.analyses_for(&design)?;
-    Ok(design.network_model(&analyses).coa()?)
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@
 //!
 //! ```
 //! use redeval::output::Report;
-//! use redeval_server::{Endpoints, Request, Service, ServiceConfig};
+//! use redeval_server::{Endpoints, Request, Service};
 //!
 //! let endpoints = Endpoints {
 //!     eval: Box::new(|doc| Ok(Report::new(format!("eval_{}", doc.name), "demo"))),
@@ -49,7 +49,7 @@
 //!     scenarios: Box::new(|| Report::new("scenario_list", "demo")),
 //!     reports: Box::new(|| Report::new("list", "demo")),
 //! };
-//! let service = Service::new(endpoints, ServiceConfig::default());
+//! let service = Service::new(endpoints, 1 << 20); // a 1 MiB result cache
 //! let health = service.handle(&Request::synthetic("GET", "/healthz", b""));
 //! assert_eq!(health.status, 200);
 //! ```
@@ -79,7 +79,7 @@ pub use request::{
 pub use server::{Server, ServerHandle};
 pub use service::{
     error_response, eval_error_response, http_error_response, Endpoints, EquilibriumEndpoint,
-    EvalEndpoint, ListingEndpoint, OptimizeEndpoint, Service, ServiceConfig, SweepEndpoint,
-    CACHE_HEADER, SERVE_SCHEMA,
+    EvalEndpoint, ListingEndpoint, OptimizeEndpoint, Service, SweepEndpoint, CACHE_HEADER,
+    SERVE_SCHEMA,
 };
 pub use sha256::{hex, sha256, Digest};

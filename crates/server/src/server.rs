@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::http::{read_request, Response};
+use crate::http::{read_request, Limits, Response};
 use crate::service::{http_error_response, Service};
 
 /// How long a single socket read may block (also the idle keep-alive
@@ -396,9 +396,10 @@ fn serve_requests(stream: TcpStream, service: &Service, busy: &Arc<AtomicBool>, 
         stream,
         deadline: Arc::clone(&deadline),
     });
+    let limits = Limits::default();
     loop {
         *deadline.lock().expect("deadline lock") = Instant::now() + REQUEST_DEADLINE;
-        match read_request(&mut reader, service.limits()) {
+        match read_request(&mut reader, &limits) {
             Ok(None) => return,
             Ok(Some(request)) => {
                 busy.store(true, Ordering::SeqCst);

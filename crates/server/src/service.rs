@@ -34,7 +34,7 @@ use redeval::{EvalError, ScenarioError};
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::disk::{DiskCache, DiskStats};
-use crate::http::{HttpError, Limits, Request, Response};
+use crate::http::{HttpError, Request, Response};
 use crate::metrics::ServiceMetrics;
 use crate::prometheus;
 use crate::request::{
@@ -91,24 +91,6 @@ impl std::fmt::Debug for Endpoints {
     }
 }
 
-/// Service construction knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceConfig {
-    /// Byte budget of the result cache.
-    pub cache_capacity: usize,
-    /// Wire-reading bounds (also consulted by the connection loop).
-    pub limits: Limits,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            cache_capacity: 64 * 1024 * 1024,
-            limits: Limits::default(),
-        }
-    }
-}
-
 /// The routing core: dispatches parsed requests, memoizes results,
 /// counts traffic. Socket-free — the loopback server and in-process
 /// tests drive the same `handle`.
@@ -119,21 +101,21 @@ pub struct Service {
     disk: Option<DiskCache>,
     metrics: ServiceMetrics,
     telemetry: redeval::Telemetry,
-    limits: Limits,
     requests: AtomicU64,
     started: Instant,
 }
 
 impl Service {
-    /// A service over the given endpoints (memory cache tier only).
-    pub fn new(endpoints: Endpoints, config: ServiceConfig) -> Self {
+    /// A service over the given endpoints with a memory cache tier of
+    /// `cache_capacity` bytes (see [`with_disk`](Self::with_disk) for
+    /// the persistent tier).
+    pub fn new(endpoints: Endpoints, cache_capacity: usize) -> Self {
         Service {
             endpoints,
-            cache: ResultCache::new(config.cache_capacity),
+            cache: ResultCache::new(cache_capacity),
             disk: None,
             metrics: ServiceMetrics::new(),
             telemetry: redeval::Telemetry::noop(),
-            limits: config.limits,
             requests: AtomicU64::new(0),
             started: Instant::now(),
         }
@@ -158,11 +140,6 @@ impl Service {
     pub fn with_telemetry(mut self, telemetry: redeval::Telemetry) -> Self {
         self.telemetry = telemetry;
         self
-    }
-
-    /// The wire-reading bounds the connection loop must apply.
-    pub fn limits(&self) -> &Limits {
-        &self.limits
     }
 
     /// A snapshot of the memory-tier cache counters.
@@ -542,13 +519,7 @@ mod tests {
             scenarios: Box::new(|| Report::new("scenario_list", "stub scenarios")),
             reports: Box::new(|| Report::new("list", "stub reports")),
         };
-        Service::new(
-            endpoints,
-            ServiceConfig {
-                cache_capacity,
-                limits: Limits::default(),
-            },
-        )
+        Service::new(endpoints, cache_capacity)
     }
 
     fn doc_json() -> String {
@@ -1111,7 +1082,7 @@ mod tests {
             scenarios: Box::new(|| Report::new("scenario_list", "x")),
             reports: Box::new(|| Report::new("list", "x")),
         };
-        let svc = Service::new(endpoints, ServiceConfig::default());
+        let svc = Service::new(endpoints, 1 << 20);
         let r = svc.handle(&Request::synthetic(
             "POST",
             "/v1/eval",

@@ -35,9 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use redeval::output::{parse_json, Json, Report, SNIPPET_MAX};
 use redeval::scenario::generate::{self, Family, GenParams};
-use redeval_server::{
-    read_request, Endpoints, HttpError, Limits, Request, Response, Service, ServiceConfig,
-};
+use redeval_server::{read_request, Endpoints, HttpError, Limits, Request, Response, Service};
 
 /// splitmix64 — same recurrence the generators use.
 struct Rng(u64);
@@ -247,7 +245,7 @@ fn stub_service() -> Service {
         scenarios: Box::new(|| Report::new("scenario_list", "stub")),
         reports: Box::new(|| Report::new("list", "stub")),
     };
-    Service::new(endpoints, ServiceConfig::default())
+    Service::new(endpoints, 1 << 20)
 }
 
 /// A valid body per `POST` endpoint, every optional knob present.

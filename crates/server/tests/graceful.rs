@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use redeval::output::Report;
 use redeval::scenario::builtin;
-use redeval_server::{Endpoints, Server, Service, ServiceConfig};
+use redeval_server::{Endpoints, Server, Service};
 
 /// A service whose `/v1/sweep` sleeps `delay` before answering —
 /// standing in for a slow grid evaluation.
@@ -31,7 +31,7 @@ fn slow_sweep_service(delay: Duration) -> Service {
         scenarios: Box::new(|| Report::new("scenario_list", "stub")),
         reports: Box::new(|| Report::new("list", "stub")),
     };
-    Service::new(endpoints, ServiceConfig::default())
+    Service::new(endpoints, 1 << 20)
 }
 
 fn sweep_body() -> Vec<u8> {

@@ -14,13 +14,6 @@ impl PlaceId {
     pub fn index(self) -> usize {
         self.0
     }
-
-    /// Reconstructs an id from a raw index (e.g. one obtained from
-    /// [`index`](Self::index)). Using an index from a different net is a
-    /// logic error that later methods will catch.
-    pub fn from_index(index: usize) -> Self {
-        PlaceId(index)
-    }
 }
 
 /// Identifier of a transition within its net.

@@ -7,21 +7,25 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use std::sync::Arc;
+
 use redeval::case_study;
 use redeval::decision::ScatterBounds;
-use redeval::{AnalysisCache, Design, PatchPolicy, Scenario};
+use redeval::{AnalysisCache, Design, PatchPolicy, Pool, Sweep};
 
 fn main() -> Result<(), redeval::EvalError> {
     // Phase 1+2: inputs and model construction: the case-study design
-    // under the paper's policy (patch base scores above 8.0). The analysis
-    // cache solves each per-tier server SRN once.
-    let name = "1 DNS + 2 WEB + 2 APP + 1 DB";
-    let design = Design::new(name, vec![1, 2, 2, 1]);
-    let policy = PatchPolicy::CriticalOnly(8.0);
-    let scenario = Scenario::new(name, case_study::network(), design, policy);
+    // under the paper's policy (patch base scores above 8.0), a one-point
+    // sweep. The analysis cache solves each per-tier server SRN once.
+    let design = Design::new("1 DNS + 2 WEB + 2 APP + 1 DB", vec![1, 2, 2, 1]);
+    let sweep = Sweep::new(case_study::network())
+        .designs(vec![design])
+        .policies(vec![PatchPolicy::CriticalOnly(8.0)]);
 
-    // Phase 3: evaluate it.
-    let e = scenario.evaluate(&AnalysisCache::new())?;
+    // Phase 3: evaluate it on a one-worker pool.
+    let e = sweep
+        .run(&Pool::new(1), &Arc::new(AnalysisCache::new()))?
+        .remove(0);
 
     println!("design: {}", e.name);
     println!();

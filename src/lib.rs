@@ -23,11 +23,13 @@
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
 //! let (pool, cache) = (Pool::new(2), Arc::new(AnalysisCache::new()));
-//! let design = Design::new("case study", vec![1, 2, 2, 1]);
-//! let policy = PatchPolicy::CriticalOnly(8.0);
-//! let e = Scenario::new("case study", case_study::network(), design, policy)
-//!     .evaluate(&cache)?;
-//! assert!((e.coa - 0.99707).abs() < 5e-5);
+//! // One design under one policy is a one-point sweep.
+//! let evals = Sweep::new(case_study::network())
+//!     .designs(vec![Design::new("case study", vec![1, 2, 2, 1])])
+//!     .policies(vec![PatchPolicy::CriticalOnly(8.0)])
+//!     .run(&pool, &cache)?;
+//! assert_eq!(evals[0].name, "case study");
+//! assert!((evals[0].coa - 0.99707).abs() < 5e-5);
 //! // A sweep on the same cache re-solves none of the four tiers.
 //! let evals = Sweep::new(case_study::network())
 //!     .designs(case_study::five_designs())
@@ -55,7 +57,7 @@ pub mod prelude {
     pub use redeval::charts;
     pub use redeval::cost::CostModel;
     pub use redeval::decision::{MultiBounds, ScatterBounds};
-    pub use redeval::exec::{self, AnalysisCache, Pool, Scenario, Sweep};
+    pub use redeval::exec::{self, AnalysisCache, Pool, Sweep};
     pub use redeval::{
         AspStrategy, AttackGraph, AttackTree, Design, DesignEvaluation, Durations, EvalError, Harm,
         MetricsConfig, NetworkModel, NetworkSpec, OrCombine, PatchPolicy, SecurityMetrics,

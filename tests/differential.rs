@@ -95,7 +95,7 @@ fn assert_three_paths_agree(svc: &Service, dir: &Path, doc: &ScenarioDoc) -> Str
 }
 
 fn differential_family(family: Family) {
-    let svc = serve::service(2, 64 * 1024 * 1024);
+    let svc = serve::service(2, serve::DEFAULT_CACHE_CAP);
     let dir = scratch_dir(family.key());
     let docs = corpus(family);
     assert_eq!(docs.len() as u64, SEEDS_PER_FAMILY);

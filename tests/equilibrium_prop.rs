@@ -79,6 +79,8 @@ proptest! {
     /// exhaustive one is the argmax over every mask's host walk. The ASP
     /// strategy is drawn and a back edge may close a tier cycle, so the
     /// kernel scores candidates on its host walk as well as its tier walk.
+    /// One or two drawn tiers are opened to the attacker on top of the
+    /// generated entry tiers, so every case has a choice of at least two.
     #[test]
     fn pruned_attacker_response_equals_exhaustive_argmax(
         family_idx in 0usize..3,
@@ -90,8 +92,17 @@ proptest! {
         policy_pick in 0usize..64,
         asp_idx in 0usize..3,
         back_edge in 0usize..2,
+        extra_entries in 1usize..=2,
+        entry_pick in 0usize..64,
     ) {
         let mut doc = small_doc(family_idx, seed, tiers, policies);
+        for i in 0..extra_entries {
+            let closed: Vec<usize> =
+                (0..doc.tiers.len()).filter(|&t| !doc.tiers[t].entry).collect();
+            if !closed.is_empty() {
+                doc.tiers[closed[(entry_pick + i) % closed.len()]].entry = true;
+            }
+        }
         doc.metrics.asp = [
             AspStrategy::MaxPath,
             AspStrategy::NoisyOrPaths,
@@ -128,6 +139,7 @@ proptest! {
             .with_counts(&counts)
             .expect("derived counts are valid");
         let k = spec.entry_tiers().len();
+        prop_assert!(k >= 2, "{} entry tier(s): no choice to check", k);
         let mut best: Option<(f64, f64, Vec<bool>)> = None;
         for bits in 1u64..(1 << k) {
             let mask: Vec<bool> = (0..k).map(|j| bits & (1 << j) != 0).collect();

@@ -88,7 +88,7 @@ fn sweep_grid_at_exactly_the_cap_is_accepted() {
         "the report must show the full grid size"
     );
 
-    let svc = serve::service(2, 64 * 1024 * 1024);
+    let svc = serve::service(2, serve::DEFAULT_CACHE_CAP);
     let body = sweep_body(&doc, 25, 16);
     let resp = svc.handle(&Request::synthetic("POST", "/v1/sweep", body.as_bytes()));
     assert_eq!(resp.status, 200, "at-cap sweep rejected by /v1/sweep");
@@ -116,7 +116,7 @@ fn sweep_grid_one_design_over_the_cap_is_rejected_structurally() {
         "rejection must point at the pruned search: {msg}"
     );
 
-    let svc = serve::service(2, 64 * 1024 * 1024);
+    let svc = serve::service(2, serve::DEFAULT_CACHE_CAP);
     let body = sweep_body(&doc, 25, 16);
     let resp = svc.handle(&Request::synthetic("POST", "/v1/sweep", body.as_bytes()));
     assert_eq!(resp.status, 400);

@@ -12,6 +12,36 @@ use redeval::decision::pareto_frontier;
 use redeval_bench::CVSS_THRESHOLDS;
 use redeval_suite::prelude::*;
 
+/// The sequential reference of a one-variant grid over `spec`: each
+/// point in grid order as its own one-design, one-policy sweep on a
+/// one-worker pool and a fresh cache, the design named with the label
+/// the grid gives that point.
+fn per_point(
+    spec: &Arc<NetworkSpec>,
+    designs: &[Design],
+    policies: &[PatchPolicy],
+) -> Vec<DesignEvaluation> {
+    let (pool, cache) = (Pool::new(1), Arc::new(AnalysisCache::new()));
+    let mut out = Vec::with_capacity(designs.len() * policies.len());
+    for design in designs {
+        for &policy in policies {
+            let label = if policies.len() > 1 {
+                format!("{} | {policy}", design.name)
+            } else {
+                design.name.clone()
+            };
+            let point = Sweep::new(Arc::clone(spec))
+                .designs(vec![Design::new(label, design.counts.clone())])
+                .policies(vec![policy])
+                .run(&pool, &cache)
+                .expect("point evaluates");
+            assert_eq!(point.len(), 1);
+            out.extend(point);
+        }
+    }
+    out
+}
+
 /// A randomized design grid over the case-study network (counts 1..=4).
 fn random_designs(rng: &mut StdRng, n: usize) -> Vec<Design> {
     (0..n)
@@ -31,17 +61,13 @@ fn randomized_grid_parallel_is_bitwise_identical_to_sequential() {
         PatchPolicy::CriticalOnly(4.0 + 6.0 * rng.gen::<f64>()),
         PatchPolicy::All,
     ];
-    let sweep = Sweep::new(case_study::network())
-        .designs(designs)
-        .policies(policies);
+    let network = Arc::new(case_study::network());
+    let sweep = Sweep::new(Arc::clone(&network))
+        .designs(designs.clone())
+        .policies(policies.clone());
 
-    // Sequential reference: one scenario at a time, fresh cache.
-    let cache = AnalysisCache::new();
-    let reference: Vec<DesignEvaluation> = sweep
-        .scenarios()
-        .iter()
-        .map(|sc| sc.evaluate(&cache).expect("scenario evaluates"))
-        .collect();
+    // Sequential reference: one point at a time, labels included.
+    let reference = per_point(&network, &designs, &policies);
 
     // The engine must reproduce it exactly for any thread count.
     for threads in [1, 2, 4, 16] {
@@ -95,10 +121,10 @@ fn shared_cache_dedupes_per_tier_solves_across_the_batch() {
 
 #[test]
 fn sweep_grid_agrees_with_legacy_evaluator_numbers() {
-    // The engine's numbers must match a per-policy loop of single
-    // scenario evaluations, which shares none of the engine's cell
-    // grouping, label excepted, over the standard policy axis:
-    // unpatched, every CVSS threshold, patch-all.
+    // The engine's points, labels included, must match a per-policy loop
+    // of one-point sweeps on a one-worker pool, which shares none of the
+    // engine's cell grouping, over the standard policy axis: unpatched,
+    // every CVSS threshold, patch-all.
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let designs = random_designs(&mut rng, 12);
     let policies: Vec<PatchPolicy> = std::iter::once(PatchPolicy::None)
@@ -112,14 +138,18 @@ fn sweep_grid_agrees_with_legacy_evaluator_numbers() {
         .expect("grid evaluates");
     assert_eq!(engine.len(), designs.len() * policies.len());
     let network = Arc::new(case_study::network());
-    let cache = AnalysisCache::new();
+    let (pool, cache) = (Pool::new(1), Arc::new(AnalysisCache::new()));
     for (pi, &policy) in policies.iter().enumerate() {
         // The engine's grid is design-major.
         for (di, d) in designs.iter().enumerate() {
-            let l = Scenario::new(d.name.clone(), Arc::clone(&network), d.clone(), policy)
-                .evaluate(&cache)
-                .expect("scenario evaluates");
+            let l = Sweep::new(Arc::clone(&network))
+                .designs(vec![d.clone()])
+                .policies(vec![policy])
+                .run(&pool, &cache)
+                .expect("point evaluates")
+                .remove(0);
             let e = &engine[di * policies.len() + pi];
+            assert_eq!(e.name, format!("{} | {policy}", l.name));
             assert_eq!(e.counts, l.counts, "design {di}, {policy:?}");
             assert_eq!(e.before, l.before, "design {di}, {policy:?}");
             assert_eq!(e.after, l.after, "design {di}, {policy:?}");
@@ -134,13 +164,9 @@ fn sweep_grid_agrees_with_legacy_evaluator_numbers() {
 fn pareto_frontier_is_thread_count_independent() {
     let mut rng = StdRng::seed_from_u64(0xF007);
     let designs = random_designs(&mut rng, 20);
-    let sweep = Sweep::new(case_study::network()).designs(designs);
-    let cache = AnalysisCache::new();
-    let evals: Vec<DesignEvaluation> = sweep
-        .scenarios()
-        .iter()
-        .map(|sc| sc.evaluate(&cache).expect("scenario evaluates"))
-        .collect();
+    let network = Arc::new(case_study::network());
+    let sweep = Sweep::new(Arc::clone(&network)).designs(designs.clone());
+    let evals = per_point(&network, &designs, &[PatchPolicy::CriticalOnly(8.0)]);
     let sequential = pareto_frontier(&evals);
     assert!(!sequential.is_empty());
     for threads in [2, 8] {

@@ -99,11 +99,14 @@ fn harm_and_dot_outputs() {
 
 #[test]
 fn patch_policies_bracket_each_other() {
-    let cache = AnalysisCache::new();
+    let (pool, cache) = (Pool::new(1), std::sync::Arc::new(AnalysisCache::new()));
     let evaluate = |policy| {
-        Scenario::new("x", spec(), Design::new("x", vec![2, 1, 1]), policy)
-            .evaluate(&cache)
+        Sweep::new(spec())
+            .designs(vec![Design::new("x", vec![2, 1, 1])])
+            .policies(vec![policy])
+            .run(&pool, &cache)
             .unwrap()
+            .remove(0)
     };
     let strictest = evaluate(PatchPolicy::All);
     let none = evaluate(PatchPolicy::None);
@@ -143,7 +146,7 @@ fn core_types_are_send_sync() {
     assert_send_sync::<Harm>();
     assert_send_sync::<NetworkModel>();
     assert_send_sync::<NetworkSpec>();
-    assert_send_sync::<Scenario>();
+    assert_send_sync::<Sweep>();
     assert_send_sync::<AnalysisCache>();
     assert_send_sync::<DesignEvaluation>();
     assert_send_sync::<ServerModel>();
@@ -153,19 +156,17 @@ fn core_types_are_send_sync() {
 #[test]
 fn evaluations_parallelize_across_threads() {
     // The spec and the analysis cache are shareable; designs can be
-    // evaluated concurrently.
+    // evaluated concurrently, each thread running a one-point sweep on
+    // a one-worker pool of its own.
     let spec = std::sync::Arc::new(spec());
     let cache = std::sync::Arc::new(AnalysisCache::new());
     let handles: Vec<_> = (1..=3u32)
         .map(|edge| {
-            let scenario = Scenario::new(
-                "d",
-                std::sync::Arc::clone(&spec),
-                Design::new("d", vec![edge, 1, 1]),
-                PatchPolicy::CriticalOnly(8.0),
-            );
+            let sweep = Sweep::new(std::sync::Arc::clone(&spec))
+                .designs(vec![Design::new("d", vec![edge, 1, 1])])
+                .policies(vec![PatchPolicy::CriticalOnly(8.0)]);
             let cache = std::sync::Arc::clone(&cache);
-            std::thread::spawn(move || scenario.evaluate(&cache).unwrap().coa)
+            std::thread::spawn(move || sweep.run(&Pool::new(1), &cache).unwrap()[0].coa)
         })
         .collect();
     let coas: Vec<f64> = handles.into_iter().map(|h| h.join().unwrap()).collect();

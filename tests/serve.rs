@@ -33,7 +33,7 @@ use redeval::scenario::{builtin, ScenarioDoc};
 use redeval_bench::{reports, serve};
 use redeval_server::{
     DiskCache, Endpoints, EquilibriumRequest, OptimizeRequest, Request, Server, ServerHandle,
-    Service, ServiceConfig, MAX_GRID_AXIS,
+    Service, MAX_GRID_AXIS,
 };
 
 fn golden_dir() -> PathBuf {
@@ -501,7 +501,7 @@ fn stub_service() -> Service {
         scenarios: Box::new(|| Report::new("scenario_list", "stub")),
         reports: Box::new(|| Report::new("list", "stub")),
     };
-    Service::new(endpoints, ServiceConfig::default())
+    Service::new(endpoints, serve::DEFAULT_CACHE_CAP)
 }
 
 /// One malformed body per rejection branch of every POST decoder, as

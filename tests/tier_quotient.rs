@@ -69,20 +69,41 @@ struct Coverage {
     truncated: usize,
 }
 
-/// Evaluates `design` of `spec` under every `(policy, config)` pair with
-/// `Scenario::evaluate` and compares both metric sets with the host walk.
-/// Each config's path cap is taken as is, except `None`, which stands
-/// for "the path count" and adds the counts of the uncapped walks and
-/// one more.
+/// The kernel's evaluation of design `counts` of `spec` under `policy`
+/// and `config`: a one-design, one-policy sweep on `pool`.
+fn evaluate_point(
+    spec: &Arc<NetworkSpec>,
+    counts: &[u32],
+    policy: PatchPolicy,
+    config: MetricsConfig,
+    pool: &Pool,
+    cache: &Arc<AnalysisCache>,
+) -> DesignEvaluation {
+    let mut evals = Sweep::new(Arc::clone(spec))
+        .designs(vec![Design::new("d", counts.to_vec())])
+        .policies(vec![policy])
+        .metrics(config)
+        .run(pool, cache)
+        .expect("point evaluates");
+    assert_eq!(evals.len(), 1);
+    evals.remove(0)
+}
+
+/// Evaluates `design` of `spec` under every `(policy, config)` pair as
+/// a one-point sweep on a one-worker pool and compares both metric sets
+/// with the host walk. Each config's path cap is taken as is, except
+/// `None`, which stands for "the path count" and adds the counts of the
+/// uncapped walks and one more.
 fn compare_scenarios(
     spec: &Arc<NetworkSpec>,
     counts: &[u32],
     policies: &[PatchPolicy],
     configs: &[MetricsConfig],
     caps: &[Option<usize>],
-    cache: &AnalysisCache,
+    cache: &Arc<AnalysisCache>,
     coverage: &mut Coverage,
 ) {
+    let pool = Pool::new(1);
     let harm = spec.with_counts(counts).expect("valid design").build_harm();
     for &policy in policies {
         for config in configs {
@@ -108,14 +129,7 @@ fn compare_scenarios(
                     max_paths,
                     ..*config
                 };
-                let mut scenario = Scenario::new(
-                    "cell",
-                    Arc::clone(spec),
-                    Design::new("d", counts.to_vec()),
-                    policy,
-                );
-                scenario.metrics = config;
-                let e = scenario.evaluate(cache).expect("scenario evaluates");
+                let e = evaluate_point(spec, counts, policy, config, &pool, cache);
                 let context = |side: &str| {
                     format!(
                         "{side} of {counts:?} under {policy}, {config:?}, edges {:?}",
@@ -280,7 +294,7 @@ proptest! {
         let (spec, counts) = random_spec(seed, cyclic);
         prop_assert_eq!(spec.tier_dag().is_none(), cyclic);
         let spec = Arc::new(spec);
-        let cache = AnalysisCache::new();
+        let cache = Arc::new(AnalysisCache::new());
         let mut coverage = Coverage::default();
         compare_scenarios(
             &spec,
@@ -312,7 +326,7 @@ fn random_suite_covers_truncated_untruncated_and_pathless_specs() {
             &random_policies(seed),
             &path_based_configs(),
             &CAPS,
-            &AnalysisCache::new(),
+            &Arc::new(AnalysisCache::new()),
             &mut coverage,
         );
     }
@@ -348,7 +362,7 @@ fn cyclic_tier_graphs_and_reliability_take_the_host_walk() {
         PatchPolicy::CriticalOnly(8.0),
         PatchPolicy::All,
     ];
-    let cache = AnalysisCache::new();
+    let cache = Arc::new(AnalysisCache::new());
     let mut coverage = Coverage::default();
     // Up to 10 hosts keeps the reliability ASP exact; 8-8-8-8 passes the
     // 22-host limit, where it falls back to noisy-or. (The cyclic graph
@@ -402,21 +416,21 @@ fn long_replicated_chains_saturate_and_match_the_capped_host_walk() {
     assert!(spec.tier_dag().is_some());
     let design = Design::new("8s", vec![8; 30]);
     let harm = spec.with_counts(&design.counts).unwrap().build_harm();
-    let cache = AnalysisCache::new();
+    let (pool, cache) = (Pool::new(1), Arc::new(AnalysisCache::new()));
     for config in path_based_configs() {
         for max_paths in [0, 1, 1000] {
             let config = MetricsConfig {
                 max_paths,
                 ..config
             };
-            let mut scenario = Scenario::new(
-                "chain",
-                Arc::clone(&spec),
-                design.clone(),
+            let e = evaluate_point(
+                &spec,
+                &design.counts,
                 PatchPolicy::None,
+                config,
+                &pool,
+                &cache,
             );
-            scenario.metrics = config;
-            let e = scenario.evaluate(&cache).expect("chain evaluates");
             let want = harm.metrics(&config);
             assert_eq!(want.attack_paths, max_paths);
             assert_same(&e.before, &want, &|| format!("{config:?}"));
