@@ -6,7 +6,7 @@
 //! approximation. This module builds the *unreduced* composition so the
 //! approximation error can be measured: analytically for small networks
 //! (the state space is the product of ~25-state server spaces) and by
-//! simulation for larger ones (the `aggregation_error` bench binary).
+//! simulation for larger ones (the `redeval aggregation-error` report).
 
 use redeval_srn::{Marking, Srn};
 

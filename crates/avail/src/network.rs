@@ -2,7 +2,7 @@
 //! the capacity-oriented availability reward (Table VI).
 
 use redeval_markov::SolveError;
-use redeval_srn::{PlaceId, Srn, SrnError};
+use redeval_srn::{Marking, PlaceId, Srn, SrnError};
 
 use crate::aggregate::AggregatedRates;
 
@@ -218,6 +218,28 @@ impl NetworkModel {
         (net, up_places)
     }
 
+    /// The Table-VI COA reward on the markings of
+    /// [`to_srn`](Self::to_srn)'s net, given its up places `ups`: 0 when
+    /// any tier has no server up (the service chain is broken), otherwise
+    /// the fraction of the network's servers running.
+    pub fn coa_reward<'a>(
+        &self,
+        ups: &'a [PlaceId],
+    ) -> impl Fn(&Marking) -> f64 + Send + Sync + 'a {
+        let total = f64::from(self.total_servers());
+        move |m| {
+            let mut running = 0u32;
+            for &p in ups {
+                let up = m.tokens(p);
+                if up == 0 {
+                    return 0.0;
+                }
+                running += up;
+            }
+            f64::from(running) / total
+        }
+    }
+
     /// COA computed through the explicit SRN — an independent cross-check
     /// of [`coa`](Self::coa).
     ///
@@ -226,17 +248,7 @@ impl NetworkModel {
     /// Propagates SRN errors.
     pub fn coa_via_srn(&self) -> Result<f64, SrnError> {
         let (net, ups) = self.to_srn();
-        let solved = net.solve()?;
-        let counts: Vec<u32> = self.tiers.iter().map(|t| t.count).collect();
-        let total: u32 = counts.iter().sum();
-        Ok(solved.expected(|m| {
-            let up_counts: Vec<u32> = ups.iter().map(|&p| m.tokens(p)).collect();
-            if up_counts.contains(&0) {
-                0.0
-            } else {
-                up_counts.iter().map(|&u| u as f64).sum::<f64>() / total as f64
-            }
-        }))
+        Ok(net.solve()?.expected(self.coa_reward(&ups)))
     }
 }
 

@@ -115,6 +115,26 @@ impl ServerParams {
         ServerParamsBuilder::new(name)
     }
 
+    /// The thirteen durations in declaration order, `hw_mtbf` to
+    /// `patch_interval`.
+    pub fn durations(&self) -> [Durations; 13] {
+        [
+            self.hw_mtbf,
+            self.hw_repair,
+            self.os_mtbf,
+            self.os_repair,
+            self.os_patch,
+            self.os_reboot_patch,
+            self.os_reboot_failure,
+            self.svc_mtbf,
+            self.svc_repair,
+            self.svc_patch,
+            self.svc_reboot_patch,
+            self.svc_reboot_failure,
+            self.patch_interval,
+        ]
+    }
+
     /// The full expected patch-cycle downtime: application patch + OS patch
     /// + OS reboot + service reboot (the paper's per-service MTTR).
     pub fn patch_cycle(&self) -> Durations {

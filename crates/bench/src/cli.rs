@@ -12,17 +12,19 @@
 //! $ redeval scenario export ecommerce > mine.json
 //! $ redeval scenario validate mine.json
 //! $ redeval eval --scenario mine.json --policy all
+//! $ redeval design-space --max-redundancy 4
+//! $ redeval full-report > report.md
 //! ```
 //!
 //! Subcommands are registry names (`table2`, `sweep`, `design_space`, …;
 //! dashes and underscores are interchangeable), plus the `table N` /
 //! `fig N` spellings, `report --all`, `list`, the `scenario` family, the
 //! scenario analyses (`eval`, `optimize`, `equilibrium`; one run path),
-//! `gen` and `serve`. Command-specific flags are checked against
-//! `FLAG_OWNERS`, and the numeric limits are the HTTP decoders' own
-//! constants (`redeval_server::MAX_*`). Report-producing commands take
-//! `--format text|json|csv` and `--out DIR`; with `--out`, each report
-//! is written to `DIR/<name>.<ext>` instead of stdout.
+//! `full-report`, `gen` and `serve`. Command-specific flags are checked
+//! against `FLAG_OWNERS`, and the numeric limits are the HTTP decoders'
+//! own constants (`redeval_server::MAX_*`). Report-producing commands
+//! take `--format text|json|csv` and `--out DIR`; with `--out`, each
+//! report is written to `DIR/<name>.<ext>` instead of stdout.
 //!
 //! Exit codes: `0` success, `1` a report's embedded consistency check
 //! failed (e.g. a region deviates from the paper) or a scenario failed
@@ -68,6 +70,11 @@ COMMANDS:
     report --all         every report; with --out DIR, one file each
     report --all --bless regenerate the golden corpus (tests/golden/*.json)
     list                 reports and bundled scenarios (honors --format json)
+    design-space [--max-redundancy N]
+                         exhaustive design-space search of the case study
+                         at per-tier bound N (default 3, the registry report)
+    full-report          markdown report over the paper's five designs;
+                         with --out DIR, writes DIR/full_report.md
 
     eval --scenario FILE|NAME [--policy P] [--profile[=FILE]]
                          evaluate a scenario file (or bundled scenario)
@@ -116,8 +123,8 @@ OPTIONS:
     --cache-cap <BYTES>  serve: result-cache budget (default 67108864)
     --cache-dir <DIR>    serve: persist results under DIR so a restarted
                          server answers repeats warm (DESIGN.md §12)
-    --max-redundancy <N> optimize/equilibrium: per-tier count bound 1..=8
-                         (default 4)
+    --max-redundancy <N> optimize/equilibrium/design-space: per-tier count
+                         bound 1..=8 (default 4; design-space 3)
     --bounds <ASP,COA>   optimize: decision bounds φ,ψ selecting the
                          satisfying region (e.g. --bounds 0.2,0.9962)
     --max-iters <K>      equilibrium: best-response round cap 1..=64
@@ -154,7 +161,10 @@ const FLAG_OWNERS: &[(&str, &[&str])] = &[
     ("--scenario", ANALYSES),
     ("--policy", ANALYSES),
     ("--profile", ANALYSES),
-    ("--max-redundancy", &["optimize", "equilibrium"]),
+    (
+        "--max-redundancy",
+        &["optimize", "equilibrium", "design_space"],
+    ),
     ("--bounds", &["optimize"]),
     ("--max-iters", &["equilibrium"]),
     ("--addr", &["serve"]),
@@ -216,6 +226,11 @@ enum Cmd {
     List,
     /// Registry reports to build, in order.
     Reports(Vec<&'static str>),
+    /// `design-space --max-redundancy N`: the registry's design-space
+    /// search at per-tier bound N.
+    DesignSpace(u32),
+    /// `full-report`: the five-design markdown report.
+    FullReport,
     /// List the bundled scenario gallery.
     ScenarioList,
     /// Print a bundled scenario's canonical JSON.
@@ -358,12 +373,7 @@ fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
 
 /// Parses a flag's numeric value and checks it against its limit (the
 /// same constant the HTTP decoders apply).
-///
-/// # Errors
-///
-/// A usage message naming `flag` when `value` is not a number or lies
-/// outside `range`.
-pub fn in_range<T: FromStr + PartialOrd + Display>(
+fn in_range<T: FromStr + PartialOrd + Display>(
     flag: &str,
     value: &str,
     range: RangeInclusive<T>,
@@ -504,7 +514,9 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
             out,
         });
     };
-    if let Some((flag, owners)) = given.iter().find(|(_, owners)| !owners.contains(&command)) {
+    // Dashes and underscores are interchangeable in command names.
+    let key = command.replace('-', "_");
+    if let Some((flag, owners)) = given.iter().find(|(_, owners)| !owners.contains(&&*key)) {
         return Err(format!(
             "`{flag}` only applies to {}, not `{command}`",
             command_list(owners)
@@ -513,7 +525,7 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
 
     // Positionals the command consumes; anything beyond is an error.
     let mut consumed = 1;
-    let cmd = match command {
+    let cmd = match key.as_str() {
         "list" => Cmd::List,
         "report" => {
             if bless {
@@ -632,6 +644,17 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
                 }
             }
         }
+        "design_space" => match max_redundancy {
+            Some(bound) => Cmd::DesignSpace(bound),
+            None => Cmd::Reports(vec!["design_space"]),
+        },
+        "full_report" => {
+            // The report *is* markdown, which no --format names.
+            if explicit_format {
+                return Err("`full-report` always writes markdown; drop the --format flag".into());
+            }
+            Cmd::FullReport
+        }
         "table" | "fig" => {
             let n = positional.get(1).ok_or_else(|| {
                 format!("`{command}` needs a number (e.g. `redeval {command} 2`)")
@@ -643,9 +666,8 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
             Cmd::Reports(vec![spec.name])
         }
         other => {
-            let normalized = other.replace('-', "_");
-            let spec = reports::find(&normalized)
-                .ok_or_else(|| format!("unknown command `{other}`; see `redeval list`"))?;
+            let spec = reports::find(other)
+                .ok_or_else(|| format!("unknown command `{command}`; see `redeval list`"))?;
             Cmd::Reports(vec![spec.name])
         }
     };
@@ -748,6 +770,13 @@ fn write_profile(path: &str, telemetry: &Telemetry) -> Result<(), String> {
     Ok(())
 }
 
+/// The run's worker pool and solve cache, the cache mirroring its
+/// counters into `telemetry`.
+fn context(telemetry: Telemetry) -> (Pool, Arc<AnalysisCache>) {
+    let pool = Pool::new(redeval::exec::default_threads());
+    (pool, Arc::new(AnalysisCache::with_telemetry(telemetry)))
+}
+
 /// Runs the CLI on `args` (without the program name); returns the
 /// process exit code.
 pub fn run(args: &[String]) -> i32 {
@@ -830,8 +859,7 @@ pub fn run(args: &[String]) -> i32 {
                 Some(_) => Telemetry::profiler(),
                 None => Telemetry::noop(),
             };
-            let pool = Pool::new(redeval::exec::default_threads());
-            let cache = Arc::new(AnalysisCache::with_telemetry(telemetry.clone()));
+            let (pool, cache) = context(telemetry.clone());
             let report = match analysis.report(doc, policy.map(|p| vec![p]), &pool, &cache) {
                 Ok(report) => report,
                 Err(e) => match scenario {
@@ -900,12 +928,23 @@ pub fn run(args: &[String]) -> i32 {
                 Err(e) => fail(2, format!("cannot start acceptors: {e}")),
             }
         }
+        Cmd::DesignSpace(bound) => {
+            let (pool, cache) = context(Telemetry::noop());
+            emit_report(&reports::studies::design_space(*bound, &pool, &cache))
+        }
+        Cmd::FullReport => {
+            let (pool, cache) = context(Telemetry::noop());
+            let markdown = reports::full_report_markdown(&pool, &cache);
+            match emit_text(&markdown, "full_report", "md", out) {
+                Ok(()) => 0,
+                Err(msg) => fail(2, msg),
+            }
+        }
         // One pool and one solve cache for the whole run, `report --all`
         // included: every report resolves its tiers through the same
         // cache, and neither changes a byte of any report.
         Cmd::Reports(names) => {
-            let pool = Pool::new(redeval::exec::default_threads());
-            let cache = Arc::new(AnalysisCache::new());
+            let (pool, cache) = context(Telemetry::noop());
             let mut all_ok = true;
             for name in names {
                 let spec = reports::find(name).expect("registry name resolves");
@@ -921,13 +960,6 @@ pub fn run(args: &[String]) -> i32 {
             }
         }
     }
-}
-
-/// Prints a report as text and returns the exit code its `ok` flag
-/// implies (the parameterized `design_space` binary's output path).
-pub fn print_report(report: &Report) -> i32 {
-    print!("{}", report.to_text());
-    i32::from(!report.ok)
 }
 
 #[cfg(test)]
@@ -960,6 +992,34 @@ mod tests {
         let a = parse(&args(&["design-space"])).unwrap();
         let b = parse(&args(&["design_space"])).unwrap();
         assert_eq!(a.cmd, b.cmd);
+        for command in ["design-space", "design_space"] {
+            let inv = parse(&args(&[command, "--max-redundancy", "4"])).unwrap();
+            assert_eq!(inv.cmd, Cmd::DesignSpace(4));
+        }
+        for command in ["full-report", "full_report"] {
+            assert_eq!(parse(&args(&[command])).unwrap().cmd, Cmd::FullReport);
+        }
+    }
+
+    #[test]
+    fn design_space_and_full_report_take_their_own_knobs_only() {
+        // Without the bound, `design-space` is the registry report.
+        assert_eq!(
+            names(&parse(&args(&["design-space"])).unwrap()),
+            ["design_space"]
+        );
+        // The report is markdown: no --format names it, so any is refused.
+        for format in ["text", "json", "csv"] {
+            assert!(parse(&args(&["full-report", "--format", format])).is_err());
+        }
+        let inv = parse(&args(&["full-report", "--out", "docs"])).unwrap();
+        assert_eq!(
+            (inv.cmd, inv.out.as_deref()),
+            (Cmd::FullReport, Some("docs"))
+        );
+        assert!(parse(&args(&["full-report", "--max-redundancy", "3"])).is_err());
+        assert!(parse(&args(&["full-report", "extra"])).is_err());
+        assert!(parse(&args(&["design-space", "4"])).is_err());
     }
 
     #[test]

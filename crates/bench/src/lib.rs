@@ -6,11 +6,12 @@
 //! [`Report`](redeval::output::Report). Every registry builder runs on
 //! the caller's [`Pool`](redeval::exec::Pool) and
 //! [`AnalysisCache`](redeval::exec::AnalysisCache). The unified `redeval`
-//! binary ([`cli`]) dispatches over the report registry with `--format
-//! text|json|csv` (`redeval <name>` for any artifact); the `design_space`
-//! and `full_report` binaries render the same functions with a bound
-//! argument and as markdown. Each of the three builds one pool and one
-//! cache per run, and [`serve`] keeps one of each for the server's
+//! binary ([`cli`]), the crate's only binary, dispatches over the report
+//! registry with `--format text|json|csv` (`redeval <name>` for any
+//! artifact); `redeval design-space --max-redundancy N` runs the
+//! design-space search at another bound and `redeval full-report`
+//! renders the five-design markdown report. A CLI run builds one pool
+//! and one cache, and [`serve`] keeps one of each for the server's
 //! lifetime. See `DESIGN.md` §5–§7 and the README's reproduction index.
 
 #![forbid(unsafe_code)]

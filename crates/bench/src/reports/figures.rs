@@ -11,7 +11,7 @@ use redeval::output::{Report, Table, Value};
 use redeval::{Harm, MetricsConfig};
 use redeval_avail::ServerModel;
 
-use super::{eq3_regions, eq4_regions, five_design_evals};
+use super::{five_design_evals, paper_multi_regions, paper_scatter_regions, region_table};
 
 fn path_table(name: &str, harm: &Harm, cfg: &MetricsConfig) -> Table {
     let mut t = Table::new(name, ["path", "aim", "asp"]);
@@ -105,7 +105,7 @@ pub fn fig6(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
         scatter_ascii(&after_points, 64, 14)
     ));
 
-    eq3_regions(&mut r, &evals);
+    region_table(&mut r, "eq3-regions", paper_scatter_regions(), &evals);
     r
 }
 
@@ -148,6 +148,6 @@ pub fn fig7(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
         r.keys([(label, Value::from(ok))]);
     }
 
-    eq4_regions(&mut r, &evals);
+    region_table(&mut r, "eq4-regions", paper_multi_regions(), &evals);
     r
 }

@@ -27,13 +27,14 @@ pub mod studies;
 pub mod tables;
 pub mod validate;
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use redeval::case_study;
-use redeval::decision::{MultiBounds, ScatterBounds};
+use redeval::charts::{radar_data, radar_series_table, scatter_data, scatter_table};
+use redeval::decision::{DecisionFunction, MultiBounds, ScatterBounds};
 use redeval::exec::{AnalysisCache, Pool, Sweep};
 use redeval::output::{Report, Table, Value};
-use redeval::report::{markdown_report, ReportOptions};
 use redeval::{DesignEvaluation, PatchPolicy};
 
 /// One registry entry: the machine name (CLI subcommand / golden-file
@@ -258,7 +259,7 @@ pub fn paper_multi_regions() -> Vec<(&'static str, MultiBounds, Vec<&'static str
 /// Evaluates the paper's five designs under critical-only patching at
 /// 8.0 (the [`Sweep`] default) on `pool` and `cache` — the shared
 /// evaluation path of `fig6`, `fig7`, `regions`, `cost`,
-/// `patch_priority` and `full_report`. A run building several of those
+/// `patch_priority` and `full-report`. A run building several of those
 /// reports solves the case-study tiers once, in its cache; the five
 /// cells themselves are cheap.
 pub fn five_design_evals(pool: &Pool, cache: &Arc<AnalysisCache>) -> Vec<DesignEvaluation> {
@@ -268,27 +269,107 @@ pub fn five_design_evals(pool: &Pool, cache: &Arc<AnalysisCache>) -> Vec<DesignE
         .expect("five designs evaluate")
 }
 
-/// The complete markdown report over the five designs with the paper's
-/// region bounds (the `full_report` binary), rendered from
-/// [`five_design_evals`] on `pool` and `cache`.
+/// The complete markdown report over the five designs (`redeval
+/// full-report`), rendered from [`five_design_evals`] on `pool` and
+/// `cache`: per-design metric tables before and after the patch, the
+/// Figure-6/7 data, and the members of the paper's Equation-(3)/(4)
+/// regions.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+///
+/// use redeval::exec::{AnalysisCache, Pool};
+/// use redeval_bench::reports::full_report_markdown;
+///
+/// let report = full_report_markdown(&Pool::new(2), &Arc::new(AnalysisCache::new()));
+/// assert!(report.contains("## Availability"));
+/// ```
 pub fn full_report_markdown(pool: &Pool, cache: &Arc<AnalysisCache>) -> String {
-    let options = ReportOptions {
-        title: "Ge et al. (DSN 2017) — five redundancy designs under monthly critical patching"
-            .into(),
-        scatter_bounds: paper_scatter_regions()
-            .into_iter()
-            .map(|(label, b, _)| (label.to_string(), b))
-            .collect(),
-        multi_bounds: paper_multi_regions()
-            .into_iter()
-            .map(|(label, b, _)| (label.to_string(), b))
-            .collect(),
+    let evals = five_design_evals(pool, cache);
+    let mut out = String::from(
+        "# Ge et al. (DSN 2017) — five redundancy designs under monthly critical patching\n\n",
+    );
+    let _ = writeln!(
+        out,
+        "{} designs over {} tiers; patch policy: {:?}.\n",
+        evals.len(),
+        evals.first().map_or(0, |e| e.counts.len()),
+        PatchPolicy::CriticalOnly(8.0)
+    );
+
+    out.push_str("## Security metrics\n\n");
+    let mut security = Table::new(
+        "security",
+        [
+            "design",
+            "AIM pre",
+            "ASP pre",
+            "AIM post",
+            "ASP post",
+            "NoEV post",
+            "NoAP post",
+            "NoEP post",
+        ],
+    );
+    for e in &evals {
+        security.add_row(vec![
+            Value::from(e.name.as_str()),
+            Value::from(e.before.attack_impact),
+            Value::from(e.before.attack_success_probability),
+            Value::from(e.after.attack_impact),
+            Value::from(e.after.attack_success_probability),
+            Value::from(e.after.exploitable_vulnerabilities),
+            Value::from(e.after.attack_paths),
+            Value::from(e.after.entry_points),
+        ]);
+    }
+    out.push_str(&security.to_markdown());
+
+    out.push_str("\n## Availability\n\n");
+    let mut availability = Table::new(
+        "availability",
+        ["design", "servers", "COA", "availability", "E[up]"],
+    );
+    for e in &evals {
+        availability.add_row(vec![
+            Value::from(e.name.as_str()),
+            Value::from(e.total_servers()),
+            Value::from(e.coa),
+            Value::from(e.availability),
+            Value::from(e.expected_up),
+        ]);
+    }
+    out.push_str(&availability.to_markdown());
+
+    let _ = write!(
+        out,
+        "\n## Scatter (ASP vs COA, after patch)\n\n```\n{}```\n",
+        scatter_table(&scatter_data(&evals, true)).to_text()
+    );
+    let _ = write!(
+        out,
+        "\n## Radar data (after patch)\n\n```\n{}```\n",
+        radar_series_table(&radar_data(&evals, true)).to_text()
+    );
+
+    out.push_str("\n## Decision regions\n\n");
+    let mut region_line = |label: &str, eq: u8, members: Vec<&str>| {
+        let members = if members.is_empty() {
+            "(none)".to_string()
+        } else {
+            members.join("; ")
+        };
+        let _ = writeln!(out, "* **{label}** (Eq. {eq}): {members}");
     };
-    markdown_report(
-        &five_design_evals(pool, cache),
-        PatchPolicy::CriticalOnly(8.0),
-        &options,
-    )
+    for (label, bounds, _) in paper_scatter_regions() {
+        region_line(label, 3, region_members(&bounds, &evals));
+    }
+    for (label, bounds, _) in paper_multi_regions() {
+        region_line(label, 4, region_members(&bounds, &evals));
+    }
+    out
 }
 
 /// An empty paper-vs-measured comparison table.
@@ -319,35 +400,30 @@ pub(crate) fn compare_row(t: &mut Table, label: &str, paper: f64, ours: f64) {
     ]);
 }
 
-/// Appends the Equation-(3) region tables and their paper checks.
-pub(crate) fn eq3_regions(report: &mut Report, evals: &[DesignEvaluation]) {
-    let mut t = Table::new("eq3-regions", ["region", "members", "matches_paper"]);
-    for (label, bounds, expect) in paper_scatter_regions() {
-        let members: Vec<&str> = bounds
-            .region(evals)
-            .iter()
-            .map(|e| e.name.as_str())
-            .collect();
-        let ok = members == expect;
-        report.check(ok);
-        t.add_row(vec![
-            Value::from(label),
-            Value::from(members.join("; ")),
-            Value::from(ok),
-        ]);
-    }
-    report.table(t);
+/// The names of the designs in `bounds`' region, in evaluation order.
+fn region_members<'a>(
+    bounds: &impl DecisionFunction,
+    evals: &'a [DesignEvaluation],
+) -> Vec<&'a str> {
+    bounds
+        .region(evals)
+        .iter()
+        .map(|e| e.name.as_str())
+        .collect()
 }
 
-/// Appends the Equation-(4) region tables and their paper checks.
-pub(crate) fn eq4_regions(report: &mut Report, evals: &[DesignEvaluation]) {
-    let mut t = Table::new("eq4-regions", ["region", "members", "matches_paper"]);
-    for (label, bounds, expect) in paper_multi_regions() {
-        let members: Vec<&str> = bounds
-            .region(evals)
-            .iter()
-            .map(|e| e.name.as_str())
-            .collect();
+/// Appends the table `name` of the paper's Equation-(3) or (4)
+/// `regions` (label, bounds, the members the paper reports) over `evals`,
+/// checking each region's members against the paper's.
+pub(crate) fn region_table(
+    report: &mut Report,
+    name: &str,
+    regions: Vec<(&str, impl DecisionFunction, Vec<&str>)>,
+    evals: &[DesignEvaluation],
+) {
+    let mut t = Table::new(name, ["region", "members", "matches_paper"]);
+    for (label, bounds, expect) in regions {
+        let members = region_members(&bounds, evals);
         let ok = members == expect;
         report.check(ok);
         t.add_row(vec![

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use redeval::decision::ScatterBounds;
+use redeval::decision::{DecisionFunction, ScatterBounds};
 use redeval::exec::{AnalysisCache, Pool};
 use redeval::optimize::DEFAULT_MAX_REDUNDANCY;
 use redeval::output::{Report, Value};

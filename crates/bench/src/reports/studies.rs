@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use redeval::case_study;
 use redeval::cost::CostModel;
-use redeval::decision::ScatterBounds;
+use redeval::decision::{DecisionFunction, ScatterBounds};
 use redeval::exec::{AnalysisCache, Pool, Sweep};
 use redeval::output::{Report, Series, Table, Value};
 use redeval::sensitivity::coa_sensitivities;
@@ -15,7 +15,9 @@ use redeval::{
 use redeval_avail::mmc::{availability_weighted_response_time, Mmc};
 use redeval_avail::{NetworkModel, PatchScenario, ServerAnalysis, Tier};
 
-use super::{design_table, eq3_regions, eq4_regions, five_design_evals};
+use super::{
+    design_table, five_design_evals, paper_multi_regions, paper_scatter_regions, region_table,
+};
 use crate::{CASE_STUDY_COUNTS, CVSS_THRESHOLDS, PATCH_WINDOWS_DAYS};
 
 /// The paper's **Equation (3) and (4) region analyses** in one report —
@@ -25,8 +27,8 @@ pub fn regions(pool: &Pool, cache: &Arc<AnalysisCache>) -> Report {
     let evals = five_design_evals(pool, cache);
     let refs: Vec<&redeval::DesignEvaluation> = evals.iter().collect();
     r.table(design_table("five-designs-after-patch", &refs));
-    eq3_regions(&mut r, &evals);
-    eq4_regions(&mut r, &evals);
+    region_table(&mut r, "eq3-regions", paper_scatter_regions(), &evals);
+    region_table(&mut r, "eq4-regions", paper_multi_regions(), &evals);
     r
 }
 
@@ -586,25 +588,13 @@ pub fn transient(cache: &AnalysisCache) -> Report {
     let model = spec.network_model(&analyses);
     let (net, ups) = model.to_srn();
     let counts: Vec<u32> = model.tiers().iter().map(|t| t.count).collect();
-    let total: u32 = counts.iter().sum();
 
-    // The COA reward of Table VI: zero when any tier has no server up,
-    // otherwise the running fraction — the same measure steady-state and
+    // The COA reward of Table VI — the same measure steady-state and
     // transient values are computed with, so the series converges to
     // `steady_state_coa`.
-    let coa_reward = |m: &redeval_srn::Marking| {
-        let mut sum = 0u32;
-        for &p in &ups {
-            let u = m.tokens(p);
-            if u == 0 {
-                return 0.0;
-            }
-            sum += u;
-        }
-        f64::from(sum) / f64::from(total)
-    };
+    let coa_reward = model.coa_reward(&ups);
     let solved = net.solve().expect("net solves");
-    let steady = solved.expected(coa_reward);
+    let steady = solved.expected(&coa_reward);
     r.keys([("steady_state_coa", Value::from(steady))]);
 
     let times = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 12.0, 48.0, 720.0];

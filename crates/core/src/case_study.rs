@@ -144,7 +144,7 @@ pub const VULNERABILITIES: [VulnRecord; 16] = [
 ];
 
 /// Verifies that a record's reconstructed CVSS vector reproduces its
-/// Table-I values (used by tests and the `table1` bench binary).
+/// Table-I values (used by tests and the `redeval table1` report).
 pub fn vector_consistent(r: &VulnRecord) -> bool {
     let Ok(v) = r.vector.parse::<BaseVector>() else {
         return false;

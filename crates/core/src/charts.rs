@@ -1,5 +1,5 @@
 //! Chart data for the paper's Figure 6 (scatter) and Figure 7 (radar),
-//! with structured-table and ASCII renderers for the bench binaries.
+//! with structured-table and ASCII renderers for the `redeval` reports.
 //!
 //! Tabular output goes through [`crate::output`] (the deterministic
 //! serializers the golden corpus relies on); only the ASCII scatter plot

@@ -4,7 +4,7 @@
 //! of high availability versus the cost of redundant servers, and the loss
 //! from successful attacks versus the cost of patching. This module
 //! implements that trade-off as a simple expected-monthly-cost model so
-//! the `cost` bench binary can rank designs.
+//! the `redeval cost` report can rank designs.
 
 use crate::evaluation::DesignEvaluation;
 

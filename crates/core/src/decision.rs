@@ -4,9 +4,22 @@
 //! lower bound on COA; a design *satisfies* the requirements when every
 //! bound holds. [`ScatterBounds`] is Equation (3) (two metrics, the
 //! Figure 6 scatter analysis); [`MultiBounds`] is Equation (4) (the
-//! Figure 7 radar analysis).
+//! Figure 7 radar analysis). Both are [`DecisionFunction`]s.
 
 use crate::evaluation::DesignEvaluation;
+
+/// A decision function of the paper: the administrator's bounds, which a
+/// design satisfies when every one of them holds.
+pub trait DecisionFunction {
+    /// Evaluates the decision function on a design evaluation.
+    fn satisfied(&self, e: &DesignEvaluation) -> bool;
+
+    /// The subset of designs satisfying the bounds (the paper's
+    /// "region"), in input order.
+    fn region<'a>(&self, evals: &'a [DesignEvaluation]) -> Vec<&'a DesignEvaluation> {
+        evals.iter().filter(|e| self.satisfied(e)).collect()
+    }
+}
 
 /// Equation (3): `f(ASP, COA) = 1 ⇔ ASP ≤ φ ∧ COA ≥ ψ`.
 ///
@@ -20,15 +33,9 @@ pub struct ScatterBounds {
     pub min_coa: f64,
 }
 
-impl ScatterBounds {
-    /// Evaluates the decision function on a design evaluation.
-    pub fn satisfied(&self, e: &DesignEvaluation) -> bool {
+impl DecisionFunction for ScatterBounds {
+    fn satisfied(&self, e: &DesignEvaluation) -> bool {
         e.after.attack_success_probability <= self.max_asp && e.coa >= self.min_coa
-    }
-
-    /// The subset of designs satisfying the bounds (the paper's "region").
-    pub fn region<'a>(&self, evals: &'a [DesignEvaluation]) -> Vec<&'a DesignEvaluation> {
-        evals.iter().filter(|e| self.satisfied(e)).collect()
     }
 }
 
@@ -51,19 +58,13 @@ pub struct MultiBounds {
     pub min_coa: f64,
 }
 
-impl MultiBounds {
-    /// Evaluates the decision function on a design evaluation.
-    pub fn satisfied(&self, e: &DesignEvaluation) -> bool {
+impl DecisionFunction for MultiBounds {
+    fn satisfied(&self, e: &DesignEvaluation) -> bool {
         e.after.attack_success_probability <= self.max_asp
             && e.after.exploitable_vulnerabilities <= self.max_noev
             && e.after.attack_paths <= self.max_noap
             && e.after.entry_points <= self.max_noep
             && e.coa >= self.min_coa
-    }
-
-    /// The subset of designs satisfying the bounds.
-    pub fn region<'a>(&self, evals: &'a [DesignEvaluation]) -> Vec<&'a DesignEvaluation> {
-        evals.iter().filter(|e| self.satisfied(e)).collect()
     }
 }
 

@@ -387,23 +387,8 @@ struct ParamsKey {
 
 impl ParamsKey {
     fn of(p: &ServerParams) -> ParamsKey {
-        let b = |d: Durations| d.as_hours().to_bits();
         ParamsKey {
-            bits: [
-                b(p.hw_mtbf),
-                b(p.hw_repair),
-                b(p.os_mtbf),
-                b(p.os_repair),
-                b(p.os_patch),
-                b(p.os_reboot_patch),
-                b(p.os_reboot_failure),
-                b(p.svc_mtbf),
-                b(p.svc_repair),
-                b(p.svc_patch),
-                b(p.svc_reboot_patch),
-                b(p.svc_reboot_failure),
-                b(p.patch_interval),
-            ],
+            bits: p.durations().map(|d| d.as_hours().to_bits()),
         }
     }
 }

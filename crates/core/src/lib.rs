@@ -40,7 +40,7 @@
 //! use std::sync::Arc;
 //!
 //! use redeval::case_study;
-//! use redeval::decision::ScatterBounds;
+//! use redeval::decision::{DecisionFunction, ScatterBounds};
 //! use redeval::{AnalysisCache, Pool, Sweep};
 //!
 //! # fn main() -> Result<(), redeval::EvalError> {
@@ -75,7 +75,6 @@ mod evaluation;
 pub mod exec;
 pub mod optimize;
 pub mod output;
-pub mod report;
 pub mod scenario;
 pub mod sensitivity;
 mod spec;

@@ -721,7 +721,7 @@ impl Report {
         out
     }
 
-    /// Human-oriented text rendering (what the report binaries print).
+    /// Human-oriented text rendering (what `redeval` prints by default).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "==== {} ====", self.title);

@@ -561,7 +561,7 @@ impl ScenarioDoc {
             );
             push_joined(
                 out,
-                PARAM_KEYS.iter().zip(param_durations(&t.params)),
+                PARAM_KEYS.iter().zip(t.params.durations()),
                 |out, (k, d)| {
                     out.push('"');
                     out.push_str(k);
@@ -687,8 +687,9 @@ fn write_tree(out: &mut String, def: &TreeDef) {
     out.push_str("]}");
 }
 
-/// The 13 duration parameters, in [`ServerParams`] declaration order;
-/// shared by the serializer and the parser so they can never disagree.
+/// The 13 duration parameters, in the order of
+/// [`ServerParams::durations`]; shared by the serializer and the parser
+/// so they can never disagree.
 const PARAM_KEYS: [&str; 13] = [
     "hw_mtbf_h",
     "hw_repair_h",
@@ -704,24 +705,6 @@ const PARAM_KEYS: [&str; 13] = [
     "svc_reboot_failure_h",
     "patch_interval_h",
 ];
-
-fn param_durations(p: &ServerParams) -> [Durations; 13] {
-    [
-        p.hw_mtbf,
-        p.hw_repair,
-        p.os_mtbf,
-        p.os_repair,
-        p.os_patch,
-        p.os_reboot_patch,
-        p.os_reboot_failure,
-        p.svc_mtbf,
-        p.svc_repair,
-        p.svc_patch,
-        p.svc_reboot_patch,
-        p.svc_reboot_failure,
-        p.patch_interval,
-    ]
-}
 
 fn build_tree(
     def: &TreeDef,

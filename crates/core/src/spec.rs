@@ -373,7 +373,7 @@ impl NetworkSpec {
 
     /// Enumerates all designs whose per-tier counts range over
     /// `1..=max_redundancy`, in lexicographic order (the design-space
-    /// search of the `design_space` bench binary).
+    /// search of `redeval design-space`).
     pub fn enumerate_designs(&self, max_redundancy: u32) -> Vec<Design> {
         let names: Vec<&str> = self.tiers.iter().map(|t| t.name.as_str()).collect();
         let k = self.tiers.len();

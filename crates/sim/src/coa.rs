@@ -36,21 +36,8 @@ pub fn simulate_coa(
     seed: u64,
 ) -> Result<RewardEstimate, SimError> {
     let (net, ups) = model.to_srn();
-    let counts: Vec<u32> = model.tiers().iter().map(|t| t.count).collect();
-    let total: u32 = counts.iter().sum();
     let mut sim = Simulation::new(&net, seed);
-    let ups_cl = ups.clone();
-    sim.add_reward("coa", move |m| {
-        let mut sum = 0u32;
-        for &p in &ups_cl {
-            let u = m.tokens(p);
-            if u == 0 {
-                return 0.0;
-            }
-            sum += u;
-        }
-        f64::from(sum) / f64::from(total)
-    });
+    sim.add_reward("coa", model.coa_reward(&ups));
     let warmup = horizon_hours * 0.02;
     let out = sim.run(warmup, horizon_hours, 20)?;
     Ok(out.rewards.into_iter().next().expect("one reward"))

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example custom_network`
 
-use redeval::decision::MultiBounds;
+use redeval::decision::{DecisionFunction, MultiBounds};
 use redeval::{
     AnalysisCache, AttackTree, Design, Durations, NetworkSpec, Pool, ServerParams, Sweep, TierSpec,
     Vulnerability,

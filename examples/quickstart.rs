@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use redeval::case_study;
-use redeval::decision::ScatterBounds;
+use redeval::decision::{DecisionFunction, ScatterBounds};
 use redeval::{AnalysisCache, Design, PatchPolicy, Pool, Sweep};
 
 fn main() -> Result<(), redeval::EvalError> {

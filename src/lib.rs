@@ -56,7 +56,7 @@ pub mod prelude {
     pub use redeval::case_study;
     pub use redeval::charts;
     pub use redeval::cost::CostModel;
-    pub use redeval::decision::{MultiBounds, ScatterBounds};
+    pub use redeval::decision::{DecisionFunction, MultiBounds, ScatterBounds};
     pub use redeval::exec::{self, AnalysisCache, Pool, Sweep};
     pub use redeval::{
         AspStrategy, AttackGraph, AttackTree, Design, DesignEvaluation, Durations, EvalError, Harm,

@@ -1,5 +1,5 @@
 //! Simulation-vs-analytic cross-validation (kept at moderate horizons so
-//! `cargo test` stays fast; the `validate_sim` bench binary runs longer).
+//! `cargo test` stays fast; the `redeval validate-sim` report runs longer).
 
 use redeval::case_study;
 use redeval::{AspStrategy, MetricsConfig};

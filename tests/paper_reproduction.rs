@@ -2,7 +2,7 @@
 //! paper (the machine-checked version of EXPERIMENTS.md).
 
 use redeval::case_study::{self, VULNERABILITIES};
-use redeval::decision::{MultiBounds, ScatterBounds};
+use redeval::decision::{DecisionFunction, MultiBounds, ScatterBounds};
 use redeval::{AspStrategy, MetricsConfig, OrCombine};
 use redeval_suite::prelude::*;
 

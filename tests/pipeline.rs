@@ -3,7 +3,7 @@
 
 use redeval::charts::{radar_data, scatter_ascii, scatter_data};
 use redeval::cost::CostModel;
-use redeval::decision::ScatterBounds;
+use redeval::decision::{DecisionFunction, ScatterBounds};
 use redeval_suite::prelude::*;
 
 /// A three-tier network distinct from the paper's.
